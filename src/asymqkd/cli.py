@@ -21,7 +21,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .channel import Basis, PauliRates, flip_rates
+from .channel import Basis, PauliRates, conjugate, flip_rates
 from .distill import modified_rate_one_bstep
 from .keyrates import (
     rate_bb84_symmetrized,
@@ -38,9 +38,11 @@ from .threshold import (
     sweep_fig1,
     threshold_total_noise,
 )
-from . import channel as _channel
 
 _BASIS_BY_LETTER = {"Z": Basis.Z, "X": Basis.X, "Y": Basis.Y}
+
+_TARGET_HELP = ("residual-error target of the (m, k) schedule witness; echoed in "
+                "the header, it does not change the threshold")
 
 
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
@@ -105,6 +107,15 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             fh.write(text)
 
 
+def _search_params(parser: argparse.ArgumentParser, args: argparse.Namespace) -> SearchParams:
+    """Validate ``--target``; the witness settings are echoed in headers only."""
+    try:
+        return SearchParams(target=args.target)
+    except ValueError as exc:
+        parser.error(f"invalid search parameters: {exc}")
+    raise AssertionError  # parser.error exits
+
+
 def _channel_echo(rates: PauliRates) -> str:
     return (
         f"q_i={rates.q_i!r} q_x={rates.q_x!r} q_y={rates.q_y!r} q_z={rates.q_z!r}"
@@ -147,14 +158,14 @@ def _cmd_threshold(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         parser.error("threshold needs --family-ratio")
     variant = ProtocolVariant(args.variant)
     family = ChannelFamily.from_y_ratio(args.family_ratio)
-    params = SearchParams(target=args.target)
+    params = _search_params(parser, args)
     header = [
         "# schema: asymqkd.threshold.v1",
         f"# config: variant={variant.value} family_ratio={args.family_ratio!r} "
         f"tol={args.tol!r} target={args.target!r} m_max={params.m_max} k_max={params.k_max}",
     ]
     try:
-        result = threshold_total_noise(family, variant, tol=args.tol, params=params)
+        result = threshold_total_noise(family, variant, tol=args.tol)
     except ThresholdSearchError as exc:
         _emit("\n".join(header + [f"# error: {exc}"]) + "\n", args.out)
         return 1
@@ -168,8 +179,8 @@ def _cmd_threshold(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def _cmd_sweep_fig1(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    ratios = args.grid
-    rows = sweep_fig1(ratios, tol=args.tol, params=SearchParams(target=args.target))
+    _search_params(parser, args)
+    rows = sweep_fig1(args.grid, tol=args.tol)
     lines = [
         "# schema: asymqkd.sweep_fig1.v1",
         f"# config: grid={args.grid_text} tol={args.tol!r} target={args.target!r}",
@@ -190,7 +201,7 @@ def _fig2_point(q_y0: float, total: float) -> tuple[float, float]:
     q_x0 = (total - q_y0) / 2.0
     rates = PauliRates.from_error_rates(q_x0, q_y0, q_x0)
     one_way = rate_sixstate_separate(rates)
-    two_way = modified_rate_one_bstep(_channel.conjugate(rates, Basis.Y))
+    two_way = modified_rate_one_bstep(conjugate(rates, Basis.Y))
     return one_way, two_way
 
 
@@ -272,14 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--family-ratio", type=float, required=True, metavar="R",
                        help="channel shape q_y0/q_x0 with q_x0 = q_z0")
     p_thr.add_argument("--tol", type=float, default=1e-4)
-    p_thr.add_argument("--target", type=float, default=0.05)
+    p_thr.add_argument("--target", type=float, default=0.05, help=_TARGET_HELP)
     p_thr.add_argument("--out")
     p_thr.set_defaults(func=_cmd_threshold)
 
     p_f1 = sub.add_parser("sweep-fig1", help="thresholds across q_y0/q_x0 shapes")
     p_f1.add_argument("--grid", type=str, default="0.0:1.0:0.05", metavar="LO:HI:STEP")
     p_f1.add_argument("--tol", type=float, default=1e-4)
-    p_f1.add_argument("--target", type=float, default=0.05)
+    p_f1.add_argument("--target", type=float, default=0.05, help=_TARGET_HELP)
     p_f1.add_argument("--out")
     p_f1.set_defaults(func=_cmd_sweep_fig1)
 

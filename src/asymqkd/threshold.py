@@ -8,13 +8,15 @@ the feasible/infeasible transition by bisection after auditing that the
 transition along the ray is monotone (a non-monotone flip is reported as
 an error instead of being silently bisected).
 
-For the two-way variants, feasibility combines the capped schedule search
-(which yields a concrete (m, k) witness when it succeeds) with the exact
-unbounded-caps criterion ``distillable_in_limit``.  Near threshold the
-witness search alone is far too conservative: the required parity group
-size grows without bound, so truncating at k_max would report a threshold
-several percentage points low.  The limit criterion is algebraic and
-exact, which keeps bisection both honest and fast.
+One-way variants are feasible where their key rate is positive.  Two-way
+variants are decided by one authority, the exact unbounded-caps criterion
+``distillable_in_limit`` (Gottesman-Lo pair rejection plus parity in the
+limit m, k -> infinity), so a threshold does not depend on a residual-error
+target or on search caps.  ``witness_schedule`` runs the capped (m, k)
+schedule search on demand, to explain a feasible channel by a concrete
+schedule; it never takes part in a feasibility decision.  Near threshold
+the capped search fails even where the limit criterion holds, because the
+required parity group size grows without bound.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .channel import Basis, BasisMixture, PauliRates, average_over_mixture, conjugate
 from .distill import DistillationTrace, distill_schedule, distillable_in_limit
@@ -52,7 +54,7 @@ class NoThresholdInRange(ThresholdSearchError):
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Residual-error target and caps for the schedule witness search."""
+    """Residual-error target and caps for ``witness_schedule``."""
 
     target: float = 0.05
     m_max: int = 60
@@ -109,32 +111,50 @@ class ChannelFamily:
         return PauliRates(1.0 - scale, scale * d_x, scale * d_y, scale * d_z)
 
 
-def is_distillable(
+def _effective(rates: PauliRates, variant: ProtocolVariant) -> PauliRates:
+    """Error distribution the key bits of a two-way variant experience.
+
+    Y-conjugation for the Y-basis protocol, the equal three-basis average
+    for the baseline.
+    """
+    if variant is ProtocolVariant.Y_BASIS_TWO_WAY:
+        return conjugate(rates, Basis.Y)
+    if variant is ProtocolVariant.CHAU_BASELINE:
+        return average_over_mixture(rates, BasisMixture.equal())
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def is_distillable(rates: PauliRates, variant: ProtocolVariant) -> bool:
+    """Decide key feasibility for one channel under one variant.
+
+    One-way variants reduce to the sign of the corresponding key rate.
+    Two-way variants map the channel to the error distribution their key
+    bits experience and apply the exact limit criterion
+    ``distillable_in_limit``.
+    """
+    if variant is ProtocolVariant.SINGLE_BASIS_ONE_WAY:
+        return rate_single_basis(rates) > 0.0
+    if variant is ProtocolVariant.SIX_STATE_SEPARATE_ONE_WAY:
+        return rate_sixstate_separate(rates) > 0.0
+    return distillable_in_limit(_effective(rates, variant))
+
+
+def witness_schedule(
     rates: PauliRates,
     variant: ProtocolVariant,
     params: SearchParams = SearchParams(),
-) -> tuple[bool, Optional[DistillationTrace]]:
-    """Decide key feasibility for one channel under one variant.
+) -> Optional[DistillationTrace]:
+    """Capped (m, k) schedule search for a two-way variant; None for one-way ones.
 
-    One-way variants reduce to the sign of the corresponding key rate and
-    carry no trace.  Two-way variants first map the channel to the error
-    distribution their key bits experience (Y-conjugation for the Y-basis
-    protocol, the equal three-basis average for the baseline), then accept
-    if either the capped schedule search finds a witness or the unbounded
-    limit criterion holds.
+    The trace explains a feasible channel by a concrete rejection/parity
+    schedule when one exists within ``params``; ``succeeded`` is False
+    otherwise.  Feasibility itself is ``is_distillable``'s to decide.
     """
-    if variant is ProtocolVariant.SINGLE_BASIS_ONE_WAY:
-        return rate_single_basis(rates) > 0.0, None
-    if variant is ProtocolVariant.SIX_STATE_SEPARATE_ONE_WAY:
-        return rate_sixstate_separate(rates) > 0.0, None
-    if variant is ProtocolVariant.Y_BASIS_TWO_WAY:
-        effective = conjugate(rates, Basis.Y)
-    elif variant is ProtocolVariant.CHAU_BASELINE:
-        effective = average_over_mixture(rates, BasisMixture.equal())
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    trace = distill_schedule(effective, params.target, params.m_max, params.k_max)
-    return trace.succeeded or distillable_in_limit(effective), trace
+    one_way = (ProtocolVariant.SINGLE_BASIS_ONE_WAY, ProtocolVariant.SIX_STATE_SEPARATE_ONE_WAY)
+    if variant in one_way:
+        return None
+    effective = _effective(rates, variant)
+    return distill_schedule(effective, params.target, params.m_max, params.k_max)
 
 
 @dataclass(frozen=True)
@@ -147,31 +167,25 @@ class Bracket:
 class ThresholdResult:
     """Bisection outcome: feasible at ``bracket.low``, infeasible at ``bracket.high``.
 
-    ``trace_at_threshold`` is the schedule trace at the last feasible probe
-    (None for one-way variants).  Its ``succeeded`` flag can be False when
-    feasibility just below threshold rests on the limit criterion rather
-    than on a witness within the search caps.
+    For a schedule that explains the feasible end, call
+    ``witness_schedule(family.rates_at(result.bracket.low), variant)``.
     """
 
     threshold: float
     bracket: Bracket
-    trace_at_threshold: Optional[DistillationTrace]
 
 
-def _audit_and_bisect(feasible, lo: float, hi: float, tol: float, audit_points: int):
+def _audit_and_bisect(
+    feasible: Callable[[float], bool], lo: float, hi: float, tol: float, audit_points: int
+) -> tuple[float, float]:
     """Bisect a monotone predicate after a grid audit of its monotonicity.
 
-    Returns (low, high, payload_at_low) with high - low <= tol.  ``feasible``
-    maps a scale to (bool, payload).
+    Returns (low, high) with ``feasible(low)`` true, ``feasible(high)``
+    false and high - low <= tol.
     """
     n = max(audit_points, 3)
     grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    flags = []
-    payloads = []
-    for scale in grid:
-        ok, payload = feasible(scale)
-        flags.append(ok)
-        payloads.append(payload)
+    flags = [feasible(scale) for scale in grid]
     if not flags[0]:
         raise ThresholdSearchError(f"not feasible at scale {grid[0]!r}; no threshold to bracket")
     if flags[-1]:
@@ -182,22 +196,19 @@ def _audit_and_bisect(feasible, lo: float, hi: float, tol: float, audit_points: 
             f"feasibility flips more than once along the ray (audit flags {flags})"
         )
     low, high = grid[flip - 1], grid[flip]
-    payload_low = payloads[flip - 1]
     while high - low > tol:
         mid = 0.5 * (low + high)
-        ok, payload = feasible(mid)
-        if ok:
-            low, payload_low = mid, payload
+        if feasible(mid):
+            low = mid
         else:
             high = mid
-    return low, high, payload_low
+    return low, high
 
 
 def threshold_total_noise(
     family: ChannelFamily,
     variant: ProtocolVariant,
     tol: float = 1e-4,
-    params: SearchParams = SearchParams(),
     audit_points: int = 50,
 ) -> ThresholdResult:
     """Locate the total-noise threshold of ``variant`` along ``family``.
@@ -209,15 +220,11 @@ def threshold_total_noise(
     if tol <= 0.0:
         raise ValueError(f"tol={tol!r} must be positive")
 
-    def feasible(scale: float):
-        return is_distillable(family.rates_at(scale), variant, params)
+    def feasible(scale: float) -> bool:
+        return is_distillable(family.rates_at(scale), variant)
 
-    low, high, trace = _audit_and_bisect(feasible, 0.0, family.scale_max, tol, audit_points)
-    return ThresholdResult(
-        threshold=0.5 * (low + high),
-        bracket=Bracket(low, high),
-        trace_at_threshold=trace,
-    )
+    low, high = _audit_and_bisect(feasible, 0.0, family.scale_max, tol, audit_points)
+    return ThresholdResult(threshold=0.5 * (low + high), bracket=Bracket(low, high))
 
 
 @dataclass(frozen=True)
@@ -231,11 +238,7 @@ class Fig1Row:
     error: Optional[str] = field(default=None)
 
 
-def sweep_fig1(
-    ratios,
-    tol: float = 1e-4,
-    params: SearchParams = SearchParams(),
-) -> list[Fig1Row]:
+def sweep_fig1(ratios, tol: float = 1e-4) -> list[Fig1Row]:
     """Two-way thresholds along q_x = q_z rays for a grid of q_y/q_x ratios.
 
     ``q_y0_at_threshold`` reports the absolute q_y component of the channel
@@ -248,8 +251,8 @@ def sweep_fig1(
     for ratio in ratios:
         try:
             family = ChannelFamily.from_y_ratio(ratio)
-            thr_y = threshold_total_noise(family, ProtocolVariant.Y_BASIS_TWO_WAY, tol, params)
-            thr_c = threshold_total_noise(family, ProtocolVariant.CHAU_BASELINE, tol, params)
+            thr_y = threshold_total_noise(family, ProtocolVariant.Y_BASIS_TWO_WAY, tol)
+            thr_c = threshold_total_noise(family, ProtocolVariant.CHAU_BASELINE, tol)
         except (ThresholdSearchError, ValueError) as exc:
             rows.append(Fig1Row(ratio, math.nan, math.nan, math.nan, error=str(exc)))
             continue

@@ -1,7 +1,11 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import asymqkd
 from asymqkd.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -41,6 +45,20 @@ def test_stdout_matches_file_output(tmp_path, capsys):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert stdout.encode() == (GOLDEN / "rates_asym.csv").read_bytes()
+
+
+def test_module_entry_point_matches_in_process_main(capsys):
+    argv = ["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.1"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    src = str(pathlib.Path(asymqkd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run(
+        [sys.executable, "-m", "asymqkd", *argv], capture_output=True, env=env, check=False
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout == expected
 
 
 def test_rates_family_form_matches_triple_form(tmp_path):
@@ -126,6 +144,15 @@ class TestBadInput:
     def test_bad_eve_argument_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--qx", "0", "--qy", "0", "--qz", "0", "--eve", "Q"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-fig1", "--grid", "0.0:0.0:1.0"],
+        ["threshold", "--variant", "chau", "--family-ratio", "1.0"],
+    ])
+    def test_bad_target_exits_nonzero(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--target", "0.7"])
         assert exc.value.code == 2
 
     def test_bad_protocol_params_exit_nonzero(self):

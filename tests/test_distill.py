@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from asymqkd.channel import FlipRates, PauliRates, flip_rates
 from asymqkd.distill import (
@@ -212,3 +214,20 @@ class TestLimitCriterion:
             )
             if distill_schedule(rates).succeeded:
                 assert distillable_in_limit(rates)
+
+    # Integer weights (q_i, q_x, q_y, q_z), identity-heavy so that about a
+    # quarter of the draws have a witness within the default caps.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.tuples(*(st.integers(0, top) for top in (4000, 1000, 1000, 1000))))
+    def test_witness_success_implies_limit_criterion(self, weights):
+        # Soundness premise of deciding feasibility by the closed form alone:
+        # every capped witness is also an unbounded-caps witness.  Exact ties
+        # s == u (q_x + q_y == q_i + q_z) are excluded: there the bit error
+        # is exactly 1/2 forever, but round-off in the float B-step iteration
+        # fakes a gap that the witness accepts (ROADMAP item 3).
+        w_i, w_x, w_y, w_z = weights
+        assume(w_x + w_y != w_i + w_z)
+        total = sum(weights)
+        rates = PauliRates(*(w / total for w in weights))
+        if distill_schedule(rates).succeeded:
+            assert distillable_in_limit(rates)
