@@ -53,7 +53,9 @@ class PauliRates:
                 raise ValueError(f"{name} is NaN")
             if value < -_NEG_TOL or value > 1.0 + _SUM_TOL:
                 raise ValueError(f"{name}={value!r} outside [0, 1]")
-        total = sum(comps)
+        # Left to right, not sum(): from Python 3.12 on sum() of floats is
+        # compensated, and the array twin in threshold.py adds left to right.
+        total = self.q_i + self.q_x + self.q_y + self.q_z
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"Pauli rates sum to {total!r}, not 1")
         clipped = [max(float(c), 0.0) / total for c in comps]
@@ -107,13 +109,6 @@ class BasisMixture:
         """The standard equal three-basis mixture."""
         return cls(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
-    @classmethod
-    def two_basis(cls, eta: float) -> "BasisMixture":
-        """Z/X mixture with Z weight ``eta`` and no Y component."""
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta={eta!r} outside [0, 1]")
-        return cls(eta, 1.0 - eta, 0.0)
-
 
 def flip_rates(rates: PauliRates) -> FlipRates:
     """Marginal bit/phase/conjugate flip rates of a Pauli distribution."""
@@ -161,19 +156,3 @@ def average_over_mixture(rates: PauliRates, mixture: BasisMixture) -> PauliRates
         for i, component in enumerate(part.as_tuple()):
             acc[i] += weight * component
     return PauliRates(*acc)
-
-
-def key_bit_flip_rates(rates: PauliRates, eta: float) -> FlipRates:
-    """Flip rates of key bits drawn from a Z/X mixture with Z weight eta.
-
-    Mixing the two bases blends the bit- and phase-flip rates into each
-    other; the combined-flip component is basis-symmetric and unchanged.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta={eta!r} outside [0, 1]")
-    base = flip_rates(rates)
-    return FlipRates(
-        p_x=eta * base.p_x + (1.0 - eta) * base.p_z,
-        p_z=eta * base.p_z + (1.0 - eta) * base.p_x,
-        p_y=base.p_y,
-    )

@@ -8,6 +8,10 @@ Five subcommands expose the library as reproducible experiments:
 * ``sweep-fig2``  rate-vs-noise curves with two-way crossing points
 * ``simulate``    one seeded Monte Carlo protocol run
 
+This module only parses arguments and formats output; the library
+computes everything, the sweeps included (``sweep_fig1`` and
+``sweep_fig2`` in ``asymqkd.threshold``).
+
 Every output starts with ``#`` header lines carrying a schema version and
 the fully resolved configuration (and seed where one is used), so a stored
 file is self-describing and a rerun with the same flags is byte-identical.
@@ -19,9 +23,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .channel import Basis, PauliRates, conjugate, flip_rates
+from .channel import Basis, PauliRates, flip_rates
 from .distill import modified_rate_one_bstep
 from .keyrates import (
     rate_bb84_symmetrized,
@@ -36,10 +41,15 @@ from .threshold import (
     SearchParams,
     ThresholdSearchError,
     sweep_fig1,
+    sweep_fig2,
     threshold_total_noise,
 )
 
 _BASIS_BY_LETTER = {"Z": Basis.Z, "X": Basis.X, "Y": Basis.Y}
+
+# sweep-fig2 writes its rows in blocks of this many: formatting all of a
+# long grid into one string first would hold every row twice.
+_FIG2_BLOCK_ROWS = 4096
 
 _TARGET_HELP = ("residual-error target of the (m, k) schedule witness; echoed in "
                 "the header, it does not change the threshold")
@@ -99,12 +109,12 @@ def _parse_eve(text: str) -> Optional[EveModel]:
     return eve_intercept_resend(tuple(_BASIS_BY_LETTER[c] for c in letters))
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(blocks: Iterable[str], out_path: Optional[str]) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
 def _search_params(parser: argparse.ArgumentParser, args: argparse.Namespace) -> SearchParams:
@@ -149,7 +159,7 @@ def _cmd_rates(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         "# note: rate_sixstate_separate - rate_sixstate_mixed = "
         f"{by_name['rate_sixstate_separate'] - by_name['rate_sixstate_mixed']!r} (never negative)"
     )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -167,14 +177,14 @@ def _cmd_threshold(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     try:
         result = threshold_total_noise(family, variant, tol=args.tol)
     except ThresholdSearchError as exc:
-        _emit("\n".join(header + [f"# error: {exc}"]) + "\n", args.out)
+        _emit(["\n".join(header + [f"# error: {exc}"]) + "\n"], args.out)
         return 1
     lines = header + [
         "variant,family_ratio,threshold,bracket_low,bracket_high",
         f"{variant.value},{args.family_ratio!r},{result.threshold!r},"
         f"{result.bracket.low!r},{result.bracket.high!r}",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -192,55 +202,50 @@ def _cmd_sweep_fig1(parser: argparse.ArgumentParser, args: argparse.Namespace) -
             f"{row.y_ratio!r},{row.q_y0_at_threshold!r},"
             f"{row.threshold_ybasis!r},{row.threshold_chau!r},{note}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
-def _fig2_point(q_y0: float, total: float) -> tuple[float, float]:
-    """(one-way r', two-way one-rejection R) at q_x0 = q_z0 = (Q - q_y0)/2."""
-    q_x0 = (total - q_y0) / 2.0
-    rates = PauliRates.from_error_rates(q_x0, q_y0, q_x0)
-    one_way = rate_sixstate_separate(rates)
-    two_way = modified_rate_one_bstep(conjugate(rates, Basis.Y))
-    return one_way, two_way
+def _parse_cases(parser: argparse.ArgumentParser, text: str) -> list[float]:
+    """``--cases``: comma-separated q_y0 values, each finite and in [0, 1]."""
+    cases = []
+    for item in text.split(","):
+        try:
+            value = float(item)
+        except ValueError:
+            parser.error(f"--cases: {item!r} is not a number")
+        if not 0.0 <= value <= 1.0:  # also rejects nan
+            parser.error(f"--cases: q_y0={value!r} outside [0, 1]")
+        cases.append(value)
+    return cases
+
+
+def _fig2_blocks(grid: list[float], curves) -> Iterator[str]:
+    """Data rows of ``sweep-fig2``, ``_FIG2_BLOCK_ROWS`` rows to a string."""
+    totals = [repr(total) for total in grid]
+    for curve in curves:
+        q_y0 = repr(curve.q_y0)
+        for start in range(0, len(grid), _FIG2_BLOCK_ROWS):
+            stop = start + _FIG2_BLOCK_ROWS
+            rows = zip(totals[start:stop], curve.one_way[start:stop].tolist(),
+                       curve.two_way[start:stop].tolist())
+            yield "".join(f"{q_y0},{total},{one!r},{two!r}\n" for total, one, two in rows)
 
 
 def _cmd_sweep_fig2(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    cases = [float(c) for c in args.cases.split(",")]
-    grid = args.grid
-    lines = [
-        "# schema: asymqkd.sweep_fig2.v1",
-        f"# config: cases={args.cases} grid={args.grid_text}",
-        "q_y0,total_noise,rate_one_way,rate_two_way",
-    ]
-    crossings = []
-    for q_y0 in cases:
-        gap_prev: Optional[float] = None
-        total_prev = 0.0
-        crossing: Optional[float] = None
-        for total in grid:
-            if total < q_y0 or total > 1.0:
-                lines.append(f"{q_y0!r},{total!r},nan,nan")
-                continue
-            one_way, two_way = _fig2_point(q_y0, total)
-            lines.append(f"{q_y0!r},{total!r},{one_way!r},{two_way!r}")
-            gap = two_way - one_way
-            if crossing is None and gap > 0.0 and gap_prev is not None and gap_prev <= 0.0:
-                lo, hi = total_prev, total
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    one_mid, two_mid = _fig2_point(q_y0, mid)
-                    if two_mid - one_mid > 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                crossing = 0.5 * (lo + hi)
-            gap_prev, total_prev = gap, total
-        crossings.append((q_y0, crossing))
-    for q_y0, crossing in crossings:
-        where = repr(crossing) if crossing is not None else "none-in-grid"
-        lines.append(f"# crossing: q_y0={q_y0!r} total_noise={where}")
-    _emit("\n".join(lines) + "\n", args.out)
+    cases = _parse_cases(parser, args.cases)
+    curves = sweep_fig2(cases, args.grid)
+    header = (
+        "# schema: asymqkd.sweep_fig2.v1\n"
+        f"# config: cases={args.cases} grid={args.grid_text}\n"
+        "q_y0,total_noise,rate_one_way,rate_two_way\n"
+    )
+    footer = "".join(
+        f"# crossing: q_y0={curve.q_y0!r} total_noise="
+        f"{'none-in-grid' if curve.crossing is None else repr(curve.crossing)}\n"
+        for curve in curves
+    )
+    _emit(chain([header], _fig2_blocks(args.grid, curves), [footer]), args.out)
     return 0
 
 
@@ -260,7 +265,7 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     report = run_protocol(rates, params, seed=args.seed, eve=args.eve)
     sys.stdout.write(report.to_text())
     if args.out is not None:
-        _emit(report.to_csv(), args.out)
+        _emit([report.to_csv()], args.out)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Asymptotic one-way key rates for the protocol variants.
 
 All rates are in bits of final key per sifted key bit and may be negative;
-callers that want a usable rate clamp at zero themselves (``clamped``).
+a negative rate means no key.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ def shannon4(rates: PauliRates) -> float:
         if q > 0.0:
             acc -= q * math.log2(q)
     return acc
-
-
-def clamped(rate: KeyRate) -> KeyRate:
-    """Presentation helper: negative rates mean no key, report zero."""
-    return max(rate, 0.0)
 
 
 def rate_bb84_symmetrized(rates: PauliRates) -> KeyRate:

@@ -337,9 +337,17 @@ def compare_analytic(report: SimReport, z_limit: float = 3.0) -> ComparisonVerdi
 
 
 def _sample_categorical(rng: np.random.Generator, probs, size: int) -> np.ndarray:
+    """Category of each uniform draw u: the number of inner cdf edges <= u.
+
+    The same index as ``np.searchsorted(cdf, u, side="right")`` (the last
+    edge is pinned to 1 > u), counted by one comparison per category.
+    """
     cdf = np.cumsum(np.asarray(probs, dtype=float))
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.uint8)
+    u = rng.random(size)
+    picks = np.zeros(size, dtype=np.uint8)
+    for edge in cdf[:-1]:
+        picks += u >= edge
+    return picks
 
 
 def _rate_row(stage: str, quantity: str, count: int, empirical: float, analytic: float) -> ComparisonRow:

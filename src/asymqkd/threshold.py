@@ -17,6 +17,11 @@ schedule search on demand, to explain a feasible channel by a concrete
 schedule; it never takes part in a feasibility decision.  Near threshold
 the capped search fails even where the limit criterion holds, because the
 required parity group size grows without bound.
+
+``sweep_fig1`` tabulates both two-way thresholds across channel shapes;
+``sweep_fig2`` tabulates the one-way six-state and one-rejection two-way
+rates against total noise, with the noise at which two-way overtakes
+one-way.
 """
 
 from __future__ import annotations
@@ -24,9 +29,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import repeat
+from typing import Callable, Optional, Sequence
 
-from .channel import Basis, BasisMixture, PauliRates, average_over_mixture, conjugate
+import numpy as np
+
+from .channel import (
+    _NEG_TOL,
+    _SUM_TOL,
+    Basis,
+    BasisMixture,
+    PauliRates,
+    average_over_mixture,
+    conjugate,
+)
 from .distill import DistillationTrace, distill_schedule, distillable_in_limit
 from .keyrates import rate_single_basis, rate_sixstate_separate
 
@@ -259,3 +275,112 @@ def sweep_fig1(ratios, tol: float = 1e-4) -> list[Fig1Row]:
         q_y0 = family.rates_at(thr_y.threshold).q_y
         rows.append(Fig1Row(ratio, q_y0, thr_y.threshold, thr_c.threshold))
     return rows
+
+
+@dataclass(frozen=True)
+class Fig2Curve:
+    """Rate curves of one q_y0 case along q_x0 = q_z0 = (total - q_y0) / 2.
+
+    ``one_way`` and ``two_way`` hold one rate per grid point (NaN where
+    total < q_y0 or total > 1): the six-state rate with per-basis
+    accounting, and the rate after one rejection round in the Y frame.
+    ``crossing`` is the total noise where two-way first overtakes one-way,
+    or None when the gap never turns from <= 0 to > 0 inside the grid.
+    """
+
+    q_y0: float
+    one_way: np.ndarray
+    two_way: np.ndarray
+    crossing: Optional[float]
+
+
+def _renormalized(comps: np.ndarray) -> np.ndarray:
+    """Array form of ``PauliRates.__post_init__`` on rows (q_i, q_x, q_y, q_z).
+
+    Validates, clips round-off below zero and divides by the sum taken
+    left to right, so each column equals the ``PauliRates`` built from it.
+    """
+    if np.isnan(comps).any():
+        raise ValueError("Pauli rates contain NaN")
+    if ((comps < -_NEG_TOL) | (comps > 1.0 + _SUM_TOL)).any():
+        raise ValueError("Pauli rates outside [0, 1]")
+    total = comps[0] + comps[1] + comps[2] + comps[3]
+    if (np.abs(total - 1.0) > _SUM_TOL).any():
+        raise ValueError("Pauli rates do not sum to 1")
+    return np.maximum(comps, 0.0) / total
+
+
+def _shannon4(comps: np.ndarray) -> np.ndarray:
+    """Array form of ``keyrates.shannon4``, summing the rows in the same order.
+
+    The logarithm is ``math.log2``: np.log2 rounds differently in the last bit.
+    """
+    positive = comps > 0.0
+    safe = np.where(positive, comps, 1.0)
+    log2 = np.fromiter(map(math.log2, safe.ravel().tolist()), float, safe.size)
+    terms = np.where(positive, comps * log2.reshape(comps.shape), 0.0)
+    return 0.0 - terms[0] - terms[1] - terms[2] - terms[3]
+
+
+def _square(a: np.ndarray) -> np.ndarray:
+    """Python's ``a ** 2`` element-wise: libm pow, which differs from a * a."""
+    return np.fromiter(map(pow, a.tolist(), repeat(2.0)), float, a.size)
+
+
+def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(one-way, two-way) rates at q_x0 = q_z0 = (total - q_y0) / 2 for each total.
+
+    Bit for bit ``rate_sixstate_separate(rates)`` and
+    ``modified_rate_one_bstep(conjugate(rates, Basis.Y))`` with
+    ``rates = PauliRates.from_error_rates(q_x0, q_y0, q_x0)``: the same
+    operations in the same order, on whole arrays, including every
+    validation and renormalization of the ``PauliRates`` built on the way.
+    """
+    q_x = (totals - q_y0) / 2.0
+    q_y = np.full_like(q_x, q_y0)
+    rates = _renormalized(np.array([1.0 - (q_x + q_y + q_x), q_x, q_y, q_x]))
+    one_way = 1.0 - _shannon4(rates)
+    # conjugate(rates, Basis.Y) relabels (q_x, q_y, q_z) -> (q_z, q_x, q_y).
+    q_i, q_x, q_y, q_z = _renormalized(rates[[0, 3, 1, 2]])
+    # b_step, then modified_rate_one_bstep.
+    d = _square(q_i + q_z) + _square(q_x + q_y)
+    out = _renormalized(np.array([
+        q_i * q_i + q_z * q_z, q_x * q_x + q_y * q_y, 2.0 * q_x * q_y, 2.0 * q_i * q_z,
+    ]) / d)
+    two_way = 0.5 * d * (1.0 - _shannon4(out))
+    return one_way, two_way
+
+
+def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]:
+    """One-way versus one-rejection two-way rate curves, one per q_y0 case.
+
+    For each case the rates are taken at every grid total inside
+    [q_y0, 1].  The crossing cell is the first pair of consecutive such
+    points where the gap two-way - one-way goes from <= 0 to > 0; it is
+    bisected 80 times and its midpoint reported.
+    """
+    totals = np.asarray(grid, dtype=float)
+    curves = []
+    for q_y0 in cases:
+        one_way = np.full(totals.shape, np.nan)
+        two_way = np.full(totals.shape, np.nan)
+        # Negated skip test: a NaN case is inside and fails validation.
+        inside = ~((totals < q_y0) | (totals > 1.0))
+        evaluated = totals[inside]
+        one_in, two_in = _fig2_rates(q_y0, evaluated)
+        one_way[inside], two_way[inside] = one_in, two_in
+        gap = two_in - one_in
+        turns = np.flatnonzero((gap[1:] > 0.0) & (gap[:-1] <= 0.0))
+        crossing = None
+        if turns.size:
+            lo, hi = evaluated[turns[0]:turns[0] + 2].tolist()
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                one_mid, two_mid = _fig2_rates(q_y0, np.array([mid]))
+                if two_mid[0] - one_mid[0] > 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            crossing = 0.5 * (lo + hi)
+        curves.append(Fig2Curve(q_y0, one_way, two_way, crossing))
+    return curves

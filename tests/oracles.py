@@ -4,10 +4,19 @@ These deliberately share no code with the package: the pair-rejection
 map is enumerated over all 16 two-qubit error combinations in exact
 rational arithmetic, and the parity/majority step over all 2^k error
 patterns.  Agreement to 1e-12 is then meaningful evidence.
+
+The exception is ``fig2_csv``, the scalar reference for the array kernel
+behind ``sweep_fig2``: the per-point loop over the package's per-channel
+functions that the ``sweep-fig2`` command ran before the kernel existed.
+Output of the two must agree byte for byte.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from asymqkd.channel import Basis, PauliRates, conjugate
+from asymqkd.distill import modified_rate_one_bstep
+from asymqkd.keyrates import rate_sixstate_separate
 
 # Per-pauli flags in the computational frame: I, X, Y, Z.
 _BIT = (0, 1, 1, 0)
@@ -61,3 +70,48 @@ def enumerate_majority_error(p, k):
         if sum(pattern) > k // 2:
             total += weight
     return total
+
+
+def _fig2_point(q_y0, total):
+    q_x0 = (total - q_y0) / 2.0
+    rates = PauliRates.from_error_rates(q_x0, q_y0, q_x0)
+    return rate_sixstate_separate(rates), modified_rate_one_bstep(conjugate(rates, Basis.Y))
+
+
+def fig2_csv(cases_text, grid_text):
+    """``sweep-fig2 --cases CASES --grid LO:HI:STEP`` output, one point at a time."""
+    lo, hi, step = (float(part) for part in grid_text.split(":"))
+    grid = [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
+    lines = [
+        "# schema: asymqkd.sweep_fig2.v1",
+        f"# config: cases={cases_text} grid={grid_text}",
+        "q_y0,total_noise,rate_one_way,rate_two_way",
+    ]
+    crossings = []
+    for q_y0 in (float(c) for c in cases_text.split(",")):
+        gap_prev = None
+        total_prev = 0.0
+        crossing = None
+        for total in grid:
+            if total < q_y0 or total > 1.0:
+                lines.append(f"{q_y0!r},{total!r},nan,nan")
+                continue
+            one_way, two_way = _fig2_point(q_y0, total)
+            lines.append(f"{q_y0!r},{total!r},{one_way!r},{two_way!r}")
+            gap = two_way - one_way
+            if crossing is None and gap > 0.0 and gap_prev is not None and gap_prev <= 0.0:
+                lo, hi = total_prev, total
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    one_mid, two_mid = _fig2_point(q_y0, mid)
+                    if two_mid - one_mid > 0.0:
+                        hi = mid
+                    else:
+                        lo = mid
+                crossing = 0.5 * (lo + hi)
+            gap_prev, total_prev = gap, total
+        crossings.append((q_y0, crossing))
+    for q_y0, crossing in crossings:
+        where = repr(crossing) if crossing is not None else "none-in-grid"
+        lines.append(f"# crossing: q_y0={q_y0!r} total_noise={where}")
+    return "\n".join(lines) + "\n"

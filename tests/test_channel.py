@@ -10,7 +10,6 @@ from asymqkd.channel import (
     average_over_mixture,
     conjugate,
     flip_rates,
-    key_bit_flip_rates,
 )
 
 
@@ -133,19 +132,3 @@ class TestAveraging:
             BasisMixture(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             BasisMixture(-0.1, 0.6, 0.5)
-
-    def test_two_basis_mixture(self):
-        mix = BasisMixture.two_basis(0.7)
-        assert (mix.w_z, mix.w_x, mix.w_y) == pytest.approx((0.7, 0.3, 0.0))
-
-
-def test_key_bit_flip_rates_blends_the_two_bases():
-    rates = PauliRates(0.85, 0.10, 0.03, 0.02)
-    base = flip_rates(rates)
-    all_z = key_bit_flip_rates(rates, 1.0)
-    assert (all_z.p_x, all_z.p_z) == pytest.approx((base.p_x, base.p_z))
-    all_x = key_bit_flip_rates(rates, 0.0)
-    assert (all_x.p_x, all_x.p_z) == pytest.approx((base.p_z, base.p_x))
-    half = key_bit_flip_rates(rates, 0.5)
-    mid = (base.p_x + base.p_z) / 2
-    assert (half.p_x, half.p_z) == pytest.approx((mid, mid))

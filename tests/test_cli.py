@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import asymqkd
+from asymqkd import cli
 from asymqkd.cli import main
+from oracles import fig2_csv
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -82,6 +84,26 @@ def test_rates_symmetric_channel_annotates_zero_gaps():
     assert "rate_sixstate_separate - rate_sixstate_mixed = 0.0 " in text
 
 
+class TestSweepFig2Blocks:
+    """Block-wise rows against the scalar per-point oracle, byte for byte.
+
+    Both grids run past total = 1 and start below some q_y0, so NaN rows
+    fall inside and across block boundaries.
+    """
+
+    def test_many_small_blocks_to_stdout(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_FIG2_BLOCK_ROWS", 16)
+        cases, grid = "0.0,0.02,0.3,1.0", "0.0:1.05:0.005"
+        assert main(["sweep-fig2", "--cases", cases, "--grid", grid]) == 0
+        assert capsys.readouterr().out == fig2_csv(cases, grid)
+
+    def test_default_block_size_to_file(self, tmp_path):
+        cases, grid = "0.25", "0.0:1.0125:0.0001"
+        out = tmp_path / "fig2.csv"
+        assert main(["sweep-fig2", "--cases", cases, "--grid", grid, "--out", str(out)]) == 0
+        assert out.read_text() == fig2_csv(cases, grid)
+
+
 class TestSimulateCli:
     ARGS = [
         "simulate", "--qx", "0.05", "--qy", "0.05", "--qz", "0.05",
@@ -139,6 +161,12 @@ class TestBadInput:
     def test_bad_grid_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep-fig2", "--grid", "0.5:0.1:0.1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("cases", ["0.0,abc", "-0.1", "nan", "1.5"])
+    def test_bad_fig2_cases_exit_nonzero(self, cases):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-fig2", "--cases", cases, "--grid", "0.0:0.3:0.1"])
         assert exc.value.code == 2
 
     def test_bad_eve_argument_exits_nonzero(self):

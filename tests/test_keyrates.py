@@ -5,7 +5,6 @@ import pytest
 from asymqkd.channel import PauliRates
 from asymqkd.keyrates import (
     binary_entropy,
-    clamped,
     rate_bb84_symmetrized,
     rate_single_basis,
     rate_sixstate_mixed,
@@ -123,8 +122,3 @@ class TestOneWayRates:
             total = sum(raw)
             rates = PauliRates(*(v / total for v in raw))
             assert rate_sixstate_separate(rates) >= rate_sixstate_mixed(rates) - 1e-12
-
-
-def test_clamped():
-    assert clamped(0.3) == 0.3
-    assert clamped(-0.2) == 0.0

@@ -10,6 +10,7 @@ from asymqkd.sim import (
     _PHASE_FLAG,
     EveModel,
     ProtocolParams,
+    _sample_categorical,
     compare_analytic,
     eve_intercept_resend,
     eve_matched_basis_probe,
@@ -46,6 +47,40 @@ class TestFrameTables:
             [0, 1, 1, 0],
             [0, 1, 1, 0],
         ]
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random`` returns chosen draws."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("probs", [
+    (0.85, 0.05, 0.07, 0.03),
+    (0.0, 0.3, 0.0, 0.7),        # zero-weight categories, first and inner
+    (0.5, 0.5, 0.0, 0.0),        # cumulative sum reaches 1 before the last entry
+    (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
+])
+def test_categorical_sampling_matches_searchsorted(probs):
+    cdf = np.cumsum(np.asarray(probs, dtype=float))
+    cdf[-1] = 1.0
+    edges = cdf[:-1]
+    u = np.concatenate([
+        edges,                                   # exactly on each edge
+        np.nextafter(edges, -np.inf).clip(0.0),  # just below each edge
+        [0.0, np.nextafter(1.0, 0.0)],
+        np.random.default_rng(3).random(1000),
+    ])
+    u = u[u < 1.0]  # Generator.random draws from [0, 1)
+    want = np.searchsorted(cdf, u, side="right").astype(np.uint8)
+    got = _sample_categorical(_FixedUniforms(u), probs, u.size)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
 
 
 class TestDeterminism:

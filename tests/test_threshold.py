@@ -1,11 +1,15 @@
 import math
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymqkd import distill
 from asymqkd.channel import Basis, PauliRates, conjugate
-from asymqkd.distill import distill_schedule
+from asymqkd.distill import distill_schedule, modified_rate_one_bstep
+from asymqkd.keyrates import rate_sixstate_separate
 from asymqkd.threshold import (
     ChannelFamily,
     NonMonotoneFamilyError,
@@ -14,8 +18,10 @@ from asymqkd.threshold import (
     SearchParams,
     ThresholdSearchError,
     _audit_and_bisect,
+    _fig2_rates,
     is_distillable,
     sweep_fig1,
+    sweep_fig2,
     threshold_total_noise,
     witness_schedule,
 )
@@ -243,3 +249,49 @@ class TestSweep:
     def test_search_params_validation(self):
         with pytest.raises(ValueError):
             SearchParams(target=0.9)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestSweepFig2:
+    # A q_y0 case and up to 20 totals in [q_y0, 1], the range the sweep
+    # evaluates; hypothesis favours the ends, subnormals and exact ties.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, 1.0).flatmap(lambda q_y0: st.tuples(
+        st.just(q_y0), st.lists(st.floats(q_y0, 1.0), min_size=1, max_size=20))))
+    def test_kernel_equals_scalar_path_bit_for_bit(self, case):
+        q_y0, totals = case
+        want_one, want_two = [], []
+        for total in totals:
+            q_x0 = (total - q_y0) / 2.0
+            rates = PauliRates.from_error_rates(q_x0, q_y0, q_x0)
+            want_one.append(rate_sixstate_separate(rates))
+            want_two.append(modified_rate_one_bstep(conjugate(rates, Basis.Y)))
+        one_way, two_way = _fig2_rates(q_y0, np.array(totals))
+        assert _bits(one_way) == _bits(want_one)
+        assert _bits(two_way) == _bits(want_two)
+
+    def test_kernel_validates_like_pauli_rates(self):
+        with pytest.raises(ValueError):
+            PauliRates.from_error_rates(0.35, -0.2, 0.35)
+        with pytest.raises(ValueError):
+            _fig2_rates(-0.2, np.array([0.1, 0.5]))
+        with pytest.raises(ValueError):
+            _fig2_rates(math.nan, np.array([0.1]))
+
+    def test_curves_are_nan_outside_the_simplex(self):
+        grid = [0.0, 0.01, 0.02, 0.5, 1.0, 1.01]
+        zero, high = sweep_fig2([0.0, 0.02], grid)
+        assert zero.q_y0 == 0.0 and high.q_y0 == 0.02
+        assert np.isnan(zero.one_way).tolist() == [False] * 5 + [True]
+        assert np.isnan(high.two_way).tolist() == [True, True, False, False, False, True]
+        assert zero.one_way[0] == 1.0 and zero.two_way[0] == 0.5
+
+    def test_crossing_is_bisected_from_the_first_sign_change(self):
+        # Frozen from scripts/derive_golden.py.
+        (curve,) = sweep_fig2([0.0], [0.05, 0.1, 0.15, 0.2])
+        assert curve.crossing == pytest.approx(0.12672899360905127, abs=1e-9)
+        (curve,) = sweep_fig2([0.0], [0.05, 0.1])
+        assert curve.crossing is None
