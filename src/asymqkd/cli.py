@@ -22,6 +22,7 @@ never percentages.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
@@ -89,6 +90,8 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must be lo:hi:step, got {text!r}")
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise argparse.ArgumentTypeError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0.0 or hi < lo:
         raise argparse.ArgumentTypeError(f"grid needs step > 0 and hi >= lo, got {text!r}")
     count = int(round((hi - lo) / step)) + 1

@@ -19,8 +19,15 @@ its phase flag is scrambled uniformly.
 
 Randomness: one ``numpy`` PCG64 generator per named stage, spawned from
 ``SeedSequence(seed)`` in a fixed order (see ``_STREAMS``).  Within a
-stage, the i-th transmitted qubit consumes the i-th variate, so serial
-runs and any positional-parallel split agree bit for bit.  Identical
+stage, the i-th transmitted qubit consumes the i-th variate.  The
+transmit stage draws its streams in chunks of ``_CHUNK`` qubits, and a
+split of the transmitted qubits at any multiple of 4 gives the same draws
+as one pass over all of them.  Only the sifted qubits are kept (basis,
+bit-error flag and Y-frame phase flag), so memory scales with the sifted
+bits, not with the (6 + delta) * n transmitted qubits.  Streams that
+cannot reach a sifted qubit are never drawn: the attacker's resent bits
+always, and the source bits, the attacker's bases and both scrambles when
+nothing is re-prepared (no attacker, or the match-prep probe).  Identical
 (channel, params, seed, eve) inputs reproduce the report exactly.
 
 Aborts (too few sifted bits, short check pools, failed error test, key
@@ -31,7 +38,7 @@ and whatever comparison rows were computed before the abort.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -42,7 +49,6 @@ from .keyrates import binary_entropy
 
 _BASIS_ORDER = (Basis.Z, Basis.X, Basis.Y)
 _BASIS_CODE = {basis: code for code, basis in enumerate(_BASIS_ORDER)}
-_PAULI_NAMES = ("I", "X", "Y", "Z")
 _STREAMS = (
     "alice_bits",
     "alice_bases",
@@ -56,6 +62,11 @@ _STREAMS = (
     "pairing",
     "grouping",
 )
+# Qubits per transmit chunk.  A multiple of 4: ``Generator.integers(0, 2,
+# dtype=np.uint8)`` takes 4 draws from each 32-bit word and drops the rest
+# of a word when a call ends, so only splits at multiples of 4 reproduce a
+# one-shot draw; ``random()`` draws split anywhere.
+_CHUNK = 1 << 16
 
 
 def _flag_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -103,8 +114,8 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:  # also rejects nan
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         for name in ("source_probs", "bob_probs", "check_split"):
             probs = getattr(self, name)
             if len(probs) != 3 or any(p < 0.0 for p in probs):
@@ -116,8 +127,8 @@ class ProtocolParams:
         PStepParams(self.p_group)
         if not 0.0 < self.target < 0.5:
             raise ValueError(f"target={self.target!r} outside (0, 0.5)")
-        if self.abort_sigma <= 0.0:
-            raise ValueError(f"abort_sigma must be positive, got {self.abort_sigma}")
+        if not 0.0 < self.abort_sigma < math.inf:
+            raise ValueError(f"abort_sigma must be positive and finite, got {self.abort_sigma}")
         if not 0.0 < self.abort_ceiling < 1.0:
             raise ValueError(f"abort_ceiling={self.abort_ceiling!r} outside (0, 1)")
 
@@ -164,20 +175,6 @@ def eve_matched_basis_probe() -> EveModel:
 
 
 @dataclass(frozen=True)
-class QubitRecord:
-    """Per-qubit journal entry (collected only on request, for small runs)."""
-
-    prep_basis: Basis
-    prep_bit: int
-    pauli_applied: str
-    eve_action: Optional[tuple[Basis, int]]
-    meas_basis: Basis
-    meas_bit: int
-    sifted: bool
-    role: str  # "key" | "check" | "discarded"
-
-
-@dataclass(frozen=True)
 class ComparisonRow:
     """One empirical quantity next to its analytic prediction."""
 
@@ -219,7 +216,6 @@ class SimReport:
     final_rate_empirical: Optional[float] = None
     final_rate_analytic: Optional[float] = None
     goal_met: Optional[bool] = None
-    qubits: Optional[tuple[QubitRecord, ...]] = field(default=None, repr=False)
 
     def _scalars(self) -> list[tuple[str, str]]:
         p = self.params
@@ -363,12 +359,89 @@ def _split_counts(n: int, fractions) -> tuple[int, int, int]:
     return tuple(counts)
 
 
+def _open_streams(seed: int) -> dict[str, np.random.Generator]:
+    children = np.random.SeedSequence(seed).spawn(len(_STREAMS))
+    return {name: np.random.default_rng(child) for name, child in zip(_STREAMS, children)}
+
+
+def _transmit(
+    channel: PauliRates,
+    params: ProtocolParams,
+    n_total: int,
+    rng: dict[str, np.random.Generator],
+    eve: Optional[EveModel],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Send ``n_total`` qubits in chunks of ``_CHUNK`` and keep the sifted ones.
+
+    Returns the basis code, bit-error flag (Bob's bit XOR Alice's) and
+    phase flag of each sifted qubit, in transmission order.  A sifted
+    qubit's flags are those of its channel Pauli in its basis, unless the
+    attacker re-prepared it in a foreign basis: Bob then reads a uniform
+    bit and the phase correlation is lost.  A faithfully resent qubit
+    (attacker in Alice's basis, and every ``match_prep`` qubit) is the
+    same as an untouched one, and the attacker's resent bit never reaches
+    a sifted qubit, since Bob measures it in another basis.
+    """
+    attack = eve is not None and not eve.match_prep
+    if attack:
+        eve_codes = np.array([_BASIS_CODE[b] for b in eve.bases], dtype=np.uint8)
+    parts = []
+    for start in range(0, n_total, _CHUNK):
+        size = min(_CHUNK, n_total - start)
+        alice = _sample_categorical(rng["alice_bases"], params.source_probs, size)
+        paulis = _sample_categorical(rng["channel_paulis"], channel.as_tuple(), size)
+        bob = _sample_categorical(rng["bob_bases"], params.bob_probs, size)
+        sifted = bob == alice
+        basis = alice[sifted]
+        code = basis * 4 + paulis[sifted]
+        error = _BIT_FLAG.take(code)
+        phase = _PHASE_FLAG.take(code)
+        if attack:
+            eve_basis = eve_codes[_sample_categorical(rng["eve_bases"], eve.weights, size)]
+            rebased = (eve_basis != alice)[sifted]
+            alice_bits = rng["alice_bits"].integers(0, 2, size, dtype=np.uint8)
+            scramble = rng["bob_scramble"].integers(0, 2, size, dtype=np.uint8)
+            phase_noise = rng["phase_scramble"].integers(0, 2, size, dtype=np.uint8)
+            error[rebased] = (scramble ^ alice_bits)[sifted][rebased]
+            phase[rebased] = phase_noise[sifted][rebased]
+        parts.append((basis, error, phase))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _select_roles(
+    basis: np.ndarray, params: ProtocolParams, sel: np.random.Generator
+) -> tuple[np.ndarray, dict[int, np.ndarray]] | str:
+    """Sorted positions of the key and check bits among the sifted qubits.
+
+    Returns ``(key, checks)``, with ``checks`` one array per basis code, or
+    the abort reason when a pool is too small.  Each pool lists sifted
+    positions in ascending order, the same rank order as the transmission
+    indices, so ``sel.permutation`` picks the same qubits from either.
+    """
+    n = params.n
+    # int32 halves the pools; positions past 2**31 need a wider type.
+    positions = np.arange(basis.size, dtype=np.int32 if basis.size < 2**31 else np.int64)
+    y_pool = positions[basis == 2]
+    if y_pool.size < n:
+        return f"insufficient Y-basis sifted bits ({y_pool.size} < {n})"
+    key = np.sort(sel.permutation(y_pool)[:n])
+    free = np.ones(basis.size, dtype=bool)
+    free[key] = False
+    checks = {}
+    for code, want in enumerate(_split_counts(n, params.check_split)):
+        pool = positions[(basis == code) & free]
+        if pool.size < want:
+            basis_name = _BASIS_ORDER[code].value
+            return f"insufficient {basis_name}-basis check bits ({pool.size} < {want})"
+        checks[code] = np.sort(sel.permutation(pool)[:want])
+    return key, checks
+
+
 def run_protocol(
     channel: PauliRates,
     params: ProtocolParams,
     seed: int,
     eve: Optional[EveModel] = None,
-    collect_qubits: bool = False,
 ) -> SimReport:
     """Simulate one full protocol run and compare it with the analytics.
 
@@ -377,78 +450,22 @@ def run_protocol(
         params: transmission sizes, basis weights and post-processing knobs.
         seed: root seed of the per-stage random streams.
         eve: optional intercept-resend attacker applied before the channel.
-        collect_qubits: attach per-qubit records (memory heavy; small runs).
 
     Returns:
         A ``SimReport``; aborts are reported, never raised.
     """
     n = params.n
     n_total = int(math.ceil((6.0 + params.delta) * n))
-    children = np.random.SeedSequence(seed).spawn(len(_STREAMS))
-    rng = {name: np.random.default_rng(child) for name, child in zip(_STREAMS, children)}
-
-    alice_bits = rng["alice_bits"].integers(0, 2, n_total, dtype=np.uint8)
-    alice_basis = _sample_categorical(rng["alice_bases"], params.source_probs, n_total)
-    state_basis = alice_basis.copy()
-    state_bit = alice_bits.copy()
-
-    eve_basis = None
-    if eve is not None:
-        if eve.match_prep:
-            eve_basis = alice_basis.copy()
-        else:
-            codes = np.array([_BASIS_CODE[b] for b in eve.bases], dtype=np.uint8)
-            picks = _sample_categorical(rng["eve_bases"], eve.weights, n_total)
-            eve_basis = codes[picks]
-            eve_bits = rng["eve_bits"].integers(0, 2, n_total, dtype=np.uint8)
-            rebased = eve_basis != state_basis
-            state_basis[rebased] = eve_basis[rebased]
-            state_bit[rebased] = eve_bits[rebased]
-
-    paulis = _sample_categorical(rng["channel_paulis"], channel.as_tuple(), n_total)
-    bob_basis = _sample_categorical(rng["bob_bases"], params.bob_probs, n_total)
-    bit_flip = _BIT_FLAG[state_basis, paulis]
-    scramble = rng["bob_scramble"].integers(0, 2, n_total, dtype=np.uint8)
-    basis_match = bob_basis == state_basis
-    meas_bit = np.where(basis_match, state_bit ^ bit_flip, scramble).astype(np.uint8)
-
-    # Y-frame phase flags for eventual key bits; foreign-basis re-preparation
-    # destroys the conjugate correlation, hence the uniform scramble.
-    phase_flag = _PHASE_FLAG[state_basis, paulis]
-    phase_noise = rng["phase_scramble"].integers(0, 2, n_total, dtype=np.uint8)
-    phase_flag = np.where(state_basis == alice_basis, phase_flag, phase_noise)
-
-    sifted = bob_basis == alice_basis
-    errors = (meas_bit ^ alice_bits).astype(np.uint8)
-    n_sifted = int(sifted.sum())
-    sifted_by_basis = tuple(int(((alice_basis == c) & sifted).sum()) for c in range(3))
+    rng = _open_streams(seed)
+    basis, errors, phase_flag = _transmit(channel, params, n_total, rng, eve)
+    n_sifted = basis.size
+    sifted_by_basis = tuple(int(np.count_nonzero(basis == c)) for c in range(3))
 
     p_sift = sum(s * b for s, b in zip(params.source_probs, params.bob_probs))
     rows = [_rate_row("sift", "sifted_fraction", n_total, n_sifted / n_total, p_sift)]
     stage_counts = [StageCount("sift", n_total, n_sifted, n_total - n_sifted)]
-    role = np.zeros(n_total, dtype=np.uint8)  # 0 discarded, 1 check, 2 key
 
     def finish(abort_reason: Optional[str], extra: dict) -> SimReport:
-        qubits = None
-        if collect_qubits:
-            records = []
-            for i in range(n_total):
-                action = None
-                if eve_basis is not None:
-                    action = (_BASIS_ORDER[eve_basis[i]], int(state_bit[i]))
-                records.append(
-                    QubitRecord(
-                        prep_basis=_BASIS_ORDER[alice_basis[i]],
-                        prep_bit=int(alice_bits[i]),
-                        pauli_applied=_PAULI_NAMES[paulis[i]],
-                        eve_action=action,
-                        meas_basis=_BASIS_ORDER[bob_basis[i]],
-                        meas_bit=int(meas_bit[i]),
-                        sifted=bool(sifted[i]),
-                        role=("discarded", "check", "key")[role[i]],
-                    )
-                )
-            qubits = tuple(records)
         return SimReport(
             seed=seed,
             channel=channel,
@@ -461,33 +478,17 @@ def run_protocol(
             abort_reason=abort_reason,
             rows=tuple(rows),
             stage_counts=tuple(stage_counts),
-            qubits=qubits,
             **extra,
         )
 
     if n_sifted < 2 * n:
         return finish(f"insufficient sifted bits ({n_sifted} < {2 * n})", {})
 
-    sel = rng["selection"]
-    y_pool = np.flatnonzero(sifted & (alice_basis == 2))
-    if y_pool.size < n:
-        return finish(f"insufficient Y-basis sifted bits ({y_pool.size} < {n})", {})
-    key_idx = np.sort(sel.permutation(y_pool)[:n])
-    role[key_idx] = 2
-
-    check_counts = _split_counts(n, params.check_split)
-    check_idx = {}
-    for code, want in enumerate(check_counts):
-        pool = np.flatnonzero(sifted & (alice_basis == code) & (role == 0))
-        if pool.size < want:
-            basis_name = _BASIS_ORDER[code].value
-            return finish(
-                f"insufficient {basis_name}-basis check bits ({pool.size} < {want})", {}
-            )
-        chosen = np.sort(sel.permutation(pool)[:want])
-        check_idx[code] = chosen
-        role[chosen] = 1
-    n_roles = n + sum(check_counts)
+    selected = _select_roles(basis, params, rng["selection"])
+    if isinstance(selected, str):
+        return finish(selected, {})
+    key_idx, check_idx = selected
+    n_roles = n + sum(idx.size for idx in check_idx.values())
     stage_counts.append(StageCount("roles", n_sifted, n_roles, n_sifted - n_roles))
 
     abort_reason = None
@@ -509,8 +510,8 @@ def run_protocol(
     if abort_reason is not None:
         return finish(abort_reason, {})
 
-    key_bits = errors[key_idx].copy()
-    key_phase = phase_flag[key_idx].copy()
+    key_bits = errors[key_idx]
+    key_phase = phase_flag[key_idx]
     rates_now = conjugate(channel, Basis.Y)
     f_now = flip_rates(rates_now)
     rows.append(_rate_row("key:transmit", "bit_error", n, float(key_bits.mean()), f_now.p_x))

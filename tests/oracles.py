@@ -9,14 +9,24 @@ The exception is ``fig2_csv``, the scalar reference for the array kernel
 behind ``sweep_fig2``: the per-point loop over the package's per-channel
 functions that the ``sweep-fig2`` command ran before the kernel existed.
 Output of the two must agree byte for byte.
+
+``one_shot_sifted`` is likewise the reference for the simulator's chunked
+transmit stage: the stage as it ran before it streamed, with every
+per-qubit array at full length.  It restates the stream names and their
+spawn order and samples with ``searchsorted``; the per-basis flag tables
+come from the package, which ``TestFrameTables`` pins by hand.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from asymqkd.channel import Basis, PauliRates, conjugate
 from asymqkd.distill import modified_rate_one_bstep
 from asymqkd.keyrates import rate_sixstate_separate
+from asymqkd.sim import _BIT_FLAG, _PHASE_FLAG
 
 # Per-pauli flags in the computational frame: I, X, Y, Z.
 _BIT = (0, 1, 1, 0)
@@ -115,3 +125,48 @@ def fig2_csv(cases_text, grid_text):
         where = repr(crossing) if crossing is not None else "none-in-grid"
         lines.append(f"# crossing: q_y0={q_y0!r} total_noise={where}")
     return "\n".join(lines) + "\n"
+
+
+_SIM_STREAMS = (
+    "alice_bits", "alice_bases", "eve_bases", "eve_bits", "channel_paulis", "bob_bases",
+    "bob_scramble", "phase_scramble", "selection", "pairing", "grouping",
+)
+_SIM_BASIS_CODE = {Basis.Z: 0, Basis.X: 1, Basis.Y: 2}
+
+
+def _categorical(rng, probs, size):
+    cdf = np.cumsum(np.asarray(probs, dtype=float))
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.uint8)
+
+
+def one_shot_sifted(channel, params, seed, eve):
+    """(basis, error, phase) of the sifted qubits, every stream drawn in one pass."""
+    n_total = int(math.ceil((6.0 + params.delta) * params.n))
+    children = np.random.SeedSequence(seed).spawn(len(_SIM_STREAMS))
+    rng = {name: np.random.default_rng(child) for name, child in zip(_SIM_STREAMS, children)}
+
+    alice_bits = rng["alice_bits"].integers(0, 2, n_total, dtype=np.uint8)
+    alice_basis = _categorical(rng["alice_bases"], params.source_probs, n_total)
+    state_basis = alice_basis.copy()
+    state_bit = alice_bits.copy()
+    if eve is not None and not eve.match_prep:
+        codes = np.array([_SIM_BASIS_CODE[b] for b in eve.bases], dtype=np.uint8)
+        eve_basis = codes[_categorical(rng["eve_bases"], eve.weights, n_total)]
+        eve_bits = rng["eve_bits"].integers(0, 2, n_total, dtype=np.uint8)
+        rebased = eve_basis != state_basis
+        state_basis[rebased] = eve_basis[rebased]
+        state_bit[rebased] = eve_bits[rebased]
+
+    paulis = _categorical(rng["channel_paulis"], channel.as_tuple(), n_total)
+    bob_basis = _categorical(rng["bob_bases"], params.bob_probs, n_total)
+    scramble = rng["bob_scramble"].integers(0, 2, n_total, dtype=np.uint8)
+    meas_bit = np.where(
+        bob_basis == state_basis, state_bit ^ _BIT_FLAG[state_basis, paulis], scramble
+    )
+    phase_noise = rng["phase_scramble"].integers(0, 2, n_total, dtype=np.uint8)
+    phase_flag = np.where(
+        state_basis == alice_basis, _PHASE_FLAG[state_basis, paulis], phase_noise
+    )
+    sifted = bob_basis == alice_basis
+    return alice_basis[sifted], (meas_bit ^ alice_bits)[sifted], phase_flag[sifted]

@@ -163,6 +163,14 @@ class TestBadInput:
             main(["sweep-fig2", "--grid", "0.5:0.1:0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["sweep-fig1", "sweep-fig2"])
+    @pytest.mark.parametrize("grid", ["0:nan:0.1", "0:inf:0.1", "-inf:0:0.1", "0:1:nan", "0:1:inf"])
+    def test_non_finite_grid_exits_2(self, capsys, command, grid):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--grid={grid}"])
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cases", ["0.0,abc", "-0.1", "nan", "1.5"])
     def test_bad_fig2_cases_exit_nonzero(self, cases):
         with pytest.raises(SystemExit) as exc:
@@ -182,6 +190,15 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--target", "0.7"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--abort-sigma", "nan"], ["--abort-sigma", "inf"], ["--delta", "nan"], ["--delta", "inf"],
+    ])
+    def test_non_finite_protocol_params_exit_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--qx", "0", "--qy", "0", "--qz", "0", *flags])
+        assert exc.value.code == 2
+        assert "invalid protocol parameters" in capsys.readouterr().err
 
     def test_bad_protocol_params_exit_nonzero(self):
         with pytest.raises(SystemExit) as exc:

@@ -50,6 +50,27 @@ class TestBStep:
                 assert got == pytest.approx(float(want), abs=1e-12)
             assert outcome.survival == pytest.approx(float(survival), abs=1e-12)
 
+    # Integer weights, so exact ties s == u (q_x + q_y == q_i + q_z), where
+    # the bit error is exactly 1/2 forever, can be excluded exactly.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.tuples(*(st.integers(0, 1000) for _ in range(4))).filter(lambda w: sum(w) > 0),
+        st.integers(1, 4),
+    )
+    def test_iterated_rounds_match_exact_enumeration(self, weights, rounds):
+        w_i, w_x, w_y, w_z = weights
+        assume(w_x + w_y != w_i + w_z)
+        total = sum(weights)
+        rates = PauliRates(*(w / total for w in weights))
+        exact = tuple(Fraction(q) for q in rates.as_tuple())
+        for _ in range(rounds):
+            exact, survival = enumerate_pair_rejection(exact)
+            outcome = b_step(rates)
+            for got, want in zip(outcome.rates_out.as_tuple(), exact):
+                assert got == pytest.approx(float(want), abs=1e-12)
+            assert outcome.survival == pytest.approx(float(survival), abs=1e-12)
+            rates = outcome.rates_out
+
     def test_fully_mixed_channel_survival_is_one_quarter(self):
         outcome = b_step(PauliRates(0.25, 0.25, 0.25, 0.25))
         assert outcome.survival == pytest.approx(0.25, abs=1e-15)

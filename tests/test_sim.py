@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from asymqkd import sim
 from asymqkd.channel import Basis, PauliRates
 from asymqkd.sim import (
     _BIT_FLAG,
@@ -16,6 +17,7 @@ from asymqkd.sim import (
     eve_matched_basis_probe,
     run_protocol,
 )
+from oracles import one_shot_sifted
 
 NOISELESS = PauliRates(1.0, 0.0, 0.0, 0.0)
 DEPOLARIZING = PauliRates(0.85, 0.05, 0.05, 0.05)
@@ -182,34 +184,70 @@ class TestConservation:
         assert sum(report.sifted_by_basis) == report.n_sifted
 
 
-class TestQubitRecords:
-    def test_roles_and_frames(self):
-        report = run_protocol(
-            DEPOLARIZING, ProtocolParams(n=200), seed=8, collect_qubits=True
-        )
-        assert report.qubits is not None
-        assert len(report.qubits) == report.n_transmitted
-        basis_code = {Basis.Z: 0, Basis.X: 1, Basis.Y: 2}
-        pauli_code = {"I": 0, "X": 1, "Y": 2, "Z": 3}
-        n_key = n_check = 0
-        for q in report.qubits:
-            assert q.sifted == (q.prep_basis == q.meas_basis)
-            if q.role == "key":
-                n_key += 1
-                assert q.prep_basis is Basis.Y
-                assert q.sifted
-            elif q.role == "check":
-                n_check += 1
-                assert q.sifted
-            if q.sifted:
-                flag = _BIT_FLAG[basis_code[q.prep_basis], pauli_code[q.pauli_applied]]
-                assert q.meas_bit == q.prep_bit ^ int(flag)
-        assert n_key == report.params.n
-        assert n_check == report.params.n
+class TestStreamingTransmit:
+    """The chunked transmit stage against the one-shot oracle, and its invariants."""
 
-    def test_records_off_by_default(self):
-        report = run_protocol(DEPOLARIZING, ProtocolParams(n=200), seed=8)
-        assert report.qubits is None
+    ATTACKS = {
+        "none": None,
+        "match-prep": eve_matched_basis_probe(),
+        "ZX": eve_intercept_resend((Basis.Z, Basis.X)),
+        "ZXY-weighted": eve_intercept_resend((Basis.Z, Basis.X, Basis.Y), (0.2, 0.3, 0.5)),
+    }
+    CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
+
+    @pytest.mark.parametrize("attack", list(ATTACKS))
+    def test_matches_the_one_shot_oracle(self, attack):
+        eve = self.ATTACKS[attack]
+        params = ProtocolParams(n=10_001)
+        n_total = 8 * 10_001  # one full chunk and a ragged one at the default size
+        assert sim._CHUNK < n_total < 2 * sim._CHUNK
+        got = sim._transmit(self.CHANNEL, params, n_total, sim._open_streams(7), eve)
+        want = one_shot_sifted(self.CHANNEL, params, 7, eve)
+        for got_part, want_part in zip(got, want):
+            assert got_part.dtype == np.uint8
+            assert np.array_equal(got_part, want_part)
+
+    @pytest.mark.parametrize("chunk", [4, 12, 4096])
+    @pytest.mark.parametrize("attack", ["none", "ZXY-weighted"])
+    def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk, attack):
+        # delta = 2.25 sends 16,509 qubits, which no chunk size divides.  The
+        # loose abort rules let the attacked run reach the parity step.
+        params = ProtocolParams(n=2001, delta=2.25, abort_sigma=1e9, abort_ceiling=0.99)
+        eve = self.ATTACKS[attack]
+        monkeypatch.setattr(sim, "_CHUNK", 1 << 20)
+        whole = run_protocol(self.CHANNEL, params, seed=12, eve=eve)
+        assert whole.n_transmitted == 16_509
+        assert not whole.aborted
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        split = run_protocol(self.CHANNEL, params, seed=12, eve=eve)
+        assert split.to_text() == whole.to_text()
+        assert split.to_csv() == whole.to_csv()
+
+    @pytest.mark.parametrize("pauli", range(4))
+    def test_errors_follow_the_flag_tables_without_an_attacker(self, pauli):
+        one_hot = [0.0] * 4
+        one_hot[pauli] = 1.0
+        basis, error, phase = sim._transmit(
+            PauliRates(*one_hot), ProtocolParams(n=200), 1600, sim._open_streams(8), None
+        )
+        assert set(basis.tolist()) == {0, 1, 2}
+        assert np.array_equal(error, _BIT_FLAG[basis, pauli])
+        assert np.array_equal(phase, _PHASE_FLAG[basis, pauli])
+
+    def test_roles(self):
+        params = ProtocolParams(n=200)
+        rng = sim._open_streams(8)
+        basis, _, _ = sim._transmit(DEPOLARIZING, params, 1600, rng, None)
+        key, checks = sim._select_roles(basis, params, rng["selection"])
+        assert key.size == params.n
+        assert np.all(basis[key] == 2)
+        assert sum(idx.size for idx in checks.values()) == params.n
+        for code, idx in checks.items():
+            assert np.all(basis[idx] == code)
+        chosen = np.concatenate([key, *checks.values()])
+        assert np.unique(chosen).size == chosen.size
+        for idx in (key, *checks.values()):
+            assert np.all(np.diff(idx) > 0)
 
 
 class TestEve:
@@ -301,6 +339,10 @@ class TestParamsValidation:
             dict(n=100, abort_sigma=0.0),
             dict(n=100, abort_ceiling=1.0),
             dict(n=100, check_split=(1.0, 1.0, 1.0)),
+            dict(n=100, delta=math.inf),
+            dict(n=100, delta=math.nan),
+            dict(n=100, abort_sigma=math.inf),
+            dict(n=100, abort_sigma=math.nan),
         ],
     )
     def test_rejected(self, kwargs):
