@@ -16,7 +16,9 @@ rate of a distribution is q_x + q_y, the phase-flip rate q_z + q_y.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 _SUM_TOL = 1e-9
 _NEG_TOL = 1e-12
@@ -78,15 +80,22 @@ class PauliRates:
 
 @dataclass(frozen=True)
 class FlipRates:
-    """Marginal flip rates (p_x: bit, p_z: phase, p_y: both-conjugate).
+    """Marginal flip rates (p_x: bit, p_z: phase).
 
-    For a distribution q this is (q_x + q_y, q_z + q_y, q_x + q_z): sigma_y
-    errors flip both bit and phase, so they enter both marginals.
+    For a distribution q this is (q_x + q_y, q_z + q_y): sigma_y errors
+    flip both bit and phase, so they enter both marginals.
     """
 
     p_x: float
     p_z: float
-    p_y: float
+
+
+def _check_weights(name: str, weights: Sequence[float], count: int) -> None:
+    """Reject ``weights`` unless they are ``count`` finite nonnegative values summing to 1."""
+    if len(weights) != count or not all(0.0 <= w < math.inf for w in weights):  # also rejects nan
+        raise ValueError(f"{name} must be {count} finite nonnegative weights, got {weights}")
+    if abs(sum(weights) - 1.0) > 1e-12:
+        raise ValueError(f"{name} sum to {sum(weights)!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -98,11 +107,7 @@ class BasisMixture:
     w_y: float
 
     def __post_init__(self) -> None:
-        weights = (self.w_z, self.w_x, self.w_y)
-        if any(w < 0.0 for w in weights):
-            raise ValueError(f"mixture weights must be nonnegative, got {weights}")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {sum(weights)!r}, not 1")
+        _check_weights("mixture weights", (self.w_z, self.w_x, self.w_y), 3)
 
     @classmethod
     def equal(cls) -> "BasisMixture":
@@ -111,12 +116,8 @@ class BasisMixture:
 
 
 def flip_rates(rates: PauliRates) -> FlipRates:
-    """Marginal bit/phase/conjugate flip rates of a Pauli distribution."""
-    return FlipRates(
-        p_x=rates.q_x + rates.q_y,
-        p_z=rates.q_z + rates.q_y,
-        p_y=rates.q_x + rates.q_z,
-    )
+    """Marginal bit and phase flip rates of a Pauli distribution."""
+    return FlipRates(p_x=rates.q_x + rates.q_y, p_z=rates.q_z + rates.q_y)
 
 
 def conjugate(rates: PauliRates, basis: Basis) -> PauliRates:

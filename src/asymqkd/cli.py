@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .channel import Basis, PauliRates, flip_rates
-from .distill import modified_rate_one_bstep
+from .distill import SearchParams, modified_rate_one_bstep
 from .keyrates import (
     rate_bb84_symmetrized,
     rate_single_basis,
@@ -39,7 +39,6 @@ from .sim import EveModel, ProtocolParams, eve_intercept_resend, eve_matched_bas
 from .threshold import (
     ChannelFamily,
     ProtocolVariant,
-    SearchParams,
     ThresholdSearchError,
     sweep_fig1,
     sweep_fig2,
@@ -51,6 +50,9 @@ _BASIS_BY_LETTER = {"Z": Basis.Z, "X": Basis.X, "Y": Basis.Y}
 # sweep-fig2 writes its rows in blocks of this many: formatting all of a
 # long grid into one string first would hold every row twice.
 _FIG2_BLOCK_ROWS = 4096
+
+# Largest grid a sweep accepts, checked before the grid is built.
+_MAX_GRID_POINTS = 10**7
 
 _TARGET_HELP = ("residual-error target of the (m, k) schedule witness; echoed in "
                 "the header, it does not change the threshold")
@@ -94,7 +96,11 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0.0 or hi < lo:
         raise argparse.ArgumentTypeError(f"grid needs step > 0 and hi >= lo, got {text!r}")
-    count = int(round((hi - lo) / step)) + 1
+    # Capped before rounding: hi - lo may overflow to inf.
+    count = int(round(min((hi - lo) / step, _MAX_GRID_POINTS))) + 1
+    if count > _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid must have at most {_MAX_GRID_POINTS} points, got {text!r}")
     return [lo + i * step for i in range(count)]
 
 
@@ -121,7 +127,7 @@ def _emit(blocks: Iterable[str], out_path: Optional[str]) -> None:
 
 
 def _search_params(parser: argparse.ArgumentParser, args: argparse.Namespace) -> SearchParams:
-    """Validate ``--target``; the witness settings are echoed in headers only."""
+    """Validate ``--target``; the caps are ``SearchParams`` defaults, echoed in headers only."""
     try:
         return SearchParams(target=args.target)
     except ValueError as exc:
@@ -291,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--family-ratio", type=float, required=True, metavar="R",
                        help="channel shape q_y0/q_x0 with q_x0 = q_z0")
     p_thr.add_argument("--tol", type=float, default=1e-4)
-    p_thr.add_argument("--target", type=float, default=0.05, help=_TARGET_HELP)
+    p_thr.add_argument("--target", type=float, default=SearchParams.target, help=_TARGET_HELP)
     p_thr.add_argument("--out")
     p_thr.set_defaults(func=_cmd_threshold)
 
     p_f1 = sub.add_parser("sweep-fig1", help="thresholds across q_y0/q_x0 shapes")
     p_f1.add_argument("--grid", type=str, default="0.0:1.0:0.05", metavar="LO:HI:STEP")
     p_f1.add_argument("--tol", type=float, default=1e-4)
-    p_f1.add_argument("--target", type=float, default=0.05, help=_TARGET_HELP)
+    p_f1.add_argument("--target", type=float, default=SearchParams.target, help=_TARGET_HELP)
     p_f1.add_argument("--out")
     p_f1.set_defaults(func=_cmd_sweep_fig1)
 
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--delta", type=float, default=2.0)
     p_sim.add_argument("--b-rounds", type=int, default=2)
     p_sim.add_argument("--p-group", type=int, default=3)
-    p_sim.add_argument("--target", type=float, default=0.05)
+    p_sim.add_argument("--target", type=float, default=SearchParams.target)
     p_sim.add_argument("--abort-sigma", type=float, default=3.0)
     p_sim.add_argument("--eve", type=_parse_eve, default=None,
                        help="'none', 'match-prep', or bases e.g. ZX or Z,X,Y")

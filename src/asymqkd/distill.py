@@ -19,17 +19,23 @@ parity.  Bit errors XOR, so the new bit-flip rate is (1 - (1-2 p_x)^k)/2;
 phase errors act like a repetition code decoded by majority vote, so the
 new phase-flip rate is the upper binomial tail P[Bin(k, p_z) >= (k+1)/2].
 Only the two marginals are tracked through a P-step.
+
+``distill_schedule`` searches for a concrete (m, k) schedule within caps
+(``SearchParams``).  It iterates the B-step in the same (u, v, s, t)
+coordinates, so a channel with s == u keeps its bit error at exactly 1/2
+instead of drifting by round-off into a fake witness.  A failed search
+returns an empty trace.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .channel import FlipRates, PauliRates, flip_rates
+from .channel import FlipRates, PauliRates
 from .keyrates import shannon4
 
 _logfact = np.zeros(1)
@@ -111,18 +117,13 @@ def b_step(rates: PauliRates) -> BStepOutcome:
 
 
 def p_step(flips: FlipRates, params: PStepParams) -> FlipRates:
-    """Marginal flip rates of group parities; k = 1 is the identity.
-
-    The returned p_y is NaN: parity grouping is modelled on the two
-    marginals only, and nothing downstream consumes a combined-flip rate.
-    """
+    """Marginal flip rates of group parities; k = 1 is the identity."""
     for name, p in (("p_x", flips.p_x), ("p_z", flips.p_z)):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name}={p!r} outside [0, 1]")
     return FlipRates(
         p_x=parity_bit_error(flips.p_x, params.k),
         p_z=majority_phase_error(flips.p_z, params.k),
-        p_y=math.nan,
     )
 
 
@@ -139,30 +140,35 @@ def modified_rate_one_bstep(rates: PauliRates) -> float:
 
 
 @dataclass(frozen=True)
+class SearchParams:
+    """Residual-error target and (m, k) caps of ``distill_schedule``."""
+
+    target: float = 0.05
+    m_max: int = 60
+    k_max: int = 2001
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.target < 0.5:
+            raise ValueError(f"target={self.target!r} outside (0, 0.5)")
+        if self.m_max < 0 or self.k_max < 1:
+            raise ValueError("caps must satisfy m_max >= 0, k_max >= 1")
+
+
+@dataclass(frozen=True)
 class DistillationTrace:
     """Record of a rejection/parity schedule applied to a distribution.
 
     ``rounds`` holds one entry per B-step in order, ``p_step`` the terminal
     parity stage, ``cumulative_survival`` the expected fraction of raw key
-    bits that survive the whole schedule.  ``succeeded`` is False when the
-    search gave up; the trace then shows the best attempt (smallest worst
-    residual error) rather than raising.
+    bits that survive the whole schedule.  When the search finds no
+    schedule, ``succeeded`` is False and the trace is empty: no rounds,
+    ``p_step`` None and survival 0.
     """
 
     rounds: tuple[BStepOutcome, ...]
     p_step: Optional[PStepResult]
     cumulative_survival: float
     succeeded: bool
-
-    @property
-    def final_errors(self) -> tuple[float, float]:
-        """(bit, phase) error rates at the end of the schedule."""
-        if self.p_step is not None:
-            return (self.p_step.p_x, self.p_step.p_z)
-        if self.rounds:
-            f = flip_rates(self.rounds[-1].rates_out)
-            return (f.p_x, f.p_z)
-        raise ValueError("empty trace has no final errors")
 
 
 def _smallest_majority_k(p_z: float, target: float, k_max: int) -> Optional[int]:
@@ -185,94 +191,53 @@ def _smallest_majority_k(p_z: float, target: float, k_max: int) -> Optional[int]
     return 2 * lo + 1
 
 
-def _balanced_k(p_x: float, p_z: float, k_max: int) -> int:
-    """Odd k minimizing max(parity bit error, majority phase error)."""
-    if p_x >= 0.5 or p_z >= 0.5:
-        return 1
-    top = (k_max - 1) // 2
-
-    def gap(index: int) -> float:
-        k = 2 * index + 1
-        return parity_bit_error(p_x, k) - majority_phase_error(p_z, k)
-
-    if gap(0) >= 0.0:
-        return 1
-    if gap(top) < 0.0:
-        return 2 * top + 1
-    lo, hi = 0, top
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if gap(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid + 1
-    candidates = [2 * lo + 1]
-    if lo > 0:
-        candidates.append(2 * lo - 1)
-    def worst(k: int) -> float:
-        return max(parity_bit_error(p_x, k), majority_phase_error(p_z, k))
-    return min(candidates, key=worst)
-
-
-def distill_schedule(
+def _rejection_rounds(
     rates: PauliRates,
-    target: float = 0.05,
-    m_max: int = 60,
-    k_max: int = 2001,
-) -> DistillationTrace:
-    """Search m rejection rounds plus one parity step meeting ``target``.
+) -> Iterator[tuple[float, float, Optional[BStepOutcome]]]:
+    """(bit error, phase error, last B step) after m = 0, 1, 2, ... B steps.
+
+    Runs in the coordinates (u, v, s, t) of ``distillable_in_limit``: the
+    bit error is s, the phase error ((u - v) + (s - t)) / 2, and a B step
+    squares all four, renormalizes them by D = u^2 + s^2 and keeps D / 2
+    of the bits.  Rounding preserves order, so s == u stays tied and the
+    bit error is exactly 1/2 from m = 1 on.  The m = 0 entry has no step.
+    """
+    q_i, q_x, q_y, q_z = rates.as_tuple()
+    u, v, s, t = q_i + q_z, q_i - q_z, q_x + q_y, q_x - q_y
+    step = None
+    while True:
+        yield s, 0.5 * ((u - v) + (s - t)), step
+        d = u * u + s * s
+        u, v, s, t = u * u / d, v * v / d, s * s / d, t * t / d
+        after = PauliRates(0.5 * (u + v), 0.5 * (s + t), 0.5 * (s - t), 0.5 * (u - v))
+        step = BStepOutcome(after, 0.5 * d)
+
+
+def distill_schedule(rates: PauliRates, params: SearchParams = SearchParams()) -> DistillationTrace:
+    """Search m rejection rounds plus one parity step meeting ``params.target``.
 
     Scans m = 0..m_max B-steps followed by a single P-step with odd
     k <= k_max and returns the lexicographically smallest (m, k) whose two
-    residual error rates are both strictly below ``target``.  For fixed m
-    the parity bit error grows with k while the majority phase error
+    residual error rates are both strictly below the target.  The B steps
+    run in the sum/difference coordinates of ``distillable_in_limit`` (see
+    ``_rejection_rounds``), so an exact tie s == u never passes.  For fixed
+    m the parity bit error grows with k while the majority phase error
     shrinks, so the smallest k passing the phase condition is the only
     candidate worth checking.  If no (m, k) within the caps succeeds, the
-    best-effort trace (minimal worst residual error) is returned with
-    ``succeeded=False``; failure is encoded in the trace, not raised.
+    trace is empty with ``succeeded=False``; failure is encoded in the
+    trace, not raised.
     """
-    if not 0.0 < target < 0.5:
-        raise ValueError(f"target={target!r} outside (0, 0.5)")
-    if m_max < 0 or k_max < 1:
-        raise ValueError("search caps must be nonnegative")
-
-    outcomes: list[BStepOutcome] = []
-    marginals: list[tuple[float, float]] = []
-    current = rates
-    for m in range(m_max + 1):
-        f = flip_rates(current)
-        marginals.append((f.p_x, f.p_z))
-        k = _smallest_majority_k(f.p_z, target, k_max)
-        if k is not None and parity_bit_error(f.p_x, k) < target:
-            survival = math.prod(o.survival for o in outcomes[:m])
-            result = PStepResult(k, parity_bit_error(f.p_x, k), majority_phase_error(f.p_z, k))
-            return DistillationTrace(
-                rounds=tuple(outcomes[:m]),
-                p_step=result,
-                cumulative_survival=survival / k,
-                succeeded=True,
-            )
-        if m < m_max:
-            outcome = b_step(current)
-            outcomes.append(outcome)
-            current = outcome.rates_out
-
-    best: Optional[tuple[float, int, int]] = None
-    for m, (p_x, p_z) in enumerate(marginals):
-        k = _balanced_k(p_x, p_z, k_max)
-        worst = max(parity_bit_error(p_x, k), majority_phase_error(p_z, k))
-        if best is None or worst < best[0]:
-            best = (worst, m, k)
-    assert best is not None
-    _, m, k = best
-    p_x, p_z = marginals[m]
-    survival = math.prod(o.survival for o in outcomes[:m])
-    return DistillationTrace(
-        rounds=tuple(outcomes[:m]),
-        p_step=PStepResult(k, parity_bit_error(p_x, k), majority_phase_error(p_z, k)),
-        cumulative_survival=survival / k,
-        succeeded=False,
-    )
+    rounds: list[BStepOutcome] = []
+    survival = 1.0
+    for _, (bit, phase, step) in zip(range(params.m_max + 1), _rejection_rounds(rates)):
+        if step is not None:
+            rounds.append(step)
+            survival *= step.survival
+        k = _smallest_majority_k(phase, params.target, params.k_max)
+        if k is not None and parity_bit_error(bit, k) < params.target:
+            result = PStepResult(k, parity_bit_error(bit, k), majority_phase_error(phase, k))
+            return DistillationTrace(tuple(rounds), result, survival / k, succeeded=True)
+    return DistillationTrace((), None, 0.0, succeeded=False)
 
 
 def distillable_in_limit(rates: PauliRates) -> bool:

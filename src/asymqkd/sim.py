@@ -43,8 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import Basis, FlipRates, PauliRates, conjugate, flip_rates
-from .distill import PStepParams, b_step, p_step
+from .channel import Basis, PauliRates, _check_weights, conjugate, flip_rates
+from .distill import PStepParams, SearchParams, b_step, p_step
 from .keyrates import binary_entropy
 
 _BASIS_ORDER = (Basis.Z, Basis.X, Basis.Y)
@@ -101,7 +101,7 @@ class ProtocolParams:
     bob_probs: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
     b_rounds: int = 2
     p_group: int = 3
-    target: float = 0.05
+    target: float = SearchParams.target
     abort_sigma: float = 3.0
     abort_ceiling: float = 0.45
     # Z/X/Y composition of the n check bits.  The default matches what a
@@ -117,16 +117,11 @@ class ProtocolParams:
         if not 0.0 < self.delta < math.inf:  # also rejects nan
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         for name in ("source_probs", "bob_probs", "check_split"):
-            probs = getattr(self, name)
-            if len(probs) != 3 or any(p < 0.0 for p in probs):
-                raise ValueError(f"{name} must be three nonnegative weights, got {probs}")
-            if abs(sum(probs) - 1.0) > 1e-12:
-                raise ValueError(f"{name} sums to {sum(probs)!r}, not 1")
+            _check_weights(name, getattr(self, name), 3)
         if self.b_rounds < 0:
             raise ValueError(f"b_rounds must be >= 0, got {self.b_rounds}")
         PStepParams(self.p_group)
-        if not 0.0 < self.target < 0.5:
-            raise ValueError(f"target={self.target!r} outside (0, 0.5)")
+        SearchParams(target=self.target)
         if not 0.0 < self.abort_sigma < math.inf:
             raise ValueError(f"abort_sigma must be positive and finite, got {self.abort_sigma}")
         if not 0.0 < self.abort_ceiling < 1.0:
@@ -163,10 +158,7 @@ def eve_intercept_resend(
         raise ValueError("eavesdropper needs at least one basis")
     if weights is None:
         weights = tuple(1.0 / len(bases) for _ in bases)
-    if len(weights) != len(bases) or any(w < 0.0 for w in weights):
-        raise ValueError(f"bad attack weights {weights}")
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ValueError(f"attack weights sum to {sum(weights)!r}, not 1")
+    _check_weights("attack weights", weights, len(bases))
     return EveModel(bases=tuple(bases), weights=tuple(weights))
 
 

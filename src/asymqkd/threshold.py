@@ -43,7 +43,7 @@ from .channel import (
     average_over_mixture,
     conjugate,
 )
-from .distill import DistillationTrace, distill_schedule, distillable_in_limit
+from .distill import DistillationTrace, SearchParams, distill_schedule, distillable_in_limit
 from .keyrates import rate_single_basis, rate_sixstate_separate
 
 
@@ -66,21 +66,6 @@ class NonMonotoneFamilyError(ThresholdSearchError):
 
 class NoThresholdInRange(ThresholdSearchError):
     """The variant is still feasible at the maximum scale of the ray."""
-
-
-@dataclass(frozen=True)
-class SearchParams:
-    """Residual-error target and caps for ``witness_schedule``."""
-
-    target: float = 0.05
-    m_max: int = 60
-    k_max: int = 2001
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.target < 0.5:
-            raise ValueError(f"target={self.target!r} outside (0, 0.5)")
-        if self.m_max < 0 or self.k_max < 1:
-            raise ValueError("caps must satisfy m_max >= 0, k_max >= 1")
 
 
 @dataclass(frozen=True)
@@ -169,8 +154,7 @@ def witness_schedule(
     one_way = (ProtocolVariant.SINGLE_BASIS_ONE_WAY, ProtocolVariant.SIX_STATE_SEPARATE_ONE_WAY)
     if variant in one_way:
         return None
-    effective = _effective(rates, variant)
-    return distill_schedule(effective, params.target, params.m_max, params.k_max)
+    return distill_schedule(_effective(rates, variant), params)
 
 
 @dataclass(frozen=True)

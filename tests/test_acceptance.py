@@ -149,7 +149,7 @@ def test_4_map_vs_oracle():
     for k in (1, 3, 5, 7):
         for _ in range(25):
             p_x, p_z = rng.random(), rng.random()
-            result = p_step(FlipRates(p_x, p_z, float("nan")), PStepParams(k))
+            result = p_step(FlipRates(p_x, p_z), PStepParams(k))
             worst_p = max(
                 worst_p,
                 abs(result.p_x - enumerate_parity_bit_error(p_x, k)),

@@ -53,10 +53,12 @@ class TestPauliRates:
 
 
 def test_flip_rates_pairs_the_right_components():
-    flips = flip_rates(PauliRates(0.85, 0.10, 0.03, 0.02))
+    rates = PauliRates(0.85, 0.10, 0.03, 0.02)
+    flips = flip_rates(rates)
     assert flips.p_x == pytest.approx(0.13)
     assert flips.p_z == pytest.approx(0.05)
-    assert flips.p_y == pytest.approx(0.12)
+    # sigma_x and sigma_z errors are what flips the bit of a Y-basis qubit.
+    assert flip_rates(conjugate(rates, Basis.Y)).p_x == pytest.approx(rates.q_x + rates.q_z)
 
 
 class TestConjugate:
@@ -99,13 +101,13 @@ class TestConjugate:
 
     def test_flip_rates_permute_with_the_frame(self):
         # In the X frame bit and phase errors trade places; in the Y frame
-        # the bit error is what the Z frame calls p_y.
+        # the bit error is q_x + q_z of the Z frame.
         rates = PauliRates(0.6, 0.2, 0.15, 0.05)
         base = flip_rates(rates)
         in_x = flip_rates(conjugate(rates, Basis.X))
         assert (in_x.p_x, in_x.p_z) == pytest.approx((base.p_z, base.p_x))
         in_y = flip_rates(conjugate(rates, Basis.Y))
-        assert in_y.p_x == pytest.approx(base.p_y)
+        assert in_y.p_x == pytest.approx(rates.q_x + rates.q_z)
         assert in_y.p_z == pytest.approx(base.p_x)
 
 
@@ -132,3 +134,6 @@ class TestAveraging:
             BasisMixture(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             BasisMixture(-0.1, 0.6, 0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                BasisMixture(bad, 0.5, 0.5)

@@ -1,3 +1,4 @@
+import argparse
 import os
 import pathlib
 import subprocess
@@ -170,6 +171,22 @@ class TestBadInput:
             main([command, f"--grid={grid}"])
         assert exc.value.code == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep-fig1", "sweep-fig2"])
+    def test_oversized_grid_exits_2(self, capsys, command):
+        # About 10^12 points: rejected before any of them is built.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--grid", "0:1:1e-12"])
+        assert exc.value.code == 2
+        assert "at most" in capsys.readouterr().err
+
+    def test_grid_size_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 5)
+        assert cli._parse_grid("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._parse_grid("0:1:0.2")
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._parse_grid("-1e308:1e308:1")  # hi - lo overflows to inf
 
     @pytest.mark.parametrize("cases", ["0.0,abc", "-0.1", "nan", "1.5"])
     def test_bad_fig2_cases_exit_nonzero(self, cases):

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from asymqkd.channel import FlipRates, PauliRates, flip_rates
 from asymqkd.distill import (
     PStepParams,
+    SearchParams,
+    _rejection_rounds,
+    _smallest_majority_k,
     b_step,
     distill_schedule,
     distillable_in_limit,
@@ -112,7 +115,7 @@ class TestPStep:
         rng = random.Random(k)
         for _ in range(25):
             p_x, p_z = rng.random(), rng.random()
-            result = p_step(FlipRates(p_x, p_z, float("nan")), PStepParams(k))
+            result = p_step(FlipRates(p_x, p_z), PStepParams(k))
             assert result.p_x == pytest.approx(
                 enumerate_parity_bit_error(p_x, k), abs=1e-12
             )
@@ -121,7 +124,7 @@ class TestPStep:
             )
 
     def test_k_one_is_identity(self):
-        result = p_step(FlipRates(0.12, 0.34, float("nan")), PStepParams(1))
+        result = p_step(FlipRates(0.12, 0.34), PStepParams(1))
         assert (result.p_x, result.p_z) == pytest.approx((0.12, 0.34))
 
     def test_even_k_rejected(self):
@@ -134,7 +137,7 @@ class TestPStep:
 
     def test_flip_rates_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            p_step(FlipRates(1.2, 0.1, float("nan")), PStepParams(3))
+            p_step(FlipRates(1.2, 0.1), PStepParams(3))
 
     def test_majority_error_decreases_with_k_below_half(self):
         for p_z in (0.05, 0.2, 0.4):
@@ -166,7 +169,45 @@ class TestModifiedRate:
             assert modified_rate_one_bstep(rates) == pytest.approx(expected, abs=1e-13)
 
 
+@st.composite
+def weights_with_ties(draw):
+    """Integer (w_i, w_x, w_y, w_z); about half are exact ties w_x + w_y == w_i + w_z."""
+    w_i, w_z = draw(st.integers(0, 1000)), draw(st.integers(0, 1000))
+    if draw(st.booleans()):
+        w_x = draw(st.integers(0, w_i + w_z))
+        w_y = w_i + w_z - w_x
+    else:
+        w_x, w_y = draw(st.integers(0, 1000)), draw(st.integers(0, 1000))
+    assume(w_i + w_x + w_y + w_z > 0)
+    return w_i, w_x, w_y, w_z
+
+
 class TestDistillSchedule:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(weights_with_ties(), st.integers(1, 6))
+    def test_rounds_match_exact_iteration(self, weights, rounds):
+        # The witness's B steps, run in (u, v, s, t), against exact Fraction
+        # iteration of the 16-pair enumeration, ties s == u included.
+        total = sum(weights)
+        rates = PauliRates(*(w / total for w in weights))
+        exact = tuple(Fraction(q) for q in rates.as_tuple())
+        tied = rates.q_x + rates.q_y == rates.q_i + rates.q_z  # s == u in floats
+        path = _rejection_rounds(rates)
+        for m in range(rounds + 1):
+            bit, phase, step = next(path)
+            q_i, q_x, q_y, q_z = exact
+            assert bit == pytest.approx(float(q_x + q_y), abs=1e-12)
+            assert phase == pytest.approx(float(q_z + q_y), abs=1e-12)
+            if m == 0:
+                assert step is None
+            else:
+                for got, want in zip(step.rates_out.as_tuple(), exact):
+                    assert got == pytest.approx(float(want), abs=1e-12)
+                assert step.survival == pytest.approx(float(survival), abs=1e-12)
+                if tied:
+                    assert bit == 0.5
+            exact, survival = enumerate_pair_rejection(exact)
+
     def test_noiseless_needs_no_work(self):
         trace = distill_schedule(PauliRates(1.0, 0.0, 0.0, 0.0))
         assert trace.succeeded
@@ -177,9 +218,8 @@ class TestDistillSchedule:
     def test_moderate_noise_succeeds(self):
         trace = distill_schedule(PauliRates.from_error_rates(0.10, 0.0, 0.10))
         assert trace.succeeded
-        bit, phase = trace.final_errors
-        assert bit < 0.05
-        assert phase < 0.05
+        assert trace.p_step.p_x < 0.05
+        assert trace.p_step.p_z < 0.05
 
     def test_cumulative_survival_is_the_product_over_rounds(self):
         trace = distill_schedule(PauliRates.from_error_rates(0.12, 0.01, 0.08))
@@ -189,19 +229,38 @@ class TestDistillSchedule:
         expected /= trace.p_step.k
         assert trace.cumulative_survival == pytest.approx(expected, rel=1e-12)
 
-    def test_hopeless_channel_reports_failure_with_best_effort(self):
+    def test_hopeless_channel_reports_failure(self):
         trace = distill_schedule(
-            PauliRates(0.25, 0.25, 0.25, 0.25), m_max=6, k_max=31
+            PauliRates(0.25, 0.25, 0.25, 0.25), SearchParams(m_max=6, k_max=31)
         )
         assert not trace.succeeded
-        bit, phase = trace.final_errors
-        assert 0.0 <= bit <= 1.0
-        assert 0.0 <= phase <= 1.0
-        assert max(bit, phase) >= 0.05
+        assert trace.p_step is None
+        assert trace.rounds == ()
+
+    def test_exactly_tied_channel_has_no_witness(self):
+        # s = q_x + q_y equals u = q_i + q_z: the bit error is exactly 1/2
+        # after every rejection round.  An iteration that lets the tie drift
+        # by ~1e-16 squares the drift into a fake gap by m = 56.
+        rates = PauliRates(0.5, 0.15, 0.35, 0.0)
+        assert not distill_schedule(rates).succeeded
+        bits = [bit for _, (bit, _, _) in zip(range(61), _rejection_rounds(rates))]
+        assert bits == [0.5] * 61
 
     def test_target_validation(self):
         with pytest.raises(ValueError):
-            distill_schedule(PauliRates(1.0, 0.0, 0.0, 0.0), target=0.7)
+            SearchParams(target=0.7)
+        with pytest.raises(ValueError):
+            SearchParams(m_max=-1)
+        with pytest.raises(ValueError):
+            SearchParams(k_max=0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, 1.0), st.floats(1e-6, 0.49), st.integers(1, 41))
+    def test_smallest_majority_k_equals_a_linear_scan(self, p_z, target, k_max):
+        # Pins the binary search's premise: the majority error does not
+        # grow with odd k, so the first passing k is the smallest.
+        scan = (k for k in range(1, k_max + 1, 2) if majority_phase_error(p_z, k) < target)
+        assert _smallest_majority_k(p_z, target, k_max) == next(scan, None)
 
 
 class TestLimitCriterion:
@@ -239,15 +298,12 @@ class TestLimitCriterion:
     # Integer weights (q_i, q_x, q_y, q_z), identity-heavy so that about a
     # quarter of the draws have a witness within the default caps.
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(st.tuples(*(st.integers(0, top) for top in (4000, 1000, 1000, 1000))))
+    @given(st.tuples(*(st.integers(0, top) for top in (4000, 1000, 1000, 1000)))
+           .filter(lambda w: sum(w) > 0))
     def test_witness_success_implies_limit_criterion(self, weights):
         # Soundness premise of deciding feasibility by the closed form alone:
-        # every capped witness is also an unbounded-caps witness.  Exact ties
-        # s == u (q_x + q_y == q_i + q_z) are excluded: there the bit error
-        # is exactly 1/2 forever, but round-off in the float B-step iteration
-        # fakes a gap that the witness accepts (ROADMAP item 3).
-        w_i, w_x, w_y, w_z = weights
-        assume(w_x + w_y != w_i + w_z)
+        # every capped witness is also an unbounded-caps witness, exact ties
+        # s == u (q_x + q_y == q_i + q_z) included.
         total = sum(weights)
         rates = PauliRates(*(w / total for w in weights))
         if distill_schedule(rates).succeeded:

@@ -287,6 +287,9 @@ class TestEve:
             eve_intercept_resend((Basis.Z,), (0.5,))
         with pytest.raises(ValueError):
             eve_intercept_resend((Basis.Z, Basis.X), (0.8, 0.4))
+        for weights in ((math.nan, 1.0), (0.5, math.nan), (math.inf, -math.inf)):
+            with pytest.raises(ValueError):
+                eve_intercept_resend((Basis.Z, Basis.X), weights)
 
     def test_describe(self):
         eve = eve_intercept_resend((Basis.Z, Basis.X))
@@ -343,6 +346,10 @@ class TestParamsValidation:
             dict(n=100, delta=math.nan),
             dict(n=100, abort_sigma=math.inf),
             dict(n=100, abort_sigma=math.nan),
+            dict(n=100, source_probs=(math.nan, 0.5, 0.5)),
+            dict(n=100, bob_probs=(math.inf, 0.0, 0.0)),
+            dict(n=100, check_split=(0.5, 0.5, math.nan)),
+            dict(n=100, source_probs=(math.inf, -math.inf, 1.0)),
         ],
     )
     def test_rejected(self, kwargs):

@@ -126,14 +126,12 @@ class TestIsDistillable:
     def test_exactly_tied_channel_is_not_distillable(self):
         # The Y-conjugate (0.5, 0.15, 0.35, 0.0) has s = q_x + q_y equal to
         # u = q_i + q_z, so the bit error stays exactly 1/2 under every
-        # rejection round and no schedule can distill it.  The capped
-        # witness still "succeeds" at m = 56 with survival ~3.6e-34, because
-        # round-off of ~1e-16 is squared into a fake gap; that used to make
-        # this channel feasible.  Making the witness itself exact (B steps in
-        # sum/difference coordinates) is ROADMAP item 3, not tested here.
+        # rejection round and no schedule can distill it, neither by the
+        # closed form nor by the capped witness.
         rates = PauliRates(0.5, 0.35, 0.0, 0.15)
         assert conjugate(rates, Basis.Y) == PauliRates(0.5, 0.15, 0.35, 0.0)
         assert is_distillable(rates, ProtocolVariant.Y_BASIS_TWO_WAY) is False
+        assert not witness_schedule(rates, ProtocolVariant.Y_BASIS_TWO_WAY).succeeded
 
 
 class TestWitnessOnDemand:
