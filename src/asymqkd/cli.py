@@ -346,3 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -17,18 +17,33 @@ the parity step majority-decodes them.  A bit re-prepared by an
 eavesdropper in a foreign basis carries no Y-frame phase correlation, so
 its phase flag is scrambled uniformly.
 
-Randomness: one ``numpy`` PCG64 generator per named stage, spawned from
-``SeedSequence(seed)`` in a fixed order (see ``_STREAMS``).  Within a
-stage, the i-th transmitted qubit consumes the i-th variate.  The
-transmit stage draws its streams in chunks of ``_CHUNK`` qubits, and a
-split of the transmitted qubits at any multiple of 4 gives the same draws
-as one pass over all of them.  Only the sifted qubits are kept (basis,
-bit-error flag and Y-frame phase flag), so memory scales with the sifted
-bits, not with the (6 + delta) * n transmitted qubits.  Streams that
-cannot reach a sifted qubit are never drawn: the attacker's resent bits
-always, and the source bits, the attacker's bases and both scrambles when
-nothing is re-prepared (no attacker, or the match-prep probe).  Identical
-(channel, params, seed, eve) inputs reproduce the report exactly.
+Roles are taken in arrival order.  The key is the first n Y-basis sifted
+qubits; the Y checks are the next ones after the key, and the Z and X
+checks the first ones of their basis, in the ``check_split`` counts.
+Rejection round r pairs adjacent survivors (0, 1), (2, 3), ... and drops
+an odd last bit; the parity step groups adjacent k.  Random picks would
+add nothing: each sifted qubit's (basis, bit flag, phase flag) is
+independent of every other qubit's, with or without the attacker, who
+acts on each qubit alone.  Given the basis sequence, the flags of the
+qubits of one basis are therefore i.i.d., so a rule that looks only at
+the basis sequence gives flags with the same joint law as random picks,
+and pairing or grouping i.i.d. bits in arrival order is distributed like
+doing it after a random permutation.
+
+Randomness: one ``numpy`` PCG64 generator per named stream, spawned from
+``SeedSequence(seed)`` in the fixed order of ``_STREAMS``: source bits,
+source bases, attacker bases, attacker bits, channel Paulis, Bob's bases,
+Bob's scramble and the phase scramble.  Within a stream, the i-th
+transmitted qubit consumes the i-th variate.  The transmit stage draws
+its streams in chunks of ``_CHUNK`` qubits, and a split of the
+transmitted qubits at any multiple of 4 gives the same draws as one pass
+over all of them.  Only the sifted qubits are kept (basis, bit-error flag
+and Y-frame phase flag), so memory scales with the sifted bits, not with
+the (6 + delta) * n transmitted qubits.  Streams that cannot reach a
+sifted qubit are never drawn: the attacker's resent bits always, and the
+source bits, the attacker's bases and both scrambles when nothing is
+re-prepared (no attacker, or the match-prep probe).  Identical (channel,
+params, seed, eve) inputs reproduce the report exactly.
 
 Aborts (too few sifted bits, short check pools, failed error test, key
 exhaustion) are outcomes, not errors: the report carries the abort reason
@@ -58,9 +73,6 @@ _STREAMS = (
     "bob_bases",
     "bob_scramble",
     "phase_scramble",
-    "selection",
-    "pairing",
-    "grouping",
 )
 # Qubits per transmit chunk.  A multiple of 4: ``Generator.integers(0, 2,
 # dtype=np.uint8)`` takes 4 draws from each 32-bit word and drops the rest
@@ -400,35 +412,6 @@ def _transmit(
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _select_roles(
-    basis: np.ndarray, params: ProtocolParams, sel: np.random.Generator
-) -> tuple[np.ndarray, dict[int, np.ndarray]] | str:
-    """Sorted positions of the key and check bits among the sifted qubits.
-
-    Returns ``(key, checks)``, with ``checks`` one array per basis code, or
-    the abort reason when a pool is too small.  Each pool lists sifted
-    positions in ascending order, the same rank order as the transmission
-    indices, so ``sel.permutation`` picks the same qubits from either.
-    """
-    n = params.n
-    # int32 halves the pools; positions past 2**31 need a wider type.
-    positions = np.arange(basis.size, dtype=np.int32 if basis.size < 2**31 else np.int64)
-    y_pool = positions[basis == 2]
-    if y_pool.size < n:
-        return f"insufficient Y-basis sifted bits ({y_pool.size} < {n})"
-    key = np.sort(sel.permutation(y_pool)[:n])
-    free = np.ones(basis.size, dtype=bool)
-    free[key] = False
-    checks = {}
-    for code, want in enumerate(_split_counts(n, params.check_split)):
-        pool = positions[(basis == code) & free]
-        if pool.size < want:
-            basis_name = _BASIS_ORDER[code].value
-            return f"insufficient {basis_name}-basis check bits ({pool.size} < {want})"
-        checks[code] = np.sort(sel.permutation(pool)[:want])
-    return key, checks
-
-
 def run_protocol(
     channel: PauliRates,
     params: ProtocolParams,
@@ -440,7 +423,7 @@ def run_protocol(
     Args:
         channel: Pauli error distribution of the quantum channel.
         params: transmission sizes, basis weights and post-processing knobs.
-        seed: root seed of the per-stage random streams.
+        seed: root seed of the random streams, all drawn by the transmit stage.
         eve: optional intercept-resend attacker applied before the channel.
 
     Returns:
@@ -476,21 +459,27 @@ def run_protocol(
     if n_sifted < 2 * n:
         return finish(f"insufficient sifted bits ({n_sifted} < {2 * n})", {})
 
-    selected = _select_roles(basis, params, rng["selection"])
-    if isinstance(selected, str):
-        return finish(selected, {})
-    key_idx, check_idx = selected
-    n_roles = n + sum(idx.size for idx in check_idx.values())
-    stage_counts.append(StageCount("roles", n_sifted, n_roles, n_sifted - n_roles))
+    is_y = basis == 2
+    y_errors = errors[is_y]
+    if y_errors.size < n:
+        return finish(f"insufficient Y-basis sifted bits ({y_errors.size} < {n})", {})
+    checks = {}
+    for code, want in enumerate(_split_counts(n, params.check_split)):
+        pool = y_errors[n:] if code == 2 else errors[basis == code]
+        if pool.size < want:
+            basis_name = _BASIS_ORDER[code].value
+            return finish(f"insufficient {basis_name}-basis check bits ({pool.size} < {want})", {})
+        checks[code] = pool[:want]
+    stage_counts.append(StageCount("roles", n_sifted, 2 * n, n_sifted - 2 * n))
 
     abort_reason = None
-    for code, idx in check_idx.items():
-        if idx.size == 0:
+    for code, check_bits in checks.items():
+        if check_bits.size == 0:
             continue
         basis = _BASIS_ORDER[code]
         expected = flip_rates(conjugate(channel, basis)).p_x
-        observed = float(errors[idx].mean())
-        row = _rate_row(f"check:{basis.value}", "bit_error", idx.size, observed, expected)
+        observed = float(check_bits.mean())
+        row = _rate_row(f"check:{basis.value}", "bit_error", check_bits.size, observed, expected)
         rows.append(row)
         excess = observed - expected
         if abort_reason is None and (
@@ -502,23 +491,21 @@ def run_protocol(
     if abort_reason is not None:
         return finish(abort_reason, {})
 
-    key_bits = errors[key_idx]
-    key_phase = phase_flag[key_idx]
+    key_bits = y_errors[:n]
+    key_phase = phase_flag[is_y][:n]
     rates_now = conjugate(channel, Basis.Y)
     f_now = flip_rates(rates_now)
     rows.append(_rate_row("key:transmit", "bit_error", n, float(key_bits.mean()), f_now.p_x))
     rows.append(_rate_row("key:transmit", "phase_error", n, float(key_phase.mean()), f_now.p_z))
 
-    pair_rng = rng["pairing"]
     for round_no in range(1, params.b_rounds + 1):
         stage = f"key:reject_{round_no}"
         length = key_bits.size
         pairs = length // 2
         if pairs == 0:
             return finish(f"key exhausted before rejection round {round_no}", {})
-        order = pair_rng.permutation(length)[: 2 * pairs].reshape(pairs, 2)
-        left, right = order[:, 0], order[:, 1]
-        agree = key_bits[left] == key_bits[right]
+        left, right = key_bits[0 : 2 * pairs : 2], key_bits[1 : 2 * pairs : 2]
+        agree = left == right
         survivors = int(agree.sum())
         outcome = b_step(rates_now)
         expected_surv = pairs * 2.0 * outcome.survival  # pair agreement probability
@@ -529,8 +516,8 @@ def run_protocol(
         stage_counts.append(StageCount(stage, length, survivors, length - survivors))
         if survivors == 0:
             return finish(f"no key bits survived rejection round {round_no}", {})
-        key_bits = key_bits[left][agree]
-        key_phase = (key_phase[left] ^ key_phase[right])[agree]
+        key_bits = left[agree]
+        key_phase = (key_phase[0 : 2 * pairs : 2] ^ key_phase[1 : 2 * pairs : 2])[agree]
         rates_now = outcome.rates_out
         f_now = flip_rates(rates_now)
         rows.append(_rate_row(stage, "bit_error", survivors, float(key_bits.mean()), f_now.p_x))
@@ -541,9 +528,8 @@ def run_protocol(
     groups = length // k
     if groups == 0:
         return finish("key exhausted before parity step", {})
-    order = rng["grouping"].permutation(length)[: groups * k].reshape(groups, k)
-    group_bits = key_bits[order].sum(axis=1) % 2
-    group_phase = (key_phase[order].sum(axis=1) > k // 2).astype(np.uint8)
+    group_bits = key_bits[: groups * k].reshape(groups, k).sum(axis=1) % 2
+    group_phase = key_phase[: groups * k].reshape(groups, k).sum(axis=1) > k // 2
     predicted = p_step(f_now, PStepParams(k))
     rows.append(_rate_row("key:parity", "bit_error", groups, float(group_bits.mean()), predicted.p_x))
     rows.append(

@@ -188,7 +188,7 @@ def _audit_and_bisect(
     flags = [feasible(scale) for scale in grid]
     if not flags[0]:
         raise ThresholdSearchError(f"not feasible at scale {grid[0]!r}; no threshold to bracket")
-    if flags[-1]:
+    if all(flags):
         raise NoThresholdInRange(f"still feasible at maximum scale {grid[-1]!r}")
     flip = flags.index(False)
     if any(flags[flip:]):

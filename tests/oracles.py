@@ -15,6 +15,12 @@ transmit stage: the stage as it ran before it streamed, with every
 per-qubit array at full length.  It restates the stream names and their
 spawn order and samples with ``searchsorted``; the per-basis flag tables
 come from the package, which ``TestFrameTables`` pins by hand.
+
+``permuted_role_counts`` is the reference for the simulator's stages after
+sifting: the rule it followed before it took roles in arrival order, with
+the key, the checks, the rejection pairs and the parity groups all drawn
+by random permutations from three streams of their own.  The two rules
+give different bits for a seed, so they are compared in distribution.
 """
 
 import math
@@ -26,7 +32,7 @@ import numpy as np
 from asymqkd.channel import Basis, PauliRates, conjugate
 from asymqkd.distill import modified_rate_one_bstep
 from asymqkd.keyrates import rate_sixstate_separate
-from asymqkd.sim import _BIT_FLAG, _PHASE_FLAG
+from asymqkd.sim import _BIT_FLAG, _PHASE_FLAG, _split_counts, _transmit
 
 # Per-pauli flags in the computational frame: I, X, Y, Z.
 _BIT = (0, 1, 1, 0)
@@ -170,3 +176,61 @@ def one_shot_sifted(channel, params, seed, eve):
     )
     sifted = bob_basis == alice_basis
     return alice_basis[sifted], (meas_bit ^ alice_bits)[sifted], phase_flag[sifted]
+
+
+def permuted_role_counts(channel, params, seed):
+    """Error counts of every stage after sifting, with every role drawn at random.
+
+    Sifts with the package's transmit stage, without an attacker, fed by
+    the first eight of the eleven streams above, then picks the key and the checks with the
+    ``selection`` stream, pairs each rejection round with the ``pairing``
+    stream and groups the parity step with the ``grouping`` stream.  Abort
+    rules are not applied; the pools and the key must not run out.
+
+    Returns:
+        {(stage, quantity): count} for the same rows as ``SimReport.rows``
+        after sifting: the number of flipped bits (or phases) of each
+        check, of the key and of every rejection round and the parity
+        step, and the number of survivors of every rejection round.
+    """
+    n = params.n
+    n_total = int(math.ceil((6.0 + params.delta) * n))
+    children = np.random.SeedSequence(seed).spawn(len(_SIM_STREAMS))
+    rng = {name: np.random.default_rng(child) for name, child in zip(_SIM_STREAMS, children)}
+    basis, errors, phase = _transmit(channel, params, n_total, rng, None)
+
+    positions = np.arange(basis.size)
+    y_pool = positions[basis == 2]
+    assert y_pool.size >= n
+    key = np.sort(rng["selection"].permutation(y_pool)[:n])
+    free = np.ones(basis.size, dtype=bool)
+    free[key] = False
+    counts = {}
+    for (name, code), want in zip(_SIM_BASIS_CODE.items(), _split_counts(n, params.check_split)):
+        pool = positions[(basis == code) & free]
+        assert pool.size >= want
+        picked = rng["selection"].permutation(pool)[:want]
+        if want > 0:
+            counts[(f"check:{name.value}", "bit_error")] = int(errors[picked].sum())
+
+    bits, phases = errors[key], phase[key]
+    counts[("key:transmit", "bit_error")] = int(bits.sum())
+    counts[("key:transmit", "phase_error")] = int(phases.sum())
+    for round_no in range(1, params.b_rounds + 1):
+        stage = f"key:reject_{round_no}"
+        pairs = bits.size // 2
+        assert pairs > 0
+        left, right = rng["pairing"].permutation(bits.size)[: 2 * pairs].reshape(pairs, 2).T
+        agree = bits[left] == bits[right]
+        bits, phases = bits[left][agree], (phases[left] ^ phases[right])[agree]
+        counts[(stage, "survivors")] = int(agree.sum())
+        counts[(stage, "bit_error")] = int(bits.sum())
+        counts[(stage, "phase_error")] = int(phases.sum())
+
+    k = params.p_group
+    groups = bits.size // k
+    assert groups > 0
+    order = rng["grouping"].permutation(bits.size)[: groups * k].reshape(groups, k)
+    counts[("key:parity", "bit_error")] = int((bits[order].sum(axis=1) % 2).sum())
+    counts[("key:parity", "phase_error")] = int((phases[order].sum(axis=1) > k // 2).sum())
+    return counts

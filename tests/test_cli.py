@@ -50,18 +50,29 @@ def test_stdout_matches_file_output(tmp_path, capsys):
     assert stdout.encode() == (GOLDEN / "rates_asym.csv").read_bytes()
 
 
-def test_module_entry_point_matches_in_process_main(capsys):
-    argv = ["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.1"]
-    assert main(argv) == 0
-    expected = capsys.readouterr().out.encode()
+def _run_module(module, argv):
     src = str(pathlib.Path(asymqkd.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     run = subprocess.run(
-        [sys.executable, "-m", "asymqkd", *argv], capture_output=True, env=env, check=False
+        [sys.executable, "-m", module, *argv], capture_output=True, env=env, check=False
     )
     assert run.returncode == 0, run.stderr.decode()
-    assert run.stdout == expected
+    return run.stdout
+
+
+def test_module_entry_point_matches_in_process_main(capsys):
+    argv = ["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.1"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    assert _run_module("asymqkd", argv) == expected
+
+
+def test_cli_module_entry_point_matches_the_package_one():
+    argv = ["rates", "--qx", "0.1", "--qy", "0", "--qz", "0.02"]
+    package_out = _run_module("asymqkd", argv)
+    assert package_out  # an entry point that prints nothing would match itself
+    assert _run_module("asymqkd.cli", argv) == package_out
 
 
 def test_rates_family_form_matches_triple_form(tmp_path):

@@ -110,11 +110,13 @@ class TestBStep:
 
 
 class TestPStep:
-    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
     def test_matches_pattern_enumeration(self, k):
         rng = random.Random(k)
-        for _ in range(25):
-            p_x, p_z = rng.random(), rng.random()
+        fixed = [0.0, 0.5, 1.0, 1e-12, 1.0 - 1e-12]
+        draws = [(p, q) for p in fixed for q in fixed]
+        draws += [(rng.random(), rng.random()) for _ in range(25)]
+        for p_x, p_z in draws:
             result = p_step(FlipRates(p_x, p_z), PStepParams(k))
             assert result.p_x == pytest.approx(
                 enumerate_parity_bit_error(p_x, k), abs=1e-12

@@ -17,7 +17,7 @@ from asymqkd.sim import (
     eve_matched_basis_probe,
     run_protocol,
 )
-from oracles import one_shot_sifted
+from oracles import one_shot_sifted, permuted_role_counts
 
 NOISELESS = PauliRates(1.0, 0.0, 0.0, 0.0)
 DEPOLARIZING = PauliRates(0.85, 0.05, 0.05, 0.05)
@@ -234,20 +234,93 @@ class TestStreamingTransmit:
         assert np.array_equal(error, _BIT_FLAG[basis, pauli])
         assert np.array_equal(phase, _PHASE_FLAG[basis, pauli])
 
-    def test_roles(self):
-        params = ProtocolParams(n=200)
-        rng = sim._open_streams(8)
-        basis, _, _ = sim._transmit(DEPOLARIZING, params, 1600, rng, None)
-        key, checks = sim._select_roles(basis, params, rng["selection"])
-        assert key.size == params.n
-        assert np.all(basis[key] == 2)
-        assert sum(idx.size for idx in checks.values()) == params.n
-        for code, idx in checks.items():
-            assert np.all(basis[idx] == code)
-        chosen = np.concatenate([key, *checks.values()])
-        assert np.unique(chosen).size == chosen.size
-        for idx in (key, *checks.values()):
-            assert np.all(np.diff(idx) > 0)
+    def test_roles_by_arrival_order(self):
+        # Key: the first n Y sifted qubits.  Checks: the next Y qubits, and
+        # the first Z and X ones.  Rejection pairs (0, 1), (2, 3), ... of the
+        # survivors, and the parity step groups adjacent k.
+        params = ProtocolParams(n=200, abort_sigma=1e9, abort_ceiling=0.99)
+        report = run_protocol(DEPOLARIZING, params, seed=8)
+        assert not report.aborted
+        basis, error, phase = sim._transmit(
+            DEPOLARIZING, params, report.n_transmitted, sim._open_streams(8), None
+        )
+        n = params.n
+        want = sim._split_counts(n, params.check_split)
+        checks = {
+            "Z": error[basis == 0][: want[0]],
+            "X": error[basis == 1][: want[1]],
+            "Y": error[basis == 2][n : n + want[2]],
+        }
+        for name, bits in checks.items():
+            r = row(report, f"check:{name}", "bit_error")
+            assert (r.count, r.empirical) == (bits.size, bits.mean())
+
+        key = list(zip(error[basis == 2][:n].tolist(), phase[basis == 2][:n].tolist()))
+        assert len(key) == n
+        assert row(report, "key:transmit", "bit_error").empirical == sum(b for b, _ in key) / n
+        assert row(report, "key:transmit", "phase_error").empirical == sum(p for _, p in key) / n
+        for round_no in (1, 2):
+            stage = f"key:reject_{round_no}"
+            pairs = zip(key[0::2], key[1::2])  # an odd last bit has no partner
+            key = [(b0, p0 ^ p1) for (b0, p0), (b1, p1) in pairs if b0 == b1]
+            assert row(report, stage, "survivors").empirical == len(key)
+            assert row(report, stage, "bit_error").empirical == sum(b for b, _ in key) / len(key)
+            assert row(report, stage, "phase_error").empirical == sum(p for _, p in key) / len(key)
+
+        k = params.p_group
+        groups = [key[i : i + k] for i in range(0, len(key) - k + 1, k)]
+        parities = [sum(b for b, _ in g) % 2 for g in groups]
+        majorities = [sum(p for _, p in g) > k // 2 for g in groups]
+        assert report.final_bit_error == sum(parities) / len(groups)
+        assert report.final_phase_error == sum(majorities) / len(groups)
+
+
+class TestArrivalOrderInDistribution:
+    """Roles by arrival order against the permutation-drawn rule it replaced.
+
+    Per seed the two rules keep different bits, so every count row is
+    compared in distribution: a two-sample Kolmogorov-Smirnov statistic
+    over 250 runs each, against the fixed bound of its 0.001 level
+    (c = sqrt(ln(2 / 0.001) / 2) = 1.95, times sqrt(2 / 250)).  The two
+    paths use disjoint seeds, so the samples are independent as the test
+    assumes; the seed lists are fixed, so the test is deterministic.
+    """
+
+    RUNS = 250
+    BOUND = math.sqrt(math.log(2 / 0.001) / 2) * math.sqrt(2 / RUNS)
+    CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
+    PARAMS = ProtocolParams(n=1000, abort_sigma=1e9, abort_ceiling=0.99)
+
+    @staticmethod
+    def _counts(report):
+        counts = {}
+        for r in report.rows[1:]:  # every row after the sift row
+            flipped = r.empirical if r.quantity == "survivors" else r.empirical * r.count
+            counts[(r.stage, r.quantity)] = round(flipped)
+        return counts
+
+    @staticmethod
+    def _ks_statistic(a, b):
+        a, b = np.sort(a), np.sort(b)
+        values = np.union1d(a, b)
+        cdf_a = np.searchsorted(a, values, side="right") / a.size
+        cdf_b = np.searchsorted(b, values, side="right") / b.size
+        return float(np.max(np.abs(cdf_a - cdf_b)))
+
+    def test_every_count_row_matches_the_permuted_rule(self):
+        new, old = [], []
+        for seed in range(self.RUNS):
+            report = run_protocol(self.CHANNEL, self.PARAMS, seed)
+            assert not report.aborted, report.abort_reason
+            new.append(self._counts(report))
+            old.append(permuted_role_counts(self.CHANNEL, self.PARAMS, self.RUNS + seed))
+        assert set(new[0]) == set(old[0])
+        assert len(new[0]) == 13  # 3 checks, key, 2 rounds, parity
+        for key in new[0]:
+            statistic = self._ks_statistic(
+                np.array([c[key] for c in new]), np.array([c[key] for c in old])
+            )
+            assert statistic <= self.BOUND, (key, statistic, self.BOUND)
 
 
 class TestEve:

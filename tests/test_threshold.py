@@ -215,12 +215,29 @@ class TestThresholds:
         )
 
     def test_family_feasible_at_both_ends_raises(self):
-        # Pure sigma_y noise turned into the Y frame is pure phase noise,
-        # which stays distillable beyond any total-noise level.
+        # Pure sigma_y noise turned into the Y frame is pure phase noise of
+        # rate S, distillable at every total noise S except exactly 1/2,
+        # where the phase error is 1/2.  The audit grid (multiples of 1/49)
+        # misses that single point, so the ray reads feasible throughout.
         with pytest.raises(NoThresholdInRange):
             threshold_total_noise(
                 ChannelFamily((0.0, 1.0, 0.0)), ProtocolVariant.Y_BASIS_TWO_WAY
             )
+
+    @pytest.mark.parametrize(
+        "direction, variant",
+        [
+            ((1.0, 2.5, 1.0), ProtocolVariant.Y_BASIS_TWO_WAY),
+            ((0.0, 1.0, 0.0), ProtocolVariant.SINGLE_BASIS_ONE_WAY),
+            ((0.05, 0.9, 0.05), ProtocolVariant.SIX_STATE_SEPARATE_ONE_WAY),
+        ],
+        ids=["ybasis-ratio-2.5", "single-basis-pure-y", "sixstate-0.05-0.9-0.05"],
+    )
+    def test_reentrant_family_raises_non_monotone(self, direction, variant):
+        # Feasible, then infeasible, then feasible again up to S = 1: the
+        # ray has no single threshold, which is not the same as having none.
+        with pytest.raises(NonMonotoneFamilyError):
+            threshold_total_noise(ChannelFamily(direction), variant)
 
 
 class TestSweep:
