@@ -260,6 +260,8 @@ def _cmd_sweep_fig2(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
 def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     rates = _resolve_channel(parser, args)
+    if args.seed < 0:
+        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         params = ProtocolParams(
             n=args.n,

@@ -16,6 +16,11 @@ per-qubit array at full length.  It restates the stream names and their
 spawn order and samples with ``searchsorted``; the per-basis flag tables
 come from the package, which ``TestFrameTables`` pins by hand.
 
+``arrival_order_report`` is the reference for the simulator's running
+counts: ``run_protocol`` as it ran before every stage streamed, with the
+sifted qubits of all chunks joined into whole arrays (``whole_transmit``)
+and each role sliced out of them.  Its reports must match byte for byte.
+
 ``permuted_role_counts`` is the reference for the simulator's stages after
 sifting: the rule it followed before it took roles in arrival order, with
 the key, the checks, the rejection pairs and the parity groups all drawn
@@ -29,10 +34,21 @@ from itertools import product
 
 import numpy as np
 
-from asymqkd.channel import Basis, PauliRates, conjugate
-from asymqkd.distill import modified_rate_one_bstep
-from asymqkd.keyrates import rate_sixstate_separate
-from asymqkd.sim import _BIT_FLAG, _PHASE_FLAG, _split_counts, _transmit
+from asymqkd.channel import Basis, PauliRates, conjugate, flip_rates
+from asymqkd.distill import PStepParams, b_step, modified_rate_one_bstep, p_step
+from asymqkd.keyrates import binary_entropy, rate_sixstate_separate
+from asymqkd.sim import (
+    _BASIS_ORDER,
+    _BIT_FLAG,
+    _PHASE_FLAG,
+    ComparisonRow,
+    SimReport,
+    StageCount,
+    _open_streams,
+    _rate_row,
+    _split_counts,
+    _transmit,
+)
 
 # Per-pauli flags in the computational frame: I, X, Y, Z.
 _BIT = (0, 1, 1, 0)
@@ -178,6 +194,12 @@ def one_shot_sifted(channel, params, seed, eve):
     return alice_basis[sifted], (meas_bit ^ alice_bits)[sifted], phase_flag[sifted]
 
 
+def whole_transmit(channel, params, n_total, rng, eve):
+    """The package's transmit stage with its chunks joined: (basis, error, phase) arrays."""
+    chunks = list(_transmit(channel, params, n_total, rng, eve))
+    return tuple(np.concatenate(column) for column in zip(*chunks))
+
+
 def permuted_role_counts(channel, params, seed):
     """Error counts of every stage after sifting, with every role drawn at random.
 
@@ -197,7 +219,7 @@ def permuted_role_counts(channel, params, seed):
     n_total = int(math.ceil((6.0 + params.delta) * n))
     children = np.random.SeedSequence(seed).spawn(len(_SIM_STREAMS))
     rng = {name: np.random.default_rng(child) for name, child in zip(_SIM_STREAMS, children)}
-    basis, errors, phase = _transmit(channel, params, n_total, rng, None)
+    basis, errors, phase = whole_transmit(channel, params, n_total, rng, None)
 
     positions = np.arange(basis.size)
     y_pool = positions[basis == 2]
@@ -234,3 +256,131 @@ def permuted_role_counts(channel, params, seed):
     counts[("key:parity", "bit_error")] = int((bits[order].sum(axis=1) % 2).sum())
     counts[("key:parity", "phase_error")] = int((phases[order].sum(axis=1) > k // 2).sum())
     return counts
+
+
+def arrival_order_report(channel, params, seed, eve=None):
+    """``run_protocol`` with every sifted qubit held in memory at once.
+
+    The stages after transmission as they ran before they streamed: the
+    sifted qubits joined into whole arrays, then masked per basis, with the
+    key, the checks, every rejection round and the parity step sliced out
+    of them in arrival order.
+    """
+    n = params.n
+    n_total = int(math.ceil((6.0 + params.delta) * n))
+    rng = _open_streams(seed)
+    basis, errors, phase_flag = whole_transmit(channel, params, n_total, rng, eve)
+    n_sifted = basis.size
+    sifted_by_basis = tuple(int(np.count_nonzero(basis == c)) for c in range(3))
+
+    p_sift = sum(s * b for s, b in zip(params.source_probs, params.bob_probs))
+    rows = [_rate_row("sift", "sifted_fraction", n_total, n_sifted / n_total, p_sift)]
+    stage_counts = [StageCount("sift", n_total, n_sifted, n_total - n_sifted)]
+
+    def finish(abort_reason, extra):
+        return SimReport(
+            seed=seed,
+            channel=channel,
+            params=params,
+            eve=eve.describe() if eve is not None else "none",
+            n_transmitted=n_total,
+            n_sifted=n_sifted,
+            sifted_by_basis=sifted_by_basis,
+            aborted=abort_reason is not None,
+            abort_reason=abort_reason,
+            rows=tuple(rows),
+            stage_counts=tuple(stage_counts),
+            **extra,
+        )
+
+    if n_sifted < 2 * n:
+        return finish(f"insufficient sifted bits ({n_sifted} < {2 * n})", {})
+
+    is_y = basis == 2
+    y_errors = errors[is_y]
+    if y_errors.size < n:
+        return finish(f"insufficient Y-basis sifted bits ({y_errors.size} < {n})", {})
+    checks = {}
+    for code, want in enumerate(_split_counts(n, params.check_split)):
+        pool = y_errors[n:] if code == 2 else errors[basis == code]
+        if pool.size < want:
+            basis_name = _BASIS_ORDER[code].value
+            return finish(f"insufficient {basis_name}-basis check bits ({pool.size} < {want})", {})
+        checks[code] = pool[:want]
+    stage_counts.append(StageCount("roles", n_sifted, 2 * n, n_sifted - 2 * n))
+
+    abort_reason = None
+    for code, check_bits in checks.items():
+        if check_bits.size == 0:
+            continue
+        basis = _BASIS_ORDER[code]
+        expected = flip_rates(conjugate(channel, basis)).p_x
+        observed = float(check_bits.mean())
+        row = _rate_row(f"check:{basis.value}", "bit_error", check_bits.size, observed, expected)
+        rows.append(row)
+        excess = observed - expected
+        if abort_reason is None and (
+            excess > params.abort_sigma * row.std_error or observed > params.abort_ceiling
+        ):
+            abort_reason = (
+                f"check error in basis {basis.value}: {observed:.6g} vs expected {expected:.6g}"
+            )
+    if abort_reason is not None:
+        return finish(abort_reason, {})
+
+    key_bits = y_errors[:n]
+    key_phase = phase_flag[is_y][:n]
+    rates_now = conjugate(channel, Basis.Y)
+    f_now = flip_rates(rates_now)
+    rows.append(_rate_row("key:transmit", "bit_error", n, float(key_bits.mean()), f_now.p_x))
+    rows.append(_rate_row("key:transmit", "phase_error", n, float(key_phase.mean()), f_now.p_z))
+
+    for round_no in range(1, params.b_rounds + 1):
+        stage = f"key:reject_{round_no}"
+        length = key_bits.size
+        pairs = length // 2
+        if pairs == 0:
+            return finish(f"key exhausted before rejection round {round_no}", {})
+        left, right = key_bits[0 : 2 * pairs : 2], key_bits[1 : 2 * pairs : 2]
+        agree = left == right
+        survivors = int(agree.sum())
+        outcome = b_step(rates_now)
+        expected_surv = pairs * 2.0 * outcome.survival  # pair agreement probability
+        std_surv = math.sqrt(pairs * 2.0 * outcome.survival * (1.0 - 2.0 * outcome.survival))
+        rows.append(
+            ComparisonRow(stage, "survivors", pairs, float(survivors), expected_surv, std_surv)
+        )
+        stage_counts.append(StageCount(stage, length, survivors, length - survivors))
+        if survivors == 0:
+            return finish(f"no key bits survived rejection round {round_no}", {})
+        key_bits = left[agree]
+        key_phase = (key_phase[0 : 2 * pairs : 2] ^ key_phase[1 : 2 * pairs : 2])[agree]
+        rates_now = outcome.rates_out
+        f_now = flip_rates(rates_now)
+        rows.append(_rate_row(stage, "bit_error", survivors, float(key_bits.mean()), f_now.p_x))
+        rows.append(_rate_row(stage, "phase_error", survivors, float(key_phase.mean()), f_now.p_z))
+
+    k = params.p_group
+    length = key_bits.size
+    groups = length // k
+    if groups == 0:
+        return finish("key exhausted before parity step", {})
+    group_bits = key_bits[: groups * k].reshape(groups, k).sum(axis=1) % 2
+    group_phase = key_phase[: groups * k].reshape(groups, k).sum(axis=1) > k // 2
+    predicted = p_step(f_now, PStepParams(k))
+    rows.append(_rate_row("key:parity", "bit_error", groups, float(group_bits.mean()), predicted.p_x))
+    rows.append(
+        _rate_row("key:parity", "phase_error", groups, float(group_phase.mean()), predicted.p_z)
+    )
+    stage_counts.append(StageCount("key:parity", length, groups, length - groups))
+
+    bit_err = float(group_bits.mean())
+    phase_err = float(group_phase.mean())
+    extra = {
+        "final_bit_error": bit_err,
+        "final_phase_error": phase_err,
+        "final_rate_empirical": 1.0 - binary_entropy(bit_err) - binary_entropy(phase_err),
+        "final_rate_analytic": 1.0 - binary_entropy(predicted.p_x) - binary_entropy(predicted.p_z),
+        "goal_met": bit_err < params.target and phase_err < params.target,
+    }
+    return finish(None, extra)

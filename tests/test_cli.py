@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -145,6 +146,20 @@ class TestSimulateCli:
         assert "aborted = true" in text
         assert "check error" in text
 
+    @pytest.mark.parametrize("flags,reason", [
+        (["--b-rounds", "1000000000"], "key exhausted before rejection round 10"),
+        (["--p-group", "100000001"], "key exhausted before parity step"),
+    ])
+    def test_huge_distillation_settings_finish_at_once(self, capsys, flags, reason):
+        # No work or memory per round or per group member that the key never fills.
+        start = time.perf_counter()
+        code = main(["simulate", "--qx", "0.10", "--qy", "0.03", "--qz", "0.02",
+                     "--n", "1000", *flags])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert f"abort_reason = {reason}\n" in capsys.readouterr().out
+        assert elapsed < 1.0
+
     def test_eve_match_prep_runs_clean(self, capsys):
         code = main(self.ARGS + ["--eve", "match-prep"])
         text = capsys.readouterr().out
@@ -227,6 +242,12 @@ class TestBadInput:
             main(["simulate", "--qx", "0", "--qy", "0", "--qz", "0", *flags])
         assert exc.value.code == 2
         assert "invalid protocol parameters" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--qx", "0", "--qy", "0", "--qz", "0", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_bad_protocol_params_exit_nonzero(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from asymqkd.sim import (
     eve_matched_basis_probe,
     run_protocol,
 )
-from oracles import one_shot_sifted, permuted_role_counts
+from oracles import arrival_order_report, one_shot_sifted, permuted_role_counts, whole_transmit
 
 NOISELESS = PauliRates(1.0, 0.0, 0.0, 0.0)
 DEPOLARIZING = PauliRates(0.85, 0.05, 0.05, 0.05)
@@ -201,7 +202,7 @@ class TestStreamingTransmit:
         params = ProtocolParams(n=10_001)
         n_total = 8 * 10_001  # one full chunk and a ragged one at the default size
         assert sim._CHUNK < n_total < 2 * sim._CHUNK
-        got = sim._transmit(self.CHANNEL, params, n_total, sim._open_streams(7), eve)
+        got = whole_transmit(self.CHANNEL, params, n_total, sim._open_streams(7), eve)
         want = one_shot_sifted(self.CHANNEL, params, 7, eve)
         for got_part, want_part in zip(got, want):
             assert got_part.dtype == np.uint8
@@ -222,12 +223,16 @@ class TestStreamingTransmit:
         split = run_protocol(self.CHANNEL, params, seed=12, eve=eve)
         assert split.to_text() == whole.to_text()
         assert split.to_csv() == whole.to_csv()
+        # The in-memory oracle slices whole arrays, so it does not see where chunks end.
+        in_memory = arrival_order_report(self.CHANNEL, params, 12, eve)
+        assert split.to_text() == in_memory.to_text()
+        assert split.to_csv() == in_memory.to_csv()
 
     @pytest.mark.parametrize("pauli", range(4))
     def test_errors_follow_the_flag_tables_without_an_attacker(self, pauli):
         one_hot = [0.0] * 4
         one_hot[pauli] = 1.0
-        basis, error, phase = sim._transmit(
+        basis, error, phase = whole_transmit(
             PauliRates(*one_hot), ProtocolParams(n=200), 1600, sim._open_streams(8), None
         )
         assert set(basis.tolist()) == {0, 1, 2}
@@ -241,7 +246,7 @@ class TestStreamingTransmit:
         params = ProtocolParams(n=200, abort_sigma=1e9, abort_ceiling=0.99)
         report = run_protocol(DEPOLARIZING, params, seed=8)
         assert not report.aborted
-        basis, error, phase = sim._transmit(
+        basis, error, phase = whole_transmit(
             DEPOLARIZING, params, report.n_transmitted, sim._open_streams(8), None
         )
         n = params.n
@@ -273,6 +278,61 @@ class TestStreamingTransmit:
         majorities = [sum(p for _, p in g) > k // 2 for g in groups]
         assert report.final_bit_error == sum(parities) / len(groups)
         assert report.final_phase_error == sum(majorities) / len(groups)
+
+
+class TestAgainstTheInMemoryReport:
+    """The one-pass report against ``arrival_order_report``, which holds every sifted qubit."""
+
+    CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
+
+    @staticmethod
+    def _assert_same(channel, params, seed, eve=None):
+        got = run_protocol(channel, params, seed, eve)
+        want = arrival_order_report(channel, params, seed, eve)
+        assert got.to_text() == want.to_text()
+        assert got.to_csv() == want.to_csv()
+        return got
+
+    ABORTS = {  # channel, params, seed, attacker, abort reason
+        "sifted": (NOISELESS, dict(n=1000, source_probs=(0.5, 0.5, 0.0), bob_probs=(0.0, 0.0, 1.0)),
+                   31, None, "insufficient sifted bits"),
+        "key-pool": (NOISELESS, dict(n=1000, source_probs=(0.4, 0.4, 0.2)), 32, None,
+                     "insufficient Y-basis sifted bits"),
+        "check-pool": (NOISELESS, dict(n=1000, check_split=(0.0, 0.0, 1.0)), 33, None,
+                       "insufficient Y-basis check bits"),
+        "check-error": (NOISELESS, dict(n=2000), 22, eve_intercept_resend((Basis.Z, Basis.X)),
+                        "check error in basis Z"),
+        "rounds-20": (CHANNEL, dict(n=20_000, b_rounds=20), 4, None,
+                      "key exhausted before rejection round 14"),
+        "no-survivors": (PauliRates(0.6, 0.2, 0.0, 0.2), dict(n=6, abort_sigma=1000.0), 2, None,
+                         "no key bits survived rejection round 2"),
+        "parity": (CHANNEL, dict(n=1000, p_group=100_000_001), 0, None,
+                   "key exhausted before parity step"),
+    }
+
+    @pytest.mark.parametrize("case", list(ABORTS))
+    def test_every_abort_reason(self, case):
+        channel, kwargs, seed, eve, reason = self.ABORTS[case]
+        got = self._assert_same(channel, ProtocolParams(**kwargs), seed, eve)
+        assert got.abort_reason.startswith(reason)
+
+    @pytest.mark.parametrize("kwargs", [dict(b_rounds=0), dict(b_rounds=5), dict(p_group=5)])
+    def test_other_distillation_settings(self, kwargs):
+        got = self._assert_same(self.CHANNEL, ProtocolParams(n=20_000, **kwargs), 4)
+        assert not got.aborted
+
+
+def test_peak_allocation_does_not_grow_with_n():
+    # The 2.7 M sifted qubits of this run would take 8 MB as whole arrays.
+    params = ProtocolParams(n=1_000_000, abort_sigma=5.0)
+    tracemalloc.start()
+    try:
+        report = run_protocol(PauliRates(0.85, 0.10, 0.03, 0.02), params, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.aborted
+    assert peak < 3e6, peak
 
 
 class TestArrivalOrderInDistribution:
@@ -423,6 +483,13 @@ class TestParamsValidation:
             dict(n=100, bob_probs=(math.inf, 0.0, 0.0)),
             dict(n=100, check_split=(0.5, 0.5, math.nan)),
             dict(n=100, source_probs=(math.inf, -math.inf, 1.0)),
+            dict(n=2.5),
+            dict(n=100.0),
+            dict(n=True),
+            dict(n=100, b_rounds=1.5),
+            dict(n=100, b_rounds=False),
+            dict(n=100, p_group=True),
+            dict(n=100, p_group=3.0),
         ],
     )
     def test_rejected(self, kwargs):
