@@ -10,7 +10,8 @@ values are an independent cross-check of the float implementation:
 * exact algebraic thresholds (symmetric two-way limit, single-basis and
   separate-accounting zero-rate points);
 * crossing points where the one-rejection two-way rate first overtakes
-  the one-way rate on the q_x0 = q_z0 family, for each small-q_y0 case.
+  the one-way rate on the q_x0 = q_z0 family, for each small-q_y0 case;
+* the ends r1 and r2 of the infeasible window of re-entrant Y-basis rays.
 
 Run ``python scripts/derive_golden.py`` and paste the printed literals
 into the tests when a constant legitimately needs to change.  Values are
@@ -176,3 +177,15 @@ for q_y0_s in ("0", "0.005", "0.01", "0.02"):
             lo = mid
     show(f"one_way_zero[q_y0={q_y0_s}]", zero)
     show(f"crossing[q_y0={q_y0_s}]", (lo + hi) / 2)
+
+print()
+print("# ybasis re-entrant windows (r1, r2) on q_x = q_z rays of ratio R = q_y/q_x")
+# In the Y frame the bit-error share of the direction is a = 2/(2 + R)
+# and b = 2 - a; the ray is infeasible exactly where
+# (a^2 + b^2)S^2 - (2b + a)S + 1 <= 0, between the roots below.
+for ratio_s in ("2.5", "3998"):
+    a = 2 / (2 + mp.mpf(ratio_s))
+    b = 2 - a
+    root = mp.sqrt(a * (8 - 7 * a))
+    show(f"ybasis_window_r1[ratio={ratio_s}]", ((2 * b + a) - root) / (2 * (a**2 + b**2)))
+    show(f"ybasis_window_r2[ratio={ratio_s}]", ((2 * b + a) + root) / (2 * (a**2 + b**2)))

@@ -104,6 +104,17 @@ def _parse_grid(text: str) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
+def _parse_tol(text: str) -> float:
+    """``--tol``: the bisection width, positive and finite."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tol must be a number, got {text!r}")
+    if not 0.0 < tol < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"tol must be positive and finite, got {text!r}")
+    return tol
+
+
 def _parse_eve(text: str) -> Optional[EveModel]:
     cleaned = text.strip().lower()
     if cleaned in ("none", ""):
@@ -176,7 +187,10 @@ def _cmd_threshold(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     if args.family_ratio is None:
         parser.error("threshold needs --family-ratio")
     variant = ProtocolVariant(args.variant)
-    family = ChannelFamily.from_y_ratio(args.family_ratio)
+    try:
+        family = ChannelFamily.from_y_ratio(args.family_ratio)
+    except ValueError as exc:
+        parser.error(f"invalid channel family: {exc}")
     params = _search_params(parser, args)
     header = [
         "# schema: asymqkd.threshold.v1",
@@ -298,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[v.value for v in ProtocolVariant])
     p_thr.add_argument("--family-ratio", type=float, required=True, metavar="R",
                        help="channel shape q_y0/q_x0 with q_x0 = q_z0")
-    p_thr.add_argument("--tol", type=float, default=1e-4)
+    p_thr.add_argument("--tol", type=_parse_tol, default=1e-4)
     p_thr.add_argument("--target", type=float, default=SearchParams.target, help=_TARGET_HELP)
     p_thr.add_argument("--out")
     p_thr.set_defaults(func=_cmd_threshold)
 
     p_f1 = sub.add_parser("sweep-fig1", help="thresholds across q_y0/q_x0 shapes")
     p_f1.add_argument("--grid", type=str, default="0.0:1.0:0.05", metavar="LO:HI:STEP")
-    p_f1.add_argument("--tol", type=float, default=1e-4)
+    p_f1.add_argument("--tol", type=_parse_tol, default=1e-4)
     p_f1.add_argument("--target", type=float, default=SearchParams.target, help=_TARGET_HELP)
     p_f1.add_argument("--out")
     p_f1.set_defaults(func=_cmd_sweep_fig1)

@@ -1,12 +1,12 @@
 """Total-noise thresholds for the protocol variants along channel rays.
 
 A channel family is a ray through the simplex of error distributions:
-a fixed direction (d_x, d_y, d_z), scaled by the total noise.  For each
+a fixed direction (d_x, d_y, d_z), scaled by the total noise S.  For each
 protocol variant, ``is_distillable`` decides whether a secret key is
-obtainable at one point of the ray, and ``threshold_total_noise`` brackets
-the feasible/infeasible transition by bisection after auditing that the
-transition along the ray is monotone (a non-monotone flip is reported as
-an error instead of being silently bisected).
+obtainable at one point of the ray.  Every ray is feasible on [0, r1) and
+maybe again on (r2, 1], with r1 <= 1/2 <= r2, so ``threshold_total_noise``
+probes S = 1 to tell a ray with one threshold, which it bisects, from a
+re-entrant one, which it reports as ``NonMonotoneFamilyError``.
 
 One-way variants are feasible where their key rate is positive.  Two-way
 variants are decided by one authority, the exact unbounded-caps criterion
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Optional, Sequence
@@ -61,11 +62,7 @@ class ThresholdSearchError(Exception):
 
 
 class NonMonotoneFamilyError(ThresholdSearchError):
-    """Distillability flipped more than once along the audited grid."""
-
-
-class NoThresholdInRange(ThresholdSearchError):
-    """The variant is still feasible at the maximum scale of the ray."""
+    """Feasible below r1 and above r2 but not between, both named: no single threshold."""
 
 
 @dataclass(frozen=True)
@@ -101,13 +98,9 @@ class ChannelFamily:
         d_x, d_y, _ = self.direction
         return d_y / d_x if d_x > 0.0 else math.nan
 
-    @property
-    def scale_max(self) -> float:
-        return 1.0
-
     def rates_at(self, scale: float) -> PauliRates:
-        if not 0.0 <= scale <= self.scale_max:
-            raise ValueError(f"scale={scale!r} outside [0, {self.scale_max}]")
+        if not 0.0 <= scale <= 1.0:
+            raise ValueError(f"scale={scale!r} outside [0, 1.0]")
         d_x, d_y, d_z = self.direction
         return PauliRates(1.0 - scale, scale * d_x, scale * d_y, scale * d_z)
 
@@ -175,27 +168,10 @@ class ThresholdResult:
     bracket: Bracket
 
 
-def _audit_and_bisect(
-    feasible: Callable[[float], bool], lo: float, hi: float, tol: float, audit_points: int
+def _bisect(
+    feasible: Callable[[float], bool], low: float, high: float, tol: float
 ) -> tuple[float, float]:
-    """Bisect a monotone predicate after a grid audit of its monotonicity.
-
-    Returns (low, high) with ``feasible(low)`` true, ``feasible(high)``
-    false and high - low <= tol.
-    """
-    n = max(audit_points, 3)
-    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    flags = [feasible(scale) for scale in grid]
-    if not flags[0]:
-        raise ThresholdSearchError(f"not feasible at scale {grid[0]!r}; no threshold to bracket")
-    if all(flags):
-        raise NoThresholdInRange(f"still feasible at maximum scale {grid[-1]!r}")
-    flip = flags.index(False)
-    if any(flags[flip:]):
-        raise NonMonotoneFamilyError(
-            f"feasibility flips more than once along the ray (audit flags {flags})"
-        )
-    low, high = grid[flip - 1], grid[flip]
+    """Halve [low, high], feasible at ``low`` and not at ``high``, to width ``tol``."""
     while high - low > tol:
         mid = 0.5 * (low + high)
         if feasible(mid):
@@ -205,25 +181,47 @@ def _audit_and_bisect(
     return low, high
 
 
+def _ray_bracket(feasible: Callable[[float], bool], tol: float) -> tuple[float, float]:
+    """Bracket the flip of a predicate feasible on [0, r1) and maybe on (r2, 1].
+
+    ``feasible(0)`` and ``not feasible(0.5)`` are not probed.  Feasible at 1,
+    raises ``NonMonotoneFamilyError``; else binary-searches the cells
+    [i/49, (i+1)/49] for the flip and bisects its cell to ``tol``: the start
+    cell fixes every bit of a threshold.
+    """
+    if feasible(1.0):
+        r1 = _bisect(feasible, 0.0, 0.5, tol)
+        r2 = _bisect(lambda scale: not feasible(scale), 0.5, 1.0, tol)
+        raise NonMonotoneFamilyError(
+            f"feasible below r1={0.5 * sum(r1)!r} and above r2={0.5 * sum(r2)!r} "
+            "but not between: the ray has no single threshold"
+        )
+    # First i in 1..48 with i/49 infeasible, else 49.
+    first = bisect_left(range(49), True, lo=1, key=lambda i: not feasible(i / 49))
+    return _bisect(feasible, (first - 1) / 49, first / 49, tol)
+
+
 def threshold_total_noise(
-    family: ChannelFamily,
-    variant: ProtocolVariant,
-    tol: float = 1e-4,
-    audit_points: int = 50,
+    family: ChannelFamily, variant: ProtocolVariant, tol: float = 1e-4
 ) -> ThresholdResult:
     """Locate the total-noise threshold of ``variant`` along ``family``.
 
-    Runs ``is_distillable`` on an ``audit_points``-long grid first; the
-    sequence must be feasible at scale zero, infeasible at the top of the
-    ray and flip exactly once.  The flip cell is then bisected to ``tol``.
+    On the ray q = S·d the variant is feasible where g(S) > 0, with g
+    convex, g(0) = 1 and g(1/2) <= 0:
+
+    * two-way: a = e_x + e_y of the effective direction e, b = 2 - a, so
+      s = aS, u = 1 - aS, v = 1 - bS.  As u >= |v|, s·u < v² implies s < u,
+      so g = v² - s·u = (a² + b²)S² - (2b + a)S + 1 and g(1/2) = a(a - 1)/2;
+    * ``single-basis``: g = 1 - h(αS) - h(βS) with α + β >= 1; g(1/2) <= 0
+      as h is increasing on [0, 1/2] and subadditive;
+    * ``sixstate-separate``: g = 1 - h(S) - S·H(d), so g(1/2) = -H(d)/2.
+
+    So the feasible set on [0, 1] is [0, r1) ∪ (r2, 1], r1 <= 1/2 <= r2 and
+    (r2, 1] maybe empty: one threshold exactly when S = 1 is infeasible.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol={tol!r} must be positive")
-
-    def feasible(scale: float) -> bool:
-        return is_distillable(family.rates_at(scale), variant)
-
-    low, high = _audit_and_bisect(feasible, 0.0, family.scale_max, tol, audit_points)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol={tol!r} must be positive and finite")
+    low, high = _ray_bracket(lambda scale: is_distillable(family.rates_at(scale), variant), tol)
     return ThresholdResult(threshold=0.5 * (low + high), bracket=Bracket(low, high))
 
 

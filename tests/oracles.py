@@ -10,6 +10,11 @@ behind ``sweep_fig2``: the per-point loop over the package's per-channel
 functions that the ``sweep-fig2`` command ran before the kernel existed.
 Output of the two must agree byte for byte.
 
+``audited_threshold`` is the reference for ``threshold_total_noise``:
+the search as it ran before the shape of a ray was known, a 50-point
+audit grid read for monotonicity and its flip cell bisected.  Where the
+audit sees one flip, the two must agree bit for bit.
+
 ``one_shot_sifted`` is likewise the reference for the simulator's chunked
 transmit stage: the stage as it ran before it streamed, with every
 per-qubit array at full length.  It restates the stream names and their
@@ -49,6 +54,7 @@ from asymqkd.sim import (
     _split_counts,
     _transmit,
 )
+from asymqkd.threshold import is_distillable
 
 # Per-pauli flags in the computational frame: I, X, Y, Z.
 _BIT = (0, 1, 1, 0)
@@ -147,6 +153,43 @@ def fig2_csv(cases_text, grid_text):
         where = repr(crossing) if crossing is not None else "none-in-grid"
         lines.append(f"# crossing: q_y0={q_y0!r} total_noise={where}")
     return "\n".join(lines) + "\n"
+
+
+class AuditError(Exception):
+    """The audit grid did not show exactly one flip from feasible to infeasible."""
+
+
+def _audit_and_bisect(feasible, lo, hi, tol, audit_points):
+    n = max(audit_points, 3)
+    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    flags = [feasible(scale) for scale in grid]
+    if not flags[0]:
+        raise AuditError(f"not feasible at scale {grid[0]!r}; no threshold to bracket")
+    if all(flags):
+        raise AuditError(f"still feasible at maximum scale {grid[-1]!r}")
+    flip = flags.index(False)
+    if any(flags[flip:]):
+        raise AuditError(
+            f"feasibility flips more than once along the ray (audit flags {flags})"
+        )
+    low, high = grid[flip - 1], grid[flip]
+    while high - low > tol:
+        mid = 0.5 * (low + high)
+        if feasible(mid):
+            low = mid
+        else:
+            high = mid
+    return low, high
+
+
+def audited_threshold(family, variant, tol=1e-4, audit_points=50):
+    """(threshold, low, high) of ``family`` under ``variant``, or ``AuditError``."""
+
+    def feasible(scale):
+        return is_distillable(family.rates_at(scale), variant)
+
+    low, high = _audit_and_bisect(feasible, 0.0, 1.0, tol, audit_points)
+    return 0.5 * (low + high), low, high
 
 
 _SIM_STREAMS = (

@@ -234,6 +234,24 @@ class TestBadInput:
             main(argv + ["--target", "0.7"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--variant", "chau", "--family-ratio", "1.0"],
+        ["sweep-fig1", "--grid", "0.0:0.0:1.0"],
+    ])
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "abc"])
+    def test_bad_tol_exits_2(self, capsys, argv, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", tol])
+        assert exc.value.code == 2
+        assert "argument --tol: tol must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ratio", ["-1", "nan", "inf"])
+    def test_bad_family_ratio_exits_2(self, capsys, ratio):
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--variant", "ybasis", f"--family-ratio={ratio}"])
+        assert exc.value.code == 2
+        assert "invalid channel family" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ["--abort-sigma", "nan"], ["--abort-sigma", "inf"], ["--delta", "nan"], ["--delta", "inf"],
     ])

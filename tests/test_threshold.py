@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -13,12 +14,10 @@ from asymqkd.keyrates import rate_sixstate_separate
 from asymqkd.threshold import (
     ChannelFamily,
     NonMonotoneFamilyError,
-    NoThresholdInRange,
     ProtocolVariant,
     SearchParams,
-    ThresholdSearchError,
-    _audit_and_bisect,
     _fig2_rates,
+    _ray_bracket,
     is_distillable,
     sweep_fig1,
     sweep_fig2,
@@ -26,31 +25,28 @@ from asymqkd.threshold import (
     witness_schedule,
 )
 
+from oracles import AuditError, audited_threshold
+
 # Frozen from scripts/derive_golden.py.
 TWO_WAY_LIMIT_SYMMETRIC = 0.41458980337503155
 SINGLE_BASIS_ZERO_SYMMETRIC = 0.22005572887671910
 SIXSTATE_SEPARATE_ZERO_SYMMETRIC = 0.18928962491523176
+# (ratio, r1, r2) of the infeasible window of re-entrant Y-basis rays.
+YBASIS_WINDOWS = [
+    (2.5, 0.39764506496982454, 0.96084550106791131),
+    (3998.0, 0.49227961368125467, 0.5080954488031047),
+]
 
 
 class TestAuditAndBisect:
+    """``_ray_bracket``, the search behind ``threshold_total_noise``, on synthetic predicates."""
+
     def test_finds_a_known_cut(self):
-        cut = 0.3721
-        low, high = _audit_and_bisect(lambda x: x < cut, 0.0, 1.0, tol=1e-6, audit_points=50)
-        assert abs(low - cut) < 1e-6
-        assert high - low <= 1e-6
-
-    def test_feasible_everywhere_raises(self):
-        with pytest.raises(NoThresholdInRange):
-            _audit_and_bisect(lambda x: True, 0.0, 1.0, 1e-4, 50)
-
-    def test_infeasible_at_origin_raises(self):
-        with pytest.raises(ThresholdSearchError):
-            _audit_and_bisect(lambda x: False, 0.0, 1.0, 1e-4, 50)
-
-    def test_reentrant_feasibility_raises(self):
-        window = lambda x: x < 0.2 or 0.5 < x < 0.7
-        with pytest.raises(NonMonotoneFamilyError):
-            _audit_and_bisect(window, 0.0, 1.0, 1e-4, 50)
+        # In the first cell, in a middle one and in the last before 1/2.
+        for cut in (0.01, 0.3721, 0.4999):
+            low, high = _ray_bracket(lambda x: x < cut, tol=1e-6)
+            assert abs(low - cut) < 1e-6
+            assert high - low <= 1e-6
 
     def test_bracket_ends_are_probed_feasible_and_infeasible(self):
         verdicts = {}
@@ -59,7 +55,7 @@ class TestAuditAndBisect:
             verdicts[x] = x < 0.5
             return verdicts[x]
 
-        low, high = _audit_and_bisect(feasible, 0.0, 1.0, 1e-4, 50)
+        low, high = _ray_bracket(feasible, 1e-4)
         assert verdicts[low] is True
         assert verdicts[high] is False
 
@@ -215,29 +211,95 @@ class TestThresholds:
         )
 
     def test_family_feasible_at_both_ends_raises(self):
-        # Pure sigma_y noise turned into the Y frame is pure phase noise of
-        # rate S, distillable at every total noise S except exactly 1/2,
-        # where the phase error is 1/2.  The audit grid (multiples of 1/49)
-        # misses that single point, so the ray reads feasible throughout.
-        with pytest.raises(NoThresholdInRange):
-            threshold_total_noise(
-                ChannelFamily((0.0, 1.0, 0.0)), ProtocolVariant.Y_BASIS_TWO_WAY
-            )
+        # The message names both ends of the infeasible window, each within
+        # tol of the roots of (a^2 + b^2)S^2 - (2b + a)S + 1 (derive_golden.py).
+        for ratio, r1, r2 in YBASIS_WINDOWS:
+            with pytest.raises(NonMonotoneFamilyError) as exc:
+                threshold_total_noise(
+                    ChannelFamily.from_y_ratio(ratio), ProtocolVariant.Y_BASIS_TWO_WAY
+                )
+            named = re.search(r"r1=(\S+) and above r2=(\S+) ", str(exc.value))
+            assert abs(float(named[1]) - r1) <= 1e-4
+            assert abs(float(named[2]) - r2) <= 1e-4
 
     @pytest.mark.parametrize(
         "direction, variant",
         [
             ((1.0, 2.5, 1.0), ProtocolVariant.Y_BASIS_TWO_WAY),
+            ((1.0, 3998.0, 1.0), ProtocolVariant.Y_BASIS_TWO_WAY),
+            ((0.0, 1.0, 0.0), ProtocolVariant.Y_BASIS_TWO_WAY),
             ((0.0, 1.0, 0.0), ProtocolVariant.SINGLE_BASIS_ONE_WAY),
+            ((1.0, 0.0, 0.0), ProtocolVariant.SINGLE_BASIS_ONE_WAY),
             ((0.05, 0.9, 0.05), ProtocolVariant.SIX_STATE_SEPARATE_ONE_WAY),
         ],
-        ids=["ybasis-ratio-2.5", "single-basis-pure-y", "sixstate-0.05-0.9-0.05"],
+        ids=[
+            "ybasis-ratio-2.5",
+            "ybasis-ratio-3998",
+            "ybasis-pure-y",
+            "single-basis-pure-y",
+            "single-basis-pure-x",
+            "sixstate-0.05-0.9-0.05",
+        ],
     )
     def test_reentrant_family_raises_non_monotone(self, direction, variant):
         # Feasible, then infeasible, then feasible again up to S = 1: the
         # ray has no single threshold, which is not the same as having none.
+        # Pure sigma_y noise turned into the Y frame is pure phase noise of
+        # rate S, distillable at every total noise S except exactly 1/2,
+        # where the phase error is 1/2.  That window and the ratio-3998 one,
+        # about 0.016 wide, fit between points of a 1/49 grid; probing S = 1
+        # finds them anyway.
         with pytest.raises(NonMonotoneFamilyError):
             threshold_total_noise(ChannelFamily(direction), variant)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError):
+            threshold_total_noise(
+                ChannelFamily.from_y_ratio(1.0), ProtocolVariant.CHAU_BASELINE, tol=tol
+            )
+
+
+# A direction component: zero, tiny or anywhere in [0, 1].
+_COMPONENT = st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.0, 1.0))
+
+
+class TestRayShape:
+    """Every variant is feasible on [0, r1) and maybe (r2, 1], r1 <= 1/2 <= r2."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).filter(lambda d: sum(d) > 0.0))
+    def test_feasible_then_infeasible_then_maybe_feasible(self, direction):
+        family = ChannelFamily(direction)
+        for variant in ProtocolVariant:
+            flags = [is_distillable(family.rates_at(i / 200), variant) for i in range(201)]
+            flips = sum(a != b for a, b in zip(flags, flags[1:]))
+            assert flags[0] and not flags[100]
+            assert flips == 1 if not flags[-1] else flips <= 2
+
+    def test_agrees_with_the_audit_grid_where_it_sees_one_flip(self):
+        rng = np.random.default_rng(20040406)
+        directions = [tuple(d) for d in rng.dirichlet((0.5, 0.5, 0.5), 88)]
+        directions += [
+            (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0),
+            (0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1e-9, 1.0),
+            (1e-9, 1.0, 1e-9), (1.0, 0.3, 1.0), (1.0, 2.0, 1.0), (1.0, 3998.0, 1.0),
+        ]
+        outcomes = []
+        for direction in directions:
+            family = ChannelFamily(direction)
+            for variant in ProtocolVariant:
+                try:
+                    want = audited_threshold(family, variant)
+                except AuditError:
+                    outcomes.append("other")
+                    with pytest.raises(NonMonotoneFamilyError):
+                        threshold_total_noise(family, variant)
+                    continue
+                outcomes.append("one flip")
+                got = threshold_total_noise(family, variant)
+                assert _bits((got.threshold, got.bracket.low, got.bracket.high)) == _bits(want)
+        assert {"one flip", "other"} <= set(outcomes)
 
 
 class TestSweep:
