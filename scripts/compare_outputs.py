@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Check that two source trees of asymqkd print the same bytes.
+
+    python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each argument is the ``src`` directory of a checkout (the directory that
+holds the ``asymqkd`` package).  Every argv of ``ARGVS`` goes through
+``asymqkd.cli.main`` of each tree, once as given and once with ``--out``
+added; the exit code, stdout, stderr and the ``--out`` file must all match.
+Each tree runs in its own subprocess, which imports the package from that
+tree alone.  Prints ``same`` or ``DIFF`` per argv and exits 1 on any
+difference.  The whole list takes a few seconds per tree.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+_CHANNEL = ["--qx", "0.10", "--qy", "0.03", "--qz", "0.02"]
+_NOISELESS = ["--qx", "0", "--qy", "0", "--qz", "0"]
+
+
+def _simulate(*args: str, channel=_CHANNEL) -> list[str]:
+    return ["simulate", *channel, *args]
+
+
+ARGVS = [
+    # Runs to completion.
+    _simulate("--n", "1000000", "--seed", "0", "--abort-sigma", "5"),
+    _simulate("--n", "1000000", "--seed", "20040406", "--abort-sigma", "5"),
+    _simulate("--n", "100", "--seed", "1"),
+    _simulate("--n", "70001", "--seed", "3", "--eve", "ZX"),
+    _simulate("--n", "70001", "--seed", "3", "--eve", "XY"),
+    _simulate("--n", "70001", "--seed", "3", "--eve", "Z,X,Y"),
+    _simulate("--n", "5000", "--seed", "21", "--eve", "match-prep"),
+    _simulate("--n", "300000", "--seed", "9", "--eve", "ZXY", "--abort-sigma", "1000"),
+    _simulate("--n", "20000", "--seed", "4", "--b-rounds", "0"),
+    _simulate("--n", "20000", "--seed", "4", "--b-rounds", "5"),
+    _simulate("--n", "20000", "--seed", "4", "--b-rounds", "20"),
+    _simulate("--n", "20000", "--seed", "4", "--p-group", "5"),
+    # One argv per abort reason, in the order run_protocol checks them.
+    _simulate("--n", "1000", "--delta", "0.001", "--seed", "1", channel=_NOISELESS),
+    _simulate("--n", "1000", "--delta", "0.01", "--seed", "5", channel=_NOISELESS),
+    _simulate("--n", "1000", "--delta", "0.5", "--seed", "0", channel=_NOISELESS),
+    _simulate("--n", "20000", "--seed", "22", "--eve", "ZX"),
+    _simulate("--n", "1000", "--b-rounds", "1000000000"),
+    _simulate("--n", "6", "--seed", "2", "--abort-sigma", "1000",
+              channel=["--qx", "0.2", "--qy", "0", "--qz", "0.2"]),
+    _simulate("--n", "1000", "--p-group", "100000001"),
+    # The analytic subcommands.
+    ["sweep-fig1"],
+    ["sweep-fig2"],
+    ["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.02"],
+    ["rates", "--family-ratio", "0.3", "--scale", "0.2"],
+    *(
+        ["threshold", "--variant", variant, "--family-ratio", ratio]
+        for variant in ("ybasis", "chau", "single-basis", "sixstate-separate")
+        for ratio in ("0", "0.3", "1", "2")
+    ),
+]
+
+
+def _call(main, argv: list[str]) -> dict:
+    """Exit code, stdout and stderr of one in-process ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _worker(src: str) -> None:
+    """Run every argv against the package under ``src``; print the results as JSON."""
+    import asymqkd
+    from asymqkd.cli import main
+
+    package = pathlib.Path(asymqkd.__file__).resolve()
+    if pathlib.Path(src).resolve() not in package.parents:
+        sys.exit(f"imported {package}, which is not under {src}")
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = os.path.join(tmp, "out")
+        for argv in ARGVS:
+            plain = _call(main, argv)
+            with_out = _call(main, argv + ["--out", out_path])
+            with_out["file"] = None  # no file when the argv fails before writing
+            if os.path.exists(out_path):
+                with open(out_path, encoding="utf-8") as fh:
+                    with_out["file"] = fh.read()
+                os.remove(out_path)
+            results.append({"plain": plain, "with_out": with_out})
+    json.dump(results, sys.stdout)
+
+
+def _run_tree(src: str) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    run = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker", src],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    if run.returncode != 0:
+        sys.exit(f"{src}: worker failed\n{run.stderr}")
+    return json.loads(run.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--worker":
+        _worker(argv[1])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    parent, change = (_run_tree(src) for src in argv)
+    differ = 0
+    for args, old, new in zip(ARGVS, parent, change):
+        same = old == new
+        differ += not same
+        print(f"{'same' if same else 'DIFF'}  {' '.join(args)}")
+    print(f"{len(ARGVS) - differ} same, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -201,6 +201,11 @@ def _ray_bracket(feasible: Callable[[float], bool], tol: float) -> tuple[float, 
     return _bisect(feasible, (first - 1) / 49, first / 49, tol)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:  # also rejects nan
+        raise ValueError(f"tol={tol!r} must be positive and finite")
+
+
 def threshold_total_noise(
     family: ChannelFamily, variant: ProtocolVariant, tol: float = 1e-4
 ) -> ThresholdResult:
@@ -219,8 +224,7 @@ def threshold_total_noise(
     So the feasible set on [0, 1] is [0, r1) ∪ (r2, 1], r1 <= 1/2 <= r2 and
     (r2, 1] maybe empty: one threshold exactly when S = 1 is infeasible.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol={tol!r} must be positive and finite")
+    _check_tol(tol)
     low, high = _ray_bracket(lambda scale: is_distillable(family.rates_at(scale), variant), tol)
     return ThresholdResult(threshold=0.5 * (low + high), bracket=Bracket(low, high))
 
@@ -243,8 +247,9 @@ def sweep_fig1(ratios, tol: float = 1e-4) -> list[Fig1Row]:
     at the Y-basis protocol's threshold, which is the natural abscissa when
     plotting threshold against channel asymmetry.  Per-point failures are
     recorded in the row (NaN values plus the error message) and do not stop
-    the sweep.
+    the sweep; a bad ``tol`` raises ``ValueError`` before any row.
     """
+    _check_tol(tol)
     rows: list[Fig1Row] = []
     for ratio in ratios:
         try:

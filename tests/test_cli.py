@@ -34,6 +34,15 @@ GOLDEN_CASES = [
         "sweep_fig2_coarse.csv",
         ["sweep-fig2", "--cases", "0.0,0.02", "--grid", "0.0:0.3:0.01"],
     ),
+    (  # reaches the parity step
+        "simulate_small.csv",
+        ["simulate", "--qx", "0.10", "--qy", "0.03", "--qz", "0.02", "--n", "20000", "--seed", "4"],
+    ),
+    (  # the attacker overlay, up to the abort at the Z check
+        "simulate_attacked.csv",
+        ["simulate", "--qx", "0.10", "--qy", "0.03", "--qz", "0.02", "--n", "20000",
+         "--seed", "22", "--eve", "ZX"],
+    ),
 ]
 
 

@@ -195,11 +195,18 @@ class TestStreamingTransmit:
         "ZXY-weighted": eve_intercept_resend((Basis.Z, Basis.X, Basis.Y), (0.2, 0.3, 0.5)),
     }
     CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
+    ORACLE_CASES = {  # attacker, source weights
+        **{name: (eve, ProtocolParams.source_probs) for name, eve in ATTACKS.items()},
+        # Y sources only: an attacker in Z re-prepares every sifted qubit,
+        # one in Y none of them.
+        "Y-sources-Z": (eve_intercept_resend((Basis.Z,)), (0.0, 0.0, 1.0)),
+        "Y-sources-Y": (eve_intercept_resend((Basis.Y,)), (0.0, 0.0, 1.0)),
+    }
 
-    @pytest.mark.parametrize("attack", list(ATTACKS))
+    @pytest.mark.parametrize("attack", list(ORACLE_CASES))
     def test_matches_the_one_shot_oracle(self, attack):
-        eve = self.ATTACKS[attack]
-        params = ProtocolParams(n=10_001)
+        eve, source_probs = self.ORACLE_CASES[attack]
+        params = ProtocolParams(n=10_001, source_probs=source_probs)
         n_total = 8 * 10_001  # one full chunk and a ragged one at the default size
         assert sim._CHUNK < n_total < 2 * sim._CHUNK
         got = whole_transmit(self.CHANNEL, params, n_total, sim._open_streams(7), eve)
@@ -296,6 +303,9 @@ class TestAgainstTheInMemoryReport:
     ABORTS = {  # channel, params, seed, attacker, abort reason
         "sifted": (NOISELESS, dict(n=1000, source_probs=(0.5, 0.5, 0.0), bob_probs=(0.0, 0.0, 1.0)),
                    31, None, "insufficient sifted bits"),
+        "sifted-attacked": (NOISELESS, dict(n=1000, source_probs=(0.5, 0.5, 0.0),
+                                            bob_probs=(0.0, 0.0, 1.0)),
+                            31, eve_intercept_resend((Basis.Z, Basis.X)), "insufficient sifted bits"),
         "key-pool": (NOISELESS, dict(n=1000, source_probs=(0.4, 0.4, 0.2)), 32, None,
                      "insufficient Y-basis sifted bits"),
         "check-pool": (NOISELESS, dict(n=1000, check_split=(0.0, 0.0, 1.0)), 33, None,
@@ -313,8 +323,15 @@ class TestAgainstTheInMemoryReport:
     @pytest.mark.parametrize("case", list(ABORTS))
     def test_every_abort_reason(self, case):
         channel, kwargs, seed, eve, reason = self.ABORTS[case]
-        got = self._assert_same(channel, ProtocolParams(**kwargs), seed, eve)
+        params = ProtocolParams(**kwargs)
+        got = self._assert_same(channel, params, seed, eve)
         assert got.abort_reason.startswith(reason)
+        # Three uint8 arrays of one length per chunk, also when nothing is
+        # sifted and every gather takes an empty index array.
+        chunks = sim._transmit(channel, params, got.n_transmitted, sim._open_streams(seed), eve)
+        for basis, error, phase in chunks:
+            assert basis.dtype == error.dtype == phase.dtype == np.uint8
+            assert basis.size == error.size == phase.size
 
     @pytest.mark.parametrize("kwargs", [dict(b_rounds=0), dict(b_rounds=5), dict(p_group=5)])
     def test_other_distillation_settings(self, kwargs):

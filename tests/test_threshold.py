@@ -258,6 +258,9 @@ class TestThresholds:
             threshold_total_noise(
                 ChannelFamily.from_y_ratio(1.0), ProtocolVariant.CHAU_BASELINE, tol=tol
             )
+        # The sweep checks tol once, instead of a NaN row per ratio.
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            sweep_fig1([0.0, 0.5], tol=tol)
 
 
 # A direction component: zero, tiny or anywhere in [0, 1].
