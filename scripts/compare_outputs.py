@@ -45,6 +45,7 @@ ARGVS = [
     _simulate("--n", "20000", "--seed", "4", "--b-rounds", "5"),
     _simulate("--n", "20000", "--seed", "4", "--b-rounds", "20"),
     _simulate("--n", "20000", "--seed", "4", "--p-group", "5"),
+    _simulate("--n", "20000", "--seed", "4", "--p-group", "9", "--abort-sigma", "1000"),
     # One argv per abort reason, in the order run_protocol checks them.
     _simulate("--n", "1000", "--delta", "0.001", "--seed", "1", channel=_NOISELESS),
     _simulate("--n", "1000", "--delta", "0.01", "--seed", "5", channel=_NOISELESS),
@@ -56,6 +57,7 @@ ARGVS = [
     _simulate("--n", "1000", "--p-group", "100000001"),
     # The analytic subcommands.
     ["sweep-fig1"],
+    ["sweep-fig1", "--grid", "0:3:0.5"],  # rows past ratio 2 carry error notes
     ["sweep-fig2"],
     ["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.02"],
     ["rates", "--family-ratio", "0.3", "--scale", "0.2"],
@@ -64,6 +66,10 @@ ARGVS = [
         for variant in ("ybasis", "chau", "single-basis", "sixstate-separate")
         for ratio in ("0", "0.3", "1", "2")
     ),
+    # Re-entrant rays: the threshold command reports the error and exits 1.
+    ["threshold", "--variant", "ybasis", "--family-ratio", "2.5"],
+    ["threshold", "--variant", "ybasis", "--family-ratio", "3998"],
+    ["threshold", "--variant", "single-basis", "--family-ratio", "60"],
 ]
 
 

@@ -98,23 +98,6 @@ def _check_weights(name: str, weights: Sequence[float], count: int) -> None:
         raise ValueError(f"{name} sum to {sum(weights)!r}, not 1")
 
 
-@dataclass(frozen=True)
-class BasisMixture:
-    """Weights of Z-, X- and Y-basis preparation, summing to one."""
-
-    w_z: float
-    w_x: float
-    w_y: float
-
-    def __post_init__(self) -> None:
-        _check_weights("mixture weights", (self.w_z, self.w_x, self.w_y), 3)
-
-    @classmethod
-    def equal(cls) -> "BasisMixture":
-        """The standard equal three-basis mixture."""
-        return cls(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-
-
 def flip_rates(rates: PauliRates) -> FlipRates:
     """Marginal bit and phase flip rates of a Pauli distribution."""
     return FlipRates(p_x=rates.q_x + rates.q_y, p_z=rates.q_z + rates.q_y)
@@ -138,22 +121,17 @@ def conjugate(rates: PauliRates, basis: Basis) -> PauliRates:
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def average_over_mixture(rates: PauliRates, mixture: BasisMixture) -> PauliRates:
-    """Effective distribution for a random mixture of preparation bases.
+def average_over_mixture(rates: PauliRates) -> PauliRates:
+    """Effective distribution for the equal mixture of Z, X and Y preparation.
 
-    When key bits are drawn from several bases with the given weights, the
-    averaged error distribution is the weight-sum of the per-basis
-    conjugated distributions.  With equal weights this collapses a channel
-    (1-2q, q, 0, q) to (1-2q, q, q/3, 2q/3), i.e. averaging moves weight
-    into the q_y component even when the channel itself has none.
+    When key bits are drawn from the three bases with equal weights, the
+    averaged error distribution is the mean of the per-basis conjugated
+    distributions.  This collapses a channel (1-2q, q, 0, q) to
+    (1-2q, q, q/3, 2q/3), i.e. averaging moves weight into the q_y
+    component even when the channel itself has none.
     """
-    parts = (
-        (mixture.w_z, conjugate(rates, Basis.Z)),
-        (mixture.w_x, conjugate(rates, Basis.X)),
-        (mixture.w_y, conjugate(rates, Basis.Y)),
-    )
     acc = [0.0, 0.0, 0.0, 0.0]
-    for weight, part in parts:
-        for i, component in enumerate(part.as_tuple()):
-            acc[i] += weight * component
+    for basis in (Basis.Z, Basis.X, Basis.Y):
+        for i, component in enumerate(conjugate(rates, basis).as_tuple()):
+            acc[i] += (1.0 / 3.0) * component
     return PauliRates(*acc)

@@ -38,8 +38,8 @@ from .keyrates import (
 from .sim import EveModel, ProtocolParams, eve_intercept_resend, eve_matched_basis_probe, run_protocol
 from .threshold import (
     ChannelFamily,
+    NonMonotoneFamilyError,
     ProtocolVariant,
-    ThresholdSearchError,
     sweep_fig1,
     sweep_fig2,
     threshold_total_noise,
@@ -96,8 +96,10 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0.0 or hi < lo:
         raise argparse.ArgumentTypeError(f"grid needs step > 0 and hi >= lo, got {text!r}")
-    # Capped before rounding: hi - lo may overflow to inf.
-    count = int(round(min((hi - lo) / step, _MAX_GRID_POINTS))) + 1
+    # Capped before flooring: hi - lo may overflow to inf.  The relative
+    # slack absorbs the rounding of the division, so 0:0.5:2e-5 (ratio
+    # 24999.999999999996) keeps its last point, while no point passes hi.
+    count = math.floor(min((hi - lo) / step, _MAX_GRID_POINTS) * (1.0 + 1e-9)) + 1
     if count > _MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"grid must have at most {_MAX_GRID_POINTS} points, got {text!r}")
@@ -184,8 +186,6 @@ def _cmd_rates(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _cmd_threshold(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.family_ratio is None:
-        parser.error("threshold needs --family-ratio")
     variant = ProtocolVariant(args.variant)
     try:
         family = ChannelFamily.from_y_ratio(args.family_ratio)
@@ -199,7 +199,7 @@ def _cmd_threshold(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     ]
     try:
         result = threshold_total_noise(family, variant, tol=args.tol)
-    except ThresholdSearchError as exc:
+    except NonMonotoneFamilyError as exc:
         _emit(["\n".join(header + [f"# error: {exc}"]) + "\n"], args.out)
         return 1
     lines = header + [

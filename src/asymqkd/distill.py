@@ -38,19 +38,6 @@ import numpy as np
 from .channel import FlipRates, PauliRates
 from .keyrates import shannon4
 
-_logfact = np.zeros(1)
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """Table of log(i!) for i = 0..n, grown on demand and cached."""
-    global _logfact
-    if n >= _logfact.size:
-        start = _logfact.size
-        extra = np.cumsum(np.log(np.arange(start, n + 1, dtype=float))) + _logfact[-1]
-        _logfact = np.concatenate([_logfact, extra])
-    return _logfact
-
-
 def parity_bit_error(p_x: float, k: int) -> float:
     """Bit-flip rate of the parity of k independent bits: (1-(1-2p)^k)/2."""
     return 0.5 * (1.0 - (1.0 - 2.0 * p_x) ** k)
@@ -60,13 +47,14 @@ def majority_phase_error(p_z: float, k: int) -> float:
     """Phase-flip rate after majority decoding k bits: P[Bin(k, p) >= (k+1)/2].
 
     Computed through logarithms of factorials so large k neither overflows
-    nor loses the tiny tails.
+    nor loses the tiny tails.  The table of log(i!) is built afresh on each
+    call, so the result depends on (p_z, k) alone.
     """
     if p_z <= 0.0:
         return 0.0
     if p_z >= 1.0:
         return 1.0
-    table = _log_factorials(k)
+    table = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k + 1, dtype=float)))))
     j = np.arange((k + 1) // 2, k + 1)
     log_terms = (
         table[k]

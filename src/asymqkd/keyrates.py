@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .channel import BasisMixture, PauliRates, average_over_mixture, flip_rates
+from .channel import PauliRates, average_over_mixture, flip_rates
 
 KeyRate = float
 
@@ -59,7 +59,7 @@ def rate_sixstate_mixed(rates: PauliRates) -> KeyRate:
     is taken, which can only lose information relative to keeping the
     per-basis statistics apart.
     """
-    averaged = average_over_mixture(rates, BasisMixture.equal())
+    averaged = average_over_mixture(rates)
     return 1.0 - shannon4(averaged)
 
 

@@ -39,7 +39,6 @@ from .channel import (
     _NEG_TOL,
     _SUM_TOL,
     Basis,
-    BasisMixture,
     PauliRates,
     average_over_mixture,
     conjugate,
@@ -57,11 +56,7 @@ class ProtocolVariant(enum.Enum):
     SIX_STATE_SEPARATE_ONE_WAY = "sixstate-separate"
 
 
-class ThresholdSearchError(Exception):
-    """Raised when a threshold cannot be located along a family ray."""
-
-
-class NonMonotoneFamilyError(ThresholdSearchError):
+class NonMonotoneFamilyError(Exception):
     """Feasible below r1 and above r2 but not between, both named: no single threshold."""
 
 
@@ -92,12 +87,6 @@ class ChannelFamily:
             raise ValueError(f"ratio must be nonnegative, got {ratio}")
         return cls((1.0, ratio, 1.0))
 
-    @property
-    def y_ratio(self) -> float:
-        """q_y / q_x along the ray; NaN when the ray has no X component."""
-        d_x, d_y, _ = self.direction
-        return d_y / d_x if d_x > 0.0 else math.nan
-
     def rates_at(self, scale: float) -> PauliRates:
         if not 0.0 <= scale <= 1.0:
             raise ValueError(f"scale={scale!r} outside [0, 1.0]")
@@ -114,7 +103,7 @@ def _effective(rates: PauliRates, variant: ProtocolVariant) -> PauliRates:
     if variant is ProtocolVariant.Y_BASIS_TWO_WAY:
         return conjugate(rates, Basis.Y)
     if variant is ProtocolVariant.CHAU_BASELINE:
-        return average_over_mixture(rates, BasisMixture.equal())
+        return average_over_mixture(rates)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -256,7 +245,7 @@ def sweep_fig1(ratios, tol: float = 1e-4) -> list[Fig1Row]:
             family = ChannelFamily.from_y_ratio(ratio)
             thr_y = threshold_total_noise(family, ProtocolVariant.Y_BASIS_TWO_WAY, tol)
             thr_c = threshold_total_noise(family, ProtocolVariant.CHAU_BASELINE, tol)
-        except (ThresholdSearchError, ValueError) as exc:
+        except (NonMonotoneFamilyError, ValueError) as exc:
             rows.append(Fig1Row(ratio, math.nan, math.nan, math.nan, error=str(exc)))
             continue
         q_y0 = family.rates_at(thr_y.threshold).q_y

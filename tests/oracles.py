@@ -31,14 +31,23 @@ sifting: the rule it followed before it took roles in arrival order, with
 the key, the checks, the rejection pairs and the parity groups all drawn
 by random permutations from three streams of their own.  The two rules
 give different bits for a seed, so they are compared in distribution.
+
+``fresh_interpreter`` is the reference for results that must not depend
+on what the process computed before: the stdout of a snippet run in a new
+Python interpreter that imports the package from the same tree.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
+import asymqkd
 from asymqkd.channel import Basis, PauliRates, conjugate, flip_rates
 from asymqkd.distill import PStepParams, b_step, modified_rate_one_bstep, p_step
 from asymqkd.keyrates import binary_entropy, rate_sixstate_separate
@@ -119,7 +128,7 @@ def _fig2_point(q_y0, total):
 def fig2_csv(cases_text, grid_text):
     """``sweep-fig2 --cases CASES --grid LO:HI:STEP`` output, one point at a time."""
     lo, hi, step = (float(part) for part in grid_text.split(":"))
-    grid = [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
+    grid = [lo + i * step for i in range(math.floor((hi - lo) / step * (1.0 + 1e-9)) + 1)]
     lines = [
         "# schema: asymqkd.sweep_fig2.v1",
         f"# config: cases={cases_text} grid={grid_text}",
@@ -427,3 +436,15 @@ def arrival_order_report(channel, params, seed, eve=None):
         "goal_met": bit_err < params.target and phase_err < params.target,
     }
     return finish(None, extra)
+
+
+def fresh_interpreter(code):
+    """Stdout of ``code`` run by a new interpreter on this ``asymqkd`` tree."""
+    src = str(pathlib.Path(asymqkd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout

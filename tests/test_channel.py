@@ -5,7 +5,6 @@ import pytest
 
 from asymqkd.channel import (
     Basis,
-    BasisMixture,
     PauliRates,
     average_over_mixture,
     conjugate,
@@ -116,24 +115,10 @@ class TestAveraging:
         rng = random.Random(10)
         for _ in range(50):
             rates = random_rates(rng)
-            avg = average_over_mixture(rates, BasisMixture.equal())
+            avg = average_over_mixture(rates)
             assert avg.q_i == pytest.approx(rates.q_i, abs=1e-15)
             assert avg.q_x == pytest.approx((rates.q_x + 2 * rates.q_z) / 3, abs=1e-15)
             assert avg.q_y == pytest.approx((rates.q_x + 2 * rates.q_y) / 3, abs=1e-15)
             assert avg.q_z == pytest.approx(
                 (rates.q_x + rates.q_y + rates.q_z) / 3, abs=1e-15
             )
-
-    def test_pure_z_mixture_is_identity(self):
-        rates = PauliRates(0.85, 0.10, 0.03, 0.02)
-        avg = average_over_mixture(rates, BasisMixture(1.0, 0.0, 0.0))
-        assert avg.as_tuple() == pytest.approx(rates.as_tuple(), abs=1e-15)
-
-    def test_mixture_validation(self):
-        with pytest.raises(ValueError):
-            BasisMixture(0.5, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            BasisMixture(-0.1, 0.6, 0.5)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                BasisMixture(bad, 0.5, 0.5)

@@ -223,6 +223,16 @@ class TestBadInput:
         with pytest.raises(argparse.ArgumentTypeError):
             cli._parse_grid("-1e308:1e308:1")  # hi - lo overflows to inf
 
+    def test_grid_never_passes_hi(self):
+        assert cli._parse_grid("0:0.5:0.3") == [0.0, 0.3]
+        assert cli._parse_grid("0:1:0.6") == [0.0, 0.6]
+
+    def test_grid_keeps_hi_despite_division_round_off(self):
+        # 0.5 / 2e-5 is 24999.999999999996 in floats.
+        grid = cli._parse_grid("0:0.5:2e-5")
+        assert len(grid) == 25001
+        assert grid[-1] == pytest.approx(0.5)
+
     @pytest.mark.parametrize("cases", ["0.0,abc", "-0.1", "nan", "1.5"])
     def test_bad_fig2_cases_exit_nonzero(self, cases):
         with pytest.raises(SystemExit) as exc:

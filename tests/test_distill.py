@@ -26,6 +26,7 @@ from oracles import (
     enumerate_majority_error,
     enumerate_pair_rejection,
     enumerate_parity_bit_error,
+    fresh_interpreter,
 )
 
 # Symmetric-channel feasibility boundary of unbounded pair rejection plus
@@ -150,6 +151,17 @@ class TestPStep:
         assert majority_phase_error(0.0, 5) == 0.0
         assert majority_phase_error(1.0, 5) == 1.0
         assert majority_phase_error(0.5, 7) == pytest.approx(0.5, abs=1e-12)
+
+    def test_majority_error_does_not_depend_on_earlier_calls(self):
+        # A log-factorial table kept between calls and grown piece by piece
+        # sums in another order, which shows in the last bits.
+        head = "from asymqkd.distill import majority_phase_error as f\n"
+        values = "print([repr(f(p, k)) for p in (0.1, 0.3, 0.45)])\n"
+        after_smaller_k = fresh_interpreter(
+            head + "f(0.3, 3)\nf(0.3, 11)\n" + "".join(
+                f"k = {k}\n{values}" for k in (5, 11, 101)))
+        alone = "".join(fresh_interpreter(f"{head}k = {k}\n{values}") for k in (5, 11, 101))
+        assert after_smaller_k == alone
 
     def test_parity_error_spot_value(self):
         # 1 - (1 - 2*0.01)^3 all over 2

@@ -18,7 +18,13 @@ from asymqkd.sim import (
     eve_matched_basis_probe,
     run_protocol,
 )
-from oracles import arrival_order_report, one_shot_sifted, permuted_role_counts, whole_transmit
+from oracles import (
+    arrival_order_report,
+    fresh_interpreter,
+    one_shot_sifted,
+    permuted_role_counts,
+    whole_transmit,
+)
 
 NOISELESS = PauliRates(1.0, 0.0, 0.0, 0.0)
 DEPOLARIZING = PauliRates(0.85, 0.05, 0.05, 0.05)
@@ -93,6 +99,21 @@ class TestDeterminism:
         b = run_protocol(DEPOLARIZING, params, seed=5)
         assert a.to_text() == b.to_text()
         assert a.to_csv() == b.to_csv()
+
+    def test_report_does_not_depend_on_earlier_runs(self):
+        # The parity rows' analytic phase error goes through
+        # majority_phase_error, which must keep no state between runs.
+        head = (
+            "from asymqkd.channel import PauliRates\n"
+            "from asymqkd.sim import ProtocolParams, run_protocol\n"
+            "rates = PauliRates.from_error_rates(0.10, 0.03, 0.02)\n"
+            "def run(k):\n"
+            "    params = ProtocolParams(n=20000, p_group=k, abort_sigma=1000)\n"
+            "    return run_protocol(rates, params, seed=4).to_text()\n"
+        )
+        alone = fresh_interpreter(head + "print(run(9))\n")
+        after_k3 = fresh_interpreter(head + "run(3)\nprint(run(9))\n")
+        assert after_k3 == alone
 
     def test_different_seed_differs(self):
         params = ProtocolParams(n=2000)

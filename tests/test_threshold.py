@@ -72,12 +72,6 @@ class TestChannelFamily:
         assert rates.q_y == pytest.approx(rates.q_x * 0.5)
         assert rates.q_x == pytest.approx(rates.q_z)
 
-    def test_y_ratio_roundtrip(self):
-        assert ChannelFamily.from_y_ratio(0.3).y_ratio == pytest.approx(0.3)
-
-    def test_y_ratio_undefined_without_x_noise(self):
-        assert math.isnan(ChannelFamily((0.0, 1.0, 0.0)).y_ratio)
-
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             ChannelFamily((0.0, 0.0, 0.0))
