@@ -39,6 +39,9 @@ ARGVS = [
     _simulate("--n", "70001", "--seed", "3", "--eve", "ZX"),
     _simulate("--n", "70001", "--seed", "3", "--eve", "XY"),
     _simulate("--n", "70001", "--seed", "3", "--eve", "Z,X,Y"),
+    # Repeated attack bases add their weights: ZZ prints what Z does, bar the eve line.
+    _simulate("--n", "70001", "--seed", "3", "--eve", "Z"),
+    _simulate("--n", "70001", "--seed", "3", "--eve", "ZZ"),
     _simulate("--n", "5000", "--seed", "21", "--eve", "match-prep"),
     _simulate("--n", "300000", "--seed", "9", "--eve", "ZXY", "--abort-sigma", "1000"),
     _simulate("--n", "20000", "--seed", "4", "--b-rounds", "0"),
@@ -48,11 +51,11 @@ ARGVS = [
     _simulate("--n", "20000", "--seed", "4", "--p-group", "9", "--abort-sigma", "1000"),
     # One argv per abort reason, in the order run_protocol checks them.
     _simulate("--n", "1000", "--delta", "0.001", "--seed", "1", channel=_NOISELESS),
-    _simulate("--n", "1000", "--delta", "0.01", "--seed", "5", channel=_NOISELESS),
+    _simulate("--n", "1000", "--delta", "0.01", "--seed", "2", channel=_NOISELESS),
     _simulate("--n", "1000", "--delta", "0.5", "--seed", "0", channel=_NOISELESS),
     _simulate("--n", "20000", "--seed", "22", "--eve", "ZX"),
     _simulate("--n", "1000", "--b-rounds", "1000000000"),
-    _simulate("--n", "6", "--seed", "2", "--abort-sigma", "1000",
+    _simulate("--n", "6", "--seed", "3", "--abort-sigma", "1000",
               channel=["--qx", "0.2", "--qy", "0", "--qz", "0.2"]),
     _simulate("--n", "1000", "--p-group", "100000001"),
     # The analytic subcommands.

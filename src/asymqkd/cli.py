@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--delta", type=float, default=2.0)
     p_sim.add_argument("--b-rounds", type=int, default=2)
     p_sim.add_argument("--p-group", type=int, default=3)
-    p_sim.add_argument("--target", type=float, default=SearchParams.target)
+    p_sim.add_argument("--target", type=float, default=0.05)
     p_sim.add_argument("--abort-sigma", type=float, default=3.0)
     p_sim.add_argument("--eve", type=_parse_eve, default=None,
                        help="'none', 'match-prep', or bases e.g. ZX or Z,X,Y")

@@ -15,39 +15,55 @@ Phase-flip flags of the key bits are book-kept in the Y frame alongside
 the bit flags: rejection XORs the pair's phase flags onto the survivor,
 the parity step majority-decodes them.  A bit re-prepared by an
 eavesdropper in a foreign basis carries no Y-frame phase correlation, so
-its phase flag is scrambled uniformly.
+its phase flag is uniform.
 
 Roles are taken in arrival order.  The key is the first n Y-basis sifted
 qubits; the Y checks are the next ones after the key, and the Z and X
 checks the first ones of their basis, in the ``check_split`` counts.
 Rejection round r pairs adjacent survivors (0, 1), (2, 3), ... and drops
-an odd last bit; the parity step groups adjacent k.  Random picks would
-add nothing: each sifted qubit's (basis, bit flag, phase flag) is
-independent of every other qubit's, with or without the attacker, who
-acts on each qubit alone.  Given the basis sequence, the flags of the
-qubits of one basis are therefore i.i.d., so a rule that looks only at
-the basis sequence gives flags with the same joint law as random picks,
-and pairing or grouping i.i.d. bits in arrival order is distributed like
-doing it after a random permutation.
+an odd last bit; the parity step groups adjacent k.
 
-Randomness: one ``numpy`` PCG64 generator per named stream, spawned from
-``SeedSequence(seed)`` in the fixed order of ``_STREAMS``: source bits,
-source bases, attacker bases, attacker bits, channel Paulis, Bob's bases,
-Bob's scramble and the phase scramble.  Within a stream, the i-th
-transmitted qubit consumes the i-th variate.  The transmit stage draws
-its streams in chunks of ``_CHUNK`` qubits, and a split of the
-transmitted qubits at any multiple of 4 gives the same draws as one pass
-over all of them.  Every later stage folds each chunk's sifted qubits
-(basis, bit-error flag and Y-frame phase flag) into running counts, with
-a carry of at most one bit per rejection round and of the flag sums of
-one open group for the parity step, so memory is constant in n: about
-37 MB maxrss for ``simulate`` at n = 10^6, 10^7 and 10^8, and n = 10^8
-(8·10^8 qubits) runs in about 20 s, about 40M qubits/s (2-vCPU Xeon VM,
-Linux, Python 3.11, numpy 2.4).  Streams that cannot reach a sifted qubit are
-never drawn: the attacker's resent bits always, and the source bits, the
-attacker's bases and both scrambles when nothing is re-prepared (no
-attacker, or the match-prep probe).  Identical (channel, params, seed,
-eve) inputs reproduce the report exactly.
+The run draws counts, not qubits.  Each transmitted qubit draws its
+source basis, Bob's basis, its channel Pauli and the attacker's basis on
+its own, so its (sifted basis, bit flag, phase flag) is i.i.d. across
+qubits, with or without the attacker.  Hence:
+
+* the numbers of qubits sifted in Z, X and Y, and of unsifted ones, are
+  Multinomial(n_total, (s_b * beta_b)_b, rest), with s_b the source
+  weights and beta_b Bob's;
+* given the basis sequence, the flags of the qubits of one basis are
+  i.i.d. with that basis's law, and every role is picked by the basis
+  sequence alone, so each check's error count is Binomial(want_b, p_b),
+  with p_b the bit-flag probability of basis b, independent of the other
+  checks and of the key;
+* the key is n i.i.d. (bit, phase) draws from the Y law, and pairing or
+  grouping i.i.d. draws in arrival order is distributed like doing it
+  after a random permutation.
+
+The (bit, phase) law of basis b is the channel's, permuted into the
+basis by ``_BIT_FLAG``/``_PHASE_FLAG`` (derived from ``conjugate``),
+mixed with the attacker's.  With probability w_b, the total attack weight
+on b, she measures in Alice's basis and resends faithfully, which is the
+same as no attack; otherwise she re-prepares the qubit in a foreign
+basis, and Bob's bit and the phase flag are uniform and independent.  No
+attacker and the match-prep probe both mean w_b = 1.  The per-qubit
+simulator that draws every transmitted qubit is kept as
+``tests/oracles.py::per_qubit_report``; the two are compared in
+distribution over seeds.
+
+Randomness: three ``numpy`` PCG64 generators spawned from
+``SeedSequence(seed)`` in the order of ``_STREAMS``: the sifted counts
+(one multinomial draw), the check errors (one binomial draw per basis,
+made only after the pool-size aborts pass) and the key flags (one uniform
+per key bit, drawn in blocks of ``_CHUNK``).  ``random()`` draws split
+anywhere reproduce one pass, so the report does not depend on the block
+size.  The rejection rounds and the parity step fold each block into
+running counts, with a carry of at most one bit per round and of the flag
+sums of one open group for the parity step, so memory is constant in n.
+``simulate`` takes about 0.012 s at n = 10^6 and 0.7 s at n = 10^8, at
+about 37 MB maxrss either way (2-vCPU Xeon VM, Linux, Python 3.11,
+numpy 2.4).  Identical (channel, params, seed, eve) inputs
+reproduce the report exactly.
 
 Aborts (too few sifted bits, short check pools, failed error test, key
 exhaustion) are outcomes, not errors: the report carries the abort reason
@@ -59,30 +75,18 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .channel import Basis, PauliRates, _check_weights, conjugate, flip_rates
-from .distill import PStepParams, SearchParams, b_step, p_step
+from .distill import PStepParams, b_step, p_step
 from .keyrates import binary_entropy
 
 _BASIS_ORDER = (Basis.Z, Basis.X, Basis.Y)
 _BASIS_CODE = {basis: code for code, basis in enumerate(_BASIS_ORDER)}
-_STREAMS = (
-    "alice_bits",
-    "alice_bases",
-    "eve_bases",
-    "eve_bits",
-    "channel_paulis",
-    "bob_bases",
-    "bob_scramble",
-    "phase_scramble",
-)
-# Qubits per transmit chunk.  A multiple of 4: ``Generator.integers(0, 2,
-# dtype=np.uint8)`` takes 4 draws from each 32-bit word and drops the rest
-# of a word when a call ends, so only splits at multiples of 4 reproduce a
-# one-shot draw; ``random()`` draws split anywhere.
+_STREAMS = ("counts", "checks", "key")
+# Key bits drawn per block.
 _CHUNK = 1 << 16
 
 
@@ -118,7 +122,7 @@ class ProtocolParams:
     bob_probs: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
     b_rounds: int = 2
     p_group: int = 3
-    target: float = SearchParams.target
+    target: float = 0.05
     abort_sigma: float = 3.0
     abort_ceiling: float = 0.45
     # Z/X/Y composition of the n check bits.  The default matches what a
@@ -142,7 +146,8 @@ class ProtocolParams:
         if self.b_rounds < 0:
             raise ValueError(f"b_rounds must be >= 0, got {self.b_rounds}")
         PStepParams(self.p_group)
-        SearchParams(target=self.target)
+        if not 0.0 < self.target < 0.5:  # also rejects nan
+            raise ValueError(f"target={self.target!r} outside (0, 0.5)")
         if not 0.0 < self.abort_sigma < math.inf:
             raise ValueError(f"abort_sigma must be positive and finite, got {self.abort_sigma}")
         if not 0.0 < self.abort_ceiling < 1.0:
@@ -345,20 +350,6 @@ def compare_analytic(report: SimReport, z_limit: float = 3.0) -> ComparisonVerdi
     return ComparisonVerdict(rows=tuple(rows), z_limit=z_limit)
 
 
-def _sample_categorical(rng: np.random.Generator, probs, size: int) -> np.ndarray:
-    """Category of each uniform draw u: the number of inner cdf edges <= u.
-
-    The same index as ``np.searchsorted(cdf, u, side="right")`` (the last
-    edge is pinned to 1 > u), counted by one comparison per category.
-    """
-    cdf = np.cumsum(np.asarray(probs, dtype=float))
-    u = rng.random(size)
-    picks = np.zeros(size, dtype=np.uint8)
-    for edge in cdf[:-1]:
-        picks += u >= edge
-    return picks
-
-
 def _rate_row(stage: str, quantity: str, count: int, empirical: float, analytic: float) -> ComparisonRow:
     std = math.sqrt(analytic * (1.0 - analytic) / count) if count > 0 else 0.0
     return ComparisonRow(stage, quantity, count, empirical, analytic, std)
@@ -377,57 +368,37 @@ def _open_streams(seed: int) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(child) for name, child in zip(_STREAMS, children)}
 
 
-def _transmit(
-    channel: PauliRates,
-    params: ProtocolParams,
-    n_total: int,
-    rng: dict[str, np.random.Generator],
-    eve: Optional[EveModel],
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Send ``n_total`` qubits in chunks of ``_CHUNK`` and yield the sifted ones.
+def _flag_laws(channel: PauliRates, eve: Optional[EveModel]) -> np.ndarray:
+    """(bit flag, phase flag) law of a sifted qubit, one row per basis, column 2 * bit + phase.
 
-    Yields, per chunk, the basis code, bit-error flag (Bob's bit XOR
-    Alice's) and phase flag of each sifted qubit, in transmission order.  A
-    sifted qubit's flags are those of its channel Pauli in its basis, unless
-    the attacker re-prepared it in a foreign basis: Bob then reads a uniform
-    bit and the phase correlation is lost.  A faithfully resent qubit
-    (attacker in Alice's basis, and every ``match_prep`` qubit) is the same
-    as an untouched one, and the attacker's resent bit never reaches a
-    sifted qubit, since Bob measures it in another basis.
+    The channel's law, permuted into each basis by the flag tables, with
+    probability w_b, the total attack weight on basis b (repeated attack
+    bases add up); otherwise the attacker re-prepared the qubit in a
+    foreign basis and both flags are uniform.  ``w_b = 1`` with no
+    attacker and for the ``match_prep`` probe.
     """
-    attack = eve is not None and not eve.match_prep
-    if attack:
-        eve_codes = np.array([_BASIS_CODE[b] for b in eve.bases], dtype=np.uint8)
-    for start in range(0, n_total, _CHUNK):
-        size = min(_CHUNK, n_total - start)
-        alice = _sample_categorical(rng["alice_bases"], params.source_probs, size)
-        paulis = _sample_categorical(rng["channel_paulis"], channel.as_tuple(), size)
-        bob = _sample_categorical(rng["bob_bases"], params.bob_probs, size)
-        # flatnonzero + take: a boolean-mask copy is ~4x slower on scattered uint8 masks this size.
-        sifted = np.flatnonzero(bob == alice)
-        basis = alice.take(sifted)
-        code = basis * 4 + paulis.take(sifted)
-        error = _BIT_FLAG.take(code)
-        phase = _PHASE_FLAG.take(code)
-        if attack:
-            eve_basis = eve_codes.take(_sample_categorical(rng["eve_bases"], eve.weights, size))
-            rebased = np.flatnonzero(eve_basis.take(sifted) != basis)
-            at = sifted.take(rebased)
-            alice_bits = rng["alice_bits"].integers(0, 2, size, dtype=np.uint8)
-            scramble = rng["bob_scramble"].integers(0, 2, size, dtype=np.uint8)
-            phase_noise = rng["phase_scramble"].integers(0, 2, size, dtype=np.uint8)
-            error[rebased] = scramble.take(at) ^ alice_bits.take(at)
-            phase[rebased] = phase_noise.take(at)
-        yield basis, error, phase
+    faithful = np.ones(3)
+    if eve is not None and not eve.match_prep:
+        faithful = np.zeros(3)
+        for basis, weight in zip(eve.bases, eve.weights):
+            faithful[_BASIS_CODE[basis]] += weight
+    channel_law = np.empty((3, 4))
+    channel_law[np.arange(3)[:, None], 2 * _BIT_FLAG + _PHASE_FLAG] = channel.as_tuple()
+    return faithful[:, None] * channel_law + (1.0 - faithful[:, None]) * 0.25
 
 
-def _window(seen: int, size: int, lo: int, hi: int) -> slice:
-    """The part of a chunk that falls in positions [lo, hi) of its stream.
+def _key_flags(rng: np.random.Generator, law: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bit, phase) flags of ``size`` i.i.d. draws from ``law`` (column 2 * bit + phase).
 
-    ``seen`` is the stream position of the chunk's first element and
-    ``size`` its length; the slice is empty when they do not overlap.
+    The category of a uniform u is the number of inner cdf edges <= u, as
+    ``np.searchsorted(cdf, u, side="right")`` counts it: the bit is
+    category >= 2 and the phase the category's parity.
     """
-    return slice(min(max(lo - seen, 0), size), min(max(hi - seen, 0), size))
+    edges = np.cumsum(law)[:-1]
+    u = rng.random(size)
+    bit = u >= edges[1]
+    phase = (u >= edges[0]) ^ bit ^ (u >= edges[2])
+    return bit.view(np.uint8), phase.view(np.uint8)
 
 
 class _Rejection:
@@ -511,7 +482,7 @@ def run_protocol(
     Args:
         channel: Pauli error distribution of the quantum channel.
         params: transmission sizes, basis weights and post-processing knobs.
-        seed: root seed of the random streams, all drawn by the transmit stage.
+        seed: root seed of the three random streams: counts, checks and key.
         eve: optional intercept-resend attacker applied before the channel.
 
     Returns:
@@ -521,41 +492,14 @@ def run_protocol(
     n_total = int(math.ceil((6.0 + params.delta) * n))
     want = _split_counts(n, params.check_split)
     check_lo = (0, 0, n)  # the key is Y positions [0, n) and the Y checks follow it
-    n_sifted = 0
-    sifted = [0, 0, 0]
-    check_errors = [0, 0, 0]
-    key_bit_errors = key_phase_errors = 0
-    rounds: list[_Rejection] = []  # created as bits first reach them
-    parity = _Parity(params.p_group)
+    rng = _open_streams(seed)
+    laws = _flag_laws(channel, eve)
+    sift_probs = [s * b for s, b in zip(params.source_probs, params.bob_probs)]
+    p_sift = sum(sift_probs)
+    counts = rng["counts"].multinomial(n_total, [*sift_probs, 1.0 - p_sift])
+    sifted = tuple(int(count) for count in counts[:3])
+    n_sifted = sum(sifted)
 
-    for basis, error, phase in _transmit(channel, params, n_total, _open_streams(seed), eve):
-        n_sifted += basis.size
-        for code in range(3):
-            seen = sifted[code]
-            if seen >= check_lo[code] + want[code]:  # past the key and the checks
-                sifted[code] += int(np.count_nonzero(basis == code))
-                continue
-            of_basis = np.flatnonzero(basis == code)
-            size = of_basis.size
-            sifted[code] += size
-            check = of_basis[_window(seen, size, check_lo[code], check_lo[code] + want[code])]
-            check_errors[code] += int(np.count_nonzero(error.take(check)))
-            key = of_basis[_window(seen, size, 0, check_lo[code])]
-            if key.size == 0:
-                continue
-            bits, phases = error.take(key), phase.take(key)
-            key_bit_errors += int(np.count_nonzero(bits))
-            key_phase_errors += int(np.count_nonzero(phases))
-            depth = 0
-            while bits.size and depth < params.b_rounds:
-                if depth == len(rounds):
-                    rounds.append(_Rejection())
-                bits, phases = rounds[depth].feed(bits, phases)
-                depth += 1
-            if depth == params.b_rounds:
-                parity.feed(bits, phases)
-
-    p_sift = sum(s * b for s, b in zip(params.source_probs, params.bob_probs))
     rows = [_rate_row("sift", "sifted_fraction", n_total, n_sifted / n_total, p_sift)]
     stage_counts = [StageCount("sift", n_total, n_sifted, n_total - n_sifted)]
 
@@ -567,7 +511,7 @@ def run_protocol(
             eve=eve.describe() if eve is not None else "none",
             n_transmitted=n_total,
             n_sifted=n_sifted,
-            sifted_by_basis=tuple(sifted),
+            sifted_by_basis=sifted,
             aborted=abort_reason is not None,
             abort_reason=abort_reason,
             rows=tuple(rows),
@@ -586,13 +530,14 @@ def run_protocol(
             return finish(f"insufficient {basis_name}-basis check bits ({pool} < {want[code]})", {})
     stage_counts.append(StageCount("roles", n_sifted, 2 * n, n_sifted - 2 * n))
 
+    check_errors = rng["checks"].binomial(want, laws[:, 2] + laws[:, 3])
     abort_reason = None
     for code in range(3):
         if want[code] == 0:
             continue
         basis = _BASIS_ORDER[code]
         expected = flip_rates(conjugate(channel, basis)).p_x
-        observed = check_errors[code] / want[code]
+        observed = int(check_errors[code]) / want[code]
         row = _rate_row(f"check:{basis.value}", "bit_error", want[code], observed, expected)
         rows.append(row)
         excess = observed - expected
@@ -604,6 +549,22 @@ def run_protocol(
             )
     if abort_reason is not None:
         return finish(abort_reason, {})
+
+    key_bit_errors = key_phase_errors = 0
+    rounds: list[_Rejection] = []  # created as bits first reach them
+    parity = _Parity(params.p_group)
+    for start in range(0, n, _CHUNK):
+        bits, phases = _key_flags(rng["key"], laws[2], min(_CHUNK, n - start))
+        key_bit_errors += int(np.count_nonzero(bits))
+        key_phase_errors += int(np.count_nonzero(phases))
+        depth = 0
+        while bits.size and depth < params.b_rounds:
+            if depth == len(rounds):
+                rounds.append(_Rejection())
+            bits, phases = rounds[depth].feed(bits, phases)
+            depth += 1
+        if depth == params.b_rounds:
+            parity.feed(bits, phases)
 
     rates_now = conjugate(channel, Basis.Y)
     f_now = flip_rates(rates_now)

@@ -15,22 +15,30 @@ the search as it ran before the shape of a ray was known, a 50-point
 audit grid read for monotonicity and its flip cell bisected.  Where the
 audit sees one flip, the two must agree bit for bit.
 
-``one_shot_sifted`` is likewise the reference for the simulator's chunked
-transmit stage: the stage as it ran before it streamed, with every
-per-qubit array at full length.  It restates the stream names and their
-spawn order and samples with ``searchsorted``; the per-basis flag tables
-come from the package, which ``TestFrameTables`` pins by hand.
+``per_qubit_report`` is the reference for the simulator as a whole:
+``run_protocol`` as it ran before it drew counts, kept verbatim.  Its
+transmit stage (``per_qubit_transmit``) draws every transmitted qubit from
+eight streams of its own, in chunks: source bits and bases, attacker
+bases and bits, channel Paulis, Bob's bases and two scrambles.  It sifts,
+flags each sifted qubit through the package's flag tables, and scrambles
+the bit and phase of each qubit the attacker re-prepared in a foreign
+basis.  The stages after transmission join the sifted qubits of all
+chunks into whole arrays (``whole_transmit``) and slice every role out of
+them in arrival order.  The package draws counts instead, so the two give
+different bits for a seed and are compared in distribution; the per-qubit
+path, which looks up each qubit's Pauli in the flag tables and applies
+each attack on its own, is what checks the package's per-basis law.
 
-``arrival_order_report`` is the reference for the simulator's running
-counts: ``run_protocol`` as it ran before every stage streamed, with the
-sifted qubits of all chunks joined into whole arrays (``whole_transmit``)
-and each role sliced out of them.  Its reports must match byte for byte.
+``one_shot_sifted`` is the reference for the chunked per-qubit transmit
+stage: the stage with every per-qubit array at full length, sampled with
+``searchsorted``.  The per-basis flag tables come from the package, which
+``TestFrameTables`` pins by hand.
 
-``permuted_role_counts`` is the reference for the simulator's stages after
-sifting: the rule it followed before it took roles in arrival order, with
-the key, the checks, the rejection pairs and the parity groups all drawn
-by random permutations from three streams of their own.  The two rules
-give different bits for a seed, so they are compared in distribution.
+``permuted_role_counts`` is the reference for the roles after sifting:
+the rule the simulator followed before it took roles in arrival order,
+with the key, the checks, the rejection pairs and the parity groups all
+drawn by random permutations from three streams of their own.  It too is
+compared in distribution.
 
 ``fresh_interpreter`` is the reference for results that must not depend
 on what the process computed before: the stdout of a snippet run in a new
@@ -58,10 +66,8 @@ from asymqkd.sim import (
     ComparisonRow,
     SimReport,
     StageCount,
-    _open_streams,
     _rate_row,
     _split_counts,
-    _transmit,
 )
 from asymqkd.threshold import is_distillable
 
@@ -246,16 +252,81 @@ def one_shot_sifted(channel, params, seed, eve):
     return alice_basis[sifted], (meas_bit ^ alice_bits)[sifted], phase_flag[sifted]
 
 
+# Qubits per per-qubit transmit chunk.  A multiple of 4: ``Generator.integers(0, 2,
+# dtype=np.uint8)`` takes 4 draws from each 32-bit word and drops the rest
+# of a word when a call ends, so only splits at multiples of 4 reproduce a
+# one-shot draw; ``random()`` draws split anywhere.
+TRANSMIT_CHUNK = 1 << 16
+
+
+def open_transmit_streams(seed):
+    """The eight per-qubit transmit streams, the first eight of ``_SIM_STREAMS``."""
+    children = np.random.SeedSequence(seed).spawn(8)
+    return {name: np.random.default_rng(child) for name, child in zip(_SIM_STREAMS, children)}
+
+
+def sample_categorical(rng, probs, size):
+    """Category of each uniform draw u: the number of inner cdf edges <= u.
+
+    The same index as ``np.searchsorted(cdf, u, side="right")`` (the last
+    edge is pinned to 1 > u), counted by one comparison per category.
+    """
+    cdf = np.cumsum(np.asarray(probs, dtype=float))
+    u = rng.random(size)
+    picks = np.zeros(size, dtype=np.uint8)
+    for edge in cdf[:-1]:
+        picks += u >= edge
+    return picks
+
+
+def per_qubit_transmit(channel, params, n_total, rng, eve):
+    """Send ``n_total`` qubits in chunks of ``TRANSMIT_CHUNK`` and yield the sifted ones.
+
+    Yields, per chunk, the basis code, bit-error flag (Bob's bit XOR
+    Alice's) and phase flag of each sifted qubit, in transmission order.  A
+    sifted qubit's flags are those of its channel Pauli in its basis, unless
+    the attacker re-prepared it in a foreign basis: Bob then reads a uniform
+    bit and the phase correlation is lost.  A faithfully resent qubit
+    (attacker in Alice's basis, and every ``match_prep`` qubit) is the same
+    as an untouched one, and the attacker's resent bit never reaches a
+    sifted qubit, since Bob measures it in another basis.
+    """
+    attack = eve is not None and not eve.match_prep
+    if attack:
+        eve_codes = np.array([_SIM_BASIS_CODE[b] for b in eve.bases], dtype=np.uint8)
+    for start in range(0, n_total, TRANSMIT_CHUNK):
+        size = min(TRANSMIT_CHUNK, n_total - start)
+        alice = sample_categorical(rng["alice_bases"], params.source_probs, size)
+        paulis = sample_categorical(rng["channel_paulis"], channel.as_tuple(), size)
+        bob = sample_categorical(rng["bob_bases"], params.bob_probs, size)
+        # flatnonzero + take: a boolean-mask copy is ~4x slower on scattered uint8 masks this size.
+        sifted = np.flatnonzero(bob == alice)
+        basis = alice.take(sifted)
+        code = basis * 4 + paulis.take(sifted)
+        error = _BIT_FLAG.take(code)
+        phase = _PHASE_FLAG.take(code)
+        if attack:
+            eve_basis = eve_codes.take(sample_categorical(rng["eve_bases"], eve.weights, size))
+            rebased = np.flatnonzero(eve_basis.take(sifted) != basis)
+            at = sifted.take(rebased)
+            alice_bits = rng["alice_bits"].integers(0, 2, size, dtype=np.uint8)
+            scramble = rng["bob_scramble"].integers(0, 2, size, dtype=np.uint8)
+            phase_noise = rng["phase_scramble"].integers(0, 2, size, dtype=np.uint8)
+            error[rebased] = scramble.take(at) ^ alice_bits.take(at)
+            phase[rebased] = phase_noise.take(at)
+        yield basis, error, phase
+
+
 def whole_transmit(channel, params, n_total, rng, eve):
-    """The package's transmit stage with its chunks joined: (basis, error, phase) arrays."""
-    chunks = list(_transmit(channel, params, n_total, rng, eve))
+    """The per-qubit transmit stage with its chunks joined: (basis, error, phase) arrays."""
+    chunks = list(per_qubit_transmit(channel, params, n_total, rng, eve))
     return tuple(np.concatenate(column) for column in zip(*chunks))
 
 
 def permuted_role_counts(channel, params, seed):
     """Error counts of every stage after sifting, with every role drawn at random.
 
-    Sifts with the package's transmit stage, without an attacker, fed by
+    Sifts with the per-qubit transmit stage, without an attacker, fed by
     the first eight of the eleven streams above, then picks the key and the checks with the
     ``selection`` stream, pairs each rejection round with the ``pairing``
     stream and groups the parity step with the ``grouping`` stream.  Abort
@@ -310,17 +381,17 @@ def permuted_role_counts(channel, params, seed):
     return counts
 
 
-def arrival_order_report(channel, params, seed, eve=None):
-    """``run_protocol`` with every sifted qubit held in memory at once.
+def per_qubit_report(channel, params, seed, eve=None):
+    """``run_protocol`` drawing every transmitted qubit, with every sifted qubit in memory.
 
-    The stages after transmission as they ran before they streamed: the
-    sifted qubits joined into whole arrays, then masked per basis, with the
-    key, the checks, every rejection round and the parity step sliced out
-    of them in arrival order.
+    The per-qubit transmit stage, then the stages after transmission as
+    they ran before they streamed: the sifted qubits joined into whole
+    arrays, then masked per basis, with the key, the checks, every
+    rejection round and the parity step sliced out of them in arrival order.
     """
     n = params.n
     n_total = int(math.ceil((6.0 + params.delta) * n))
-    rng = _open_streams(seed)
+    rng = open_transmit_streams(seed)
     basis, errors, phase_flag = whole_transmit(channel, params, n_total, rng, eve)
     n_sifted = basis.size
     sifted_by_basis = tuple(int(np.count_nonzero(basis == c)) for c in range(3))

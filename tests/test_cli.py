@@ -176,6 +176,18 @@ class TestSimulateCli:
         assert "eve = match-prep-probe" in text
         assert "aborted = false" in text
 
+    def test_repeated_attack_bases_add_their_weights(self, capsys):
+        # ZZ attacks in Z with weights 0.5 and 0.5: the same attacker as Z.
+        lines = {}
+        for bases in ("Z", "ZZ"):
+            assert main(self.ARGS + ["--eve", bases]) == 0
+            lines[bases] = capsys.readouterr().out.splitlines()
+        assert "eve = bases=Z,Z;weights=0.5,0.5" in lines["ZZ"]
+        assert "eve = bases=Z;weights=1.0" in lines["Z"]
+        assert [line for line in lines["ZZ"] if not line.startswith("eve = ")] == [
+            line for line in lines["Z"] if not line.startswith("eve = ")
+        ]
+
 
 class TestBadInput:
     def test_unnormalized_channel_exits_nonzero(self):

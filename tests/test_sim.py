@@ -12,17 +12,19 @@ from asymqkd.sim import (
     _PHASE_FLAG,
     EveModel,
     ProtocolParams,
-    _sample_categorical,
     compare_analytic,
     eve_intercept_resend,
     eve_matched_basis_probe,
     run_protocol,
 )
 from oracles import (
-    arrival_order_report,
+    TRANSMIT_CHUNK,
     fresh_interpreter,
     one_shot_sifted,
+    open_transmit_streams,
+    per_qubit_report,
     permuted_role_counts,
+    sample_categorical,
     whole_transmit,
 )
 
@@ -57,6 +59,24 @@ class TestFrameTables:
             [0, 1, 1, 0],
         ]
 
+    @pytest.mark.parametrize("pauli", range(4))
+    def test_flag_laws_put_each_pauli_on_its_flags(self, pauli):
+        # A faithful share w_b of the basis-b qubits carries the Pauli's
+        # flags; the re-prepared rest has uniform, independent flags.
+        one_hot = [0.0] * 4
+        one_hot[pauli] = 1.0
+        repeated = eve_intercept_resend((Basis.Z, Basis.X, Basis.Z), (0.2, 0.3, 0.5))
+        for eve, faithful in (
+            (None, (1.0, 1.0, 1.0)),
+            (eve_matched_basis_probe(), (1.0, 1.0, 1.0)),
+            (repeated, (0.7, 0.3, 0.0)),
+        ):
+            laws = sim._flag_laws(PauliRates(*one_hot), eve)
+            for code, share in enumerate(faithful):
+                want = np.full(4, (1.0 - share) / 4.0)
+                want[2 * _BIT_FLAG[code, pauli] + _PHASE_FLAG[code, pauli]] += share
+                assert laws[code] == pytest.approx(want, abs=1e-15)
+
 
 class _FixedUniforms:
     """Stands in for a Generator whose ``random`` returns chosen draws."""
@@ -76,6 +96,15 @@ class _FixedUniforms:
     (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
 ])
 def test_categorical_sampling_matches_searchsorted(probs):
+    cdf, u = _edge_uniforms(probs)
+    want = np.searchsorted(cdf, u, side="right").astype(np.uint8)
+    got = sample_categorical(_FixedUniforms(u), probs, u.size)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+
+
+def _edge_uniforms(probs):
+    """The cdf of ``probs`` (last edge pinned to 1) and uniforms on, next to and between its edges."""
     cdf = np.cumsum(np.asarray(probs, dtype=float))
     cdf[-1] = 1.0
     edges = cdf[:-1]
@@ -85,11 +114,23 @@ def test_categorical_sampling_matches_searchsorted(probs):
         [0.0, np.nextafter(1.0, 0.0)],
         np.random.default_rng(3).random(1000),
     ])
-    u = u[u < 1.0]  # Generator.random draws from [0, 1)
-    want = np.searchsorted(cdf, u, side="right").astype(np.uint8)
-    got = _sample_categorical(_FixedUniforms(u), probs, u.size)
-    assert got.dtype == np.uint8
-    assert np.array_equal(got, want)
+    return cdf, u[u < 1.0]  # Generator.random draws from [0, 1)
+
+
+@pytest.mark.parametrize("law", [
+    (0.85, 0.05, 0.07, 0.03),
+    (0.0, 0.3, 0.0, 0.7),        # zero-weight categories, first and inner
+    (0.5, 0.5, 0.0, 0.0),        # cumulative sum reaches 1 before the last entry
+    (1.0, 0.0, 0.0, 0.0),        # a noiseless channel
+])
+def test_key_flags_split_the_searchsorted_category(law):
+    # Category 2 * bit + phase, as the columns of sim._flag_laws.
+    cdf, u = _edge_uniforms(law)
+    category = np.searchsorted(cdf, u, side="right")
+    bit, phase = sim._key_flags(_FixedUniforms(u), np.array(law), u.size)
+    assert bit.dtype == phase.dtype == np.uint8
+    assert np.array_equal(bit, category // 2)
+    assert np.array_equal(phase, category % 2)
 
 
 class TestDeterminism:
@@ -207,7 +248,7 @@ class TestConservation:
 
 
 class TestStreamingTransmit:
-    """The chunked transmit stage against the one-shot oracle, and its invariants."""
+    """The per-qubit transmit stage against its one-shot form, and chunked key draws."""
 
     ATTACKS = {
         "none": None,
@@ -228,40 +269,36 @@ class TestStreamingTransmit:
     def test_matches_the_one_shot_oracle(self, attack):
         eve, source_probs = self.ORACLE_CASES[attack]
         params = ProtocolParams(n=10_001, source_probs=source_probs)
-        n_total = 8 * 10_001  # one full chunk and a ragged one at the default size
-        assert sim._CHUNK < n_total < 2 * sim._CHUNK
-        got = whole_transmit(self.CHANNEL, params, n_total, sim._open_streams(7), eve)
+        n_total = 8 * 10_001  # one full chunk and a ragged one
+        assert TRANSMIT_CHUNK < n_total < 2 * TRANSMIT_CHUNK
+        got = whole_transmit(self.CHANNEL, params, n_total, open_transmit_streams(7), eve)
         want = one_shot_sifted(self.CHANNEL, params, 7, eve)
         for got_part, want_part in zip(got, want):
             assert got_part.dtype == np.uint8
             assert np.array_equal(got_part, want_part)
 
-    @pytest.mark.parametrize("chunk", [4, 12, 4096])
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 12, 4096, 4097])
     @pytest.mark.parametrize("attack", ["none", "ZXY-weighted"])
     def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk, attack):
-        # delta = 2.25 sends 16,509 qubits, which no chunk size divides.  The
-        # loose abort rules let the attacked run reach the parity step.
-        params = ProtocolParams(n=2001, delta=2.25, abort_sigma=1e9, abort_ceiling=0.99)
+        # The key's 5,003 bits split into ragged blocks at every size but 1,
+        # multiples of 4 or not.  The loose abort rules let the attacked run
+        # reach the parity step.
+        params = ProtocolParams(n=5003, abort_sigma=1e9, abort_ceiling=0.99)
         eve = self.ATTACKS[attack]
         monkeypatch.setattr(sim, "_CHUNK", 1 << 20)
         whole = run_protocol(self.CHANNEL, params, seed=12, eve=eve)
-        assert whole.n_transmitted == 16_509
         assert not whole.aborted
         monkeypatch.setattr(sim, "_CHUNK", chunk)
         split = run_protocol(self.CHANNEL, params, seed=12, eve=eve)
         assert split.to_text() == whole.to_text()
         assert split.to_csv() == whole.to_csv()
-        # The in-memory oracle slices whole arrays, so it does not see where chunks end.
-        in_memory = arrival_order_report(self.CHANNEL, params, 12, eve)
-        assert split.to_text() == in_memory.to_text()
-        assert split.to_csv() == in_memory.to_csv()
 
     @pytest.mark.parametrize("pauli", range(4))
     def test_errors_follow_the_flag_tables_without_an_attacker(self, pauli):
         one_hot = [0.0] * 4
         one_hot[pauli] = 1.0
         basis, error, phase = whole_transmit(
-            PauliRates(*one_hot), ProtocolParams(n=200), 1600, sim._open_streams(8), None
+            PauliRates(*one_hot), ProtocolParams(n=200), 1600, open_transmit_streams(8), None
         )
         assert set(basis.tolist()) == {0, 1, 2}
         assert np.array_equal(error, _BIT_FLAG[basis, pauli])
@@ -272,10 +309,10 @@ class TestStreamingTransmit:
         # the first Z and X ones.  Rejection pairs (0, 1), (2, 3), ... of the
         # survivors, and the parity step groups adjacent k.
         params = ProtocolParams(n=200, abort_sigma=1e9, abort_ceiling=0.99)
-        report = run_protocol(DEPOLARIZING, params, seed=8)
+        report = per_qubit_report(DEPOLARIZING, params, seed=8)
         assert not report.aborted
         basis, error, phase = whole_transmit(
-            DEPOLARIZING, params, report.n_transmitted, sim._open_streams(8), None
+            DEPOLARIZING, params, report.n_transmitted, open_transmit_streams(8), None
         )
         n = params.n
         want = sim._split_counts(n, params.check_split)
@@ -309,17 +346,14 @@ class TestStreamingTransmit:
 
 
 class TestAgainstTheInMemoryReport:
-    """The one-pass report against ``arrival_order_report``, which holds every sifted qubit."""
+    """Every abort reason, and other distillation settings next to ``per_qubit_report``.
+
+    The two paths draw different bits for a seed, so beside it the
+    count-level report must only have the same rows and the same sizes
+    of the stages whose size is fixed.
+    """
 
     CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
-
-    @staticmethod
-    def _assert_same(channel, params, seed, eve=None):
-        got = run_protocol(channel, params, seed, eve)
-        want = arrival_order_report(channel, params, seed, eve)
-        assert got.to_text() == want.to_text()
-        assert got.to_csv() == want.to_csv()
-        return got
 
     ABORTS = {  # channel, params, seed, attacker, abort reason
         "sifted": (NOISELESS, dict(n=1000, source_probs=(0.5, 0.5, 0.0), bob_probs=(0.0, 0.0, 1.0)),
@@ -335,7 +369,7 @@ class TestAgainstTheInMemoryReport:
                         "check error in basis Z"),
         "rounds-20": (CHANNEL, dict(n=20_000, b_rounds=20), 4, None,
                       "key exhausted before rejection round 14"),
-        "no-survivors": (PauliRates(0.6, 0.2, 0.0, 0.2), dict(n=6, abort_sigma=1000.0), 2, None,
+        "no-survivors": (PauliRates(0.6, 0.2, 0.0, 0.2), dict(n=6, abort_sigma=1000.0), 3, None,
                          "no key bits survived rejection round 2"),
         "parity": (CHANNEL, dict(n=1000, p_group=100_000_001), 0, None,
                    "key exhausted before parity step"),
@@ -344,81 +378,128 @@ class TestAgainstTheInMemoryReport:
     @pytest.mark.parametrize("case", list(ABORTS))
     def test_every_abort_reason(self, case):
         channel, kwargs, seed, eve, reason = self.ABORTS[case]
-        params = ProtocolParams(**kwargs)
-        got = self._assert_same(channel, params, seed, eve)
-        assert got.abort_reason.startswith(reason)
-        # Three uint8 arrays of one length per chunk, also when nothing is
-        # sifted and every gather takes an empty index array.
-        chunks = sim._transmit(channel, params, got.n_transmitted, sim._open_streams(seed), eve)
-        for basis, error, phase in chunks:
-            assert basis.dtype == error.dtype == phase.dtype == np.uint8
-            assert basis.size == error.size == phase.size
+        got = run_protocol(channel, ProtocolParams(**kwargs), seed, eve)
+        assert got.aborted
+        assert got.abort_reason.startswith(reason), got.abort_reason
 
     @pytest.mark.parametrize("kwargs", [dict(b_rounds=0), dict(b_rounds=5), dict(p_group=5)])
     def test_other_distillation_settings(self, kwargs):
-        got = self._assert_same(self.CHANNEL, ProtocolParams(n=20_000, **kwargs), 4)
-        assert not got.aborted
+        params = ProtocolParams(n=20_000, **kwargs)
+        got = run_protocol(self.CHANNEL, params, 4)
+        want = per_qubit_report(self.CHANNEL, params, 4)
+        assert not got.aborted and not want.aborted
+        assert [(r.stage, r.quantity) for r in got.rows] == [(r.stage, r.quantity) for r in want.rows]
+        fixed = ("sift", "check:Z", "check:X", "check:Y", "key:transmit")
+        assert [r.count for r in got.rows if r.stage in fixed] == [
+            r.count for r in want.rows if r.stage in fixed
+        ]
+        assert [sc.stage for sc in got.stage_counts] == [sc.stage for sc in want.stage_counts]
+        assert compare_analytic(got).passed, compare_analytic(got).to_text()
 
 
 def test_peak_allocation_does_not_grow_with_n():
-    # The 2.7 M sifted qubits of this run would take 8 MB as whole arrays.
-    params = ProtocolParams(n=1_000_000, abort_sigma=5.0)
-    tracemalloc.start()
-    try:
-        report = run_protocol(PauliRates(0.85, 0.10, 0.03, 0.02), params, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not report.aborted
-    assert peak < 3e6, peak
+    # The key flags of these runs would take 2 MB and 20 MB as whole arrays.
+    for n in (1_000_000, 10_000_000):
+        params = ProtocolParams(n=n, abort_sigma=5.0)
+        tracemalloc.start()
+        try:
+            report = run_protocol(PauliRates(0.85, 0.10, 0.03, 0.02), params, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.aborted, (n, report.abort_reason)
+        assert peak < 3e6, (n, peak)
+
+
+# Two-sample Kolmogorov-Smirnov test over KS_RUNS runs a side, against
+# the fixed bound of its 0.001 level: c = sqrt(ln(2 / 0.001) / 2) = 1.95,
+# times sqrt(2 / KS_RUNS).  The two sides use disjoint seeds, so the
+# samples are independent as the test assumes; the seed lists are fixed,
+# so the tests are deterministic.
+KS_RUNS = 250
+KS_BOUND = math.sqrt(math.log(2 / 0.001) / 2) * math.sqrt(2 / KS_RUNS)
+
+
+def _row_counts(report):
+    """Flipped bits (or survivors) of every row after the sift row."""
+    counts = {}
+    for r in report.rows[1:]:
+        flipped = r.empirical if r.quantity == "survivors" else r.empirical * r.count
+        counts[(r.stage, r.quantity)] = round(flipped)
+    return counts
+
+
+def _assert_same_distribution(new, old):
+    """Each key of the dicts in ``new`` and ``old`` passes the two-sample KS test."""
+    assert set(new[0]) == set(old[0])
+    for key in new[0]:
+        a = np.sort([c[key] for c in new])
+        b = np.sort([c[key] for c in old])
+        values = np.union1d(a, b)
+        cdf_a = np.searchsorted(a, values, side="right") / a.size
+        cdf_b = np.searchsorted(b, values, side="right") / b.size
+        statistic = float(np.max(np.abs(cdf_a - cdf_b)))
+        assert statistic <= KS_BOUND, (key, statistic, KS_BOUND)
 
 
 class TestArrivalOrderInDistribution:
     """Roles by arrival order against the permutation-drawn rule it replaced.
 
     Per seed the two rules keep different bits, so every count row is
-    compared in distribution: a two-sample Kolmogorov-Smirnov statistic
-    over 250 runs each, against the fixed bound of its 0.001 level
-    (c = sqrt(ln(2 / 0.001) / 2) = 1.95, times sqrt(2 / 250)).  The two
-    paths use disjoint seeds, so the samples are independent as the test
-    assumes; the seed lists are fixed, so the test is deterministic.
+    compared in distribution, 250 runs a side.
     """
 
-    RUNS = 250
-    BOUND = math.sqrt(math.log(2 / 0.001) / 2) * math.sqrt(2 / RUNS)
     CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
     PARAMS = ProtocolParams(n=1000, abort_sigma=1e9, abort_ceiling=0.99)
 
-    @staticmethod
-    def _counts(report):
-        counts = {}
-        for r in report.rows[1:]:  # every row after the sift row
-            flipped = r.empirical if r.quantity == "survivors" else r.empirical * r.count
-            counts[(r.stage, r.quantity)] = round(flipped)
-        return counts
-
-    @staticmethod
-    def _ks_statistic(a, b):
-        a, b = np.sort(a), np.sort(b)
-        values = np.union1d(a, b)
-        cdf_a = np.searchsorted(a, values, side="right") / a.size
-        cdf_b = np.searchsorted(b, values, side="right") / b.size
-        return float(np.max(np.abs(cdf_a - cdf_b)))
-
     def test_every_count_row_matches_the_permuted_rule(self):
         new, old = [], []
-        for seed in range(self.RUNS):
+        for seed in range(KS_RUNS):
             report = run_protocol(self.CHANNEL, self.PARAMS, seed)
             assert not report.aborted, report.abort_reason
-            new.append(self._counts(report))
-            old.append(permuted_role_counts(self.CHANNEL, self.PARAMS, self.RUNS + seed))
-        assert set(new[0]) == set(old[0])
+            new.append(_row_counts(report))
+            old.append(permuted_role_counts(self.CHANNEL, self.PARAMS, KS_RUNS + seed))
         assert len(new[0]) == 13  # 3 checks, key, 2 rounds, parity
-        for key in new[0]:
-            statistic = self._ks_statistic(
-                np.array([c[key] for c in new]), np.array([c[key] for c in old])
-            )
-            assert statistic <= self.BOUND, (key, statistic, self.BOUND)
+        _assert_same_distribution(new, old)
+
+
+class TestCountsInDistribution:
+    """The count-level run against ``per_qubit_report``, for every kind of attacker.
+
+    Per seed the two draw different bits, so the sifted counts and every
+    count row are compared in distribution, 250 runs a side.  This keeps
+    the flag tables and the attack law of the count-level run under the
+    check of the per-qubit transmit stage.
+    """
+
+    CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
+    Y_ONLY = dict(source_probs=(0.0, 0.0, 1.0), check_split=(0.0, 0.0, 1.0))
+    CASES = {  # attacker, further params
+        "none": (None, {}),
+        "match-prep": (eve_matched_basis_probe(), {}),
+        "ZX": (eve_intercept_resend((Basis.Z, Basis.X)), {}),
+        "ZXY-weighted": (eve_intercept_resend((Basis.Z, Basis.X, Basis.Y), (0.2, 0.3, 0.5)), {}),
+        # Y sources only: an attacker in Z re-prepares every sifted qubit,
+        # one in Y none of them.
+        "Y-sources-Z": (eve_intercept_resend((Basis.Z,)), Y_ONLY),
+        "Y-sources-Y": (eve_intercept_resend((Basis.Y,)), Y_ONLY),
+    }
+
+    @staticmethod
+    def _counts(report):
+        assert not report.aborted, report.abort_reason
+        sifted = {f"sifted.{b}": c for b, c in zip("ZXY", report.sifted_by_basis)}
+        return {"n_sifted": report.n_sifted, **sifted, **_row_counts(report)}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_count_matches_the_per_qubit_report(self, case):
+        eve, extra = self.CASES[case]
+        params = ProtocolParams(n=1000, abort_sigma=1e9, abort_ceiling=0.99, **extra)
+        new = [self._counts(run_protocol(self.CHANNEL, params, seed, eve))
+               for seed in range(KS_RUNS)]
+        old = [self._counts(per_qubit_report(self.CHANNEL, params, KS_RUNS + seed, eve))
+               for seed in range(KS_RUNS)]
+        _assert_same_distribution(new, old)
 
 
 class TestEve:
@@ -450,6 +531,17 @@ class TestEve:
             r = row(report, f"check:{basis}", "bit_error")
             sigma = math.sqrt(third * (1.0 - third) / r.count)
             assert abs(r.empirical - third) <= 4.0 * sigma
+
+    def test_repeated_attack_bases_add_their_weights(self):
+        # Loose abort rules take both runs through the key and the parity step.
+        params = ProtocolParams(n=20_000, abort_sigma=1e9, abort_ceiling=0.99)
+        once = run_protocol(DEPOLARIZING, params, seed=24, eve=eve_intercept_resend((Basis.Z,)))
+        twice = run_protocol(
+            DEPOLARIZING, params, seed=24, eve=eve_intercept_resend((Basis.Z, Basis.Z))
+        )
+        assert not once.aborted
+        assert twice.eve == "bases=Z,Z;weights=0.5,0.5"
+        assert dataclasses.replace(twice, eve=once.eve) == once
 
     def test_attack_weights_validation(self):
         with pytest.raises(ValueError):
