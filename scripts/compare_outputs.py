@@ -61,6 +61,7 @@ ARGVS = [
     # The analytic subcommands.
     ["sweep-fig1"],
     ["sweep-fig1", "--grid", "0:3:0.5"],  # rows past ratio 2 carry error notes
+    ["sweep-fig1", "--grid", "0:1:0.001", "--tol", "1e-10"],  # 2,002 thresholds
     ["sweep-fig2"],
     ["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.02"],
     ["rates", "--family-ratio", "0.3", "--scale", "0.2"],
@@ -69,6 +70,7 @@ ARGVS = [
         for variant in ("ybasis", "chau", "single-basis", "sixstate-separate")
         for ratio in ("0", "0.3", "1", "2")
     ),
+    ["threshold", "--variant", "sixstate-separate", "--family-ratio", "1.0"],
     # Re-entrant rays: the threshold command reports the error and exits 1.
     ["threshold", "--variant", "ybasis", "--family-ratio", "2.5"],
     ["threshold", "--variant", "ybasis", "--family-ratio", "3998"],

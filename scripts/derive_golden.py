@@ -11,11 +11,13 @@ values are an independent cross-check of the float implementation:
   separate-accounting zero-rate points);
 * crossing points where the one-rejection two-way rate first overtakes
   the one-way rate on the q_x0 = q_z0 family, for each small-q_y0 case;
-* the ends r1 and r2 of the infeasible window of re-entrant Y-basis rays.
+* the ends r1 and r2 of the infeasible window of re-entrant Y-basis rays;
+* the two-way thresholds r1 of ``ybasis`` at ratios 0, 0.3, 1 and 2 and of
+  ``chau``, to 50 digits.
 
 Run ``python scripts/derive_golden.py`` and paste the printed literals
 into the tests when a constant legitimately needs to change.  Values are
-printed to 17 significant digits (full float precision).
+printed to 17 significant digits (full float precision), the two-way r1 to 50.
 """
 
 import mpmath as mp
@@ -189,3 +191,13 @@ for ratio_s in ("2.5", "3998"):
     root = mp.sqrt(a * (8 - 7 * a))
     show(f"ybasis_window_r1[ratio={ratio_s}]", ((2 * b + a) - root) / (2 * (a**2 + b**2)))
     show(f"ybasis_window_r2[ratio={ratio_s}]", ((2 * b + a) + root) / (2 * (a**2 + b**2)))
+
+print()
+print("# two-way thresholds r1 to 50 digits, the smaller root of the same quadratic")
+# ybasis has a = 2/(2 + R) on the ray of ratio R; chau averages every ray
+# to a = 2/3, so its r1 is 3(5 - sqrt(5))/20 at every ratio.
+cases = [(f"ybasis_r1[ratio={r}]", 2 / (2 + mp.mpf(r))) for r in ("0", "0.3", "1", "2")]
+cases.append(("chau_r1", mp.mpf(2) / 3))
+for name, a in cases:
+    b = 2 - a
+    print(f"{name} = {mp.nstr(((2 * b + a) - mp.sqrt(a * (8 - 7 * a))) / (2 * (a**2 + b**2)), 50)}")

@@ -60,9 +60,12 @@ class PauliRates:
         total = self.q_i + self.q_x + self.q_y + self.q_z
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"Pauli rates sum to {total!r}, not 1")
-        clipped = [max(float(c), 0.0) / total for c in comps]
+        # Divided by the sum of what is kept, so a clipped component does
+        # not leave the rest summing to more than 1.
+        clipped = [max(float(c), 0.0) for c in comps]
+        kept = clipped[0] + clipped[1] + clipped[2] + clipped[3]
         for name, value in zip(("q_i", "q_x", "q_y", "q_z"), clipped):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, value / kept)
 
     @classmethod
     def from_error_rates(cls, q_x: float, q_y: float, q_z: float) -> "PauliRates":

@@ -3,7 +3,7 @@
 Five subcommands expose the library as reproducible experiments:
 
 * ``rates``       one-way key rates plus the one-rejection two-way rate
-* ``threshold``   bisected noise threshold for one protocol variant
+* ``threshold``   total-noise threshold of one protocol variant
 * ``sweep-fig1``  Y-basis vs baseline thresholds across channel shapes
 * ``sweep-fig2``  rate-vs-noise curves with two-way crossing points
 * ``simulate``    one seeded Monte Carlo protocol run
@@ -107,7 +107,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _parse_tol(text: str) -> float:
-    """``--tol``: the bisection width, positive and finite."""
+    """``--tol``: positive and finite."""
     try:
         tol = float(text)
     except ValueError:
@@ -213,7 +213,7 @@ def _cmd_threshold(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 def _cmd_sweep_fig1(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _search_params(parser, args)
-    rows = sweep_fig1(args.grid, tol=args.tol)
+    rows = sweep_fig1(args.grid)
     lines = [
         "# schema: asymqkd.sweep_fig1.v1",
         f"# config: grid={args.grid_text} tol={args.tol!r} target={args.target!r}",
@@ -312,14 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[v.value for v in ProtocolVariant])
     p_thr.add_argument("--family-ratio", type=float, required=True, metavar="R",
                        help="channel shape q_y0/q_x0 with q_x0 = q_z0")
-    p_thr.add_argument("--tol", type=_parse_tol, default=1e-4)
+    p_thr.add_argument("--tol", type=_parse_tol, default=1e-4,
+                       help="bisection width of the one-way variants; two-way "
+                       "thresholds are closed-form roots")
     p_thr.add_argument("--target", type=float, default=SearchParams.target, help=_TARGET_HELP)
     p_thr.add_argument("--out")
     p_thr.set_defaults(func=_cmd_threshold)
 
     p_f1 = sub.add_parser("sweep-fig1", help="thresholds across q_y0/q_x0 shapes")
     p_f1.add_argument("--grid", type=str, default="0.0:1.0:0.05", metavar="LO:HI:STEP")
-    p_f1.add_argument("--tol", type=_parse_tol, default=1e-4)
+    p_f1.add_argument("--tol", type=_parse_tol, default=1e-4,
+                      help="no effect (both thresholds are closed-form roots); "
+                      "echoed in the header until its v2 schema")
     p_f1.add_argument("--target", type=float, default=SearchParams.target, help=_TARGET_HELP)
     p_f1.add_argument("--out")
     p_f1.set_defaults(func=_cmd_sweep_fig1)

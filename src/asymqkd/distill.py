@@ -243,9 +243,14 @@ def distillable_in_limit(rates: PauliRates) -> bool:
         s < u   and   s * u < v^2.
 
     This is the m, k -> infinity limit of ``distill_schedule``; it does not
-    depend on the residual-error target.
+    depend on the residual-error target.  The decision is exact on the four
+    floats: each is a dyadic rational, so scaled to their common
+    power-of-two denominator they are integers, and both comparisons run
+    on Python integers, where no tie is broken by round-off.
     """
-    q_i, q_x, q_y, q_z = rates.as_tuple()
+    ratios = [q.as_integer_ratio() for q in rates.as_tuple()]
+    denominator = max(d for _, d in ratios)
+    q_i, q_x, q_y, q_z = (n * (denominator // d) for n, d in ratios)
     s = q_x + q_y
     u = q_i + q_z
     v = q_i - q_z

@@ -143,6 +143,10 @@ class ProtocolParams:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         for name in ("source_probs", "bob_probs", "check_split"):
             _check_weights(name, getattr(self, name), 3)
+        # Each weight vector may sum to 1 within 1e-12; their sifted law may not pass 1.
+        p_sift = sum(s * b for s, b in zip(self.source_probs, self.bob_probs))
+        if p_sift > 1.0:
+            raise ValueError(f"source_probs and bob_probs give a sifted fraction {p_sift!r} above 1")
         if self.b_rounds < 0:
             raise ValueError(f"b_rounds must be >= 0, got {self.b_rounds}")
         PStepParams(self.p_group)

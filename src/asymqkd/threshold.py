@@ -5,18 +5,24 @@ a fixed direction (d_x, d_y, d_z), scaled by the total noise S.  For each
 protocol variant, ``is_distillable`` decides whether a secret key is
 obtainable at one point of the ray.  Every ray is feasible on [0, r1) and
 maybe again on (r2, 1], with r1 <= 1/2 <= r2, so ``threshold_total_noise``
-probes S = 1 to tell a ray with one threshold, which it bisects, from a
-re-entrant one, which it reports as ``NonMonotoneFamilyError``.
+probes S = 1 to tell a ray with one threshold from a re-entrant one, which
+it reports as ``NonMonotoneFamilyError``.
 
-One-way variants are feasible where their key rate is positive.  Two-way
-variants are decided by one authority, the exact unbounded-caps criterion
-``distillable_in_limit`` (Gottesman-Lo pair rejection plus parity in the
-limit m, k -> infinity), so a threshold does not depend on a residual-error
-target or on search caps.  ``witness_schedule`` runs the capped (m, k)
-schedule search on demand, to explain a feasible channel by a concrete
-schedule; it never takes part in a feasibility decision.  Near threshold
-the capped search fails even where the limit criterion holds, because the
-required parity group size grows without bound.
+One-way variants are feasible where their key rate is positive; their
+threshold is bisected to ``tol``.  Two-way variants are decided by one
+authority, the exact unbounded-caps criterion ``distillable_in_limit``
+(Gottesman-Lo pair rejection plus parity in the limit m, k -> infinity),
+so a threshold does not depend on a residual-error target or on search
+caps.  Along a ray that criterion is a quadratic in S, so a two-way
+threshold is its smaller root r1 in closed form, bracketed by the floats
+next to it, each certified by the criterion in integer arithmetic.  The
+criterion judges the channel as built in floats: where a ray only touches
+the boundary (g = 0 at one S), round-off in that channel decides the
+point.  ``witness_schedule`` runs the capped (m, k) schedule search on
+demand, to explain a feasible channel by a concrete schedule; it never
+takes part in a feasibility decision.  Near threshold the capped search
+fails even where the limit criterion holds, because the required parity
+group size grows without bound.
 
 ``sweep_fig1`` tabulates both two-way thresholds across channel shapes;
 ``sweep_fig2`` tabulates the one-way six-state and one-rejection two-way
@@ -147,7 +153,12 @@ class Bracket:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Bisection outcome: feasible at ``bracket.low``, infeasible at ``bracket.high``.
+    """Threshold of a ray: feasible at ``bracket.low``, infeasible at ``bracket.high``.
+
+    For a two-way variant ``threshold`` is the root r1 and the bracket its
+    two neighbouring floats, widened only if round-off puts the flip of the
+    exact criterion a few floats away; for a one-way variant ``threshold``
+    is the midpoint of a bracket bisected to ``tol``.
 
     For a schedule that explains the feasible end, call
     ``witness_schedule(family.rates_at(result.bracket.low), variant)``.
@@ -155,6 +166,13 @@ class ThresholdResult:
 
     threshold: float
     bracket: Bracket
+
+
+def _reentrant(r1: float, r2: float) -> NonMonotoneFamilyError:
+    return NonMonotoneFamilyError(
+        f"feasible below r1={r1!r} and above r2={r2!r} "
+        "but not between: the ray has no single threshold"
+    )
 
 
 def _bisect(
@@ -181,13 +199,47 @@ def _ray_bracket(feasible: Callable[[float], bool], tol: float) -> tuple[float, 
     if feasible(1.0):
         r1 = _bisect(feasible, 0.0, 0.5, tol)
         r2 = _bisect(lambda scale: not feasible(scale), 0.5, 1.0, tol)
-        raise NonMonotoneFamilyError(
-            f"feasible below r1={0.5 * sum(r1)!r} and above r2={0.5 * sum(r2)!r} "
-            "but not between: the ray has no single threshold"
-        )
+        raise _reentrant(0.5 * sum(r1), 0.5 * sum(r2))
     # First i in 1..48 with i/49 infeasible, else 49.
     first = bisect_left(range(49), True, lo=1, key=lambda i: not feasible(i / 49))
     return _bisect(feasible, (first - 1) / 49, first / 49, tol)
+
+
+# Most floats a certified bracket end may lie from r1.
+_CERTIFY_STEPS = 64
+
+
+def _certified_end(feasible: Callable[[float], bool], r1: float, toward: float) -> float:
+    """First float from r1 toward ``toward`` on that side of the flip.
+
+    Below r1 that is the first feasible float, above r1 the first infeasible one.
+    """
+    want = toward < r1
+    end = r1
+    for _ in range(_CERTIFY_STEPS):
+        end = math.nextafter(end, toward)
+        if feasible(end) is want:
+            return end
+    raise ArithmeticError(
+        f"no {'feasible' if want else 'infeasible'} float within {_CERTIFY_STEPS} "
+        f"steps of r1={r1!r}"
+    )
+
+
+def _two_way_threshold(
+    family: ChannelFamily, variant: ProtocolVariant, feasible: Callable[[float], bool]
+) -> ThresholdResult:
+    """Closed-form threshold of a two-way variant; see ``threshold_total_noise``."""
+    effective = _effective(family.rates_at(1.0), variant)
+    a = effective.q_x + effective.q_y
+    b = 2.0 - a
+    # The smaller root of g, written without cancellation.
+    r1 = 2.0 / ((2.0 * b + a) + math.sqrt(a * (8.0 - 7.0 * a)))
+    if distillable_in_limit(effective):  # feasible(1.0), reusing e
+        raise _reentrant(r1, 1.0 / (r1 * (a * a + b * b)))
+    low = _certified_end(feasible, r1, 0.0)
+    high = _certified_end(feasible, r1, 1.0)
+    return ThresholdResult(threshold=r1, bracket=Bracket(low, high))
 
 
 def _check_tol(tol: float) -> None:
@@ -212,9 +264,27 @@ def threshold_total_noise(
 
     So the feasible set on [0, 1] is [0, r1) ∪ (r2, 1], r1 <= 1/2 <= r2 and
     (r2, 1] maybe empty: one threshold exactly when S = 1 is infeasible.
+    A ray feasible at S = 1 raises ``NonMonotoneFamilyError`` naming r1
+    and r2.
+
+    Two-way variants take a from e = ``_effective(rates_at(1), variant)``.
+    The roots of g are r1 = 2 / ((2b + a) + √(a(8 - 7a))) and
+    r2 = 1 / (r1(a² + b²)); the threshold is r1 itself.  Its bracket is
+    the float below r1 and the float above it, each decided by the exact
+    criterion on the channel built at that scale; where round-off in that
+    channel moves the flip, the end steps out one float at a time, and
+    ``ArithmeticError`` is raised after 64 steps.  ``tol`` is validated
+    but unused.  One-way variants find the flip cell of a 1/49 grid and
+    bisect it to width ``tol``; the threshold is the bracket midpoint.
     """
     _check_tol(tol)
-    low, high = _ray_bracket(lambda scale: is_distillable(family.rates_at(scale), variant), tol)
+
+    def feasible(scale: float) -> bool:
+        return is_distillable(family.rates_at(scale), variant)
+
+    if variant in (ProtocolVariant.Y_BASIS_TWO_WAY, ProtocolVariant.CHAU_BASELINE):
+        return _two_way_threshold(family, variant, feasible)
+    low, high = _ray_bracket(feasible, tol)
     return ThresholdResult(threshold=0.5 * (low + high), bracket=Bracket(low, high))
 
 
@@ -229,22 +299,22 @@ class Fig1Row:
     error: Optional[str] = field(default=None)
 
 
-def sweep_fig1(ratios, tol: float = 1e-4) -> list[Fig1Row]:
+def sweep_fig1(ratios) -> list[Fig1Row]:
     """Two-way thresholds along q_x = q_z rays for a grid of q_y/q_x ratios.
 
     ``q_y0_at_threshold`` reports the absolute q_y component of the channel
     at the Y-basis protocol's threshold, which is the natural abscissa when
     plotting threshold against channel asymmetry.  Per-point failures are
     recorded in the row (NaN values plus the error message) and do not stop
-    the sweep; a bad ``tol`` raises ``ValueError`` before any row.
+    the sweep.  Both thresholds are the closed-form roots r1 of
+    ``threshold_total_noise``, so the sweep takes no tolerance.
     """
-    _check_tol(tol)
     rows: list[Fig1Row] = []
     for ratio in ratios:
         try:
             family = ChannelFamily.from_y_ratio(ratio)
-            thr_y = threshold_total_noise(family, ProtocolVariant.Y_BASIS_TWO_WAY, tol)
-            thr_c = threshold_total_noise(family, ProtocolVariant.CHAU_BASELINE, tol)
+            thr_y = threshold_total_noise(family, ProtocolVariant.Y_BASIS_TWO_WAY)
+            thr_c = threshold_total_noise(family, ProtocolVariant.CHAU_BASELINE)
         except (NonMonotoneFamilyError, ValueError) as exc:
             rows.append(Fig1Row(ratio, math.nan, math.nan, math.nan, error=str(exc)))
             continue
@@ -273,8 +343,9 @@ class Fig2Curve:
 def _renormalized(comps: np.ndarray) -> np.ndarray:
     """Array form of ``PauliRates.__post_init__`` on rows (q_i, q_x, q_y, q_z).
 
-    Validates, clips round-off below zero and divides by the sum taken
-    left to right, so each column equals the ``PauliRates`` built from it.
+    Validates, clips round-off below zero and divides by the sum of the
+    clipped rows taken left to right, so each column equals the
+    ``PauliRates`` built from it.
     """
     if np.isnan(comps).any():
         raise ValueError("Pauli rates contain NaN")
@@ -283,7 +354,8 @@ def _renormalized(comps: np.ndarray) -> np.ndarray:
     total = comps[0] + comps[1] + comps[2] + comps[3]
     if (np.abs(total - 1.0) > _SUM_TOL).any():
         raise ValueError("Pauli rates do not sum to 1")
-    return np.maximum(comps, 0.0) / total
+    kept = np.maximum(comps, 0.0)
+    return kept / (kept[0] + kept[1] + kept[2] + kept[3])
 
 
 def _shannon4(comps: np.ndarray) -> np.ndarray:

@@ -10,10 +10,17 @@ behind ``sweep_fig2``: the per-point loop over the package's per-channel
 functions that the ``sweep-fig2`` command ran before the kernel existed.
 Output of the two must agree byte for byte.
 
-``audited_threshold`` is the reference for ``threshold_total_noise``:
+``bisected_threshold`` is the reference for ``threshold_total_noise``:
 the search as it ran before the shape of a ray was known, a 50-point
 audit grid read for monotonicity and its flip cell bisected.  Where the
-audit sees one flip, the two must agree bit for bit.
+audit sees one flip, a one-way threshold must agree with it bit for bit,
+and a two-way one, a closed-form root, must lie in its bracket.
+``bisected_window`` bisects both ends r1 and r2 of a re-entrant ray, for
+the closed-form ends that ``NonMonotoneFamilyError`` names.
+
+``limit_criterion`` is the reference for ``distillable_in_limit``: the
+Gottesman-Lo criterion s < u and s·u < v² evaluated in ``Fraction``
+arithmetic on the exact values of the four float components.
 
 ``per_qubit_report`` is the reference for the simulator as a whole:
 ``run_protocol`` as it ran before it drew counts, kept verbatim.  Its
@@ -187,7 +194,11 @@ def _audit_and_bisect(feasible, lo, hi, tol, audit_points):
         raise AuditError(
             f"feasibility flips more than once along the ray (audit flags {flags})"
         )
-    low, high = grid[flip - 1], grid[flip]
+    return _bisect_flip(feasible, grid[flip - 1], grid[flip], tol)
+
+
+def _bisect_flip(feasible, low, high, tol):
+    """Halve [low, high], feasible at ``low`` and not at ``high``, to width ``tol``."""
     while high - low > tol:
         mid = 0.5 * (low + high)
         if feasible(mid):
@@ -197,7 +208,7 @@ def _audit_and_bisect(feasible, lo, hi, tol, audit_points):
     return low, high
 
 
-def audited_threshold(family, variant, tol=1e-4, audit_points=50):
+def bisected_threshold(family, variant, tol=1e-4, audit_points=50):
     """(threshold, low, high) of ``family`` under ``variant``, or ``AuditError``."""
 
     def feasible(scale):
@@ -205,6 +216,29 @@ def audited_threshold(family, variant, tol=1e-4, audit_points=50):
 
     low, high = _audit_and_bisect(feasible, 0.0, 1.0, tol, audit_points)
     return 0.5 * (low + high), low, high
+
+
+def bisected_window(family, variant, tol=1e-12):
+    """Brackets of r1 and r2 of a ray feasible at 0 and 1 but not at 1/2.
+
+    r1 is bisected on [0, 1/2] and r2 on [1/2, 1], each to width ``tol``.
+    """
+
+    def feasible(scale):
+        return is_distillable(family.rates_at(scale), variant)
+
+    if not feasible(0.0) or feasible(0.5) or not feasible(1.0):
+        raise AuditError("not feasible at 0 and 1 and infeasible at 1/2")
+    r1 = _bisect_flip(feasible, 0.0, 0.5, tol)
+    r2 = _bisect_flip(lambda scale: not feasible(scale), 0.5, 1.0, tol)
+    return r1, r2
+
+
+def limit_criterion(rates):
+    """``distillable_in_limit`` of (q_i, q_x, q_y, q_z), each taken as an exact Fraction."""
+    q_i, q_x, q_y, q_z = (Fraction(q) for q in rates)
+    s, u, v = q_x + q_y, q_i + q_z, q_i - q_z
+    return s < u and s * u < v * v
 
 
 _SIM_STREAMS = (

@@ -45,6 +45,11 @@ class TestPauliRates:
         assert rates.q_x == 0.0
         assert rates.q_i == pytest.approx(1.0)
 
+    def test_clipped_component_leaves_the_rest_summing_to_one(self):
+        rates = PauliRates.from_error_rates(0.5, 0.5000000000001, 0.0)
+        assert rates.q_i == 0.0
+        assert rates.q_x + rates.q_y <= 1.0
+
     def test_drift_within_tolerance_is_renormalized(self):
         third = 1.0 / 3.0
         rates = PauliRates(third, third, third, 1.0 - 3 * third)

@@ -176,6 +176,13 @@ class TestSimulateCli:
         assert "eve = match-prep-probe" in text
         assert "aborted = false" in text
 
+    def test_channel_clipped_at_validation_runs(self, capsys):
+        # q_i = 1 - 1.0000000000001 is clipped to 0; the rest must then be
+        # divided by what is kept, or q_x + q_y stays above 1.
+        code = main(["simulate", "--qx", "0.5", "--qy", "0.5000000000001", "--qz", "0"])
+        assert code == 0
+        assert "aborted = " in capsys.readouterr().out
+
     def test_repeated_attack_bases_add_their_weights(self, capsys):
         # ZZ attacks in Z with weights 0.5 and 0.5: the same attacker as Z.
         lines = {}

@@ -27,6 +27,7 @@ from oracles import (
     enumerate_pair_rejection,
     enumerate_parity_bit_error,
     fresh_interpreter,
+    limit_criterion,
 )
 
 # Symmetric-channel feasibility boundary of unbounded pair rejection plus
@@ -322,3 +323,105 @@ class TestLimitCriterion:
         rates = PauliRates(*(w / total for w in weights))
         if distill_schedule(rates).succeeded:
             assert distillable_in_limit(rates)
+
+
+def _stored_as_given(comps):
+    """Whether ``PauliRates(*comps)`` is valid and stores ``comps`` unchanged."""
+    try:
+        return PauliRates(*comps).as_tuple() == comps
+    except ValueError:
+        return False
+
+
+def _product_ties():
+    """Channels (q_i, s, 0, q_z) with s·u == v² exactly, all four components dyadic.
+
+    s = αm², u = αn², v = αmn for coprime m <= n and α = A / 2^56 near
+    1 / (m² + n²), kept where every component is a float that
+    ``PauliRates`` stores unchanged.  m = 0 gives (1/2, 0, 0, 1/2).
+    """
+    ties = []
+    for m in range(12):
+        for n in range(max(m, 1), 40):
+            if math.gcd(m, n) != 1:
+                continue
+            nearest = round(Fraction(2**56, m * m + n * n))
+            for numerator in range(nearest - 4, nearest + 5):
+                alpha = Fraction(numerator, 2**56)
+                s, u, v = alpha * m * m, alpha * n * n, alpha * m * n
+                comps = ((u + v) / 2, s, Fraction(0), (u - v) / 2)
+                floats = tuple(float(c) for c in comps)
+                if all(Fraction(f) == c for f, c in zip(floats, comps)) and _stored_as_given(floats):
+                    ties.append(floats)
+    return sorted(set(ties))
+
+
+_PRODUCT_TIES = _product_ties()
+_HALF_ULPS = st.integers(0, 2**52)
+
+
+def _s_equals_u(k, l):
+    """(q_i, q_x, q_y, q_z) with q_x + q_y = q_i + q_z = 1/2, all multiples of 2^-53."""
+    q_x, q_i = k / 2.0**53, l / 2.0**53
+    return (q_i, q_x, 0.5 - q_x, 0.5 - q_i)
+
+
+def _bit_error_in_y(comps, in_y):
+    """Move q_x into q_y: s = q_x + q_y is unchanged."""
+    q_i, q_x, q_y, q_z = comps
+    return (q_i, q_y, q_x, q_z) if in_y else comps
+
+
+_TIES = st.one_of(
+    st.builds(_s_equals_u, _HALF_ULPS, _HALF_ULPS),
+    st.builds(_bit_error_in_y, st.sampled_from(_PRODUCT_TIES), st.booleans()),
+)
+
+
+def _nudged(comps, index, up):
+    """``comps`` with one component moved one float up or down, as PauliRates stores it."""
+    moved = list(comps)
+    moved[index] = math.nextafter(moved[index], math.inf if up else 0.0)
+    return PauliRates(*moved)
+
+
+class TestExactLimitCriterion:
+    """``distillable_in_limit`` decides the exact values of its four floats."""
+
+    def test_product_ties_are_exact(self):
+        assert len(_PRODUCT_TIES) >= 5
+        for comps in _PRODUCT_TIES:
+            q_i, s, _, q_z = (Fraction(c) for c in comps)
+            assert s * (q_i + q_z) == (q_i - q_z) ** 2
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        # Random channels.
+        st.tuples(*[st.floats(0.0, 1.0)] * 4).filter(lambda w: sum(w) > 0.0).map(
+            lambda w: PauliRates(*(c / sum(w) for c in w))),
+        # Exact ties: s == u, or s·u == v².
+        _TIES.map(lambda comps: PauliRates(*comps)),
+        # One float either side of a tie.
+        st.builds(_nudged, _TIES, st.integers(0, 3), st.booleans()),
+    ))
+    def test_equals_the_fraction_criterion(self, rates):
+        assert distillable_in_limit(rates) is limit_criterion(rates.as_tuple())
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_TIES)
+    def test_ties_are_never_distillable(self, comps):
+        rates = PauliRates(*comps)
+        assert rates.as_tuple() == comps
+        assert not distillable_in_limit(rates)
+
+    def test_channel_next_to_a_ybasis_root(self):
+        # The Y-frame channel two floats below r1 on the ray q_y = 0.3 q_x,
+        # q_x = q_z, is 2e-17 inside the region: in floats s·u and v² round
+        # to the same value, so a float evaluation calls it infeasible.
+        rates = PauliRates(
+            0.5475326490765804, 0.19672493518409548, 0.19672493518409548, 0.05901748055522864
+        )
+        q_i, q_x, q_y, q_z = rates.as_tuple()
+        assert (q_x + q_y) * (q_i + q_z) == (q_i - q_z) * (q_i - q_z)
+        assert limit_criterion(rates.as_tuple())
+        assert distillable_in_limit(rates)

@@ -626,6 +626,12 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             ProtocolParams(**kwargs)
 
+    def test_sifted_fraction_above_one_is_rejected(self):
+        # Each weight vector is within 1e-12 of summing to 1, but the sifted
+        # law built from them is no probability vector.
+        with pytest.raises(ValueError, match="source_probs and bob_probs"):
+            ProtocolParams(n=1000, source_probs=(0.0, 0.0, 1.0 + 5e-13), bob_probs=(0.0, 0.0, 1.0))
+
 
 class TestSerialization:
     def test_text_contains_the_essentials(self):

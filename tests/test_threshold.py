@@ -1,21 +1,24 @@
 import math
 import re
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymqkd import distill
+from asymqkd import distill, threshold
 from asymqkd.channel import Basis, PauliRates, conjugate
-from asymqkd.distill import distill_schedule, modified_rate_one_bstep
+from asymqkd.distill import distill_schedule, distillable_in_limit, modified_rate_one_bstep
 from asymqkd.keyrates import rate_sixstate_separate
 from asymqkd.threshold import (
     ChannelFamily,
     NonMonotoneFamilyError,
     ProtocolVariant,
     SearchParams,
+    _effective,
     _fig2_rates,
     _ray_bracket,
     is_distillable,
@@ -25,7 +28,7 @@ from asymqkd.threshold import (
     witness_schedule,
 )
 
-from oracles import AuditError, audited_threshold
+from oracles import AuditError, bisected_threshold, bisected_window, limit_criterion
 
 # Frozen from scripts/derive_golden.py.
 TWO_WAY_LIMIT_SYMMETRIC = 0.41458980337503155
@@ -36,6 +39,15 @@ YBASIS_WINDOWS = [
     (2.5, 0.39764506496982454, 0.96084550106791131),
     (3998.0, 0.49227961368125467, 0.5080954488031047),
 ]
+# 50-digit r1 of the two-way variants: ybasis by ratio, chau at every ratio.
+YBASIS_R1 = {
+    0.0: "0.5",
+    0.3: "0.45246735092341961371679899416651226690978104212037",
+    1.0: "0.41458980337503154553862394969030856468390724605827",
+    2.0: "0.4",
+}
+CHAU_R1 = "0.41458980337503154553862394969030856468390724605827"
+TWO_WAY = (ProtocolVariant.Y_BASIS_TWO_WAY, ProtocolVariant.CHAU_BASELINE)
 
 
 class TestAuditAndBisect:
@@ -114,14 +126,19 @@ class TestIsDistillable:
         assert is_distillable(rates, ProtocolVariant.Y_BASIS_TWO_WAY)
 
     def test_exactly_tied_channel_is_not_distillable(self):
-        # The Y-conjugate (0.5, 0.15, 0.35, 0.0) has s = q_x + q_y equal to
+        # The Y-conjugate (0.5, 0.125, 0.375, 0.0) has s = q_x + q_y equal to
         # u = q_i + q_z, so the bit error stays exactly 1/2 under every
         # rejection round and no schedule can distill it, neither by the
         # closed form nor by the capped witness.
-        rates = PauliRates(0.5, 0.35, 0.0, 0.15)
-        assert conjugate(rates, Basis.Y) == PauliRates(0.5, 0.15, 0.35, 0.0)
+        rates = PauliRates(0.5, 0.375, 0.0, 0.125)
+        assert conjugate(rates, Basis.Y) == PauliRates(0.5, 0.125, 0.375, 0.0)
         assert is_distillable(rates, ProtocolVariant.Y_BASIS_TWO_WAY) is False
         assert not witness_schedule(rates, ProtocolVariant.Y_BASIS_TWO_WAY).succeeded
+        # 0.15 and 0.35 are not dyadic: the floats add up to less than 0.5,
+        # so (0.5, 0.35, 0.0, 0.15) is not tied, and its exact value decides.
+        near = PauliRates(0.5, 0.35, 0.0, 0.15)
+        assert Fraction(near.q_x) + Fraction(near.q_z) < Fraction(near.q_i)
+        assert is_distillable(near, ProtocolVariant.Y_BASIS_TWO_WAY) is True
 
 
 class TestWitnessOnDemand:
@@ -153,7 +170,7 @@ class TestWitnessOnDemand:
         assert 0.4 < result.threshold <= 0.5
 
     def test_sweep(self, no_schedule_search):
-        rows = sweep_fig1([0.0, 0.5], tol=1e-3)
+        rows = sweep_fig1([0.0, 0.5])
         assert [row.error for row in rows] == [None, None]
 
 
@@ -205,16 +222,16 @@ class TestThresholds:
         )
 
     def test_family_feasible_at_both_ends_raises(self):
-        # The message names both ends of the infeasible window, each within
-        # tol of the roots of (a^2 + b^2)S^2 - (2b + a)S + 1 (derive_golden.py).
+        # The message names both ends of the infeasible window, the roots of
+        # (a^2 + b^2)S^2 - (2b + a)S + 1 (derive_golden.py), in closed form.
         for ratio, r1, r2 in YBASIS_WINDOWS:
             with pytest.raises(NonMonotoneFamilyError) as exc:
                 threshold_total_noise(
                     ChannelFamily.from_y_ratio(ratio), ProtocolVariant.Y_BASIS_TWO_WAY
                 )
             named = re.search(r"r1=(\S+) and above r2=(\S+) ", str(exc.value))
-            assert abs(float(named[1]) - r1) <= 1e-4
-            assert abs(float(named[2]) - r2) <= 1e-4
+            assert abs(float(named[1]) - r1) <= 1e-12
+            assert abs(float(named[2]) - r2) <= 1e-12
 
     @pytest.mark.parametrize(
         "direction, variant",
@@ -248,13 +265,97 @@ class TestThresholds:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
     def test_tol_must_be_positive_and_finite(self, tol):
+        # Checked for two-way variants too, which do not use it.
         with pytest.raises(ValueError):
             threshold_total_noise(
                 ChannelFamily.from_y_ratio(1.0), ProtocolVariant.CHAU_BASELINE, tol=tol
             )
-        # The sweep checks tol once, instead of a NaN row per ratio.
-        with pytest.raises(ValueError, match="must be positive and finite"):
-            sweep_fig1([0.0, 0.5], tol=tol)
+
+
+def _exact(text):
+    return Fraction(Decimal(text))
+
+
+def _probe(family, variant, scale):
+    """The exact criterion on the channel the threshold search builds at ``scale``."""
+    return distillable_in_limit(_effective(family.rates_at(scale), variant))
+
+
+class TestClosedForm:
+    """Two-way thresholds are the root r1, bracketed by floats the exact criterion certifies."""
+
+    @pytest.mark.parametrize("ratio", sorted(YBASIS_R1))
+    @pytest.mark.parametrize("variant", TWO_WAY, ids=lambda v: v.value)
+    def test_root_is_within_two_ulps_and_inside_its_bracket(self, ratio, variant):
+        want = _exact(YBASIS_R1[ratio] if variant is ProtocolVariant.Y_BASIS_TWO_WAY else CHAU_R1)
+        got = threshold_total_noise(ChannelFamily.from_y_ratio(ratio), variant)
+        assert abs(Fraction(got.threshold) - want) <= 2 * Fraction(math.ulp(got.threshold))
+        assert Fraction(got.bracket.low) < want < Fraction(got.bracket.high)
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.3, 1.0, 2.0, 1e-9, 0.999])
+    @pytest.mark.parametrize("variant", TWO_WAY, ids=lambda v: v.value)
+    def test_bracket_ends_are_certified_next_to_the_root(self, ratio, variant):
+        family = ChannelFamily.from_y_ratio(ratio)
+        got = threshold_total_noise(family, variant)
+        assert got.bracket.low < got.threshold < got.bracket.high
+        assert _probe(family, variant, got.bracket.low)
+        assert not _probe(family, variant, got.bracket.high)
+        # Every float between an end and r1 is on the wrong side of it.
+        scale = math.nextafter(got.bracket.low, 1.0)
+        while scale < got.threshold:
+            assert not _probe(family, variant, scale)
+            scale = math.nextafter(scale, 1.0)
+        scale = math.nextafter(got.bracket.high, 0.0)
+        while scale > got.threshold:
+            assert _probe(family, variant, scale)
+            scale = math.nextafter(scale, 0.0)
+
+    # Channels a few floats from r1, where s·u and v² agree to round-off.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, 2.0), st.sampled_from(TWO_WAY), st.integers(-4, 4))
+    def test_criterion_near_the_root_equals_the_fraction_criterion(self, ratio, variant, steps):
+        family = ChannelFamily.from_y_ratio(ratio)
+        scale = threshold_total_noise(family, variant).threshold
+        for _ in range(abs(steps)):
+            scale = math.nextafter(scale, math.copysign(math.inf, steps))
+        effective = _effective(family.rates_at(scale), variant)
+        assert distillable_in_limit(effective) is limit_criterion(effective.as_tuple())
+
+    # Re-entrant Y-basis rays: the ratio family above 2 and (d_x, 1, d_z)
+    # with d_x + d_z < 1, so a lies in [0.002, 1/2).
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.floats(2.0001, 1e3).map(ChannelFamily.from_y_ratio),
+        st.tuples(st.floats(1e-3, 0.49), st.floats(1e-3, 0.49)).map(
+            lambda xz: ChannelFamily((xz[0], 1.0, xz[1]))),
+    ))
+    def test_reentrant_ends_lie_in_the_bisected_brackets(self, family):
+        (low1, high1), (low2, high2) = bisected_window(family, ProtocolVariant.Y_BASIS_TWO_WAY)
+        with pytest.raises(NonMonotoneFamilyError) as exc:
+            threshold_total_noise(family, ProtocolVariant.Y_BASIS_TWO_WAY)
+        r1, r2 = map(float, re.search(r"r1=(\S+) and above r2=(\S+) ", str(exc.value)).groups())
+        assert low1 <= r1 <= high1
+        assert low2 <= r2 <= high2
+
+    def test_threshold_probes_only_s_1_and_the_bracket_ends(self, monkeypatch):
+        probed = []
+
+        def rates_at(family, scale):
+            probed.append(scale)
+            return original(family, scale)
+
+        original = ChannelFamily.rates_at
+        monkeypatch.setattr(ChannelFamily, "rates_at", rates_at)
+        got = threshold_total_noise(
+            ChannelFamily.from_y_ratio(0.5), ProtocolVariant.Y_BASIS_TWO_WAY
+        )
+        assert probed == [1.0, got.bracket.low, got.bracket.high]
+
+    def test_uncertifiable_root_raises(self, monkeypatch):
+        # A criterion that disagrees with the root everywhere near it.
+        monkeypatch.setattr(threshold, "distillable_in_limit", lambda rates: False)
+        with pytest.raises(ArithmeticError, match="no feasible float within 64 steps"):
+            threshold_total_noise(ChannelFamily.from_y_ratio(0.5), ProtocolVariant.CHAU_BASELINE)
 
 
 # A direction component: zero, tiny or anywhere in [0, 1].
@@ -268,10 +369,16 @@ class TestRayShape:
     @given(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).filter(lambda d: sum(d) > 0.0))
     def test_feasible_then_infeasible_then_maybe_feasible(self, direction):
         family = ChannelFamily(direction)
+        d_x, d_y, d_z = family.direction
         for variant in ProtocolVariant:
             flags = [is_distillable(family.rates_at(i / 200), variant) for i in range(201)]
             flips = sum(a != b for a, b in zip(flags, flags[1:]))
-            assert flags[0] and not flags[100]
+            # A Y-basis ray has g(1/2) = -a(1 - a)/2, with a = d_x + d_z and
+            # 1 - a = d_y.  Where that is within round-off of 0 the ray touches
+            # the boundary at 1/2, and the exact criterion decides the channel
+            # built there by how its float components round.
+            touches = variant is ProtocolVariant.Y_BASIS_TWO_WAY and (d_x + d_z) * d_y < 1e-15
+            assert flags[0] and (touches or not flags[100])
             assert flips == 1 if not flags[-1] else flips <= 2
 
     def test_agrees_with_the_audit_grid_where_it_sees_one_flip(self):
@@ -286,8 +393,9 @@ class TestRayShape:
         for direction in directions:
             family = ChannelFamily(direction)
             for variant in ProtocolVariant:
+                two_way = variant in TWO_WAY
                 try:
-                    want = audited_threshold(family, variant)
+                    want = bisected_threshold(family, variant, tol=1e-12 if two_way else 1e-4)
                 except AuditError:
                     outcomes.append("other")
                     with pytest.raises(NonMonotoneFamilyError):
@@ -295,13 +403,19 @@ class TestRayShape:
                     continue
                 outcomes.append("one flip")
                 got = threshold_total_noise(family, variant)
-                assert _bits((got.threshold, got.bracket.low, got.bracket.high)) == _bits(want)
+                if not two_way:
+                    assert _bits((got.threshold, got.bracket.low, got.bracket.high)) == _bits(want)
+                    continue
+                _, low, high = want
+                assert low <= got.threshold <= high
+                assert _probe(family, variant, got.bracket.low)
+                assert not _probe(family, variant, got.bracket.high)
         assert {"one flip", "other"} <= set(outcomes)
 
 
 class TestSweep:
     def test_rows_carry_both_thresholds(self):
-        rows = sweep_fig1([0.0, 0.5], tol=1e-3)
+        rows = sweep_fig1([0.0, 0.5])
         assert len(rows) == 2
         for row in rows:
             assert row.error is None
@@ -309,13 +423,13 @@ class TestSweep:
             assert 0.0 < row.threshold_chau < row.threshold_ybasis <= 0.5
 
     def test_q_y0_column_reports_the_y_noise_at_threshold(self):
-        (row,) = sweep_fig1([0.5], tol=1e-3)
+        (row,) = sweep_fig1([0.5])
         family = ChannelFamily.from_y_ratio(0.5)
         expected = family.rates_at(row.threshold_ybasis).q_y
         assert row.q_y0_at_threshold == pytest.approx(expected, abs=1e-12)
 
     def test_failed_rows_carry_the_message_and_nans(self):
-        rows = sweep_fig1([0.0, float("nan")], tol=1e-3)
+        rows = sweep_fig1([0.0, float("nan")])
         assert rows[0].error is None
         assert rows[1].error is not None
         assert math.isnan(rows[1].threshold_ybasis)
