@@ -101,6 +101,13 @@ def _check_weights(name: str, weights: Sequence[float], count: int) -> None:
         raise ValueError(f"{name} sum to {sum(weights)!r}, not 1")
 
 
+def _dyadic_numerators(values: Sequence[float]) -> tuple[list[int], int]:
+    """Floats as integer numerators over their common power-of-two denominator, exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    denominator = max(d for _, d in ratios)
+    return [n * (denominator // d) for n, d in ratios], denominator
+
+
 def flip_rates(rates: PauliRates) -> FlipRates:
     """Marginal bit and phase flip rates of a Pauli distribution."""
     return FlipRates(p_x=rates.q_x + rates.q_y, p_z=rates.q_z + rates.q_y)

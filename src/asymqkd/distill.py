@@ -35,7 +35,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .channel import FlipRates, PauliRates
+from .channel import FlipRates, PauliRates, _dyadic_numerators
 from .keyrates import shannon4
 
 def parity_bit_error(p_x: float, k: int) -> float:
@@ -247,10 +247,14 @@ def distillable_in_limit(rates: PauliRates) -> bool:
     floats: each is a dyadic rational, so scaled to their common
     power-of-two denominator they are integers, and both comparisons run
     on Python integers, where no tie is broken by round-off.
+
+    Components written in decimal are judged by the binary values they
+    round to.  ``PauliRates(0.5, 0.35, 0.0, 0.15)`` is tied in decimal
+    after Y-conjugation, but 0.35 + 0.15 is just below 0.5 in binary, so
+    it is distillable here.  ``distill_schedule`` iterates in floats, where
+    s rounds to u, so its witness for that channel still fails.
     """
-    ratios = [q.as_integer_ratio() for q in rates.as_tuple()]
-    denominator = max(d for _, d in ratios)
-    q_i, q_x, q_y, q_z = (n * (denominator // d) for n, d in ratios)
+    (q_i, q_x, q_y, q_z), _ = _dyadic_numerators(rates.as_tuple())
     s = q_x + q_y
     u = q_i + q_z
     v = q_i - q_z

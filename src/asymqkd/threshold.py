@@ -16,13 +16,14 @@ so a threshold does not depend on a residual-error target or on search
 caps.  Along a ray that criterion is a quadratic in S, so a two-way
 threshold is its smaller root r1 in closed form, bracketed by the floats
 next to it, each certified by the criterion in integer arithmetic.  The
-criterion judges the channel as built in floats: where a ray only touches
-the boundary (g = 0 at one S), round-off in that channel decides the
-point.  ``witness_schedule`` runs the capped (m, k) schedule search on
-demand, to explain a feasible channel by a concrete schedule; it never
-takes part in a feasibility decision.  Near threshold the capped search
-fails even where the limit criterion holds, because the required parity
-group size grows without bound.
+criterion judges the channel as built in floats; ``ChannelFamily`` keeps
+its direction from summing below one, so where a ray meets the boundary
+at S = 1/2 the channel built there is on the boundary or past it, not on
+the feasible side by round-off.  ``witness_schedule`` runs the capped
+(m, k) schedule search on demand, to explain a feasible channel by a
+concrete schedule; it never takes part in a feasibility decision.  Near
+threshold the capped search fails even where the limit criterion holds,
+because the required parity group size grows without bound.
 
 ``sweep_fig1`` tabulates both two-way thresholds across channel shapes;
 ``sweep_fig2`` tabulates the one-way six-state and one-rejection two-way
@@ -46,6 +47,7 @@ from .channel import (
     _SUM_TOL,
     Basis,
     PauliRates,
+    _dyadic_numerators,
     average_over_mixture,
     conjugate,
 )
@@ -73,6 +75,14 @@ class ChannelFamily:
     ``direction`` is normalized to sum to one so ``scale`` equals the total
     noise q_x + q_y + q_z.  The identity component 1 - scale stays
     nonnegative for scale <= 1, which is the full usable range.
+
+    Dividing by the total rounds each component, and the three floats can
+    sum to just below one.  The channel at ``scale`` would then carry less
+    than ``scale`` of noise, and the Y-basis ray with d_y = 0, whose
+    boundary lies at exactly S = 1/2, would be judged feasible there.  So
+    the largest components, all of them where several tie, are raised a
+    float at a time until the exact sum is at least one; a family from
+    ``from_y_ratio`` keeps q_x = q_z.
     """
 
     direction: tuple[float, float, float]
@@ -84,7 +94,13 @@ class ChannelFamily:
         total = sum(d)
         if total <= 0.0:
             raise ValueError("direction must have positive total weight")
-        object.__setattr__(self, "direction", tuple(c / total for c in d))
+        direction = tuple(c / total for c in d)
+        numerators, denominator = _dyadic_numerators(direction)
+        while sum(numerators) < denominator:
+            largest = max(direction)
+            direction = tuple(math.nextafter(c, 2.0) if c == largest else c for c in direction)
+            numerators, denominator = _dyadic_numerators(direction)
+        object.__setattr__(self, "direction", direction)
 
     @classmethod
     def from_y_ratio(cls, ratio: float) -> "ChannelFamily":
@@ -230,12 +246,13 @@ def _two_way_threshold(
     family: ChannelFamily, variant: ProtocolVariant, feasible: Callable[[float], bool]
 ) -> ThresholdResult:
     """Closed-form threshold of a two-way variant; see ``threshold_total_noise``."""
-    effective = _effective(family.rates_at(1.0), variant)
+    rates = family.rates_at(1.0)
+    effective = _effective(rates, variant)
     a = effective.q_x + effective.q_y
     b = 2.0 - a
     # The smaller root of g, written without cancellation.
     r1 = 2.0 / ((2.0 * b + a) + math.sqrt(a * (8.0 - 7.0 * a)))
-    if distillable_in_limit(effective):  # feasible(1.0), reusing e
+    if is_distillable(rates, variant):  # feasible(1.0) on the channel built once
         raise _reentrant(r1, 1.0 / (r1 * (a * a + b * b)))
     low = _certified_end(feasible, r1, 0.0)
     high = _certified_end(feasible, r1, 1.0)
