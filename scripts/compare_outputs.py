@@ -7,6 +7,8 @@ Each argument is the ``src`` directory of a checkout (the directory that
 holds the ``asymqkd`` package).  Every argv of ``ARGVS`` goes through
 ``asymqkd.cli.main`` of each tree, once as given and once with ``--out``
 added; the exit code, stdout, stderr and the ``--out`` file must all match.
+An exception other than ``SystemExit`` counts as exit code 1, with its
+type and message as stderr.
 Each tree runs in its own subprocess, which imports the package from that
 tree alone.  Prints ``same`` or ``DIFF`` per argv and exits 1 on any
 difference.  The whole list takes a few seconds per tree.
@@ -42,6 +44,7 @@ ARGVS = [
     # Repeated attack bases add their weights: ZZ prints what Z does, bar the eve line.
     _simulate("--n", "70001", "--seed", "3", "--eve", "Z"),
     _simulate("--n", "70001", "--seed", "3", "--eve", "ZZ"),
+    _simulate("--n", "70001", "--seed", "3", "--eve", "ZZX"),  # unequal weights, by repeats
     _simulate("--n", "5000", "--seed", "21", "--eve", "match-prep"),
     _simulate("--n", "300000", "--seed", "9", "--eve", "ZXY", "--abort-sigma", "1000"),
     _simulate("--n", "20000", "--seed", "4", "--b-rounds", "0"),
@@ -58,6 +61,9 @@ ARGVS = [
     _simulate("--n", "6", "--seed", "3", "--abort-sigma", "1000",
               channel=["--qx", "0.2", "--qy", "0", "--qz", "0.2"]),
     _simulate("--n", "1000", "--p-group", "100000001"),
+    # (6 + delta) * n transmitted qubits past int64.
+    _simulate("--n", "10", "--delta", "1e18", channel=["--qx", "0.1", "--qy", "0", "--qz", "0.02"]),
+    _simulate("--n", "4611686018427387904", channel=["--qx", "0.1", "--qy", "0", "--qz", "0.02"]),
     # The analytic subcommands.
     ["sweep-fig1"],
     ["sweep-fig1", "--grid", "0:3:0.5"],  # rows past ratio 2 carry error notes
@@ -86,6 +92,9 @@ def _call(main, argv: list[str]) -> dict:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
+        except Exception as exc:  # uncaught, the command would exit 1 with a traceback
+            code = 1
+            err.write(f"{type(exc).__name__}: {exc}\n")
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

@@ -16,7 +16,6 @@ rate of a distribution is q_x + q_y, the phase-flip rate q_z + q_y.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,14 +90,6 @@ class FlipRates:
 
     p_x: float
     p_z: float
-
-
-def _check_weights(name: str, weights: Sequence[float], count: int) -> None:
-    """Reject ``weights`` unless they are ``count`` finite nonnegative values summing to 1."""
-    if len(weights) != count or not all(0.0 <= w < math.inf for w in weights):  # also rejects nan
-        raise ValueError(f"{name} must be {count} finite nonnegative weights, got {weights}")
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ValueError(f"{name} sum to {sum(weights)!r}, not 1")
 
 
 def _dyadic_numerators(values: Sequence[float]) -> tuple[list[int], int]:

@@ -1,9 +1,16 @@
 """Seeded Monte Carlo run of the prepare-and-measure protocol.
 
-The protocol transmits (6 + delta) * n qubits, sources them from the
-three bases with weights (1/4, 1/4, 1/2) favouring Y, sifts on matching
-measurement bases, keeps n Y-basis bits as key and n mixed-basis bits as
-checks, then applies pair-rejection rounds and one parity step to the key.
+The protocol sources qubits from the three bases with weights (1/4, 1/4,
+1/2) favouring Y, sifts on Bob's uniformly chosen bases, keeps n Y-basis
+bits as key and n mixed-basis bits as checks, split (0.4, 0.4, 0.2) over
+Z, X and Y, aborts if a check's error rate passes 0.45, then applies
+pair-rejection rounds and one parity step to the key.  These are the
+protocol's constants, not settings, and the run size follows from them:
+a qubit is sifted with probability 1/3, and in Y with probability 1/6, so
+(6 + delta) * n transmitted qubits leave, besides the n key bits,
+expected check pools of delta * n / 6 in Y and (1/2 + delta/12) * n in
+each of Z and X: n/3, 2n/3 and 2n/3 at the default delta = 2.
+
 The simulation is stochastic-exact for Pauli channels and intercept-resend
 attacks on mutually unbiased states, so no state vectors are involved:
 
@@ -19,7 +26,7 @@ its phase flag is uniform.
 
 Roles are taken in arrival order.  The key is the first n Y-basis sifted
 qubits; the Y checks are the next ones after the key, and the Z and X
-checks the first ones of their basis, in the ``check_split`` counts.
+checks the first ones of their basis, in the ``_CHECK_SPLIT`` counts.
 Rejection round r pairs adjacent survivors (0, 1), (2, 3), ... and drops
 an odd last bit; the parity step groups adjacent k.
 
@@ -60,10 +67,7 @@ anywhere reproduce one pass, so the report does not depend on the block
 size.  The rejection rounds and the parity step fold each block into
 running counts, with a carry of at most one bit per round and of the flag
 sums of one open group for the parity step, so memory is constant in n.
-``simulate`` takes about 0.012 s at n = 10^6 and 0.7 s at n = 10^8, at
-about 37 MB maxrss either way (2-vCPU Xeon VM, Linux, Python 3.11,
-numpy 2.4).  Identical (channel, params, seed, eve) inputs
-reproduce the report exactly.
+Identical (channel, params, seed, eve) inputs reproduce the report exactly.
 
 Aborts (too few sifted bits, short check pools, failed error test, key
 exhaustion) are outcomes, not errors: the report carries the abort reason
@@ -79,7 +83,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import Basis, PauliRates, _check_weights, conjugate, flip_rates
+from .channel import Basis, PauliRates, conjugate, flip_rates
 from .distill import PStepParams, b_step, p_step
 from .keyrates import binary_entropy
 
@@ -88,6 +92,16 @@ _BASIS_CODE = {basis: code for code, basis in enumerate(_BASIS_ORDER)}
 _STREAMS = ("counts", "checks", "key")
 # Key bits drawn per block.
 _CHUNK = 1 << 16
+
+# The protocol's constants, Z/X/Y.  Alice's source weights favour the key basis.
+_SOURCE_PROBS = (0.25, 0.25, 0.5)
+_BOB_PROBS = (1 / 3, 1 / 3, 1 / 3)
+# Composition of the n check bits: the expected pools at delta = 2 (2n/3, 2n/3,
+# n/3) give every basis the same margin; exact thirds would consume the whole
+# expected Y remainder and abort on half of all seeds.
+_CHECK_SPLIT = (0.4, 0.4, 0.2)
+# A check above this error rate aborts the run, whatever the channel predicts.
+_ABORT_CEILING = 0.45
 
 
 def _flag_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -114,23 +128,18 @@ _BIT_FLAG, _PHASE_FLAG = _flag_tables()
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Run configuration; defaults follow the protocol as stated."""
+    """Run size and post-processing knobs; defaults follow the protocol as stated.
+
+    ``n`` key bits come out of ceil((6 + delta) * n) qubits, a count that must
+    fit in int64; the factor 6 is sized for the protocol's constants.
+    """
 
     n: int
     delta: float = 2.0
-    source_probs: tuple[float, float, float] = (0.25, 0.25, 0.5)
-    bob_probs: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
     b_rounds: int = 2
     p_group: int = 3
     target: float = 0.05
     abort_sigma: float = 3.0
-    abort_ceiling: float = 0.45
-    # Z/X/Y composition of the n check bits.  The default matches what a
-    # uniform draw from the post-key remainder produces in expectation at
-    # delta = 2 (pools 2n/3, 2n/3, n/3), leaving every basis the same
-    # safety margin; an exact-thirds split would consume the whole
-    # expected Y remainder and abort on half of all seeds.
-    check_split: tuple[float, float, float] = (0.4, 0.4, 0.2)
 
     def __post_init__(self) -> None:
         for name in ("n", "b_rounds", "p_group"):
@@ -141,12 +150,9 @@ class ProtocolParams:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.delta < math.inf:  # also rejects nan
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        for name in ("source_probs", "bob_probs", "check_split"):
-            _check_weights(name, getattr(self, name), 3)
-        # Each weight vector may sum to 1 within 1e-12; their sifted law may not pass 1.
-        p_sift = sum(s * b for s, b in zip(self.source_probs, self.bob_probs))
-        if p_sift > 1.0:
-            raise ValueError(f"source_probs and bob_probs give a sifted fraction {p_sift!r} above 1")
+        # Below 2^63 as a float exactly when its ceiling fits int64; the n test keeps it finite.
+        if self.n >= 2**63 or (6.0 + self.delta) * self.n >= 2.0**63:
+            raise ValueError(f"(6 + delta) * n transmitted qubits overflow int64 (delta={self.delta!r})")
         if self.b_rounds < 0:
             raise ValueError(f"b_rounds must be >= 0, got {self.b_rounds}")
         PStepParams(self.p_group)
@@ -154,22 +160,30 @@ class ProtocolParams:
             raise ValueError(f"target={self.target!r} outside (0, 0.5)")
         if not 0.0 < self.abort_sigma < math.inf:
             raise ValueError(f"abort_sigma must be positive and finite, got {self.abort_sigma}")
-        if not 0.0 < self.abort_ceiling < 1.0:
-            raise ValueError(f"abort_ceiling={self.abort_ceiling!r} outside (0, 1)")
 
 
 @dataclass(frozen=True)
 class EveModel:
     """Intercept-resend attacker: measure in a random basis, resend the outcome.
 
+    Each entry of ``bases`` is equally likely, so a repeated basis adds up
+    its weight: ``(Z, Z, X)`` measures in Z two times in three.
     ``match_prep`` is a diagnostic mode where she always measures in the
     qubit's own preparation basis; faithful resending then induces no
     error at all, which pins down the simulator's attack plumbing.
     """
 
     bases: tuple[Basis, ...] = ()
-    weights: tuple[float, ...] = ()
     match_prep: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.bases and not self.match_prep:
+            raise ValueError("eavesdropper needs at least one basis")
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        """Probability of each entry of ``bases``, uniform."""
+        return tuple(1.0 / len(self.bases) for _ in self.bases)
 
     def describe(self) -> str:
         if self.match_prep:
@@ -179,17 +193,9 @@ class EveModel:
         return f"bases={names};weights={weights}"
 
 
-def eve_intercept_resend(
-    bases: tuple[Basis, ...],
-    weights: Optional[tuple[float, ...]] = None,
-) -> EveModel:
-    """Attacker measuring in one of ``bases``, uniform unless weighted."""
-    if not bases:
-        raise ValueError("eavesdropper needs at least one basis")
-    if weights is None:
-        weights = tuple(1.0 / len(bases) for _ in bases)
-    _check_weights("attack weights", weights, len(bases))
-    return EveModel(bases=tuple(bases), weights=tuple(weights))
+def eve_intercept_resend(bases: tuple[Basis, ...]) -> EveModel:
+    """Attacker measuring in one of ``bases``, uniformly; a repeated basis adds up its weight."""
+    return EveModel(bases=tuple(bases))
 
 
 def eve_matched_basis_probe() -> EveModel:
@@ -250,14 +256,14 @@ class SimReport:
             ("channel.q_z", repr(self.channel.q_z)),
             ("params.n", repr(p.n)),
             ("params.delta", repr(p.delta)),
-            ("params.source_probs", ",".join(repr(x) for x in p.source_probs)),
-            ("params.bob_probs", ",".join(repr(x) for x in p.bob_probs)),
+            ("params.source_probs", ",".join(repr(x) for x in _SOURCE_PROBS)),
+            ("params.bob_probs", ",".join(repr(x) for x in _BOB_PROBS)),
             ("params.b_rounds", repr(p.b_rounds)),
             ("params.p_group", repr(p.p_group)),
             ("params.target", repr(p.target)),
             ("params.abort_sigma", repr(p.abort_sigma)),
-            ("params.abort_ceiling", repr(p.abort_ceiling)),
-            ("params.check_split", ",".join(repr(x) for x in p.check_split)),
+            ("params.abort_ceiling", repr(_ABORT_CEILING)),
+            ("params.check_split", ",".join(repr(x) for x in _CHECK_SPLIT)),
             ("eve", self.eve),
             ("n_transmitted", repr(self.n_transmitted)),
             ("n_sifted", repr(self.n_sifted)),
@@ -485,7 +491,7 @@ def run_protocol(
 
     Args:
         channel: Pauli error distribution of the quantum channel.
-        params: transmission sizes, basis weights and post-processing knobs.
+        params: run size and post-processing knobs.
         seed: root seed of the three random streams: counts, checks and key.
         eve: optional intercept-resend attacker applied before the channel.
 
@@ -494,11 +500,11 @@ def run_protocol(
     """
     n = params.n
     n_total = int(math.ceil((6.0 + params.delta) * n))
-    want = _split_counts(n, params.check_split)
+    want = _split_counts(n, _CHECK_SPLIT)
     check_lo = (0, 0, n)  # the key is Y positions [0, n) and the Y checks follow it
     rng = _open_streams(seed)
     laws = _flag_laws(channel, eve)
-    sift_probs = [s * b for s, b in zip(params.source_probs, params.bob_probs)]
+    sift_probs = [s * b for s, b in zip(_SOURCE_PROBS, _BOB_PROBS)]
     p_sift = sum(sift_probs)
     counts = rng["counts"].multinomial(n_total, [*sift_probs, 1.0 - p_sift])
     sifted = tuple(int(count) for count in counts[:3])
@@ -546,7 +552,7 @@ def run_protocol(
         rows.append(row)
         excess = observed - expected
         if abort_reason is None and (
-            excess > params.abort_sigma * row.std_error or observed > params.abort_ceiling
+            excess > params.abort_sigma * row.std_error or observed > _ABORT_CEILING
         ):
             abort_reason = (
                 f"check error in basis {basis.value}: {observed:.6g} vs expected {expected:.6g}"

@@ -67,9 +67,13 @@ from asymqkd.channel import Basis, PauliRates, conjugate, flip_rates
 from asymqkd.distill import PStepParams, b_step, modified_rate_one_bstep, p_step
 from asymqkd.keyrates import binary_entropy, rate_sixstate_separate
 from asymqkd.sim import (
+    _ABORT_CEILING,
     _BASIS_ORDER,
     _BIT_FLAG,
+    _BOB_PROBS,
+    _CHECK_SPLIT,
     _PHASE_FLAG,
+    _SOURCE_PROBS,
     ComparisonRow,
     SimReport,
     StageCount,
@@ -261,7 +265,7 @@ def one_shot_sifted(channel, params, seed, eve):
     rng = {name: np.random.default_rng(child) for name, child in zip(_SIM_STREAMS, children)}
 
     alice_bits = rng["alice_bits"].integers(0, 2, n_total, dtype=np.uint8)
-    alice_basis = _categorical(rng["alice_bases"], params.source_probs, n_total)
+    alice_basis = _categorical(rng["alice_bases"], _SOURCE_PROBS, n_total)
     state_basis = alice_basis.copy()
     state_bit = alice_bits.copy()
     if eve is not None and not eve.match_prep:
@@ -273,7 +277,7 @@ def one_shot_sifted(channel, params, seed, eve):
         state_bit[rebased] = eve_bits[rebased]
 
     paulis = _categorical(rng["channel_paulis"], channel.as_tuple(), n_total)
-    bob_basis = _categorical(rng["bob_bases"], params.bob_probs, n_total)
+    bob_basis = _categorical(rng["bob_bases"], _BOB_PROBS, n_total)
     scramble = rng["bob_scramble"].integers(0, 2, n_total, dtype=np.uint8)
     meas_bit = np.where(
         bob_basis == state_basis, state_bit ^ _BIT_FLAG[state_basis, paulis], scramble
@@ -330,9 +334,9 @@ def per_qubit_transmit(channel, params, n_total, rng, eve):
         eve_codes = np.array([_SIM_BASIS_CODE[b] for b in eve.bases], dtype=np.uint8)
     for start in range(0, n_total, TRANSMIT_CHUNK):
         size = min(TRANSMIT_CHUNK, n_total - start)
-        alice = sample_categorical(rng["alice_bases"], params.source_probs, size)
+        alice = sample_categorical(rng["alice_bases"], _SOURCE_PROBS, size)
         paulis = sample_categorical(rng["channel_paulis"], channel.as_tuple(), size)
-        bob = sample_categorical(rng["bob_bases"], params.bob_probs, size)
+        bob = sample_categorical(rng["bob_bases"], _BOB_PROBS, size)
         # flatnonzero + take: a boolean-mask copy is ~4x slower on scattered uint8 masks this size.
         sifted = np.flatnonzero(bob == alice)
         basis = alice.take(sifted)
@@ -385,7 +389,7 @@ def permuted_role_counts(channel, params, seed):
     free = np.ones(basis.size, dtype=bool)
     free[key] = False
     counts = {}
-    for (name, code), want in zip(_SIM_BASIS_CODE.items(), _split_counts(n, params.check_split)):
+    for (name, code), want in zip(_SIM_BASIS_CODE.items(), _split_counts(n, _CHECK_SPLIT)):
         pool = positions[(basis == code) & free]
         assert pool.size >= want
         picked = rng["selection"].permutation(pool)[:want]
@@ -430,7 +434,7 @@ def per_qubit_report(channel, params, seed, eve=None):
     n_sifted = basis.size
     sifted_by_basis = tuple(int(np.count_nonzero(basis == c)) for c in range(3))
 
-    p_sift = sum(s * b for s, b in zip(params.source_probs, params.bob_probs))
+    p_sift = sum(s * b for s, b in zip(_SOURCE_PROBS, _BOB_PROBS))
     rows = [_rate_row("sift", "sifted_fraction", n_total, n_sifted / n_total, p_sift)]
     stage_counts = [StageCount("sift", n_total, n_sifted, n_total - n_sifted)]
 
@@ -458,7 +462,7 @@ def per_qubit_report(channel, params, seed, eve=None):
     if y_errors.size < n:
         return finish(f"insufficient Y-basis sifted bits ({y_errors.size} < {n})", {})
     checks = {}
-    for code, want in enumerate(_split_counts(n, params.check_split)):
+    for code, want in enumerate(_split_counts(n, _CHECK_SPLIT)):
         pool = y_errors[n:] if code == 2 else errors[basis == code]
         if pool.size < want:
             basis_name = _BASIS_ORDER[code].value
@@ -477,7 +481,7 @@ def per_qubit_report(channel, params, seed, eve=None):
         rows.append(row)
         excess = observed - expected
         if abort_reason is None and (
-            excess > params.abort_sigma * row.std_error or observed > params.abort_ceiling
+            excess > params.abort_sigma * row.std_error or observed > _ABORT_CEILING
         ):
             abort_reason = (
                 f"check error in basis {basis.value}: {observed:.6g} vs expected {expected:.6g}"

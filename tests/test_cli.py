@@ -292,6 +292,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flags", [
         ["--abort-sigma", "nan"], ["--abort-sigma", "inf"], ["--delta", "nan"], ["--delta", "inf"],
+        # (6 + delta) * n transmitted qubits past int64, the last one past the float range.
+        ["--n", "10", "--delta", "1e18"], ["--n", str(2**62)], ["--n", "1" + "0" * 400],
     ])
     def test_non_finite_protocol_params_exit_2(self, capsys, flags):
         with pytest.raises(SystemExit) as exc:

@@ -30,6 +30,10 @@ from oracles import (
 
 NOISELESS = PauliRates(1.0, 0.0, 0.0, 0.0)
 DEPOLARIZING = PauliRates(0.85, 0.05, 0.05, 0.05)
+# Measures in Z, X and Y 3, 3 and 4 times in ten.  On the 0.85/0.10/0.03/0.02
+# channel of the tests below its checks expect 0.389, 0.365 and 0.348, under
+# the 0.45 abort ceiling, so attacked runs reach the parity step.
+WEIGHTED = eve_intercept_resend((Basis.Z,) * 3 + (Basis.X,) * 3 + (Basis.Y,) * 4)
 
 
 def row(report, stage, quantity):
@@ -65,7 +69,7 @@ class TestFrameTables:
         # flags; the re-prepared rest has uniform, independent flags.
         one_hot = [0.0] * 4
         one_hot[pauli] = 1.0
-        repeated = eve_intercept_resend((Basis.Z, Basis.X, Basis.Z), (0.2, 0.3, 0.5))
+        repeated = eve_intercept_resend((Basis.Z,) * 2 + (Basis.X,) * 3 + (Basis.Z,) * 5)
         for eve, faithful in (
             (None, (1.0, 1.0, 1.0)),
             (eve_matched_basis_probe(), (1.0, 1.0, 1.0)),
@@ -254,21 +258,17 @@ class TestStreamingTransmit:
         "none": None,
         "match-prep": eve_matched_basis_probe(),
         "ZX": eve_intercept_resend((Basis.Z, Basis.X)),
-        "ZXY-weighted": eve_intercept_resend((Basis.Z, Basis.X, Basis.Y), (0.2, 0.3, 0.5)),
+        "ZXY-weighted": WEIGHTED,
+        # An attacker in Z re-prepares every Y qubit, one in Y none of them.
+        "Z": eve_intercept_resend((Basis.Z,)),
+        "Y": eve_intercept_resend((Basis.Y,)),
     }
     CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
-    ORACLE_CASES = {  # attacker, source weights
-        **{name: (eve, ProtocolParams.source_probs) for name, eve in ATTACKS.items()},
-        # Y sources only: an attacker in Z re-prepares every sifted qubit,
-        # one in Y none of them.
-        "Y-sources-Z": (eve_intercept_resend((Basis.Z,)), (0.0, 0.0, 1.0)),
-        "Y-sources-Y": (eve_intercept_resend((Basis.Y,)), (0.0, 0.0, 1.0)),
-    }
 
-    @pytest.mark.parametrize("attack", list(ORACLE_CASES))
+    @pytest.mark.parametrize("attack", list(ATTACKS))
     def test_matches_the_one_shot_oracle(self, attack):
-        eve, source_probs = self.ORACLE_CASES[attack]
-        params = ProtocolParams(n=10_001, source_probs=source_probs)
+        eve = self.ATTACKS[attack]
+        params = ProtocolParams(n=10_001)
         n_total = 8 * 10_001  # one full chunk and a ragged one
         assert TRANSMIT_CHUNK < n_total < 2 * TRANSMIT_CHUNK
         got = whole_transmit(self.CHANNEL, params, n_total, open_transmit_streams(7), eve)
@@ -281,9 +281,9 @@ class TestStreamingTransmit:
     @pytest.mark.parametrize("attack", ["none", "ZXY-weighted"])
     def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk, attack):
         # The key's 5,003 bits split into ragged blocks at every size but 1,
-        # multiples of 4 or not.  The loose abort rules let the attacked run
+        # multiples of 4 or not.  The loose sigma rule lets the attacked run
         # reach the parity step.
-        params = ProtocolParams(n=5003, abort_sigma=1e9, abort_ceiling=0.99)
+        params = ProtocolParams(n=5003, abort_sigma=1e9)
         eve = self.ATTACKS[attack]
         monkeypatch.setattr(sim, "_CHUNK", 1 << 20)
         whole = run_protocol(self.CHANNEL, params, seed=12, eve=eve)
@@ -308,14 +308,14 @@ class TestStreamingTransmit:
         # Key: the first n Y sifted qubits.  Checks: the next Y qubits, and
         # the first Z and X ones.  Rejection pairs (0, 1), (2, 3), ... of the
         # survivors, and the parity step groups adjacent k.
-        params = ProtocolParams(n=200, abort_sigma=1e9, abort_ceiling=0.99)
+        params = ProtocolParams(n=200, abort_sigma=1e9)
         report = per_qubit_report(DEPOLARIZING, params, seed=8)
         assert not report.aborted
         basis, error, phase = whole_transmit(
             DEPOLARIZING, params, report.n_transmitted, open_transmit_streams(8), None
         )
         n = params.n
-        want = sim._split_counts(n, params.check_split)
+        want = sim._split_counts(n, sim._CHECK_SPLIT)
         checks = {
             "Z": error[basis == 0][: want[0]],
             "X": error[basis == 1][: want[1]],
@@ -355,15 +355,15 @@ class TestAgainstTheInMemoryReport:
 
     CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
 
+    # A small delta leaves the expected pools only just above what the key
+    # and the checks need, so some seeds fall short.
     ABORTS = {  # channel, params, seed, attacker, abort reason
-        "sifted": (NOISELESS, dict(n=1000, source_probs=(0.5, 0.5, 0.0), bob_probs=(0.0, 0.0, 1.0)),
-                   31, None, "insufficient sifted bits"),
-        "sifted-attacked": (NOISELESS, dict(n=1000, source_probs=(0.5, 0.5, 0.0),
-                                            bob_probs=(0.0, 0.0, 1.0)),
-                            31, eve_intercept_resend((Basis.Z, Basis.X)), "insufficient sifted bits"),
-        "key-pool": (NOISELESS, dict(n=1000, source_probs=(0.4, 0.4, 0.2)), 32, None,
+        "sifted": (NOISELESS, dict(n=1000, delta=0.001), 1, None, "insufficient sifted bits"),
+        "sifted-attacked": (NOISELESS, dict(n=1000, delta=0.001), 1,
+                            eve_intercept_resend((Basis.Z, Basis.X)), "insufficient sifted bits"),
+        "key-pool": (NOISELESS, dict(n=1000, delta=0.01), 2, None,
                      "insufficient Y-basis sifted bits"),
-        "check-pool": (NOISELESS, dict(n=1000, check_split=(0.0, 0.0, 1.0)), 33, None,
+        "check-pool": (NOISELESS, dict(n=1000, delta=0.5), 0, None,
                        "insufficient Y-basis check bits"),
         "check-error": (NOISELESS, dict(n=2000), 22, eve_intercept_resend((Basis.Z, Basis.X)),
                         "check error in basis Z"),
@@ -431,7 +431,7 @@ def _row_counts(report):
 
 def _assert_same_distribution(new, old):
     """Each key of the dicts in ``new`` and ``old`` passes the two-sample KS test."""
-    assert set(new[0]) == set(old[0])
+    assert all(set(counts) == set(new[0]) for counts in new + old)
     for key in new[0]:
         a = np.sort([c[key] for c in new])
         b = np.sort([c[key] for c in old])
@@ -450,7 +450,7 @@ class TestArrivalOrderInDistribution:
     """
 
     CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
-    PARAMS = ProtocolParams(n=1000, abort_sigma=1e9, abort_ceiling=0.99)
+    PARAMS = ProtocolParams(n=1000, abort_sigma=1e9)
 
     def test_every_count_row_matches_the_permuted_rule(self):
         new, old = [], []
@@ -469,37 +469,37 @@ class TestCountsInDistribution:
     Per seed the two draw different bits, so the sifted counts and every
     count row are compared in distribution, 250 runs a side.  This keeps
     the flag tables and the attack law of the count-level run under the
-    check of the per-qubit transmit stage.
+    check of the per-qubit transmit stage.  An attacker that re-prepares
+    every qubit of some basis makes its checks pass the 0.45 ceiling; at
+    the n of these cases every such run ends there, and its sifted counts
+    and check rows are compared.
     """
 
     CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
-    Y_ONLY = dict(source_probs=(0.0, 0.0, 1.0), check_split=(0.0, 0.0, 1.0))
-    CASES = {  # attacker, further params
-        "none": (None, {}),
-        "match-prep": (eve_matched_basis_probe(), {}),
-        "ZX": (eve_intercept_resend((Basis.Z, Basis.X)), {}),
-        "ZXY-weighted": (eve_intercept_resend((Basis.Z, Basis.X, Basis.Y), (0.2, 0.3, 0.5)), {}),
-        # Y sources only: an attacker in Z re-prepares every sifted qubit,
-        # one in Y none of them.
-        "Y-sources-Z": (eve_intercept_resend((Basis.Z,)), Y_ONLY),
-        "Y-sources-Y": (eve_intercept_resend((Basis.Y,)), Y_ONLY),
+    CASES = {  # attacker, n, whether every run ends at the checks
+        "none": (None, 1000, False),
+        "match-prep": (eve_matched_basis_probe(), 1000, False),
+        "ZXY-weighted": (WEIGHTED, 4000, False),
+        # ZX and Z re-prepare every Y qubit, Y every Z and X qubit.
+        "ZX": (eve_intercept_resend((Basis.Z, Basis.X)), 12_500, True),
+        "Z": (eve_intercept_resend((Basis.Z,)), 4000, True),
+        "Y": (eve_intercept_resend((Basis.Y,)), 4000, True),
     }
 
     @staticmethod
     def _counts(report):
-        assert not report.aborted, report.abort_reason
         sifted = {f"sifted.{b}": c for b, c in zip("ZXY", report.sifted_by_basis)}
         return {"n_sifted": report.n_sifted, **sifted, **_row_counts(report)}
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_every_count_matches_the_per_qubit_report(self, case):
-        eve, extra = self.CASES[case]
-        params = ProtocolParams(n=1000, abort_sigma=1e9, abort_ceiling=0.99, **extra)
-        new = [self._counts(run_protocol(self.CHANNEL, params, seed, eve))
-               for seed in range(KS_RUNS)]
-        old = [self._counts(per_qubit_report(self.CHANNEL, params, KS_RUNS + seed, eve))
-               for seed in range(KS_RUNS)]
-        _assert_same_distribution(new, old)
+        eve, n, aborts = self.CASES[case]
+        params = ProtocolParams(n=n, abort_sigma=1e9)
+        new = [run_protocol(self.CHANNEL, params, seed, eve) for seed in range(KS_RUNS)]
+        old = [per_qubit_report(self.CHANNEL, params, KS_RUNS + seed, eve) for seed in range(KS_RUNS)]
+        for report in new + old:
+            assert report.aborted == aborts, report.abort_reason
+        _assert_same_distribution([self._counts(r) for r in new], [self._counts(r) for r in old])
 
 
 class TestEve:
@@ -533,26 +533,27 @@ class TestEve:
             assert abs(r.empirical - third) <= 4.0 * sigma
 
     def test_repeated_attack_bases_add_their_weights(self):
-        # Loose abort rules take both runs through the key and the parity step.
-        params = ProtocolParams(n=20_000, abort_sigma=1e9, abort_ceiling=0.99)
-        once = run_protocol(DEPOLARIZING, params, seed=24, eve=eve_intercept_resend((Basis.Z,)))
+        # Checks near 0.37 and a loose sigma rule take both runs through the
+        # key and the parity step.
+        params = ProtocolParams(n=20_000, abort_sigma=1e9)
+        once = run_protocol(
+            DEPOLARIZING, params, seed=24, eve=eve_intercept_resend((Basis.Z, Basis.X, Basis.Y))
+        )
         twice = run_protocol(
-            DEPOLARIZING, params, seed=24, eve=eve_intercept_resend((Basis.Z, Basis.Z))
+            DEPOLARIZING, params, seed=24, eve=eve_intercept_resend((Basis.Z, Basis.Z, Basis.X,
+                                                                      Basis.X, Basis.Y, Basis.Y))
         )
         assert not once.aborted
-        assert twice.eve == "bases=Z,Z;weights=0.5,0.5"
+        assert twice.eve == "bases=Z,Z,X,X,Y,Y;weights=" + ",".join(["0.16666666666666666"] * 6)
         assert dataclasses.replace(twice, eve=once.eve) == once
 
     def test_attack_weights_validation(self):
-        with pytest.raises(ValueError):
-            eve_intercept_resend(())
-        with pytest.raises(ValueError):
-            eve_intercept_resend((Basis.Z,), (0.5,))
-        with pytest.raises(ValueError):
-            eve_intercept_resend((Basis.Z, Basis.X), (0.8, 0.4))
-        for weights in ((math.nan, 1.0), (0.5, math.nan), (math.inf, -math.inf)):
-            with pytest.raises(ValueError):
-                eve_intercept_resend((Basis.Z, Basis.X), weights)
+        # The class holds the factory's rule too: no attacker that re-prepares
+        # every qubit and describes itself as "bases=;weights=".
+        for make in (lambda: eve_intercept_resend(()), EveModel, lambda: EveModel(bases=())):
+            with pytest.raises(ValueError, match="at least one basis"):
+                make()
+        assert EveModel(match_prep=True).describe() == "match-prep-probe"
 
     def test_describe(self):
         eve = eve_intercept_resend((Basis.Z, Basis.X))
@@ -560,32 +561,34 @@ class TestEve:
 
 
 class TestAborts:
+    # With delta near 0 the expected pools only just cover what the key and
+    # the checks need, so some seeds fall short.
     def test_insufficient_sifted_bits(self):
-        params = ProtocolParams(
-            n=1000, source_probs=(0.5, 0.5, 0.0), bob_probs=(0.0, 0.0, 1.0)
-        )
-        report = run_protocol(NOISELESS, params, seed=31)
+        params = ProtocolParams(n=1000, delta=0.001)
+        report = run_protocol(NOISELESS, params, seed=1)
         assert report.aborted
         assert "insufficient sifted bits" in report.abort_reason
         assert report.final_bit_error is None
 
     def test_insufficient_key_pool(self):
-        # Plenty sifted overall, but Y-bits are too rare to fill the key.
-        params = ProtocolParams(n=1000, source_probs=(0.4, 0.4, 0.2))
-        report = run_protocol(NOISELESS, params, seed=32)
+        # Enough sifted overall (2,000 needed), but too few in Y for the key.
+        params = ProtocolParams(n=1000, delta=0.01)
+        report = run_protocol(NOISELESS, params, seed=2)
         assert report.aborted
+        assert report.n_sifted >= 2000
         assert "Y-basis sifted bits" in report.abort_reason
 
     def test_insufficient_check_pool(self):
-        params = ProtocolParams(n=1000, check_split=(0.0, 0.0, 1.0))
-        report = run_protocol(NOISELESS, params, seed=33)
+        # The Y pool after the key expects delta * n / 6, about 83 of the 200 Y checks.
+        params = ProtocolParams(n=1000, delta=0.5)
+        report = run_protocol(NOISELESS, params, seed=0)
         assert report.aborted
-        assert "check bits" in report.abort_reason
+        assert "Y-basis check bits" in report.abort_reason
 
     def test_ceiling_catches_errors_the_sigma_rule_expects(self):
         # Half the channel mass flips the Z-frame bit; the analytic
         # expectation agrees, so only the absolute ceiling can object.
-        params = ProtocolParams(n=2000, abort_ceiling=0.45)
+        params = ProtocolParams(n=2000)
         report = run_protocol(PauliRates(0.5, 0.5, 0.0, 0.0), params, seed=34)
         assert report.aborted
         assert "check error" in report.abort_reason
@@ -597,22 +600,22 @@ class TestParamsValidation:
         [
             dict(n=0),
             dict(n=100, delta=0.0),
-            dict(n=100, source_probs=(0.5, 0.5, 0.5)),
-            dict(n=100, bob_probs=(-0.1, 0.6, 0.5)),
+            dict(n=100, p_group=-1),  # odd, but below 1
+            dict(n=100, target=0.0),
             dict(n=100, b_rounds=-1),
             dict(n=100, p_group=2),
             dict(n=100, target=0.5),
             dict(n=100, abort_sigma=0.0),
-            dict(n=100, abort_ceiling=1.0),
-            dict(n=100, check_split=(1.0, 1.0, 1.0)),
+            dict(n=100, target=math.nan),
+            dict(n=100, delta=1e308),  # (6 + delta) * n overflows to inf
             dict(n=100, delta=math.inf),
             dict(n=100, delta=math.nan),
             dict(n=100, abort_sigma=math.inf),
             dict(n=100, abort_sigma=math.nan),
-            dict(n=100, source_probs=(math.nan, 0.5, 0.5)),
-            dict(n=100, bob_probs=(math.inf, 0.0, 0.0)),
-            dict(n=100, check_split=(0.5, 0.5, math.nan)),
-            dict(n=100, source_probs=(math.inf, -math.inf, 1.0)),
+            dict(n=10, delta=1e18),  # (6 + delta) * n past int64
+            dict(n=2**62),
+            dict(n=np.int64(2**62)),
+            dict(n=10**400),  # past the float range
             dict(n=2.5),
             dict(n=100.0),
             dict(n=True),
@@ -626,11 +629,17 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             ProtocolParams(**kwargs)
 
-    def test_sifted_fraction_above_one_is_rejected(self):
-        # Each weight vector is within 1e-12 of summing to 1, but the sifted
-        # law built from them is no probability vector.
-        with pytest.raises(ValueError, match="source_probs and bob_probs"):
-            ProtocolParams(n=1000, source_probs=(0.0, 0.0, 1.0 + 5e-13), bob_probs=(0.0, 0.0, 1.0))
+    def test_transmitted_qubits_must_fit_int64(self):
+        # 8 * (2^60 - 128) is 2^63 - 1024, the largest float below 2^63.
+        assert ProtocolParams(n=2**60 - 128).n == 2**60 - 128
+        with pytest.raises(ValueError, match="overflow int64"):
+            ProtocolParams(n=2**60)
+
+    def test_only_the_run_settings_are_fields(self):
+        # The basis weights, check split and ceiling are the protocol's constants.
+        assert [f.name for f in dataclasses.fields(ProtocolParams)] == [
+            "n", "delta", "b_rounds", "p_group", "target", "abort_sigma"
+        ]
 
 
 class TestSerialization:
@@ -656,6 +665,6 @@ class TestSerialization:
             float(parts[3]); float(parts[4]); float(parts[5])
 
     def test_abort_reason_serialized(self):
-        params = ProtocolParams(n=1000, source_probs=(0.4, 0.4, 0.2))
-        report = run_protocol(NOISELESS, params, seed=42)
+        params = ProtocolParams(n=1000, delta=0.01)
+        report = run_protocol(NOISELESS, params, seed=2)
         assert "abort_reason = insufficient" in report.to_text()
