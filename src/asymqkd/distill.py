@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-import numpy as np
-
 from .channel import FlipRates, PauliRates, _dyadic_numerators
 from .keyrates import shannon4
 
@@ -50,6 +48,8 @@ def majority_phase_error(p_z: float, k: int) -> float:
     nor loses the tiny tails.  The table of log(i!) is built afresh on each
     call, so the result depends on (p_z, k) alone.
     """
+    import numpy as np
+
     if p_z <= 0.0:
         return 0.0
     if p_z >= 1.0:

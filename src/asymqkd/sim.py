@@ -79,13 +79,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .channel import Basis, PauliRates, conjugate, flip_rates
 from .distill import PStepParams, b_step, p_step
 from .keyrates import binary_entropy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _BASIS_ORDER = (Basis.Z, Basis.X, Basis.Y)
 _BASIS_CODE = {basis: code for code, basis in enumerate(_BASIS_ORDER)}
@@ -104,23 +105,24 @@ _CHECK_SPLIT = (0.4, 0.4, 0.2)
 _ABORT_CEILING = 0.45
 
 
-def _flag_tables() -> tuple[np.ndarray, np.ndarray]:
+def _flag_tables() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """(bit, phase) flip flags of each Pauli as seen from each basis.
 
+    One row per basis in ``_BASIS_ORDER``, one column per Pauli I, X, Y, Z.
     Derived from ``conjugate`` on one-hot distributions so the simulator
     and the analytic layer cannot drift apart.
     """
-    bit = np.zeros((3, 4), dtype=np.uint8)
-    phase = np.zeros((3, 4), dtype=np.uint8)
+    bit = [[0] * 4 for _ in _BASIS_ORDER]
+    phase = [[0] * 4 for _ in _BASIS_ORDER]
     for b_code, basis in enumerate(_BASIS_ORDER):
         for p_code in range(4):
             one_hot = [0.0, 0.0, 0.0, 0.0]
             one_hot[p_code] = 1.0
             eff = conjugate(PauliRates(*one_hot), basis).as_tuple()
             eff_code = max(range(4), key=eff.__getitem__)
-            bit[b_code, p_code] = 1 if eff_code in (1, 2) else 0
-            phase[b_code, p_code] = 1 if eff_code in (2, 3) else 0
-    return bit, phase
+            bit[b_code][p_code] = 1 if eff_code in (1, 2) else 0
+            phase[b_code][p_code] = 1 if eff_code in (2, 3) else 0
+    return tuple(map(tuple, bit)), tuple(map(tuple, phase))
 
 
 _BIT_FLAG, _PHASE_FLAG = _flag_tables()
@@ -374,6 +376,8 @@ def _split_counts(n: int, fractions) -> tuple[int, int, int]:
 
 
 def _open_streams(seed: int) -> dict[str, np.random.Generator]:
+    import numpy as np
+
     children = np.random.SeedSequence(seed).spawn(len(_STREAMS))
     return {name: np.random.default_rng(child) for name, child in zip(_STREAMS, children)}
 
@@ -387,13 +391,16 @@ def _flag_laws(channel: PauliRates, eve: Optional[EveModel]) -> np.ndarray:
     foreign basis and both flags are uniform.  ``w_b = 1`` with no
     attacker and for the ``match_prep`` probe.
     """
+    import numpy as np
+
     faithful = np.ones(3)
     if eve is not None and not eve.match_prep:
         faithful = np.zeros(3)
         for basis, weight in zip(eve.bases, eve.weights):
             faithful[_BASIS_CODE[basis]] += weight
+    columns = 2 * np.array(_BIT_FLAG) + np.array(_PHASE_FLAG)
     channel_law = np.empty((3, 4))
-    channel_law[np.arange(3)[:, None], 2 * _BIT_FLAG + _PHASE_FLAG] = channel.as_tuple()
+    channel_law[np.arange(3)[:, None], columns] = channel.as_tuple()
     return faithful[:, None] * channel_law + (1.0 - faithful[:, None]) * 0.25
 
 
@@ -404,6 +411,8 @@ def _key_flags(rng: np.random.Generator, law: np.ndarray, size: int) -> tuple[np
     ``np.searchsorted(cdf, u, side="right")`` counts it: the bit is
     category >= 2 and the phase the category's parity.
     """
+    import numpy as np
+
     edges = np.cumsum(law)[:-1]
     u = rng.random(size)
     bit = u >= edges[1]
@@ -419,6 +428,8 @@ class _Rejection:
     """
 
     def __init__(self) -> None:
+        import numpy as np
+
         self.n_in = 0
         self.survivors = 0
         self.bit_errors = 0
@@ -427,6 +438,8 @@ class _Rejection:
 
     def feed(self, bits: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Count one chunk of input and return its survivors' (bit, phase) flags."""
+        import numpy as np
+
         self.n_in += bits.size
         bits = np.concatenate((self.carry[0], bits))
         phase = np.concatenate((self.carry[1], phase))
@@ -460,6 +473,8 @@ class _Parity:
         self.open_phases = 0
 
     def feed(self, bits: np.ndarray, phase: np.ndarray) -> None:
+        import numpy as np
+
         k = self.k
         self.n_in += bits.size
         head = min(k - self.open_size, bits.size)
@@ -498,6 +513,8 @@ def run_protocol(
     Returns:
         A ``SimReport``; aborts are reported, never raised.
     """
+    import numpy as np
+
     n = params.n
     n_total = int(math.ceil((6.0 + params.delta) * n))
     want = _split_counts(n, _CHECK_SPLIT)

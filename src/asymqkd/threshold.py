@@ -38,9 +38,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .channel import (
     _NEG_TOL,
@@ -53,6 +51,9 @@ from .channel import (
 )
 from .distill import DistillationTrace, SearchParams, distill_schedule, distillable_in_limit
 from .keyrates import rate_single_basis, rate_sixstate_separate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ProtocolVariant(enum.Enum):
@@ -364,6 +365,8 @@ def _renormalized(comps: np.ndarray) -> np.ndarray:
     clipped rows taken left to right, so each column equals the
     ``PauliRates`` built from it.
     """
+    import numpy as np
+
     if np.isnan(comps).any():
         raise ValueError("Pauli rates contain NaN")
     if ((comps < -_NEG_TOL) | (comps > 1.0 + _SUM_TOL)).any():
@@ -380,6 +383,8 @@ def _shannon4(comps: np.ndarray) -> np.ndarray:
 
     The logarithm is ``math.log2``: np.log2 rounds differently in the last bit.
     """
+    import numpy as np
+
     positive = comps > 0.0
     safe = np.where(positive, comps, 1.0)
     log2 = np.fromiter(map(math.log2, safe.ravel().tolist()), float, safe.size)
@@ -389,6 +394,8 @@ def _shannon4(comps: np.ndarray) -> np.ndarray:
 
 def _square(a: np.ndarray) -> np.ndarray:
     """Python's ``a ** 2`` element-wise: libm pow, which differs from a * a."""
+    import numpy as np
+
     return np.fromiter(map(pow, a.tolist(), repeat(2.0)), float, a.size)
 
 
@@ -401,6 +408,8 @@ def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray
     operations in the same order, on whole arrays, including every
     validation and renormalization of the ``PauliRates`` built on the way.
     """
+    import numpy as np
+
     q_x = (totals - q_y0) / 2.0
     q_y = np.full_like(q_x, q_y0)
     rates = _renormalized(np.array([1.0 - (q_x + q_y + q_x), q_x, q_y, q_x]))
@@ -422,8 +431,11 @@ def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]
     For each case the rates are taken at every grid total inside
     [q_y0, 1].  The crossing cell is the first pair of consecutive such
     points where the gap two-way - one-way goes from <= 0 to > 0; it is
-    bisected 80 times and its midpoint reported.
+    bisected until its ends are adjacent floats, at most 80 rounds, and its
+    midpoint reported.
     """
+    import numpy as np
+
     totals = np.asarray(grid, dtype=float)
     curves = []
     for q_y0 in cases:
@@ -441,6 +453,8 @@ def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]
             lo, hi = evaluated[turns[0]:turns[0] + 2].tolist()
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break  # adjacent ends: every further round would keep them
                 one_mid, two_mid = _fig2_rates(q_y0, np.array([mid]))
                 if two_mid[0] - one_mid[0] > 0.0:
                     hi = mid

@@ -250,6 +250,9 @@ _SIM_STREAMS = (
     "bob_scramble", "phase_scramble", "selection", "pairing", "grouping",
 )
 _SIM_BASIS_CODE = {Basis.Z: 0, Basis.X: 1, Basis.Y: 2}
+# The package's flag tables (tuples, one row per basis) as arrays to index by code.
+BIT_FLAG_ARRAY = np.array(_BIT_FLAG, dtype=np.uint8)
+PHASE_FLAG_ARRAY = np.array(_PHASE_FLAG, dtype=np.uint8)
 
 
 def _categorical(rng, probs, size):
@@ -280,11 +283,11 @@ def one_shot_sifted(channel, params, seed, eve):
     bob_basis = _categorical(rng["bob_bases"], _BOB_PROBS, n_total)
     scramble = rng["bob_scramble"].integers(0, 2, n_total, dtype=np.uint8)
     meas_bit = np.where(
-        bob_basis == state_basis, state_bit ^ _BIT_FLAG[state_basis, paulis], scramble
+        bob_basis == state_basis, state_bit ^ BIT_FLAG_ARRAY[state_basis, paulis], scramble
     )
     phase_noise = rng["phase_scramble"].integers(0, 2, n_total, dtype=np.uint8)
     phase_flag = np.where(
-        state_basis == alice_basis, _PHASE_FLAG[state_basis, paulis], phase_noise
+        state_basis == alice_basis, PHASE_FLAG_ARRAY[state_basis, paulis], phase_noise
     )
     sifted = bob_basis == alice_basis
     return alice_basis[sifted], (meas_bit ^ alice_bits)[sifted], phase_flag[sifted]
@@ -341,8 +344,8 @@ def per_qubit_transmit(channel, params, n_total, rng, eve):
         sifted = np.flatnonzero(bob == alice)
         basis = alice.take(sifted)
         code = basis * 4 + paulis.take(sifted)
-        error = _BIT_FLAG.take(code)
-        phase = _PHASE_FLAG.take(code)
+        error = BIT_FLAG_ARRAY.take(code)
+        phase = PHASE_FLAG_ARRAY.take(code)
         if attack:
             eve_basis = eve_codes.take(sample_categorical(rng["eve_bases"], eve.weights, size))
             rebased = np.flatnonzero(eve_basis.take(sifted) != basis)

@@ -10,7 +10,8 @@ import pytest
 import asymqkd
 from asymqkd import cli
 from asymqkd.cli import main
-from oracles import fig2_csv
+from asymqkd.threshold import ProtocolVariant
+from oracles import fig2_csv, fresh_interpreter
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -83,6 +84,46 @@ def test_cli_module_entry_point_matches_the_package_one():
     package_out = _run_module("asymqkd", argv)
     assert package_out  # an entry point that prints nothing would match itself
     assert _run_module("asymqkd.cli", argv) == package_out
+
+
+# Commands that compute with scalars and integers only, with their exit codes.
+SCALAR_ARGVS = [
+    (["--help"], 0),
+    (["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.02"], 0),
+    *((["threshold", "--variant", v.value, "--family-ratio", "1.0"], 0) for v in ProtocolVariant),
+    (["threshold", "--variant", "ybasis", "--family-ratio", "2.5"], 1),  # re-entrant
+    (["sweep-fig1"], 0),
+]
+
+
+def test_numpy_loads_only_for_the_array_commands(tmp_path):
+    array_cases = [case for case in GOLDEN_CASES
+                   if case[0] in ("sweep_fig2_coarse.csv", "simulate_small.csv")]
+    out = fresh_interpreter(f"""
+import contextlib, io, sys
+from asymqkd.cli import build_parser, main
+build_parser()
+print("numpy" in sys.modules)
+for argv, want in {SCALAR_ARGVS!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(argv[0], code == want, "numpy" in sys.modules)
+for name, argv in {array_cases!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", {str(tmp_path)!r} + "/" + name])
+    print(name, code)
+""")
+    assert out.splitlines() == [
+        "False",
+        *(f"{argv[0]} True False" for argv, _ in SCALAR_ARGVS),
+        "sweep_fig2_coarse.csv 0",
+        "simulate_small.csv 0",
+    ]
+    for name, _ in array_cases:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_rates_family_form_matches_triple_form(tmp_path):

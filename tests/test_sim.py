@@ -18,6 +18,8 @@ from asymqkd.sim import (
     run_protocol,
 )
 from oracles import (
+    BIT_FLAG_ARRAY,
+    PHASE_FLAG_ARRAY,
     TRANSMIT_CHUNK,
     fresh_interpreter,
     one_shot_sifted,
@@ -48,20 +50,20 @@ class TestFrameTables:
 
     def test_bit_flags(self):
         # Z basis: X and Y flip the bit.  X basis: Y and Z do.  Y basis: X and Z.
-        assert _BIT_FLAG.tolist() == [
-            [0, 1, 1, 0],
-            [0, 0, 1, 1],
-            [0, 1, 0, 1],
-        ]
+        assert _BIT_FLAG == (
+            (0, 1, 1, 0),
+            (0, 0, 1, 1),
+            (0, 1, 0, 1),
+        )
 
     def test_phase_flags(self):
         # Complementary picture: whatever does not flip the bit (besides I)
         # flips the phase, and Y flips both.
-        assert _PHASE_FLAG.tolist() == [
-            [0, 0, 1, 1],
-            [0, 1, 1, 0],
-            [0, 1, 1, 0],
-        ]
+        assert _PHASE_FLAG == (
+            (0, 0, 1, 1),
+            (0, 1, 1, 0),
+            (0, 1, 1, 0),
+        )
 
     @pytest.mark.parametrize("pauli", range(4))
     def test_flag_laws_put_each_pauli_on_its_flags(self, pauli):
@@ -78,7 +80,7 @@ class TestFrameTables:
             laws = sim._flag_laws(PauliRates(*one_hot), eve)
             for code, share in enumerate(faithful):
                 want = np.full(4, (1.0 - share) / 4.0)
-                want[2 * _BIT_FLAG[code, pauli] + _PHASE_FLAG[code, pauli]] += share
+                want[2 * _BIT_FLAG[code][pauli] + _PHASE_FLAG[code][pauli]] += share
                 assert laws[code] == pytest.approx(want, abs=1e-15)
 
 
@@ -301,8 +303,8 @@ class TestStreamingTransmit:
             PauliRates(*one_hot), ProtocolParams(n=200), 1600, open_transmit_streams(8), None
         )
         assert set(basis.tolist()) == {0, 1, 2}
-        assert np.array_equal(error, _BIT_FLAG[basis, pauli])
-        assert np.array_equal(phase, _PHASE_FLAG[basis, pauli])
+        assert np.array_equal(error, BIT_FLAG_ARRAY[basis, pauli])
+        assert np.array_equal(phase, PHASE_FLAG_ARRAY[basis, pauli])
 
     def test_roles_by_arrival_order(self):
         # Key: the first n Y sifted qubits.  Checks: the next Y qubits, and

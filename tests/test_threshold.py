@@ -499,3 +499,27 @@ class TestSweepFig2:
         assert curve.crossing == pytest.approx(0.12672899360905127, abs=1e-9)
         (curve,) = sweep_fig2([0.0], [0.05, 0.1])
         assert curve.crossing is None
+
+    def test_bisection_stops_once_its_ends_are_adjacent_floats(self, monkeypatch):
+        kernel = threshold._fig2_rates
+
+        def gap(total):
+            one_way, two_way = kernel(0.0, np.array([total]))
+            return two_way[0] - one_way[0]
+
+        lo, hi = 0.1, 0.15
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if gap(mid) > 0.0 else (mid, hi)
+        assert math.nextafter(lo, 1.0) == hi
+
+        probes = []
+
+        def recorded(q_y0, totals):
+            probes.extend(totals.tolist())
+            return kernel(q_y0, totals)
+
+        monkeypatch.setattr(threshold, "_fig2_rates", recorded)
+        (curve,) = sweep_fig2([0.0], [0.05, 0.1, 0.15, 0.2])
+        assert curve.crossing == 0.5 * (lo + hi)
+        assert len(probes) - 4 < 60  # the grid, then one point per round
