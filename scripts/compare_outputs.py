@@ -77,6 +77,10 @@ ARGVS = [
         for ratio in ("0", "0.3", "1", "2")
     ),
     ["threshold", "--variant", "sixstate-separate", "--family-ratio", "1.0"],
+    # Ratios at the ends of the float range: the exact ray has huge integers.
+    ["threshold", "--variant", "ybasis", "--family-ratio", "1e308"],
+    ["threshold", "--variant", "ybasis", "--family-ratio", "5e-324"],
+    ["threshold", "--variant", "chau", "--family-ratio", "1e308"],
     # Re-entrant rays: the threshold command reports the error and exits 1.
     ["threshold", "--variant", "ybasis", "--family-ratio", "2.5"],
     ["threshold", "--variant", "ybasis", "--family-ratio", "3998"],

@@ -98,7 +98,8 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"grid needs step > 0 and hi >= lo, got {text!r}")
     # Capped before flooring: hi - lo may overflow to inf.  The relative
     # slack absorbs the rounding of the division, so 0:0.5:2e-5 (ratio
-    # 24999.999999999996) keeps its last point, while no point passes hi.
+    # 24999.999999999996) keeps its last point.  No step past hi is taken,
+    # but lo + i * step may round past it: 0.1:0.7:0.2 ends at 0.7000000000000001.
     count = math.floor(min((hi - lo) / step, _MAX_GRID_POINTS) * (1.0 + 1e-9)) + 1
     if count > _MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(

@@ -5,8 +5,8 @@ a fixed direction (d_x, d_y, d_z), scaled by the total noise S.  For each
 protocol variant, ``is_distillable`` decides whether a secret key is
 obtainable at one point of the ray.  Every ray is feasible on [0, r1) and
 maybe again on (r2, 1], with r1 <= 1/2 <= r2, so ``threshold_total_noise``
-probes S = 1 to tell a ray with one threshold from a re-entrant one, which
-it reports as ``NonMonotoneFamilyError``.
+decides S = 1 to tell a ray with one threshold from a re-entrant one,
+which it reports as ``NonMonotoneFamilyError``.
 
 One-way variants are feasible where their key rate is positive; their
 threshold is bisected to ``tol``.  Two-way variants are decided by one
@@ -14,14 +14,14 @@ authority, the exact unbounded-caps criterion ``distillable_in_limit``
 (Gottesman-Lo pair rejection plus parity in the limit m, k -> infinity),
 so a threshold does not depend on a residual-error target or on search
 caps.  Along a ray that criterion is a quadratic in S, so a two-way
-threshold is its smaller root r1 in closed form, bracketed by the floats
-next to it, each certified by the criterion in integer arithmetic.  The
-criterion judges the channel as built in floats; ``ChannelFamily`` keeps
-its direction from summing below one, so where a ray meets the boundary
-at S = 1/2 the channel built there is on the boundary or past it, not on
-the feasible side by round-off.  ``witness_schedule`` runs the capped
-(m, k) schedule search on demand, to explain a feasible channel by a
-concrete schedule; it never takes part in a feasibility decision.  Near
+threshold is its smaller root r1, computed in integers on the exact ray
+of the family's inputs, correctly rounded and bracketed by the floats
+next to it.  ``is_distillable`` judges a channel as built in floats;
+``ChannelFamily`` keeps its direction from summing below one, so where a
+ray meets the boundary at S = 1/2 the channel built there is not on the
+feasible side by round-off.  ``witness_schedule`` runs the capped (m, k)
+schedule search on demand, to explain a feasible channel by a concrete
+schedule; it never takes part in a feasibility decision.  Near
 threshold the capped search fails even where the limit criterion holds,
 because the required parity group size grows without bound.
 
@@ -84,9 +84,13 @@ class ChannelFamily:
     the largest components, all of them where several tie, are raised a
     float at a time until the exact sum is at least one; a family from
     ``from_y_ratio`` keeps q_x = q_z.
+
+    ``weights`` is the exact ray, the inputs as coprime integers: two-way
+    thresholds use it, ``rates_at`` builds float channels from ``direction``.
     """
 
     direction: tuple[float, float, float]
+    weights: tuple[int, int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         d = tuple(float(c) for c in self.direction)
@@ -95,6 +99,9 @@ class ChannelFamily:
         total = sum(d)
         if total <= 0.0:
             raise ValueError("direction must have positive total weight")
+        numerators, _ = _dyadic_numerators(d)
+        divisor = math.gcd(*numerators)
+        object.__setattr__(self, "weights", tuple(n // divisor for n in numerators))
         direction = tuple(c / total for c in d)
         numerators, denominator = _dyadic_numerators(direction)
         while sum(numerators) < denominator:
@@ -172,13 +179,14 @@ class Bracket:
 class ThresholdResult:
     """Threshold of a ray: feasible at ``bracket.low``, infeasible at ``bracket.high``.
 
-    For a two-way variant ``threshold`` is the root r1 and the bracket its
-    two neighbouring floats, widened only if round-off puts the flip of the
-    exact criterion a few floats away; for a one-way variant ``threshold``
-    is the midpoint of a bracket bisected to ``tol``.
+    For a two-way variant ``threshold`` is the root r1 on the family's
+    exact ray, correctly rounded, and the bracket its two neighbouring
+    floats; for a one-way variant ``threshold`` is the midpoint of a bracket
+    bisected to ``tol``.
 
-    For a schedule that explains the feasible end, call
-    ``witness_schedule(family.rates_at(result.bracket.low), variant)``.
+    Two-way ends are decided on the exact ray, and round-off can make
+    ``family.rates_at(bracket.low)`` infeasible: for ``witness_schedule``,
+    step down with ``math.nextafter`` to a channel ``is_distillable`` accepts.
     """
 
     threshold: float
@@ -198,6 +206,8 @@ def _bisect(
     """Halve [low, high], feasible at ``low`` and not at ``high``, to width ``tol``."""
     while high - low > tol:
         mid = 0.5 * (low + high)
+        if not low < mid < high:
+            break  # adjacent ends: a tol below their spacing, or 0, stops here
         if feasible(mid):
             low = mid
         else:
@@ -222,42 +232,38 @@ def _ray_bracket(feasible: Callable[[float], bool], tol: float) -> tuple[float, 
     return _bisect(feasible, (first - 1) / 49, first / 49, tol)
 
 
-# Most floats a certified bracket end may lie from r1.
-_CERTIFY_STEPS = 64
+def _smaller_root(p: int, q: int) -> float:
+    """r1 = 2q / ((4q - p) + √(p(8q - 7p))), correctly rounded, for 0 <= p <= q.
 
-
-def _certified_end(feasible: Callable[[float], bool], r1: float, toward: float) -> float:
-    """First float from r1 toward ``toward`` on that side of the flip.
-
-    Below r1 that is the first feasible float, above r1 the first infeasible one.
+    ``isqrt`` with ``guard`` fraction bits puts r1 between two int / int
+    quotients, each correctly rounded; doubling ``guard`` until they agree
+    ends, as an irrational r1 is no float midpoint.
     """
-    want = toward < r1
-    end = r1
-    for _ in range(_CERTIFY_STEPS):
-        end = math.nextafter(end, toward)
-        if feasible(end) is want:
-            return end
-    raise ArithmeticError(
-        f"no {'feasible' if want else 'infeasible'} float within {_CERTIFY_STEPS} "
-        f"steps of r1={r1!r}"
-    )
+    radicand = p * (8 * q - 7 * p)
+    guard = 64
+    while True:
+        scaled = radicand << 2 * guard
+        root = math.isqrt(scaled)
+        numerator, base = 2 * q << guard, ((4 * q - p) << guard) + root
+        low = numerator / (base + (root * root != scaled))
+        high = numerator / base
+        if low == high:
+            return high
+        guard *= 2
 
 
-def _two_way_threshold(
-    family: ChannelFamily, variant: ProtocolVariant, feasible: Callable[[float], bool]
-) -> ThresholdResult:
+def _two_way_threshold(family: ChannelFamily, variant: ProtocolVariant) -> ThresholdResult:
     """Closed-form threshold of a two-way variant; see ``threshold_total_noise``."""
-    rates = family.rates_at(1.0)
-    effective = _effective(rates, variant)
-    a = effective.q_x + effective.q_y
-    b = 2.0 - a
-    # The smaller root of g, written without cancellation.
-    r1 = 2.0 / ((2.0 * b + a) + math.sqrt(a * (8.0 - 7.0 * a)))
-    if is_distillable(rates, variant):  # feasible(1.0) on the channel built once
+    # a = e_x + e_y = p / q of the effective direction: the Y-conjugate maps
+    # (d_x, d_y, d_z) to (d_z, d_x, d_y); the three-basis average has a = 2/3.
+    w_x, w_y, w_z = family.weights
+    p, q = (w_x + w_z, w_x + w_y + w_z) if variant is ProtocolVariant.Y_BASIS_TWO_WAY else (2, 3)
+    r1 = _smaller_root(p, q)
+    if 2 * p < q:  # g(1) = (2a - 1)(a - 1) > 0: feasible at S = 1
+        a = p / q
+        b = 2.0 - a
         raise _reentrant(r1, 1.0 / (r1 * (a * a + b * b)))
-    low = _certified_end(feasible, r1, 0.0)
-    high = _certified_end(feasible, r1, 1.0)
-    return ThresholdResult(threshold=r1, bracket=Bracket(low, high))
+    return ThresholdResult(r1, Bracket(math.nextafter(r1, 0.0), math.nextafter(r1, 1.0)))
 
 
 def _check_tol(tol: float) -> None:
@@ -285,24 +291,20 @@ def threshold_total_noise(
     A ray feasible at S = 1 raises ``NonMonotoneFamilyError`` naming r1
     and r2.
 
-    Two-way variants take a from e = ``_effective(rates_at(1), variant)``.
-    The roots of g are r1 = 2 / ((2b + a) + √(a(8 - 7a))) and
-    r2 = 1 / (r1(a² + b²)); the threshold is r1 itself.  Its bracket is
-    the float below r1 and the float above it, each decided by the exact
-    criterion on the channel built at that scale; where round-off in that
-    channel moves the flip, the end steps out one float at a time, and
-    ``ArithmeticError`` is raised after 64 steps.  ``tol`` is validated
-    but unused.  One-way variants find the flip cell of a 1/49 grid and
-    bisect it to width ``tol``; the threshold is the bracket midpoint.
+    Two-way variants take a = p/q exactly from the family's integer
+    ``weights``: p/q = (w_x + w_z)/(w_x + w_y + w_z) for ``ybasis`` and 2/3
+    for ``chau``.  With b = 2 - a the roots of g are
+    r1 = 2q / ((4q - p) + √(p(8q - 7p))) and r2 = 1 / (r1(a² + b²)), and
+    g(1) = (2a - 1)(a - 1) is positive exactly when 2p < q.  The threshold
+    is r1 correctly rounded and the bracket its two neighbouring floats; no
+    channel is built and ``tol`` is validated but unused.  One-way variants
+    find the flip cell of a 1/49 grid and bisect it to width ``tol`` (or to
+    adjacent floats); the threshold is the bracket midpoint.
     """
     _check_tol(tol)
-
-    def feasible(scale: float) -> bool:
-        return is_distillable(family.rates_at(scale), variant)
-
     if variant in (ProtocolVariant.Y_BASIS_TWO_WAY, ProtocolVariant.CHAU_BASELINE):
-        return _two_way_threshold(family, variant, feasible)
-    low, high = _ray_bracket(feasible, tol)
+        return _two_way_threshold(family, variant)
+    low, high = _ray_bracket(lambda scale: is_distillable(family.rates_at(scale), variant), tol)
     return ThresholdResult(threshold=0.5 * (low + high), bracket=Bracket(low, high))
 
 
@@ -431,8 +433,7 @@ def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]
     For each case the rates are taken at every grid total inside
     [q_y0, 1].  The crossing cell is the first pair of consecutive such
     points where the gap two-way - one-way goes from <= 0 to > 0; it is
-    bisected until its ends are adjacent floats, at most 80 rounds, and its
-    midpoint reported.
+    bisected until its ends are adjacent floats and its midpoint reported.
     """
     import numpy as np
 
@@ -450,16 +451,12 @@ def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]
         turns = np.flatnonzero((gap[1:] > 0.0) & (gap[:-1] <= 0.0))
         crossing = None
         if turns.size:
-            lo, hi = evaluated[turns[0]:turns[0] + 2].tolist()
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break  # adjacent ends: every further round would keep them
-                one_mid, two_mid = _fig2_rates(q_y0, np.array([mid]))
-                if two_mid[0] - one_mid[0] > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
+
+            def not_over(total: float) -> bool:
+                one_mid, two_mid = _fig2_rates(q_y0, np.array([total]))
+                return not two_mid[0] - one_mid[0] > 0.0
+
+            lo, hi = _bisect(not_over, *evaluated[turns[0]:turns[0] + 2].tolist(), 0.0)
             crossing = 0.5 * (lo + hi)
         curves.append(Fig2Curve(q_y0, one_way, two_way, crossing))
     return curves

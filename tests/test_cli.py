@@ -66,7 +66,8 @@ def _run_module(module, argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     run = subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, env=env, check=False
+        [sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=60,
+        check=False,
     )
     assert run.returncode == 0, run.stderr.decode()
     return run.stdout
@@ -292,6 +293,9 @@ class TestBadInput:
         grid = cli._parse_grid("0:0.5:2e-5")
         assert len(grid) == 25001
         assert grid[-1] == pytest.approx(0.5)
+        # The point kept for HI is lo + i * step in floats, which may round past HI.
+        assert cli._parse_grid("0.1:0.7:0.2") == [
+            0.1, 0.30000000000000004, 0.5, 0.7000000000000001]
 
     @pytest.mark.parametrize("cases", ["0.0,abc", "-0.1", "nan", "1.5"])
     def test_bad_fig2_cases_exit_nonzero(self, cases):
@@ -352,6 +356,21 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--qx", "0", "--qy", "0", "--qz", "0", "--p-group", "2"])
         assert exc.value.code == 2
+
+
+def test_default_sweep_fig1_has_one_chau_threshold(capsys):
+    # The three-basis average puts every ray at a = 2/3: one exact root.
+    assert main(["sweep-fig1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[3:]]
+    assert len(rows) == 21
+    assert {row[3] for row in rows} == {"0.41458980337503154"}
+
+
+def test_threshold_tol_below_float_spacing_terminates():
+    # Bisected to adjacent floats, where the width can shrink no further.
+    argv = ["threshold", "--variant", "single-basis", "--family-ratio", "0", "--tol", "1e-17"]
+    last = _run_module("asymqkd", argv).decode().splitlines()[-1]
+    assert last.startswith("single-basis,0.0,0.22005572887671")
 
 
 def test_threshold_failure_reports_error_and_nonzero_exit(tmp_path):

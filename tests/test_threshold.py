@@ -14,6 +14,7 @@ from asymqkd.channel import Basis, PauliRates, conjugate
 from asymqkd.distill import distill_schedule, distillable_in_limit, modified_rate_one_bstep
 from asymqkd.keyrates import rate_sixstate_separate
 from asymqkd.threshold import (
+    Bracket,
     ChannelFamily,
     NonMonotoneFamilyError,
     ProtocolVariant,
@@ -285,6 +286,12 @@ class TestThresholds:
         with pytest.raises(NonMonotoneFamilyError):
             threshold_total_noise(ChannelFamily(direction), variant)
 
+    def test_bisection_below_float_spacing_ends_at_adjacent_floats(self):
+        result = threshold_total_noise(
+            ChannelFamily.from_y_ratio(0.0), ProtocolVariant.SINGLE_BASIS_ONE_WAY, tol=1e-300
+        )
+        assert math.nextafter(result.bracket.low, 1.0) == result.bracket.high
+
     @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
     def test_tol_must_be_positive_and_finite(self, tol):
         # Checked for two-way variants too, which do not use it.
@@ -298,39 +305,79 @@ def _exact(text):
     return Fraction(Decimal(text))
 
 
-def _probe(family, variant, scale):
-    """The exact criterion on the channel the threshold search builds at ``scale``."""
-    return distillable_in_limit(_effective(family.rates_at(scale), variant))
+# A direction component: zero, tiny or anywhere in [0, 1].
+_COMPONENT = st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.0, 1.0))
+
+
+def _on_exact_ray(direction, scale, variant):
+    """``limit_criterion`` at ``scale`` on the ray of the exact values of ``direction``."""
+    d_x, d_y, d_z = (Fraction(c) for c in direction)
+    step = Fraction(scale) / (d_x + d_y + d_z)
+    q_i, q_x, q_y, q_z = 1 - Fraction(scale), step * d_x, step * d_y, step * d_z
+    if variant is ProtocolVariant.Y_BASIS_TWO_WAY:  # conjugate(., Y)
+        return limit_criterion((q_i, q_z, q_x, q_y))
+    # average_over_mixture: the mean of the Z, X and Y conjugates.
+    return limit_criterion((q_i, (q_x + 2 * q_z) / 3, (q_x + 2 * q_y) / 3, (q_x + q_y + q_z) / 3))
+
+
+def _assert_neighbours_straddle_the_exact_root(direction, variant, got):
+    assert got.bracket == Bracket(
+        math.nextafter(got.threshold, 0.0), math.nextafter(got.threshold, 1.0))
+    assert _on_exact_ray(direction, got.bracket.low, variant)
+    assert not _on_exact_ray(direction, got.bracket.high, variant)
 
 
 class TestClosedForm:
-    """Two-way thresholds are the root r1, bracketed by floats the exact criterion certifies."""
+    """Two-way thresholds are the root r1 on the exact ray, correctly rounded.
+
+    Each bracket is the two floats next to r1, on its two sides of the exact
+    ray in ``Fraction`` arithmetic.
+    """
 
     @pytest.mark.parametrize("ratio", sorted(YBASIS_R1))
     @pytest.mark.parametrize("variant", TWO_WAY, ids=lambda v: v.value)
     def test_root_is_within_two_ulps_and_inside_its_bracket(self, ratio, variant):
-        want = _exact(YBASIS_R1[ratio] if variant is ProtocolVariant.Y_BASIS_TWO_WAY else CHAU_R1)
+        # Within zero ulps: the 50-digit value, correctly rounded.
+        want = YBASIS_R1[ratio] if variant is ProtocolVariant.Y_BASIS_TWO_WAY else CHAU_R1
         got = threshold_total_noise(ChannelFamily.from_y_ratio(ratio), variant)
-        assert abs(Fraction(got.threshold) - want) <= 2 * Fraction(math.ulp(got.threshold))
-        assert Fraction(got.bracket.low) < want < Fraction(got.bracket.high)
+        assert got.threshold == float(Decimal(want))
+        assert Fraction(got.bracket.low) < _exact(want) < Fraction(got.bracket.high)
 
     @pytest.mark.parametrize("ratio", [0.0, 0.3, 1.0, 2.0, 1e-9, 0.999])
     @pytest.mark.parametrize("variant", TWO_WAY, ids=lambda v: v.value)
     def test_bracket_ends_are_certified_next_to_the_root(self, ratio, variant):
-        family = ChannelFamily.from_y_ratio(ratio)
+        got = threshold_total_noise(ChannelFamily.from_y_ratio(ratio), variant)
+        _assert_neighbours_straddle_the_exact_root((1.0, ratio, 1.0), variant, got)
+
+    # Directions with zero, subnormal, tiny and huge components, and ratio
+    # families up to 1e308; re-entrant rays must be feasible at S = 1.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.tuples(*[st.one_of(_COMPONENT, st.just(5e-324), st.floats(1.0, 1e307))] * 3)
+            .filter(lambda d: sum(d) > 0.0),
+            st.one_of(st.just(5e-324), st.just(1e308), st.floats(0.0, 1e308))
+            .map(lambda ratio: (1.0, ratio, 1.0)),
+        ),
+        st.sampled_from(TWO_WAY),
+    )
+    def test_bracket_straddles_the_root_on_the_exact_ray(self, direction, variant):
+        try:
+            got = threshold_total_noise(ChannelFamily(direction), variant)
+        except NonMonotoneFamilyError:
+            assert _on_exact_ray(direction, 1.0, variant)
+            return
+        assert not _on_exact_ray(direction, 1.0, variant)
+        _assert_neighbours_straddle_the_exact_root(direction, variant, got)
+
+    def test_float_channel_at_the_low_end_may_be_infeasible(self):
+        # The exact ray decides: round-off in ``rates_at`` puts the float
+        # channel of this ray at ``bracket.low`` past the boundary.
+        direction = (0.31900957542749053, 0.02161920949339056, 0.659371215079119)
+        family, variant = ChannelFamily(direction), ProtocolVariant.Y_BASIS_TWO_WAY
         got = threshold_total_noise(family, variant)
-        assert got.bracket.low < got.threshold < got.bracket.high
-        assert _probe(family, variant, got.bracket.low)
-        assert not _probe(family, variant, got.bracket.high)
-        # Every float between an end and r1 is on the wrong side of it.
-        scale = math.nextafter(got.bracket.low, 1.0)
-        while scale < got.threshold:
-            assert not _probe(family, variant, scale)
-            scale = math.nextafter(scale, 1.0)
-        scale = math.nextafter(got.bracket.high, 0.0)
-        while scale > got.threshold:
-            assert _probe(family, variant, scale)
-            scale = math.nextafter(scale, 0.0)
+        _assert_neighbours_straddle_the_exact_root(direction, variant, got)
+        assert not is_distillable(family.rates_at(got.bracket.low), variant)
 
     # Channels a few floats from r1, where s·u and v² agree to round-off.
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -359,29 +406,20 @@ class TestClosedForm:
         assert low1 <= r1 <= high1
         assert low2 <= r2 <= high2
 
-    def test_threshold_probes_only_s_1_and_the_bracket_ends(self, monkeypatch):
-        probed = []
+    def test_two_way_threshold_builds_no_channel(self, monkeypatch):
+        single, reentrant = ChannelFamily.from_y_ratio(0.5), ChannelFamily.from_y_ratio(2.5)
 
-        def rates_at(family, scale):
-            probed.append(scale)
-            return original(family, scale)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a two-way threshold built or judged a channel")
 
-        original = ChannelFamily.rates_at
-        monkeypatch.setattr(ChannelFamily, "rates_at", rates_at)
-        got = threshold_total_noise(
-            ChannelFamily.from_y_ratio(0.5), ProtocolVariant.Y_BASIS_TWO_WAY
-        )
-        assert probed == [1.0, got.bracket.low, got.bracket.high]
-
-    def test_uncertifiable_root_raises(self, monkeypatch):
-        # A criterion that disagrees with the root everywhere near it.
-        monkeypatch.setattr(threshold, "distillable_in_limit", lambda rates: False)
-        with pytest.raises(ArithmeticError, match="no feasible float within 64 steps"):
-            threshold_total_noise(ChannelFamily.from_y_ratio(0.5), ProtocolVariant.CHAU_BASELINE)
-
-
-# A direction component: zero, tiny or anywhere in [0, 1].
-_COMPONENT = st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.0, 1.0))
+        monkeypatch.setattr(ChannelFamily, "rates_at", forbidden)
+        monkeypatch.setattr(PauliRates, "__post_init__", forbidden)
+        monkeypatch.setattr(threshold, "is_distillable", forbidden)
+        monkeypatch.setattr(threshold, "distillable_in_limit", forbidden)
+        for variant in TWO_WAY:
+            assert 0.4 < threshold_total_noise(single, variant).threshold < 0.5
+        with pytest.raises(NonMonotoneFamilyError):  # decided at S = 1 without a probe
+            threshold_total_noise(reentrant, ProtocolVariant.Y_BASIS_TWO_WAY)
 
 
 class TestRayShape:
@@ -424,8 +462,7 @@ class TestRayShape:
                     continue
                 _, low, high = want
                 assert low <= got.threshold <= high
-                assert _probe(family, variant, got.bracket.low)
-                assert not _probe(family, variant, got.bracket.high)
+                _assert_neighbours_straddle_the_exact_root(direction, variant, got)
         assert {"one flip", "other"} <= set(outcomes)
 
 
