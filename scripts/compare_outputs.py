@@ -85,6 +85,7 @@ ARGVS = [
     ["threshold", "--variant", "ybasis", "--family-ratio", "2.5"],
     ["threshold", "--variant", "ybasis", "--family-ratio", "3998"],
     ["threshold", "--variant", "single-basis", "--family-ratio", "60"],
+    ["threshold", "--variant", "sixstate-separate", "--family-ratio", "18"],
 ]
 
 

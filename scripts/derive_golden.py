@@ -13,11 +13,14 @@ values are an independent cross-check of the float implementation:
   the one-way rate on the q_x0 = q_z0 family, for each small-q_y0 case;
 * the ends r1 and r2 of the infeasible window of re-entrant Y-basis rays;
 * the two-way thresholds r1 of ``ybasis`` at ratios 0, 0.3, 1 and 2 and of
-  ``chau``, to 50 digits.
+  ``chau``, to 50 digits;
+* the one-way thresholds of ``single-basis`` and ``sixstate-separate`` at
+  ratios 0, 0.3, 1 and 2, to 50 digits.
 
 Run ``python scripts/derive_golden.py`` and paste the printed literals
 into the tests when a constant legitimately needs to change.  Values are
-printed to 17 significant digits (full float precision), the two-way r1 to 50.
+printed to 17 significant digits (full float precision), the r1 and one-way
+roots to 50.
 """
 
 import mpmath as mp
@@ -201,3 +204,20 @@ cases.append(("chau_r1", mp.mpf(2) / 3))
 for name, a in cases:
     b = 2 - a
     print(f"{name} = {mp.nstr(((2 * b + a) - mp.sqrt(a * (8 - 7 * a))) / (2 * (a**2 + b**2)), 50)}")
+
+print()
+print("# one-way thresholds to 50 digits on q_x = q_z rays of ratio R = q_y/q_x")
+# The key rate g(S) at q = S·(1, R, 1)/(2 + R) is positive at S = 0 and not
+# at S = 1/2, and convex in S, so [0, 1/2] brackets its one root there.
+for name, rate in (("single_basis", rate_single_basis), ("sixstate_separate", rate_sixstate_separate)):
+    for ratio_s in ("0", "0.3", "1", "2"):
+        ratio = mp.mpf(ratio_s)
+
+        def g(scale):
+            return rate(channel(scale / (2 + ratio), scale * ratio / (2 + ratio), scale / (2 + ratio)))
+
+        lo, hi = mp.mpf(0), mp.mpf("0.5")
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+        print(f"{name}_root[ratio={ratio_s}] = {mp.nstr((lo + hi) / 2, 50)}")

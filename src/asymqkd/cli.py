@@ -194,12 +194,12 @@ def _cmd_threshold(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         parser.error(f"invalid channel family: {exc}")
     params = _search_params(parser, args)
     header = [
-        "# schema: asymqkd.threshold.v1",
+        "# schema: asymqkd.threshold.v2",
         f"# config: variant={variant.value} family_ratio={args.family_ratio!r} "
-        f"tol={args.tol!r} target={args.target!r} m_max={params.m_max} k_max={params.k_max}",
+        f"target={args.target!r} m_max={params.m_max} k_max={params.k_max}",
     ]
     try:
-        result = threshold_total_noise(family, variant, tol=args.tol)
+        result = threshold_total_noise(family, variant)
     except NonMonotoneFamilyError as exc:
         _emit(["\n".join(header + [f"# error: {exc}"]) + "\n"], args.out)
         return 1
@@ -313,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[v.value for v in ProtocolVariant])
     p_thr.add_argument("--family-ratio", type=float, required=True, metavar="R",
                        help="channel shape q_y0/q_x0 with q_x0 = q_z0")
-    p_thr.add_argument("--tol", type=_parse_tol, default=1e-4,
-                       help="bisection width of the one-way variants; two-way "
-                       "thresholds are closed-form roots")
     p_thr.add_argument("--target", type=float, default=SearchParams.target, help=_TARGET_HELP)
     p_thr.add_argument("--out")
     p_thr.set_defaults(func=_cmd_threshold)

@@ -9,11 +9,11 @@ decides S = 1 to tell a ray with one threshold from a re-entrant one,
 which it reports as ``NonMonotoneFamilyError``.
 
 One-way variants are feasible where their key rate is positive; their
-threshold is bisected to ``tol``.  Two-way variants are decided by one
-authority, the exact unbounded-caps criterion ``distillable_in_limit``
-(Gottesman-Lo pair rejection plus parity in the limit m, k -> infinity),
-so a threshold does not depend on a residual-error target or on search
-caps.  Along a ray that criterion is a quadratic in S, so a two-way
+threshold is bisected on [0, 1/2] to adjacent floats.  Two-way variants
+are decided by one authority, the exact unbounded-caps criterion
+``distillable_in_limit`` (Gottesman-Lo pair rejection plus parity in the
+limit m, k -> infinity), so a threshold does not depend on a
+residual-error target or on search caps.  Along a ray that criterion is a quadratic in S, so a two-way
 threshold is its smaller root r1, computed in integers on the exact ray
 of the family's inputs, correctly rounded and bracketed by the floats
 next to it.  ``is_distillable`` judges a channel as built in floats;
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -97,8 +96,8 @@ class ChannelFamily:
         if len(d) != 3 or any(not math.isfinite(c) or c < 0.0 for c in d):
             raise ValueError(f"direction must be three finite nonnegative components, got {d}")
         total = sum(d)
-        if total <= 0.0:
-            raise ValueError("direction must have positive total weight")
+        if not 0.0 < total < math.inf:  # an infinite total would zero every component
+            raise ValueError(f"direction must have a positive finite total weight, got {total}")
         numerators, _ = _dyadic_numerators(d)
         divisor = math.gcd(*numerators)
         object.__setattr__(self, "weights", tuple(n // divisor for n in numerators))
@@ -181,8 +180,8 @@ class ThresholdResult:
 
     For a two-way variant ``threshold`` is the root r1 on the family's
     exact ray, correctly rounded, and the bracket its two neighbouring
-    floats; for a one-way variant ``threshold`` is the midpoint of a bracket
-    bisected to ``tol``.
+    floats; for a one-way variant the bracket is two adjacent floats and
+    ``threshold`` their midpoint, which rounds to one of them.
 
     Two-way ends are decided on the exact ray, and round-off can make
     ``family.rates_at(bracket.low)`` infeasible: for ``witness_schedule``,
@@ -200,36 +199,17 @@ def _reentrant(r1: float, r2: float) -> NonMonotoneFamilyError:
     )
 
 
-def _bisect(
-    feasible: Callable[[float], bool], low: float, high: float, tol: float
-) -> tuple[float, float]:
-    """Halve [low, high], feasible at ``low`` and not at ``high``, to width ``tol``."""
-    while high - low > tol:
-        mid = 0.5 * (low + high)
-        if not low < mid < high:
-            break  # adjacent ends: a tol below their spacing, or 0, stops here
+def _bisect(feasible: Callable[[float], bool], low: float, high: float) -> tuple[float, float]:
+    """Halve [low, high], feasible at ``low`` and not at ``high``, to adjacent floats.
+
+    The ends themselves are not probed.
+    """
+    while low < (mid := 0.5 * (low + high)) < high:
         if feasible(mid):
             low = mid
         else:
             high = mid
     return low, high
-
-
-def _ray_bracket(feasible: Callable[[float], bool], tol: float) -> tuple[float, float]:
-    """Bracket the flip of a predicate feasible on [0, r1) and maybe on (r2, 1].
-
-    ``feasible(0)`` and ``not feasible(0.5)`` are not probed.  Feasible at 1,
-    raises ``NonMonotoneFamilyError``; else binary-searches the cells
-    [i/49, (i+1)/49] for the flip and bisects its cell to ``tol``: the start
-    cell fixes every bit of a threshold.
-    """
-    if feasible(1.0):
-        r1 = _bisect(feasible, 0.0, 0.5, tol)
-        r2 = _bisect(lambda scale: not feasible(scale), 0.5, 1.0, tol)
-        raise _reentrant(0.5 * sum(r1), 0.5 * sum(r2))
-    # First i in 1..48 with i/49 infeasible, else 49.
-    first = bisect_left(range(49), True, lo=1, key=lambda i: not feasible(i / 49))
-    return _bisect(feasible, (first - 1) / 49, first / 49, tol)
 
 
 def _smaller_root(p: int, q: int) -> float:
@@ -266,14 +246,7 @@ def _two_way_threshold(family: ChannelFamily, variant: ProtocolVariant) -> Thres
     return ThresholdResult(r1, Bracket(math.nextafter(r1, 0.0), math.nextafter(r1, 1.0)))
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:  # also rejects nan
-        raise ValueError(f"tol={tol!r} must be positive and finite")
-
-
-def threshold_total_noise(
-    family: ChannelFamily, variant: ProtocolVariant, tol: float = 1e-4
-) -> ThresholdResult:
+def threshold_total_noise(family: ChannelFamily, variant: ProtocolVariant) -> ThresholdResult:
     """Locate the total-noise threshold of ``variant`` along ``family``.
 
     On the ray q = S·d the variant is feasible where g(S) > 0, with g
@@ -297,14 +270,21 @@ def threshold_total_noise(
     r1 = 2q / ((4q - p) + √(p(8q - 7p))) and r2 = 1 / (r1(a² + b²)), and
     g(1) = (2a - 1)(a - 1) is positive exactly when 2p < q.  The threshold
     is r1 correctly rounded and the bracket its two neighbouring floats; no
-    channel is built and ``tol`` is validated but unused.  One-way variants
-    find the flip cell of a 1/49 grid and bisect it to width ``tol`` (or to
-    adjacent floats); the threshold is the bracket midpoint.
+    channel is built.  One-way variants probe S = 1, then bisect r1 on
+    [0, 1/2], and r2 on [1/2, 1] for a re-entrant ray, until the ends are
+    adjacent floats; the threshold is the bracket midpoint.
     """
-    _check_tol(tol)
     if variant in (ProtocolVariant.Y_BASIS_TWO_WAY, ProtocolVariant.CHAU_BASELINE):
         return _two_way_threshold(family, variant)
-    low, high = _ray_bracket(lambda scale: is_distillable(family.rates_at(scale), variant), tol)
+
+    def feasible(scale: float) -> bool:
+        return is_distillable(family.rates_at(scale), variant)
+
+    if feasible(1.0):
+        r1 = _bisect(feasible, 0.0, 0.5)
+        r2 = _bisect(lambda scale: not feasible(scale), 0.5, 1.0)
+        raise _reentrant(0.5 * sum(r1), 0.5 * sum(r2))
+    low, high = _bisect(feasible, 0.0, 0.5)
     return ThresholdResult(threshold=0.5 * (low + high), bracket=Bracket(low, high))
 
 
@@ -327,7 +307,8 @@ def sweep_fig1(ratios) -> list[Fig1Row]:
     plotting threshold against channel asymmetry.  Per-point failures are
     recorded in the row (NaN values plus the error message) and do not stop
     the sweep.  Both thresholds are the closed-form roots r1 of
-    ``threshold_total_noise``, so the sweep takes no tolerance.
+    ``threshold_total_noise``, so the sweep takes no tolerance; ``q_y0`` is
+    the Y-basis threshold times d_y of the exact ray, correctly rounded.
     """
     rows: list[Fig1Row] = []
     for ratio in ratios:
@@ -338,7 +319,9 @@ def sweep_fig1(ratios) -> list[Fig1Row]:
         except (NonMonotoneFamilyError, ValueError) as exc:
             rows.append(Fig1Row(ratio, math.nan, math.nan, math.nan, error=str(exc)))
             continue
-        q_y0 = family.rates_at(thr_y.threshold).q_y
+        # int / int division is correctly rounded.
+        numerator, denominator = thr_y.threshold.as_integer_ratio()
+        q_y0 = numerator * family.weights[1] / (denominator * sum(family.weights))
         rows.append(Fig1Row(ratio, q_y0, thr_y.threshold, thr_c.threshold))
     return rows
 
@@ -456,7 +439,7 @@ def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]
                 one_mid, two_mid = _fig2_rates(q_y0, np.array([total]))
                 return not two_mid[0] - one_mid[0] > 0.0
 
-            lo, hi = _bisect(not_over, *evaluated[turns[0]:turns[0] + 2].tolist(), 0.0)
+            lo, hi = _bisect(not_over, *evaluated[turns[0]:turns[0] + 2].tolist())
             crossing = 0.5 * (lo + hi)
         curves.append(Fig2Curve(q_y0, one_way, two_way, crossing))
     return curves

@@ -13,8 +13,7 @@ Output of the two must agree byte for byte.
 ``bisected_threshold`` is the reference for ``threshold_total_noise``:
 the search as it ran before the shape of a ray was known, a 50-point
 audit grid read for monotonicity and its flip cell bisected.  Where the
-audit sees one flip, a one-way threshold must agree with it bit for bit,
-and a two-way one, a closed-form root, must lie in its bracket.
+audit sees one flip, a threshold must lie in its bracket.
 ``bisected_window`` bisects both ends r1 and r2 of a re-entrant ray, for
 the closed-form ends that ``NonMonotoneFamilyError`` names.
 

@@ -1,4 +1,5 @@
 import argparse
+import math
 import os
 import pathlib
 import subprocess
@@ -317,16 +318,20 @@ class TestBadInput:
             main(argv + ["--target", "0.7"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["threshold", "--variant", "chau", "--family-ratio", "1.0"],
-        ["sweep-fig1", "--grid", "0.0:0.0:1.0"],
-    ])
+    @pytest.mark.parametrize("argv", [["sweep-fig1", "--grid", "0.0:0.0:1.0"]])
     @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "abc"])
     def test_bad_tol_exits_2(self, capsys, argv, tol):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--tol", tol])
         assert exc.value.code == 2
         assert "argument --tol: tol must be" in capsys.readouterr().err
+
+    def test_threshold_has_no_tol(self, capsys):
+        # Every threshold is bisected to adjacent floats or is a closed-form root.
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--variant", "single-basis", "--family-ratio", "0", "--tol", "1e-4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ratio", ["-1", "nan", "inf"])
     def test_bad_family_ratio_exits_2(self, capsys, ratio):
@@ -366,11 +371,13 @@ def test_default_sweep_fig1_has_one_chau_threshold(capsys):
     assert {row[3] for row in rows} == {"0.41458980337503154"}
 
 
-def test_threshold_tol_below_float_spacing_terminates():
-    # Bisected to adjacent floats, where the width can shrink no further.
-    argv = ["threshold", "--variant", "single-basis", "--family-ratio", "0", "--tol", "1e-17"]
-    last = _run_module("asymqkd", argv).decode().splitlines()[-1]
-    assert last.startswith("single-basis,0.0,0.22005572887671")
+def test_threshold_prints_a_one_way_bracket_of_adjacent_floats(capsys):
+    assert main(["threshold", "--variant", "single-basis", "--family-ratio", "0"]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    threshold, low, high = map(float, row[2:])
+    assert math.nextafter(low, 1.0) == high
+    assert threshold in (low, high)  # the midpoint of adjacent floats rounds to one of them
+    assert row[2].startswith("0.22005572887671")
 
 
 def test_threshold_failure_reports_error_and_nonzero_exit(tmp_path):

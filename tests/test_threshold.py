@@ -19,9 +19,9 @@ from asymqkd.threshold import (
     NonMonotoneFamilyError,
     ProtocolVariant,
     SearchParams,
+    _bisect,
     _effective,
     _fig2_rates,
-    _ray_bracket,
     is_distillable,
     sweep_fig1,
     sweep_fig2,
@@ -33,8 +33,23 @@ from oracles import AuditError, bisected_threshold, bisected_window, limit_crite
 
 # Frozen from scripts/derive_golden.py.
 TWO_WAY_LIMIT_SYMMETRIC = 0.41458980337503155
-SINGLE_BASIS_ZERO_SYMMETRIC = 0.22005572887671910
-SIXSTATE_SEPARATE_ZERO_SYMMETRIC = 0.18928962491523176
+# 50-digit one-way thresholds by ratio.
+SINGLE_BASIS_ROOT = {
+    0.0: "0.22005572887671910252362340866997892035422981018379",
+    0.3: "0.19466468323709766761705147690036596800566483208566",
+    1.0: "0.16504179665753932689271755650248419026567235763784",
+    2.0: "0.14670381925114606834908227244665261356948654012253",
+}
+SIXSTATE_SEPARATE_ROOT = {
+    0.0: "0.22709219521934818721052345430504338837644752984648",
+    0.3: "0.19779909984909379928869564365292283562086061679319",
+    1.0: "0.18928962491523176260239469336527424216696616184305",
+    2.0: "0.19378497877490457237020525715766620585364614161027",
+}
+ONE_WAY_ROOT = {
+    ProtocolVariant.SINGLE_BASIS_ONE_WAY: SINGLE_BASIS_ROOT,
+    ProtocolVariant.SIX_STATE_SEPARATE_ONE_WAY: SIXSTATE_SEPARATE_ROOT,
+}
 # (ratio, r1, r2) of the infeasible window of re-entrant Y-basis rays.
 YBASIS_WINDOWS = [
     (2.5, 0.39764506496982454, 0.96084550106791131),
@@ -52,23 +67,24 @@ TWO_WAY = (ProtocolVariant.Y_BASIS_TWO_WAY, ProtocolVariant.CHAU_BASELINE)
 
 
 class TestAuditAndBisect:
-    """``_ray_bracket``, the search behind ``threshold_total_noise``, on synthetic predicates."""
+    """``_bisect``, the search behind one-way thresholds, on synthetic predicates."""
 
     def test_finds_a_known_cut(self):
-        # In the first cell, in a middle one and in the last before 1/2.
-        for cut in (0.01, 0.3721, 0.4999):
-            low, high = _ray_bracket(lambda x: x < cut, tol=1e-6)
-            assert abs(low - cut) < 1e-6
-            assert high - low <= 1e-6
+        # Near either end of [0, 1/2] and inside it; the cut is the first
+        # infeasible float.
+        for cut in (1e-300, 0.01, 0.3721, 0.4999):
+            low, high = _bisect(lambda x: x < cut, 0.0, 0.5)
+            assert math.nextafter(low, 1.0) == high == cut
 
     def test_bracket_ends_are_probed_feasible_and_infeasible(self):
         verdicts = {}
 
         def feasible(x):
-            verdicts[x] = x < 0.5
+            verdicts[x] = x < 0.3721
             return verdicts[x]
 
-        low, high = _ray_bracket(feasible, 1e-4)
+        low, high = _bisect(feasible, 0.0, 0.5)
+        assert math.nextafter(low, 1.0) == high
         assert verdicts[low] is True
         assert verdicts[high] is False
 
@@ -88,6 +104,11 @@ class TestChannelFamily:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             ChannelFamily((0.0, 0.0, 0.0))
+
+    def test_overflowing_direction_rejected(self):
+        # Divided by an infinite total, every component would be 0.0.
+        with pytest.raises(ValueError, match="finite total weight"):
+            ChannelFamily((1e308, 1e308, 0.0))
 
     # Divided by their float total, each of these sums to just below one.
     @pytest.mark.parametrize(
@@ -226,23 +247,30 @@ class TestThresholds:
         result = threshold_total_noise(
             ChannelFamily.from_y_ratio(0.0), ProtocolVariant.SINGLE_BASIS_ONE_WAY
         )
-        assert result.threshold == pytest.approx(SINGLE_BASIS_ZERO_SYMMETRIC, abs=2e-4)
+        assert _within_ulps(result.threshold, SINGLE_BASIS_ROOT[0.0], 4)
 
     def test_sixstate_separate_zero(self):
         result = threshold_total_noise(
             ChannelFamily.from_y_ratio(1.0), ProtocolVariant.SIX_STATE_SEPARATE_ONE_WAY
         )
-        assert result.threshold == pytest.approx(
-            SIXSTATE_SEPARATE_ZERO_SYMMETRIC, abs=2e-4
-        )
+        assert _within_ulps(result.threshold, SIXSTATE_SEPARATE_ROOT[1.0], 4)
+
+    @pytest.mark.parametrize("ratio", sorted(SINGLE_BASIS_ROOT))
+    @pytest.mark.parametrize("variant", list(ONE_WAY_ROOT), ids=lambda v: v.value)
+    def test_one_way_root_within_four_ulps_between_adjacent_floats(self, ratio, variant):
+        family = ChannelFamily.from_y_ratio(ratio)
+        result = threshold_total_noise(family, variant)
+        assert _within_ulps(result.threshold, ONE_WAY_ROOT[variant][ratio], 4)
+        low, high = result.bracket.low, result.bracket.high
+        assert math.nextafter(low, 1.0) == high
+        assert is_distillable(family.rates_at(low), variant)
+        assert not is_distillable(family.rates_at(high), variant)
 
     def test_threshold_is_bracket_midpoint(self):
         result = threshold_total_noise(
-            ChannelFamily.from_y_ratio(0.0), ProtocolVariant.SINGLE_BASIS_ONE_WAY, tol=1e-3
+            ChannelFamily.from_y_ratio(0.0), ProtocolVariant.SINGLE_BASIS_ONE_WAY
         )
-        assert result.threshold == pytest.approx(
-            (result.bracket.low + result.bracket.high) / 2
-        )
+        assert result.threshold == 0.5 * (result.bracket.low + result.bracket.high)
 
     def test_family_feasible_at_both_ends_raises(self):
         # The message names both ends of the infeasible window, the roots of
@@ -281,28 +309,24 @@ class TestThresholds:
         # Pure sigma_y noise turned into the Y frame is pure phase noise of
         # rate S, distillable at every total noise S except exactly 1/2,
         # where the phase error is 1/2.  That window and the ratio-3998 one,
-        # about 0.016 wide, fit between points of a 1/49 grid; probing S = 1
-        # finds them anyway.
+        # about 0.016 wide, would slip between the points of a coarse grid;
+        # probing S = 1 finds them.
         with pytest.raises(NonMonotoneFamilyError):
             threshold_total_noise(ChannelFamily(direction), variant)
 
     def test_bisection_below_float_spacing_ends_at_adjacent_floats(self):
         result = threshold_total_noise(
-            ChannelFamily.from_y_ratio(0.0), ProtocolVariant.SINGLE_BASIS_ONE_WAY, tol=1e-300
+            ChannelFamily.from_y_ratio(0.0), ProtocolVariant.SINGLE_BASIS_ONE_WAY
         )
         assert math.nextafter(result.bracket.low, 1.0) == result.bracket.high
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
-    def test_tol_must_be_positive_and_finite(self, tol):
-        # Checked for two-way variants too, which do not use it.
-        with pytest.raises(ValueError):
-            threshold_total_noise(
-                ChannelFamily.from_y_ratio(1.0), ProtocolVariant.CHAU_BASELINE, tol=tol
-            )
 
 
 def _exact(text):
     return Fraction(Decimal(text))
+
+
+def _within_ulps(got, text, ulps):
+    return abs(Fraction(got) - _exact(text)) <= ulps * Fraction(math.ulp(got))
 
 
 # A direction component: zero, tiny or anywhere in [0, 1].
@@ -449,7 +473,7 @@ class TestRayShape:
             for variant in ProtocolVariant:
                 two_way = variant in TWO_WAY
                 try:
-                    want = bisected_threshold(family, variant, tol=1e-12 if two_way else 1e-4)
+                    want = bisected_threshold(family, variant, tol=1e-12 if two_way else 1e-13)
                 except AuditError:
                     outcomes.append("other")
                     with pytest.raises(NonMonotoneFamilyError):
@@ -457,12 +481,12 @@ class TestRayShape:
                     continue
                 outcomes.append("one flip")
                 got = threshold_total_noise(family, variant)
-                if not two_way:
-                    assert _bits((got.threshold, got.bracket.low, got.bracket.high)) == _bits(want)
-                    continue
                 _, low, high = want
                 assert low <= got.threshold <= high
-                _assert_neighbours_straddle_the_exact_root(direction, variant, got)
+                if two_way:
+                    _assert_neighbours_straddle_the_exact_root(direction, variant, got)
+                else:
+                    assert math.nextafter(got.bracket.low, 1.0) == got.bracket.high
         assert {"one flip", "other"} <= set(outcomes)
 
 
@@ -476,10 +500,12 @@ class TestSweep:
             assert 0.0 < row.threshold_chau < row.threshold_ybasis <= 0.5
 
     def test_q_y0_column_reports_the_y_noise_at_threshold(self):
-        (row,) = sweep_fig1([0.5])
-        family = ChannelFamily.from_y_ratio(0.5)
-        expected = family.rates_at(row.threshold_ybasis).q_y
-        assert row.q_y0_at_threshold == pytest.approx(expected, abs=1e-12)
+        # Correctly rounded on the exact ray, q_y0 = threshold · R / (2 + R),
+        # on the default sweep-fig1 grid.
+        for row in sweep_fig1([0.0 + i * 0.05 for i in range(21)]):
+            ratio = Fraction(row.y_ratio)
+            exact = Fraction(row.threshold_ybasis) * ratio / (2 + ratio)
+            assert row.q_y0_at_threshold == float(exact)
 
     def test_failed_rows_carry_the_message_and_nans(self):
         rows = sweep_fig1([0.0, float("nan")])
