@@ -318,7 +318,10 @@ class TestBadInput:
             main(argv + ["--target", "0.7"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("argv", [["sweep-fig1", "--grid", "0.0:0.0:1.0"]])
+    @pytest.mark.parametrize("argv", [
+        ["sweep-fig1", "--grid", "0.0:0.0:1.0"],
+        ["sweep-fig1"],
+    ])
     @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "abc"])
     def test_bad_tol_exits_2(self, capsys, argv, tol):
         with pytest.raises(SystemExit) as exc:
