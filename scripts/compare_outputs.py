@@ -37,6 +37,7 @@ ARGVS = [
     # Runs to completion.
     _simulate("--n", "1000000", "--seed", "0", "--abort-sigma", "5"),
     _simulate("--n", "1000000", "--seed", "20040406", "--abort-sigma", "5"),
+    _simulate("--n", "1000000000000", "--abort-sigma", "5"),  # 8 * 10^12 transmitted qubits
     _simulate("--n", "100", "--seed", "1"),
     _simulate("--n", "70001", "--seed", "3", "--eve", "ZX"),
     _simulate("--n", "70001", "--seed", "3", "--eve", "XY"),
@@ -48,9 +49,13 @@ ARGVS = [
     _simulate("--n", "5000", "--seed", "21", "--eve", "match-prep"),
     _simulate("--n", "300000", "--seed", "9", "--eve", "ZXY", "--abort-sigma", "1000"),
     _simulate("--n", "20000", "--seed", "4", "--b-rounds", "0"),
+    _simulate("--n", "20000", "--seed", "4", "--b-rounds", "1"),
+    _simulate("--n", "20000", "--seed", "4", "--b-rounds", "3"),
     _simulate("--n", "20000", "--seed", "4", "--b-rounds", "5"),
     _simulate("--n", "20000", "--seed", "4", "--b-rounds", "20"),
+    _simulate("--n", "20000", "--seed", "4", "--p-group", "1"),
     _simulate("--n", "20000", "--seed", "4", "--p-group", "5"),
+    _simulate("--n", "20000", "--seed", "4", "--p-group", "99"),  # parity groups drawn one by one
     _simulate("--n", "20000", "--seed", "4", "--p-group", "9", "--abort-sigma", "1000"),
     # One argv per abort reason, in the order run_protocol checks them.
     _simulate("--n", "1000", "--delta", "0.001", "--seed", "1", channel=_NOISELESS),
@@ -58,7 +63,7 @@ ARGVS = [
     _simulate("--n", "1000", "--delta", "0.5", "--seed", "0", channel=_NOISELESS),
     _simulate("--n", "20000", "--seed", "22", "--eve", "ZX"),
     _simulate("--n", "1000", "--b-rounds", "1000000000"),
-    _simulate("--n", "6", "--seed", "3", "--abort-sigma", "1000",
+    _simulate("--n", "6", "--seed", "10", "--abort-sigma", "1000",
               channel=["--qx", "0.2", "--qy", "0", "--qz", "0.2"]),
     _simulate("--n", "1000", "--p-group", "100000001"),
     # (6 + delta) * n transmitted qubits past int64.

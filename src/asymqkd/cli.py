@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="one seeded Monte Carlo protocol run")
     _add_channel_flags(p_sim)
-    p_sim.add_argument("--n", type=int, default=10_000, help="key-bit block size")
+    p_sim.add_argument("--n", type=int, default=10_000, help="number of key bits")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--delta", type=float, default=2.0)
     p_sim.add_argument("--b-rounds", type=int, default=2)

@@ -61,13 +61,10 @@ distribution over seeds.
 Randomness: three ``numpy`` PCG64 generators spawned from
 ``SeedSequence(seed)`` in the order of ``_STREAMS``: the sifted counts
 (one multinomial draw), the check errors (one binomial draw per basis,
-made only after the pool-size aborts pass) and the key flags (one uniform
-per key bit, drawn in blocks of ``_CHUNK``).  ``random()`` draws split
-anywhere reproduce one pass, so the report does not depend on the block
-size.  The rejection rounds and the parity step fold each block into
-running counts, with a carry of at most one bit per round and of the flag
-sums of one open group for the parity step, so memory is constant in n.
-Identical (channel, params, seed, eve) inputs reproduce the report exactly.
+made only after the pool-size aborts pass) and the key stage, drawn as
+counts too (``_key_counts``), so that its time and memory do not depend
+on n.  Identical (channel, params, seed, eve) inputs reproduce the report
+exactly.
 
 Aborts (too few sifted bits, short check pools, failed error test, key
 exhaustion) are outcomes, not errors: the report carries the abort reason
@@ -79,6 +76,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain, combinations, product
 from typing import TYPE_CHECKING, Optional
 
 from .channel import Basis, PauliRates, conjugate, flip_rates
@@ -91,8 +89,8 @@ if TYPE_CHECKING:
 _BASIS_ORDER = (Basis.Z, Basis.X, Basis.Y)
 _BASIS_CODE = {basis: code for code, basis in enumerate(_BASIS_ORDER)}
 _STREAMS = ("counts", "checks", "key")
-# Key bits drawn per block.
-_CHUNK = 1 << 16
+# Parity groups drawn per block where each group is drawn on its own.
+_GROUP_ROWS = 1 << 14
 
 # The protocol's constants, Z/X/Y.  Alice's source weights favour the key basis.
 _SOURCE_PROBS = (0.25, 0.25, 0.5)
@@ -404,96 +402,121 @@ def _flag_laws(channel: PauliRates, eve: Optional[EveModel]) -> np.ndarray:
     return faithful[:, None] * channel_law + (1.0 - faithful[:, None]) * 0.25
 
 
-def _key_flags(rng: np.random.Generator, law: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bit, phase) flags of ``size`` i.i.d. draws from ``law`` (column 2 * bit + phase).
+def _pair_laws(law: list[float]) -> tuple[float, list[float], list[float], list[float]]:
+    """Laws of a rejection pair of i.i.d. flags, enumerated over its 16 flag combinations.
 
-    The category of a uniform u is the number of inner cdf edges <= u, as
-    ``np.searchsorted(cdf, u, side="right")`` counts it: the bit is
-    category >= 2 and the phase the category's parity.
+    P(the bits agree); the survivor's law (the bit, the XOR of the phases);
+    per bit b, P(both phases 0 | survivor (b, 0)); and the law of the phases
+    of a disagreeing pair's (bit-0 flag, bit-1 flag), column 2 * first + second.
+    """
+    survivor, same, split = [0.0] * 4, [0.0, 0.0], [0.0] * 4
+    for first, second in product(range(4), repeat=2):
+        mass = law[first] * law[second]
+        if first >> 1 == second >> 1:
+            survivor[first ^ (second & 1)] += mass
+            if first == second and not first & 1:
+                same[first >> 1] += mass
+        elif first < second:  # the bit-0 flag first; the other order has the same mass
+            split[2 * (first & 1) + (second & 1)] += mass
+    agree, apart = sum(survivor), sum(split)
+    return (
+        min(agree, 1.0),
+        [mass / agree for mass in survivor],
+        [same[bit] / survivor[2 * bit] if survivor[2 * bit] else 0.0 for bit in (0, 1)],
+        [mass / apart for mass in split] if apart else [1.0, 0.0, 0.0, 0.0],
+    )
+
+
+def _compositions(law: list[float], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every composition (n00, n01, n10, n11) of k flags, with its multinomial probability."""
+    import numpy as np
+
+    # Stars and bars: bars at places a < b < c of k + 3 cut k flags into four parts.
+    bars = chain.from_iterable(combinations(range(k + 3), 3))
+    a, b, c = np.fromiter(bars, dtype=np.int64).reshape(-1, 3).T
+    rows = np.stack([a, b - a - 1, c - b - 1, k + 2 - c], axis=1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k + 1)))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        powers = np.where(rows > 0, rows * np.log(law), 0.0).sum(axis=1)
+    pmf = np.exp(log_fact[k] - log_fact[rows].sum(axis=1) + powers)
+    return rows, pmf / pmf.sum()
+
+
+def _parity_counts(rng: np.random.Generator, law: list[float], size: int, k: int):
+    """The parity step on ``size`` i.i.d. flags: (groups, bit errors, phase errors), flag counts.
+
+    A group's bit error is the parity of its bit flags, its phase error the
+    majority of its phase flags.  The G groups' compositions are i.i.d.:
+    one multinomial over the C(k + 3, 3) compositions where that table is
+    no larger than G, per-group rows in blocks of ``_GROUP_ROWS``
+    otherwise.  The remainder is one multinomial over the four flags.
     """
     import numpy as np
 
-    edges = np.cumsum(law)[:-1]
-    u = rng.random(size)
-    bit = u >= edges[1]
-    phase = (u >= edges[0]) ^ bit ^ (u >= edges[2])
-    return bit.view(np.uint8), phase.view(np.uint8)
+    groups = size // k
+    if math.comb(k + 3, 3) <= groups:
+        rows, pmf = _compositions(law, k)
+        blocks = [(rows, rng.multinomial(groups, pmf))]
+    else:  # drawn as the loop reaches them, one block in memory at a time
+        blocks = (
+            (rng.multinomial(k, law, size=min(_GROUP_ROWS, groups - start)), 1)
+            for start in range(0, groups, _GROUP_ROWS)
+        )
+    counts, bit_errors, phase_errors = np.zeros(4, dtype=np.int64), 0, 0
+    for rows, times in blocks:
+        bit_errors += int(np.sum(times * ((rows[:, 2] + rows[:, 3]) % 2)))
+        phase_errors += int(np.sum(times * (rows[:, 1] + rows[:, 3] > k // 2)))
+        counts += (times * rows.T).sum(axis=1)
+    return (groups, bit_errors, phase_errors), counts + rng.multinomial(size - groups * k, law)
 
 
-class _Rejection:
-    """One rejection round as running counts: pairs (0, 1), (2, 3), ... of its input.
+def _key_counts(rng: np.random.Generator, law: np.ndarray, n: int, b_rounds: int, k: int):
+    """The key stage on n i.i.d. flags from ``law``, as counts: its time does not depend on n.
 
-    A pair whose bits agree keeps the left bit, with the XOR of the pair's
-    phase flags; an odd bit waits for the next chunk as the carry.
+    Returns (levels, groups, abort reason): the flag counts, column 2 * bit +
+    phase, of the key and of each round's survivors; and (groups, bit
+    errors, phase errors) of the parity step, (0, 0, 0) if it formed none.
+
+    Sizes top down: a round keeps Binomial(pairs, P(agree)) flags, i.i.d.
+    with the survivor law.  Counts bottom up: a level holds its survivors'
+    pairs (a (b, 1) survivor came from one (b, 0) and one (b, 1) flag, and
+    one binomial tells which (b, 0) ones came from two phase-0 flags), its
+    disagreeing pairs (one multinomial) and its odd last flag.
     """
-
-    def __init__(self) -> None:
-        import numpy as np
-
-        self.n_in = 0
-        self.survivors = 0
-        self.bit_errors = 0
-        self.phase_errors = 0
-        self.carry = (np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8))
-
-    def feed(self, bits: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Count one chunk of input and return its survivors' (bit, phase) flags."""
-        import numpy as np
-
-        self.n_in += bits.size
-        bits = np.concatenate((self.carry[0], bits))
-        phase = np.concatenate((self.carry[1], phase))
-        paired = bits.size - bits.size % 2
-        self.carry = (bits[paired:], phase[paired:])
-        agree = np.flatnonzero(bits[0:paired:2] == bits[1:paired:2])
-        kept_bits = bits[0:paired:2].take(agree)
-        kept_phase = (phase[0:paired:2] ^ phase[1:paired:2]).take(agree)
-        self.survivors += kept_bits.size
-        self.bit_errors += int(np.count_nonzero(kept_bits))
-        self.phase_errors += int(np.count_nonzero(kept_phase))
-        return kept_bits, kept_phase
-
-
-class _Parity:
-    """The parity step as running counts over groups of ``k`` adjacent bits.
-
-    A group's bit error is the parity of its bit flags and its phase error
-    the majority of its phase flags.  The group still open at the end of a
-    chunk carries only its size and its two flag sums.
-    """
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self.n_in = 0
-        self.groups = 0
-        self.bit_errors = 0
-        self.phase_errors = 0
-        self.open_size = 0
-        self.open_bits = 0
-        self.open_phases = 0
-
-    def feed(self, bits: np.ndarray, phase: np.ndarray) -> None:
-        import numpy as np
-
-        k = self.k
-        self.n_in += bits.size
-        head = min(k - self.open_size, bits.size)
-        self.open_size += head
-        self.open_bits += int(np.count_nonzero(bits[:head]))
-        self.open_phases += int(np.count_nonzero(phase[:head]))
-        if self.open_size < k:
-            return
-        bits, phase = bits[head:], phase[head:]
-        whole = bits.size - bits.size % k
-        bit_sums = bits[:whole].reshape(-1, k).sum(axis=1)
-        phase_sums = phase[:whole].reshape(-1, k).sum(axis=1)
-        self.groups += 1 + bit_sums.size  # the group just closed, then the whole ones
-        self.bit_errors += self.open_bits % 2 + int(np.count_nonzero(bit_sums % 2))
-        self.phase_errors += int(self.open_phases > k // 2)
-        self.phase_errors += int(np.count_nonzero(phase_sums > k // 2))
-        self.open_size = bits.size - whole
-        self.open_bits = int(np.count_nonzero(bits[whole:]))
-        self.open_phases = int(np.count_nonzero(phase[whole:]))
+    sizes, laws, splits = [n], [law.tolist()], []
+    abort = None
+    for round_no in range(1, b_rounds + 1):
+        if sizes[-1] < 2:
+            abort = f"key exhausted before rejection round {round_no}"
+            break
+        agree, survivor, same, split = _pair_laws(laws[-1])
+        splits.append((same, split))
+        sizes.append(int(rng.binomial(sizes[-1] // 2, agree)))
+        laws.append(survivor)
+        if sizes[-1] == 0:
+            abort = f"no key bits survived rejection round {round_no}"
+            break
+    groups = (0, 0, 0)
+    if abort is None:
+        groups, counts = _parity_counts(rng, laws[-1], sizes[-1], k)
+        if groups[0] == 0:
+            abort = "key exhausted before parity step"
+    else:
+        counts = rng.multinomial(sizes[-1], laws[-1])
+    levels = [tuple(int(c) for c in counts)]
+    for level in range(len(sizes) - 1, 0, -1):
+        same, split = splits[level - 1]
+        c00, c01, c10, c11 = levels[0]
+        both0, both1 = int(rng.binomial(c00, same[0])), int(rng.binomial(c10, same[1]))
+        d = rng.multinomial(sizes[level - 1] // 2 - sizes[level], split).tolist()
+        odd = rng.multinomial(sizes[level - 1] % 2, laws[level - 1]).tolist()
+        levels.insert(0, (
+            2 * both0 + c01 + d[0] + d[1] + odd[0],
+            2 * (c00 - both0) + c01 + d[2] + d[3] + odd[1],
+            2 * both1 + c11 + d[0] + d[2] + odd[2],
+            2 * (c10 - both1) + c11 + d[1] + d[3] + odd[3],
+        ))
+    return tuple(levels), groups, abort
 
 
 def run_protocol(
@@ -513,8 +536,6 @@ def run_protocol(
     Returns:
         A ``SimReport``; aborts are reported, never raised.
     """
-    import numpy as np
-
     n = params.n
     n_total = int(math.ceil((6.0 + params.delta) * n))
     want = _split_counts(n, _CHECK_SPLIT)
@@ -577,59 +598,32 @@ def run_protocol(
     if abort_reason is not None:
         return finish(abort_reason, {})
 
-    key_bit_errors = key_phase_errors = 0
-    rounds: list[_Rejection] = []  # created as bits first reach them
-    parity = _Parity(params.p_group)
-    for start in range(0, n, _CHUNK):
-        bits, phases = _key_flags(rng["key"], laws[2], min(_CHUNK, n - start))
-        key_bit_errors += int(np.count_nonzero(bits))
-        key_phase_errors += int(np.count_nonzero(phases))
-        depth = 0
-        while bits.size and depth < params.b_rounds:
-            if depth == len(rounds):
-                rounds.append(_Rejection())
-            bits, phases = rounds[depth].feed(bits, phases)
-            depth += 1
-        if depth == params.b_rounds:
-            parity.feed(bits, phases)
-
+    levels, (groups, bit_errors, phase_errors), key_abort = _key_counts(
+        rng["key"], laws[2], n, params.b_rounds, params.p_group
+    )
     rates_now = conjugate(channel, Basis.Y)
-    f_now = flip_rates(rates_now)
-    rows.append(_rate_row("key:transmit", "bit_error", n, key_bit_errors / n, f_now.p_x))
-    rows.append(_rate_row("key:transmit", "phase_error", n, key_phase_errors / n, f_now.p_z))
-
-    for round_no in range(1, params.b_rounds + 1):
-        # Round r is reached only if round r - 1 had survivors, so it had
-        # input and exists; the key shrinks every round, so this ends early.
-        counts = rounds[round_no - 1]
-        stage = f"key:reject_{round_no}"
-        length = counts.n_in
-        pairs = length // 2
-        if pairs == 0:
-            return finish(f"key exhausted before rejection round {round_no}", {})
-        survivors = counts.survivors
-        outcome = b_step(rates_now)
-        expected_surv = pairs * 2.0 * outcome.survival  # pair agreement probability
-        std_surv = math.sqrt(pairs * 2.0 * outcome.survival * (1.0 - 2.0 * outcome.survival))
-        rows.append(
-            ComparisonRow(stage, "survivors", pairs, float(survivors), expected_surv, std_surv)
-        )
-        stage_counts.append(StageCount(stage, length, survivors, length - survivors))
-        if survivors == 0:
-            return finish(f"no key bits survived rejection round {round_no}", {})
-        rates_now = outcome.rates_out
+    for round_no, counts in enumerate(levels):
+        stage, size = f"key:reject_{round_no}" if round_no else "key:transmit", sum(counts)
+        if round_no:
+            length = sum(levels[round_no - 1])
+            pairs = length // 2
+            outcome = b_step(rates_now)
+            expected_surv = pairs * 2.0 * outcome.survival  # pair agreement probability
+            std_surv = math.sqrt(pairs * 2.0 * outcome.survival * (1.0 - 2.0 * outcome.survival))
+            rows.append(ComparisonRow(stage, "survivors", pairs, float(size), expected_surv, std_surv))
+            stage_counts.append(StageCount(stage, length, size, length - size))
+            if size == 0:
+                break
+            rates_now = outcome.rates_out
         f_now = flip_rates(rates_now)
-        rows.append(_rate_row(stage, "bit_error", survivors, counts.bit_errors / survivors, f_now.p_x))
-        rows.append(
-            _rate_row(stage, "phase_error", survivors, counts.phase_errors / survivors, f_now.p_z)
-        )
+        rows.append(_rate_row(stage, "bit_error", size, (counts[2] + counts[3]) / size, f_now.p_x))
+        rows.append(_rate_row(stage, "phase_error", size, (counts[1] + counts[3]) / size, f_now.p_z))
+    if key_abort is not None:
+        return finish(key_abort, {})
 
-    length = parity.n_in
-    groups = parity.groups
-    if groups == 0:
-        return finish("key exhausted before parity step", {})
-    bit_err = parity.bit_errors / groups
-    phase_err = parity.phase_errors / groups
+    length = sum(levels[-1])
+    bit_err = bit_errors / groups
+    phase_err = phase_errors / groups
     predicted = p_step(f_now, PStepParams(params.p_group))
     rows.append(_rate_row("key:parity", "bit_error", groups, bit_err, predicted.p_x))
     rows.append(_rate_row("key:parity", "phase_error", groups, phase_err, predicted.p_z))

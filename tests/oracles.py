@@ -22,18 +22,25 @@ Gottesman-Lo criterion s < u and s·u < v² evaluated in ``Fraction``
 arithmetic on the exact values of the four float components.
 
 ``per_qubit_report`` is the reference for the simulator as a whole:
-``run_protocol`` as it ran before it drew counts, kept verbatim.  Its
-transmit stage (``per_qubit_transmit``) draws every transmitted qubit from
-eight streams of its own, in chunks: source bits and bases, attacker
-bases and bits, channel Paulis, Bob's bases and two scrambles.  It sifts,
-flags each sifted qubit through the package's flag tables, and scrambles
-the bit and phase of each qubit the attacker re-prepared in a foreign
-basis.  The stages after transmission join the sifted qubits of all
-chunks into whole arrays (``whole_transmit``) and slice every role out of
-them in arrival order.  The package draws counts instead, so the two give
-different bits for a seed and are compared in distribution; the per-qubit
-path, which looks up each qubit's Pauli in the flag tables and applies
-each attack on its own, is what checks the package's per-basis law.
+``run_protocol`` as it ran before it drew counts.  Its transmit stage
+(``per_qubit_transmit``) draws every transmitted qubit from eight streams
+of its own, in chunks: source bits and bases, attacker bases and bits,
+channel Paulis, Bob's bases and two scrambles.  It sifts, flags each
+sifted qubit through the package's flag tables, and scrambles the bit and
+phase of each qubit the attacker re-prepared in a foreign basis.  The
+stages after transmission join the sifted qubits of all chunks into whole
+arrays (``whole_transmit``) and slice every role out of them in arrival
+order; ``fold_key`` folds the key.  The package draws counts instead, so
+the two give different bits for a seed and are compared in distribution;
+the per-qubit path, which looks up each qubit's Pauli in the flag tables
+and applies each attack on its own, is what checks the package's
+per-basis law.
+
+``fold_key`` is the reference for the key stage: rejection rounds and
+parity groups folded over the key's flags in arrival order.
+``drawn_key_fold`` folds n flags drawn one by one from a law, and
+``exact_key_law`` folds every sequence of n flags for the exact law of
+the outcome, both next to the count-level ``sim._key_counts``.
 
 ``one_shot_sifted`` is the reference for the chunked per-qubit transmit
 stage: the stage with every per-qubit array at full length, sampled with
@@ -426,8 +433,8 @@ def per_qubit_report(channel, params, seed, eve=None):
 
     The per-qubit transmit stage, then the stages after transmission as
     they ran before they streamed: the sifted qubits joined into whole
-    arrays, then masked per basis, with the key, the checks, every
-    rejection round and the parity step sliced out of them in arrival order.
+    arrays, then masked per basis, with the key and the checks sliced out
+    of them in arrival order and the key's flags folded by ``fold_key``.
     """
     n = params.n
     n_total = int(math.ceil((6.0 + params.delta) * n))
@@ -493,20 +500,19 @@ def per_qubit_report(channel, params, seed, eve=None):
 
     key_bits = y_errors[:n]
     key_phase = phase_flag[is_y][:n]
+    levels, (groups, bit_errors, phase_errors), abort_reason = fold_key(
+        (2 * key_bits + key_phase).tolist(), params.b_rounds, params.p_group
+    )
     rates_now = conjugate(channel, Basis.Y)
     f_now = flip_rates(rates_now)
     rows.append(_rate_row("key:transmit", "bit_error", n, float(key_bits.mean()), f_now.p_x))
     rows.append(_rate_row("key:transmit", "phase_error", n, float(key_phase.mean()), f_now.p_z))
 
-    for round_no in range(1, params.b_rounds + 1):
+    for round_no, counts in enumerate(levels[1:], 1):
         stage = f"key:reject_{round_no}"
-        length = key_bits.size
+        length = sum(levels[round_no - 1])
         pairs = length // 2
-        if pairs == 0:
-            return finish(f"key exhausted before rejection round {round_no}", {})
-        left, right = key_bits[0 : 2 * pairs : 2], key_bits[1 : 2 * pairs : 2]
-        agree = left == right
-        survivors = int(agree.sum())
+        survivors = sum(counts)
         outcome = b_step(rates_now)
         expected_surv = pairs * 2.0 * outcome.survival  # pair agreement probability
         std_surv = math.sqrt(pairs * 2.0 * outcome.survival * (1.0 - 2.0 * outcome.survival))
@@ -515,30 +521,24 @@ def per_qubit_report(channel, params, seed, eve=None):
         )
         stage_counts.append(StageCount(stage, length, survivors, length - survivors))
         if survivors == 0:
-            return finish(f"no key bits survived rejection round {round_no}", {})
-        key_bits = left[agree]
-        key_phase = (key_phase[0 : 2 * pairs : 2] ^ key_phase[1 : 2 * pairs : 2])[agree]
+            break
         rates_now = outcome.rates_out
         f_now = flip_rates(rates_now)
-        rows.append(_rate_row(stage, "bit_error", survivors, float(key_bits.mean()), f_now.p_x))
-        rows.append(_rate_row(stage, "phase_error", survivors, float(key_phase.mean()), f_now.p_z))
+        bit_rate = (counts[2] + counts[3]) / survivors
+        phase_rate = (counts[1] + counts[3]) / survivors
+        rows.append(_rate_row(stage, "bit_error", survivors, bit_rate, f_now.p_x))
+        rows.append(_rate_row(stage, "phase_error", survivors, phase_rate, f_now.p_z))
+    if abort_reason is not None:
+        return finish(abort_reason, {})
 
-    k = params.p_group
-    length = key_bits.size
-    groups = length // k
-    if groups == 0:
-        return finish("key exhausted before parity step", {})
-    group_bits = key_bits[: groups * k].reshape(groups, k).sum(axis=1) % 2
-    group_phase = key_phase[: groups * k].reshape(groups, k).sum(axis=1) > k // 2
-    predicted = p_step(f_now, PStepParams(k))
-    rows.append(_rate_row("key:parity", "bit_error", groups, float(group_bits.mean()), predicted.p_x))
-    rows.append(
-        _rate_row("key:parity", "phase_error", groups, float(group_phase.mean()), predicted.p_z)
-    )
+    length = sum(levels[-1])
+    bit_err = bit_errors / groups
+    phase_err = phase_errors / groups
+    predicted = p_step(f_now, PStepParams(params.p_group))
+    rows.append(_rate_row("key:parity", "bit_error", groups, bit_err, predicted.p_x))
+    rows.append(_rate_row("key:parity", "phase_error", groups, phase_err, predicted.p_z))
     stage_counts.append(StageCount("key:parity", length, groups, length - groups))
 
-    bit_err = float(group_bits.mean())
-    phase_err = float(group_phase.mean())
     extra = {
         "final_bit_error": bit_err,
         "final_phase_error": phase_err,
@@ -547,6 +547,57 @@ def per_qubit_report(channel, params, seed, eve=None):
         "goal_met": bit_err < params.target and phase_err < params.target,
     }
     return finish(None, extra)
+
+
+def _tally(flags):
+    return tuple(flags.count(flag) for flag in range(4))
+
+
+def fold_key(flags, b_rounds, k):
+    """The key stage on the flags 2 * bit + phase of the key bits, in arrival order.
+
+    Rejection round r pairs adjacent flags (0, 1), (2, 3), ..., drops an odd
+    last one, and keeps the left flag of a pair whose bits agree, with the
+    XOR of the pair's phases.  The parity step groups adjacent k flags: the
+    parity of a group's bits is its bit error, the majority of its phases
+    its phase error.
+
+    Returns:
+        (levels, groups, abort_reason) as ``sim._KeyCounts`` holds them:
+        the counts of the four flags in the key and in the survivors of
+        each round reached, (groups, bit errors, phase errors) of the
+        parity step, (0, 0, 0) if it formed none, and the abort reason or
+        None.
+    """
+    flags = list(flags)
+    levels = [_tally(flags)]
+    for round_no in range(1, b_rounds + 1):
+        if len(flags) < 2:
+            return tuple(levels), (0, 0, 0), f"key exhausted before rejection round {round_no}"
+        flags = [a ^ (b & 1) for a, b in zip(flags[0::2], flags[1::2]) if a >> 1 == b >> 1]
+        levels.append(_tally(flags))
+        if not flags:
+            return tuple(levels), (0, 0, 0), f"no key bits survived rejection round {round_no}"
+    groups = [flags[start : start + k] for start in range(0, len(flags) - k + 1, k)]
+    bit_errors = sum(sum(flag >> 1 for flag in group) % 2 for group in groups)
+    phase_errors = sum(sum(flag & 1 for flag in group) > k // 2 for group in groups)
+    abort_reason = None if groups else "key exhausted before parity step"
+    return tuple(levels), (len(groups), bit_errors, phase_errors), abort_reason
+
+
+def drawn_key_fold(law, n, b_rounds, k, seed):
+    """``fold_key`` of n i.i.d. flags drawn from ``law`` (column 2 * bit + phase)."""
+    flags = sample_categorical(np.random.default_rng(seed), law, n)
+    return fold_key(flags.tolist(), b_rounds, k)
+
+
+def exact_key_law(law, n, b_rounds, k):
+    """{``fold_key`` outcome: probability} over all 4^n sequences of n i.i.d. flags from ``law``."""
+    outcomes = {}
+    for flags in product(range(4), repeat=n):
+        outcome = fold_key(flags, b_rounds, k)
+        outcomes[outcome] = outcomes.get(outcome, 0.0) + math.prod(law[flag] for flag in flags)
+    return outcomes
 
 
 def fresh_interpreter(code):

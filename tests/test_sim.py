@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from oracles import (
     BIT_FLAG_ARRAY,
     PHASE_FLAG_ARRAY,
     TRANSMIT_CHUNK,
+    drawn_key_fold,
+    exact_key_law,
     fresh_interpreter,
     one_shot_sifted,
     open_transmit_streams,
@@ -121,22 +125,6 @@ def _edge_uniforms(probs):
         np.random.default_rng(3).random(1000),
     ])
     return cdf, u[u < 1.0]  # Generator.random draws from [0, 1)
-
-
-@pytest.mark.parametrize("law", [
-    (0.85, 0.05, 0.07, 0.03),
-    (0.0, 0.3, 0.0, 0.7),        # zero-weight categories, first and inner
-    (0.5, 0.5, 0.0, 0.0),        # cumulative sum reaches 1 before the last entry
-    (1.0, 0.0, 0.0, 0.0),        # a noiseless channel
-])
-def test_key_flags_split_the_searchsorted_category(law):
-    # Category 2 * bit + phase, as the columns of sim._flag_laws.
-    cdf, u = _edge_uniforms(law)
-    category = np.searchsorted(cdf, u, side="right")
-    bit, phase = sim._key_flags(_FixedUniforms(u), np.array(law), u.size)
-    assert bit.dtype == phase.dtype == np.uint8
-    assert np.array_equal(bit, category // 2)
-    assert np.array_equal(phase, category % 2)
 
 
 class TestDeterminism:
@@ -254,7 +242,7 @@ class TestConservation:
 
 
 class TestStreamingTransmit:
-    """The per-qubit transmit stage against its one-shot form, and chunked key draws."""
+    """The per-qubit transmit stage against its one-shot form."""
 
     ATTACKS = {
         "none": None,
@@ -278,22 +266,6 @@ class TestStreamingTransmit:
         for got_part, want_part in zip(got, want):
             assert got_part.dtype == np.uint8
             assert np.array_equal(got_part, want_part)
-
-    @pytest.mark.parametrize("chunk", [1, 3, 4, 12, 4096, 4097])
-    @pytest.mark.parametrize("attack", ["none", "ZXY-weighted"])
-    def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk, attack):
-        # The key's 5,003 bits split into ragged blocks at every size but 1,
-        # multiples of 4 or not.  The loose sigma rule lets the attacked run
-        # reach the parity step.
-        params = ProtocolParams(n=5003, abort_sigma=1e9)
-        eve = self.ATTACKS[attack]
-        monkeypatch.setattr(sim, "_CHUNK", 1 << 20)
-        whole = run_protocol(self.CHANNEL, params, seed=12, eve=eve)
-        assert not whole.aborted
-        monkeypatch.setattr(sim, "_CHUNK", chunk)
-        split = run_protocol(self.CHANNEL, params, seed=12, eve=eve)
-        assert split.to_text() == whole.to_text()
-        assert split.to_csv() == whole.to_csv()
 
     @pytest.mark.parametrize("pauli", range(4))
     def test_errors_follow_the_flag_tables_without_an_attacker(self, pauli):
@@ -371,7 +343,7 @@ class TestAgainstTheInMemoryReport:
                         "check error in basis Z"),
         "rounds-20": (CHANNEL, dict(n=20_000, b_rounds=20), 4, None,
                       "key exhausted before rejection round 14"),
-        "no-survivors": (PauliRates(0.6, 0.2, 0.0, 0.2), dict(n=6, abort_sigma=1000.0), 3, None,
+        "no-survivors": (PauliRates(0.6, 0.2, 0.0, 0.2), dict(n=6, abort_sigma=1000.0), 10, None,
                          "no key bits survived rejection round 2"),
         "parity": (CHANNEL, dict(n=1000, p_group=100_000_001), 0, None,
                    "key exhausted before parity step"),
@@ -411,6 +383,64 @@ def test_peak_allocation_does_not_grow_with_n():
             tracemalloc.stop()
         assert not report.aborted, (n, report.abort_reason)
         assert peak < 3e6, (n, peak)
+
+
+def test_runs_at_a_trillion_key_bits():
+    # 8 * 10^12 transmitted qubits: the key stage draws counts, whatever n is.
+    params = ProtocolParams(n=10**12, abort_sigma=5.0)
+    report = run_protocol(PauliRates(0.85, 0.10, 0.03, 0.02), params, seed=0)
+    assert report.n_transmitted == 8 * 10**12
+    assert not report.aborted, report.abort_reason
+    assert compare_analytic(report, 5.0).passed, compare_analytic(report, 5.0).to_text()
+
+
+@pytest.mark.parametrize("law", [(0.4, 0.1, 0.3, 0.2), (0.0, 0.3, 0.0, 0.7)])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_composition_law_is_the_enumerated_one(law, k):
+    want = {}
+    for flags in product(range(4), repeat=k):
+        composition = tuple(flags.count(flag) for flag in range(4))
+        want[composition] = want.get(composition, 0.0) + math.prod(law[flag] for flag in flags)
+    rows, pmf = sim._compositions(list(law), k)
+    assert len(rows) == len(want) == math.comb(k + 3, 3)
+    assert dict(zip(map(tuple, rows.tolist()), pmf.tolist())) == pytest.approx(want, abs=1e-15)
+
+
+class TestKeyStageJointLaw:
+    """The whole outcome of the count-level key stage against its exact law.
+
+    All 4^n flag sequences of a tiny key, folded in arrival order by
+    ``fold_key``, give the exact joint law of every level's flag counts,
+    the parity counts and the abort reason.  Draws of ``sim._key_counts``
+    at a fixed seed must stay in its support and pass Pearson's test at
+    the 0.001 level, outcomes expected fewer than 5 times pooled into one
+    cell.  The settings reach every key abort reason; b_rounds = 0 groups
+    through the composition table, the others group by group.
+    """
+
+    LAW = (0.4, 0.1, 0.3, 0.2)
+    DRAWS = 8000
+
+    @pytest.mark.parametrize("n,b_rounds,k", [(8, 2, 1), (7, 1, 3), (7, 2, 3), (5, 0, 1)])
+    def test_draws_follow_the_enumerated_law(self, n, b_rounds, k):
+        exact = exact_key_law(self.LAW, n, b_rounds, k)
+        rng = np.random.default_rng(2004)
+        drawn = Counter(
+            sim._key_counts(rng, np.array(self.LAW), n, b_rounds, k) for _ in range(self.DRAWS)
+        )
+        assert set(drawn) <= set(exact), set(drawn) - set(exact)
+        expected = {outcome: p * self.DRAWS for outcome, p in exact.items()}
+        cells = [(drawn[o], e) for o, e in expected.items() if e >= 5.0]
+        rest = (self.DRAWS - sum(o for o, _ in cells), self.DRAWS - sum(e for _, e in cells))
+        if rest[1] >= 5.0:
+            cells.append(rest)
+        else:  # too rare for a cell of its own
+            cells[0] = (cells[0][0] + rest[0], cells[0][1] + rest[1])
+        chi2 = sum((o - e) ** 2 / e for o, e in cells)
+        df = len(cells) - 1
+        # The 0.999 quantile of chi-square(df), by the Wilson-Hilferty approximation.
+        bound = df * (1.0 - 2.0 / (9 * df) + 3.09 * math.sqrt(2.0 / (9 * df))) ** 3
+        assert chi2 <= bound, (chi2, df, bound)
 
 
 # Two-sample Kolmogorov-Smirnov test over KS_RUNS runs a side, against
@@ -462,6 +492,49 @@ class TestArrivalOrderInDistribution:
             new.append(_row_counts(report))
             old.append(permuted_role_counts(self.CHANNEL, self.PARAMS, KS_RUNS + seed))
         assert len(new[0]) == 13  # 3 checks, key, 2 rounds, parity
+        _assert_same_distribution(new, old)
+
+
+def _key_row_counts(fold):
+    """``_row_counts`` of the key rows, from a ``fold_key`` outcome."""
+    levels, (_, bit_errors, phase_errors), abort_reason = fold
+    assert abort_reason is None, abort_reason
+    counts = {
+        ("key:transmit", "bit_error"): levels[0][2] + levels[0][3],
+        ("key:transmit", "phase_error"): levels[0][1] + levels[0][3],
+    }
+    for round_no, level in enumerate(levels[1:], 1):
+        counts[(f"key:reject_{round_no}", "survivors")] = sum(level)
+        counts[(f"key:reject_{round_no}", "bit_error")] = level[2] + level[3]
+        counts[(f"key:reject_{round_no}", "phase_error")] = level[1] + level[3]
+    counts[("key:parity", "bit_error")] = bit_errors
+    counts[("key:parity", "phase_error")] = phase_errors
+    return counts
+
+
+class TestKeyRowsInDistribution:
+    """Every key count row of the count-level run against the key folded in memory.
+
+    ``drawn_key_fold`` draws the n key flags one at a time from the Y-basis
+    law and folds them in arrival order; 250 runs a side.  At this n, p_group
+    1 and 3 and p_group 9 without rejection rounds draw the parity groups
+    from the composition table, p_group 9 after rejection rounds and
+    p_group 99 group by group.
+    """
+
+    CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
+
+    @pytest.mark.parametrize("b_rounds,k", [*product(range(4), (1, 3, 9)), (0, 99)])
+    def test_every_key_row_matches_the_fold(self, b_rounds, k):
+        params = ProtocolParams(n=2000, b_rounds=b_rounds, p_group=k, abort_sigma=1e9)
+        law = sim._flag_laws(self.CHANNEL, None)[2]
+        new, old = [], []
+        for seed in range(KS_RUNS):
+            report = run_protocol(self.CHANNEL, params, seed)
+            assert not report.aborted, report.abort_reason
+            new.append({key: c for key, c in _row_counts(report).items() if key[0].startswith("key:")})
+            old.append(_key_row_counts(drawn_key_fold(law, params.n, b_rounds, k, KS_RUNS + seed)))
+        assert len(new[0]) == 4 + 3 * b_rounds
         _assert_same_distribution(new, old)
 
 
