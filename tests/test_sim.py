@@ -242,7 +242,7 @@ class TestConservation:
 
 
 class TestStreamingTransmit:
-    """The per-qubit transmit stage against its one-shot form."""
+    """The per-qubit transmit stage against its one-shot form, and parity rows drawn in blocks."""
 
     ATTACKS = {
         "none": None,
@@ -266,6 +266,24 @@ class TestStreamingTransmit:
         for got_part, want_part in zip(got, want):
             assert got_part.dtype == np.uint8
             assert np.array_equal(got_part, want_part)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 12, 4096, 4097])
+    @pytest.mark.parametrize("attack", ["none", "ZXY-weighted"])
+    def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk, attack):
+        # Groups of 29 have C(32, 3) = 4,960 compositions, more than the
+        # 4,200 groups of the 121,805 key bits, so the parity step draws
+        # per-group rows; they split into ragged blocks at every size but 1.
+        # The loose sigma rule lets the attacked run reach the parity step.
+        params = ProtocolParams(n=29 * 4200 + 5, b_rounds=0, p_group=29, abort_sigma=1e9)
+        assert 4097 < params.n // params.p_group < math.comb(params.p_group + 3, 3)
+        eve = self.ATTACKS[attack]
+        monkeypatch.setattr(sim, "_GROUP_ROWS", 1 << 20)
+        whole = run_protocol(self.CHANNEL, params, seed=12, eve=eve)
+        assert not whole.aborted
+        monkeypatch.setattr(sim, "_GROUP_ROWS", chunk)
+        split = run_protocol(self.CHANNEL, params, seed=12, eve=eve)
+        assert split.to_text() == whole.to_text()
+        assert split.to_csv() == whole.to_csv()
 
     @pytest.mark.parametrize("pauli", range(4))
     def test_errors_follow_the_flag_tables_without_an_attacker(self, pauli):
