@@ -15,6 +15,8 @@ computes everything, the sweeps included (``sweep_fig1`` and
 Every output starts with ``#`` header lines carrying a schema version and
 the fully resolved configuration (and seed where one is used), so a stored
 file is self-describing and a rerun with the same flags is byte-identical.
+``main`` builds its parser once per process, so repeated in-process calls
+pay only for parsing.
 Numbers are printed with ``repr`` to keep golden files exact; fractions,
 never percentages.
 """
@@ -22,6 +24,7 @@ never percentages.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from itertools import chain
@@ -350,8 +353,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, then shared.
+
+    Parsing leaves it unchanged (defaults are set at build time and ``main``
+    writes only to the namespace), so sharing it cannot change any output.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if hasattr(args, "grid"):
         args.grid_text = args.grid

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import math
 import os
 import pathlib
@@ -86,6 +87,54 @@ def test_cli_module_entry_point_matches_the_package_one():
     package_out = _run_module("asymqkd", argv)
     assert package_out  # an entry point that prints nothing would match itself
     assert _run_module("asymqkd.cli", argv) == package_out
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main reuses one parser per process: every golden command, run twice in
+    # interleaved order with a usage error and an --eve run in between, must
+    # give the bytes it gives on a fresh parser.
+    attacked = dict(GOLDEN_CASES)["simulate_attacked.csv"]
+    assert attacked[-2:] == ["--eve", "ZX"]
+    unattacked = attacked[:-2]
+    cli._parser.cache_clear()
+    runs = itertools.count()
+
+    def run(argv):
+        out = tmp_path / f"{next(runs)}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        return capsys.readouterr().out, out.read_bytes()
+
+    unattacked_first = run(unattacked)
+    stdout_first = {}
+    for _ in range(2):
+        for name, argv in GOLDEN_CASES:
+            stdout, written = run(argv)
+            assert written == (GOLDEN / name).read_bytes(), name
+            assert stdout_first.setdefault(name, stdout) == stdout, name
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep-fig1", "--grid", "0:1:0"])
+            assert exc.value.code == 2
+            assert "step > 0" in capsys.readouterr().err
+            assert run(attacked)[1] == (GOLDEN / "simulate_attacked.csv").read_bytes()
+            assert run(unattacked) == unattacked_first
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    # A fresh process still pays for one full build, which the set-up probe times.
+    assert cli.build_parser() is not cli.build_parser()
+    build_parser, built = cli.build_parser, []
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    assert main(["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.02"]) == 0
+    assert main(["threshold", "--variant", "chau", "--family-ratio", "1.0"]) == 0
+    assert main(["sweep-fig1", "--grid", "0.0:1.0:0.5"]) == 0
+    assert len(built) == 1
+    cli._parser.cache_clear()
 
 
 # Commands that compute with scalars and integers only, with their exit codes.
