@@ -76,6 +76,9 @@ ARGVS = [
     ["sweep-fig2"],
     ["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.02"],
     ["rates", "--family-ratio", "0.3", "--scale", "0.2"],
+    # Symmetric channels: rate pairs tied in exact arithmetic, apart by round-off in floats.
+    ["rates", "--qx", "0.042", "--qy", "0.042", "--qz", "0.042"],
+    ["rates", "--qx", "0.062", "--qy", "0.062", "--qz", "0.062"],
     *(
         ["threshold", "--variant", variant, "--family-ratio", ratio]
         for variant in ("ybasis", "chau", "single-basis", "sixstate-separate")

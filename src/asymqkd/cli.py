@@ -57,10 +57,6 @@ _FIG2_BLOCK_ROWS = 4096
 # Largest grid a sweep accepts, checked before the grid is built.
 _MAX_GRID_POINTS = 10**7
 
-_TARGET_HELP = ("residual-error target of the (m, k) schedule witness; echoed in "
-                "the header, it does not change the threshold")
-
-
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("channel (q-triple or family form)")
     group.add_argument("--qx", type=float, help="sigma_x rate q_x0")
@@ -143,13 +139,12 @@ def _emit(blocks: Iterable[str], out_path: Optional[str]) -> None:
             fh.writelines(blocks)
 
 
-def _search_params(parser: argparse.ArgumentParser, args: argparse.Namespace) -> SearchParams:
-    """Validate ``--target``; the caps are ``SearchParams`` defaults, echoed in headers only."""
+def _search_params(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Validate ``sweep-fig1 --target``, which only its header echoes."""
     try:
-        return SearchParams(target=args.target)
+        SearchParams(target=args.target)
     except ValueError as exc:
         parser.error(f"invalid search parameters: {exc}")
-    raise AssertionError  # parser.error exits
 
 
 def _channel_echo(rates: PauliRates) -> str:
@@ -170,21 +165,12 @@ def _cmd_rates(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         ("rate_sixstate_separate", rate_sixstate_separate(rates)),
         ("rate_two_way_one_reject", modified_rate_one_bstep(rates)),
     ]
-    by_name = dict(values)
     lines = [
-        "# schema: asymqkd.rates.v1",
+        "# schema: asymqkd.rates.v2",
         f"# config: {_channel_echo(rates)}",
         "quantity,value",
     ]
     lines.extend(f"{name},{value!r}" for name, value in values)
-    lines.append(
-        "# note: rate_single_basis - rate_bb84_symmetrized = "
-        f"{by_name['rate_single_basis'] - by_name['rate_bb84_symmetrized']!r} (never negative)"
-    )
-    lines.append(
-        "# note: rate_sixstate_separate - rate_sixstate_mixed = "
-        f"{by_name['rate_sixstate_separate'] - by_name['rate_sixstate_mixed']!r} (never negative)"
-    )
     _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
@@ -195,11 +181,9 @@ def _cmd_threshold(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         family = ChannelFamily.from_y_ratio(args.family_ratio)
     except ValueError as exc:
         parser.error(f"invalid channel family: {exc}")
-    params = _search_params(parser, args)
     header = [
-        "# schema: asymqkd.threshold.v2",
-        f"# config: variant={variant.value} family_ratio={args.family_ratio!r} "
-        f"target={args.target!r} m_max={params.m_max} k_max={params.k_max}",
+        "# schema: asymqkd.threshold.v3",
+        f"# config: variant={variant.value} family_ratio={args.family_ratio!r}",
     ]
     try:
         result = threshold_total_noise(family, variant)
@@ -316,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[v.value for v in ProtocolVariant])
     p_thr.add_argument("--family-ratio", type=float, required=True, metavar="R",
                        help="channel shape q_y0/q_x0 with q_x0 = q_z0")
-    p_thr.add_argument("--target", type=float, default=SearchParams.target, help=_TARGET_HELP)
     p_thr.add_argument("--out")
     p_thr.set_defaults(func=_cmd_threshold)
 
@@ -325,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_f1.add_argument("--tol", type=_parse_tol, default=1e-4,
                       help="no effect (both thresholds are closed-form roots); "
                       "echoed in the header until its v2 schema")
-    p_f1.add_argument("--target", type=float, default=SearchParams.target, help=_TARGET_HELP)
+    p_f1.add_argument("--target", type=float, default=SearchParams.target,
+                      help="residual-error target of the (m, k) schedule witness; "
+                      "echoed in the header, it does not change the thresholds")
     p_f1.add_argument("--out")
     p_f1.set_defaults(func=_cmd_sweep_fig1)
 

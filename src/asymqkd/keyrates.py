@@ -45,8 +45,9 @@ def rate_bb84_symmetrized(rates: PauliRates) -> KeyRate:
 def rate_single_basis(rates: PauliRates) -> KeyRate:
     """One-way rate using the two flip rates separately: 1 - H(p_x0) - H(p_z0).
 
-    By concavity of H this never falls below the symmetrized rate, with
-    equality exactly when p_x0 = p_z0.
+    By concavity of H it never falls below the symmetrized rate, with
+    equality exactly when p_x0 = p_z0.  That holds in exact arithmetic; the
+    float values keep it only within round-off, which the tests bound by 1e-12.
     """
     flips = flip_rates(rates)
     return 1.0 - binary_entropy(flips.p_x) - binary_entropy(flips.p_z)
@@ -67,6 +68,7 @@ def rate_sixstate_separate(rates: PauliRates) -> KeyRate:
     """Six-state rate with per-basis accounting: 1 - shannon4(channel).
 
     Dominates the mixed variant (entropy is concave), with equality exactly
-    on channels with q_x = q_y = q_z.
+    on channels with q_x = q_y = q_z.  That holds in exact arithmetic; the
+    float values keep it only within round-off, which the tests bound by 1e-12.
     """
     return 1.0 - shannon4(rates)

@@ -169,16 +169,21 @@ class EveModel:
     Each entry of ``bases`` is equally likely, so a repeated basis adds up
     its weight: ``(Z, Z, X)`` measures in Z two times in three.
     ``match_prep`` is a diagnostic mode where she always measures in the
-    qubit's own preparation basis; faithful resending then induces no
-    error at all, which pins down the simulator's attack plumbing.
+    qubit's own preparation basis, so it takes no ``bases``; faithful
+    resending then induces no error at all, which pins down the
+    simulator's attack plumbing.
     """
 
     bases: tuple[Basis, ...] = ()
     match_prep: bool = False
 
     def __post_init__(self) -> None:
+        if self.match_prep and self.bases:
+            raise ValueError(f"match_prep measures in the preparation basis, got bases {self.bases}")
         if not self.bases and not self.match_prep:
             raise ValueError("eavesdropper needs at least one basis")
+        if not all(isinstance(b, Basis) for b in self.bases):
+            raise ValueError(f"bases must be Basis members, got {self.bases}")
 
     @property
     def weights(self) -> tuple[float, ...]:

@@ -19,11 +19,7 @@ of the family's inputs, correctly rounded and bracketed by the floats
 next to it.  ``is_distillable`` judges a channel as built in floats;
 ``ChannelFamily`` keeps its direction from summing below one, so where a
 ray meets the boundary at S = 1/2 the channel built there is not on the
-feasible side by round-off.  ``witness_schedule`` runs the capped (m, k)
-schedule search on demand, to explain a feasible channel by a concrete
-schedule; it never takes part in a feasibility decision.  Near
-threshold the capped search fails even where the limit criterion holds,
-because the required parity group size grows without bound.
+feasible side by round-off.
 
 ``sweep_fig1`` tabulates both two-way thresholds across channel shapes;
 ``sweep_fig2`` tabulates the one-way six-state and one-rejection two-way
@@ -48,7 +44,7 @@ from .channel import (
     average_over_mixture,
     conjugate,
 )
-from .distill import DistillationTrace, SearchParams, distill_schedule, distillable_in_limit
+from .distill import distillable_in_limit
 from .keyrates import rate_single_basis, rate_sixstate_separate
 
 if TYPE_CHECKING:
@@ -151,23 +147,6 @@ def is_distillable(rates: PauliRates, variant: ProtocolVariant) -> bool:
     return distillable_in_limit(_effective(rates, variant))
 
 
-def witness_schedule(
-    rates: PauliRates,
-    variant: ProtocolVariant,
-    params: SearchParams = SearchParams(),
-) -> Optional[DistillationTrace]:
-    """Capped (m, k) schedule search for a two-way variant; None for one-way ones.
-
-    The trace explains a feasible channel by a concrete rejection/parity
-    schedule when one exists within ``params``; ``succeeded`` is False
-    otherwise.  Feasibility itself is ``is_distillable``'s to decide.
-    """
-    one_way = (ProtocolVariant.SINGLE_BASIS_ONE_WAY, ProtocolVariant.SIX_STATE_SEPARATE_ONE_WAY)
-    if variant in one_way:
-        return None
-    return distill_schedule(_effective(rates, variant), params)
-
-
 @dataclass(frozen=True)
 class Bracket:
     low: float
@@ -184,8 +163,8 @@ class ThresholdResult:
     ``threshold`` their midpoint, which rounds to one of them.
 
     Two-way ends are decided on the exact ray, and round-off can make
-    ``family.rates_at(bracket.low)`` infeasible: for ``witness_schedule``,
-    step down with ``math.nextafter`` to a channel ``is_distillable`` accepts.
+    ``family.rates_at(bracket.low)`` infeasible: step down with
+    ``math.nextafter`` for a channel ``is_distillable`` accepts.
     """
 
     threshold: float

@@ -186,16 +186,17 @@ def test_rates_family_form_matches_triple_form(tmp_path):
     assert a.read_text() == b.read_text()
 
 
-def test_rates_symmetric_channel_annotates_zero_gaps():
-    import io
-    from contextlib import redirect_stdout
-
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        main(["rates", "--qx", "0.05", "--qy", "0.05", "--qz", "0.05"])
-    text = buf.getvalue()
-    assert "rate_single_basis - rate_bb84_symmetrized = 0.0 " in text
-    assert "rate_sixstate_separate - rate_sixstate_mixed = 0.0 " in text
+@pytest.mark.parametrize("q", ["0.05", "0.042", "0.062"])
+def test_rates_symmetric_channel_prints_tied_rates(capsys, q):
+    # Each pair is equal in exact arithmetic; at 0.042 and 0.062 the floats
+    # differ by round-off, so the output prints the rows and no difference.
+    assert main(["rates", "--qx", q, "--qy", q, "--qz", q]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# schema: asymqkd.rates.v2"
+    assert not any(line.startswith("#") for line in lines[2:])
+    rate = {name: float(value) for name, value in (line.split(",") for line in lines[3:])}
+    assert rate["rate_single_basis"] == pytest.approx(rate["rate_bb84_symmetrized"], abs=1e-12)
+    assert rate["rate_sixstate_separate"] == pytest.approx(rate["rate_sixstate_mixed"], abs=1e-12)
 
 
 class TestSweepFig2Blocks:
@@ -360,12 +361,12 @@ class TestBadInput:
 
     @pytest.mark.parametrize("argv", [
         ["sweep-fig1", "--grid", "0.0:0.0:1.0"],
-        ["threshold", "--variant", "chau", "--family-ratio", "1.0"],
     ])
-    def test_bad_target_exits_nonzero(self, argv):
+    def test_bad_target_exits_nonzero(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--target", "0.7"])
         assert exc.value.code == 2
+        assert "invalid search parameters" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["sweep-fig1", "--grid", "0.0:0.0:1.0"],
@@ -384,6 +385,13 @@ class TestBadInput:
             main(["threshold", "--variant", "single-basis", "--family-ratio", "0", "--tol", "1e-4"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol 1e-4" in capsys.readouterr().err
+
+    def test_threshold_has_no_target(self, capsys):
+        # No threshold depends on the schedule search's residual-error target.
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--variant", "chau", "--family-ratio", "1.0", "--target", "0.7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --target 0.7" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ratio", ["-1", "nan", "inf"])
     def test_bad_family_ratio_exits_2(self, capsys, ratio):

@@ -648,6 +648,17 @@ class TestEve:
                 make()
         assert EveModel(match_prep=True).describe() == "match-prep-probe"
 
+    def test_bases_must_be_basis_members(self):
+        # A letter would construct and then fail deep inside run_protocol.
+        for bases in (("Z",), (Basis.Z, "X")):
+            with pytest.raises(ValueError, match="Basis members"):
+                EveModel(bases=bases)
+
+    def test_match_prep_takes_no_bases(self):
+        # match_prep ignores bases, so giving both would drop them silently.
+        with pytest.raises(ValueError, match="match_prep"):
+            EveModel(bases=(Basis.Z,), match_prep=True)
+
     def test_describe(self):
         eve = eve_intercept_resend((Basis.Z, Basis.X))
         assert eve.describe() == "bases=Z,X;weights=0.5,0.5"

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 
 from asymqkd import distill, threshold
 from asymqkd.channel import Basis, PauliRates, conjugate
-from asymqkd.distill import distill_schedule, distillable_in_limit, modified_rate_one_bstep
+from asymqkd.distill import (
+    SearchParams,
+    distill_schedule,
+    distillable_in_limit,
+    modified_rate_one_bstep,
+)
 from asymqkd.keyrates import rate_sixstate_separate
 from asymqkd.threshold import (
     Bracket,
     ChannelFamily,
     NonMonotoneFamilyError,
     ProtocolVariant,
-    SearchParams,
     _bisect,
     _effective,
     _fig2_rates,
@@ -26,7 +30,6 @@ from asymqkd.threshold import (
     sweep_fig1,
     sweep_fig2,
     threshold_total_noise,
-    witness_schedule,
 )
 
 from oracles import AuditError, bisected_threshold, bisected_window, limit_criterion
@@ -138,25 +141,23 @@ class TestIsDistillable:
         good = PauliRates.from_error_rates(0.24, 0.0, 0.24)
         bad = PauliRates.from_error_rates(0.26, 0.0, 0.26)
         assert is_distillable(good, ProtocolVariant.Y_BASIS_TWO_WAY) is True
-        trace = witness_schedule(good, ProtocolVariant.Y_BASIS_TWO_WAY)
-        assert trace is not None and trace.succeeded
+        assert distill_schedule(conjugate(good, Basis.Y)).succeeded
         assert is_distillable(bad, ProtocolVariant.Y_BASIS_TWO_WAY) is False
 
-    def test_one_way_variants_carry_no_trace(self):
+    def test_one_way_variants_accept_a_low_noise_channel(self):
         rates = PauliRates.from_error_rates(0.05, 0.0, 0.05)
         for variant in (
             ProtocolVariant.SINGLE_BASIS_ONE_WAY,
             ProtocolVariant.SIX_STATE_SEPARATE_ONE_WAY,
         ):
             assert is_distillable(rates, variant) is True
-            assert witness_schedule(rates, variant) is None
 
     def test_finite_witness_when_schedule_succeeds(self):
         rates = PauliRates.from_error_rates(0.10, 0.0, 0.10)
         effective = conjugate(rates, Basis.Y)
         assert distill_schedule(effective).succeeded
         assert is_distillable(rates, ProtocolVariant.Y_BASIS_TWO_WAY)
-        trace = witness_schedule(rates, ProtocolVariant.Y_BASIS_TWO_WAY)
+        trace = distill_schedule(conjugate(rates, Basis.Y))
         assert trace.succeeded
         assert trace == distill_schedule(effective)
 
@@ -164,7 +165,7 @@ class TestIsDistillable:
         # No schedule fits caps this tight, yet the channel is distillable.
         rates = PauliRates.from_error_rates(0.10, 0.0, 0.10)
         tight = SearchParams(m_max=0, k_max=1)
-        assert not witness_schedule(rates, ProtocolVariant.Y_BASIS_TWO_WAY, tight).succeeded
+        assert not distill_schedule(conjugate(rates, Basis.Y), tight).succeeded
         assert is_distillable(rates, ProtocolVariant.Y_BASIS_TWO_WAY)
 
     def test_exactly_tied_channel_is_not_distillable(self):
@@ -175,14 +176,14 @@ class TestIsDistillable:
         rates = PauliRates(0.5, 0.375, 0.0, 0.125)
         assert conjugate(rates, Basis.Y) == PauliRates(0.5, 0.125, 0.375, 0.0)
         assert is_distillable(rates, ProtocolVariant.Y_BASIS_TWO_WAY) is False
-        assert not witness_schedule(rates, ProtocolVariant.Y_BASIS_TWO_WAY).succeeded
+        assert not distill_schedule(conjugate(rates, Basis.Y)).succeeded
         # 0.15 and 0.35 are not dyadic: the floats add up to less than 0.5,
         # so (0.5, 0.35, 0.0, 0.15) is not tied, and its exact value decides.
         # The witness iterates in floats, where s rounds to u, and fails.
         near = PauliRates(0.5, 0.35, 0.0, 0.15)
         assert Fraction(near.q_x) + Fraction(near.q_z) < Fraction(near.q_i)
         assert is_distillable(near, ProtocolVariant.Y_BASIS_TWO_WAY) is True
-        assert not witness_schedule(near, ProtocolVariant.Y_BASIS_TWO_WAY).succeeded
+        assert not distill_schedule(conjugate(near, Basis.Y)).succeeded
 
 
 class TestWitnessOnDemand:
@@ -204,7 +205,7 @@ class TestWitnessOnDemand:
     def test_patch_reaches_the_witness(self, no_schedule_search):
         rates = PauliRates.from_error_rates(0.10, 0.0, 0.10)
         with pytest.raises(AssertionError, match="distill_schedule ran"):
-            witness_schedule(rates, ProtocolVariant.Y_BASIS_TWO_WAY)
+            distill.distill_schedule(conjugate(rates, Basis.Y))
 
     @pytest.mark.parametrize(
         "variant", [ProtocolVariant.Y_BASIS_TWO_WAY, ProtocolVariant.CHAU_BASELINE]
