@@ -16,8 +16,7 @@ rate of a distribution is q_x + q_y, the phase-flip rate q_z + q_y.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 _SUM_TOL = 1e-9
 _NEG_TOL = 1e-12
@@ -31,8 +30,49 @@ class Basis(enum.Enum):
     Y = "Y"
 
 
-@dataclass(frozen=True)
-class PauliRates:
+class _Frozen:
+    """Equality, hash and repr of a validated value class, which cannot be assigned to.
+
+    A subclass lists what it stores in ``__slots__`` and sets it in
+    ``__init__`` with ``object.__setattr__``.  Equality and the hash cover
+    every slot; repr shows ``_fields``, the constructor's arguments.  A copy
+    or an unpickled value gets the slots back as they were, without
+    running ``__init__`` again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._key()
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class PauliRates(_Frozen):
     """Probabilities of I, X, Y, Z channel errors.
 
     The four components must be nonnegative and sum to one.  Construction
@@ -41,14 +81,15 @@ class PauliRates:
     Zero components are fully supported.
     """
 
+    __slots__ = _fields = ("q_i", "q_x", "q_y", "q_z")
     q_i: float
     q_x: float
     q_y: float
     q_z: float
 
-    def __post_init__(self) -> None:
-        comps = (self.q_i, self.q_x, self.q_y, self.q_z)
-        for name, value in zip(("q_i", "q_x", "q_y", "q_z"), comps):
+    def __init__(self, q_i: float, q_x: float, q_y: float, q_z: float) -> None:
+        comps = (q_i, q_x, q_y, q_z)
+        for name, value in zip(self._fields, comps):
             value = float(value)
             if not value == value:  # NaN
                 raise ValueError(f"{name} is NaN")
@@ -56,14 +97,14 @@ class PauliRates:
                 raise ValueError(f"{name}={value!r} outside [0, 1]")
         # Left to right, not sum(): from Python 3.12 on sum() of floats is
         # compensated, and the array twin in threshold.py adds left to right.
-        total = self.q_i + self.q_x + self.q_y + self.q_z
+        total = q_i + q_x + q_y + q_z
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"Pauli rates sum to {total!r}, not 1")
         # Divided by the sum of what is kept, so a clipped component does
         # not leave the rest summing to more than 1.
         clipped = [max(float(c), 0.0) for c in comps]
         kept = clipped[0] + clipped[1] + clipped[2] + clipped[3]
-        for name, value in zip(("q_i", "q_x", "q_y", "q_z"), clipped):
+        for name, value in zip(self._fields, clipped):
             object.__setattr__(self, name, value / kept)
 
     @classmethod
@@ -80,8 +121,7 @@ class PauliRates:
         return self.q_x + self.q_y + self.q_z
 
 
-@dataclass(frozen=True)
-class FlipRates:
+class FlipRates(NamedTuple):
     """Marginal flip rates (p_x: bit, p_z: phase).
 
     For a distribution q this is (q_x + q_y, q_z + q_y): sigma_y errors

@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_f1.add_argument("--tol", type=_parse_tol, default=1e-4,
                       help="no effect (both thresholds are closed-form roots); "
                       "echoed in the header until its v2 schema")
-    p_f1.add_argument("--target", type=float, default=SearchParams.target,
+    p_f1.add_argument("--target", type=float, default=SearchParams().target,
                       help="residual-error target of the (m, k) schedule witness; "
                       "echoed in the header, it does not change the thresholds")
     p_f1.add_argument("--out")

@@ -30,10 +30,9 @@ returns an empty trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .channel import FlipRates, PauliRates, _dyadic_numerators
+from .channel import FlipRates, PauliRates, _dyadic_numerators, _Frozen
 from .keyrates import shannon4
 
 def parity_bit_error(p_x: float, k: int) -> float:
@@ -66,23 +65,23 @@ def majority_phase_error(p_z: float, k: int) -> float:
     return float(min(np.exp(log_terms).sum(), 1.0))
 
 
-@dataclass(frozen=True)
-class BStepOutcome:
+class BStepOutcome(NamedTuple):
     """Post-rejection error distribution and expected surviving fraction."""
 
     rates_out: PauliRates
     survival: float
 
 
-@dataclass(frozen=True)
-class PStepParams:
+class PStepParams(_Frozen):
     """Parity group size; must be odd so majority decoding is unambiguous."""
 
+    __slots__ = _fields = ("k",)
     k: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.k % 2 == 0:
-            raise ValueError(f"parity group size must be odd and >= 1, got {self.k}")
+    def __init__(self, k: int) -> None:
+        if k < 1 or k % 2 == 0:
+            raise ValueError(f"parity group size must be odd and >= 1, got {k}")
+        object.__setattr__(self, "k", k)
 
 
 class PStepResult(NamedTuple):
@@ -127,23 +126,25 @@ def modified_rate_one_bstep(rates: PauliRates) -> float:
     return outcome.survival * (1.0 - shannon4(outcome.rates_out))
 
 
-@dataclass(frozen=True)
-class SearchParams:
+class SearchParams(_Frozen):
     """Residual-error target and (m, k) caps of ``distill_schedule``."""
 
-    target: float = 0.05
-    m_max: int = 60
-    k_max: int = 2001
+    __slots__ = _fields = ("target", "m_max", "k_max")
+    target: float
+    m_max: int
+    k_max: int
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.target < 0.5:
-            raise ValueError(f"target={self.target!r} outside (0, 0.5)")
-        if self.m_max < 0 or self.k_max < 1:
+    def __init__(self, target: float = 0.05, m_max: int = 60, k_max: int = 2001) -> None:
+        if not 0.0 < target < 0.5:
+            raise ValueError(f"target={target!r} outside (0, 0.5)")
+        if m_max < 0 or k_max < 1:
             raise ValueError("caps must satisfy m_max >= 0, k_max >= 1")
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "m_max", m_max)
+        object.__setattr__(self, "k_max", k_max)
 
 
-@dataclass(frozen=True)
-class DistillationTrace:
+class DistillationTrace(NamedTuple):
     """Record of a rejection/parity schedule applied to a distribution.
 
     ``rounds`` holds one entry per B-step in order, ``p_step`` the terminal

@@ -62,9 +62,9 @@ Randomness: three ``numpy`` PCG64 generators spawned from
 ``SeedSequence(seed)`` in the order of ``_STREAMS``: the sifted counts
 (one multinomial draw), the check errors (one binomial draw per basis,
 made only after the pool-size aborts pass) and the key stage, drawn as
-counts too (``_key_counts``), so that its time and memory do not depend
-on n.  Identical (channel, params, seed, eve) inputs reproduce the report
-exactly.
+counts too (``_key_counts``, whose cost depends on n only while there
+are fewer parity groups than compositions of a group).  Identical
+(channel, params, seed, eve) inputs reproduce the report exactly.
 
 Aborts (too few sifted bits, short check pools, failed error test, key
 exhaustion) are outcomes, not errors: the report carries the abort reason
@@ -75,11 +75,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from itertools import chain, combinations, product
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .channel import Basis, PauliRates, conjugate, flip_rates
+from .channel import Basis, PauliRates, _Frozen, conjugate, flip_rates
 from .distill import PStepParams, b_step, p_step
 from .keyrates import binary_entropy
 
@@ -126,22 +125,32 @@ def _flag_tables() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], 
 _BIT_FLAG, _PHASE_FLAG = _flag_tables()
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class ProtocolParams(_Frozen):
     """Run size and post-processing knobs; defaults follow the protocol as stated.
 
     ``n`` key bits come out of ceil((6 + delta) * n) qubits, a count that must
     fit in int64; the factor 6 is sized for the protocol's constants.
     """
 
+    __slots__ = _fields = ("n", "delta", "b_rounds", "p_group", "target", "abort_sigma")
     n: int
-    delta: float = 2.0
-    b_rounds: int = 2
-    p_group: int = 3
-    target: float = 0.05
-    abort_sigma: float = 3.0
+    delta: float
+    b_rounds: int
+    p_group: int
+    target: float
+    abort_sigma: float
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n: int,
+        delta: float = 2.0,
+        b_rounds: int = 2,
+        p_group: int = 3,
+        target: float = 0.05,
+        abort_sigma: float = 3.0,
+    ) -> None:
+        for name, value in zip(self._fields, (n, delta, b_rounds, p_group, target, abort_sigma)):
+            object.__setattr__(self, name, value)
         for name in ("n", "b_rounds", "p_group"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -162,8 +171,7 @@ class ProtocolParams:
             raise ValueError(f"abort_sigma must be positive and finite, got {self.abort_sigma}")
 
 
-@dataclass(frozen=True)
-class EveModel:
+class EveModel(_Frozen):
     """Intercept-resend attacker: measure in a random basis, resend the outcome.
 
     Each entry of ``bases`` is equally likely, so a repeated basis adds up
@@ -174,10 +182,13 @@ class EveModel:
     simulator's attack plumbing.
     """
 
-    bases: tuple[Basis, ...] = ()
-    match_prep: bool = False
+    __slots__ = _fields = ("bases", "match_prep")
+    bases: tuple[Basis, ...]
+    match_prep: bool
 
-    def __post_init__(self) -> None:
+    def __init__(self, bases: tuple[Basis, ...] = (), match_prep: bool = False) -> None:
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "match_prep", match_prep)
         if self.match_prep and self.bases:
             raise ValueError(f"match_prep measures in the preparation basis, got bases {self.bases}")
         if not self.bases and not self.match_prep:
@@ -207,8 +218,7 @@ def eve_matched_basis_probe() -> EveModel:
     return EveModel(match_prep=True)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One empirical quantity next to its analytic prediction."""
 
     stage: str
@@ -219,8 +229,7 @@ class ComparisonRow:
     std_error: float
 
 
-@dataclass(frozen=True)
-class StageCount:
+class StageCount(NamedTuple):
     """Bit bookkeeping for one stage: kept + discarded = entering."""
 
     stage: str
@@ -229,8 +238,7 @@ class StageCount:
     n_discarded: int
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     """Everything a run produced; serializes to flat text and to CSV."""
 
     seed: int
@@ -315,8 +323,7 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class VerdictRow:
+class VerdictRow(NamedTuple):
     stage: str
     quantity: str
     empirical: float
@@ -325,8 +332,7 @@ class VerdictRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
+class ComparisonVerdict(NamedTuple):
     rows: tuple[VerdictRow, ...]
     z_limit: float
 
@@ -351,7 +357,11 @@ def compare_analytic(report: SimReport, z_limit: float = 3.0) -> ComparisonVerdi
     A row passes when |empirical - analytic| <= z_limit * std_error; a zero
     standard error demands exact agreement.  The verdict is PASS only if
     every row passes, so a corrupted analytic table cannot slip through.
+    ``z_limit`` must be positive and finite: an infinite one would pass a
+    zero-error row that disagrees.
     """
+    if not 0.0 < z_limit < math.inf:  # also rejects nan
+        raise ValueError(f"z_limit must be positive and finite, got {z_limit!r}")
     rows = []
     for row in report.rows:
         diff = row.empirical - row.analytic
@@ -476,7 +486,13 @@ def _parity_counts(rng: np.random.Generator, law: list[float], size: int, k: int
 
 
 def _key_counts(rng: np.random.Generator, law: np.ndarray, n: int, b_rounds: int, k: int):
-    """The key stage on n i.i.d. flags from ``law``, as counts: its time does not depend on n.
+    """The key stage on n i.i.d. flags from ``law``, as counts.
+
+    Beyond a few draws per round, its cost is the parity step's
+    (``_parity_counts``).  While the groups are fewer than the C(k + 3, 3)
+    compositions of a group, the per-group rows take time linear in the
+    number of groups.  From there on the composition table is drawn once,
+    whatever n, but its time and memory grow as k^3.
 
     Returns (levels, groups, abort reason): the flag counts, column 2 * bit +
     phase, of the key and of each round's survivors; and (groups, bit

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .channel import (
     _NEG_TOL,
@@ -41,6 +40,7 @@ from .channel import (
     Basis,
     PauliRates,
     _dyadic_numerators,
+    _Frozen,
     average_over_mixture,
     conjugate,
 )
@@ -64,8 +64,7 @@ class NonMonotoneFamilyError(Exception):
     """Feasible below r1 and above r2 but not between, both named: no single threshold."""
 
 
-@dataclass(frozen=True)
-class ChannelFamily:
+class ChannelFamily(_Frozen):
     """Ray of channels: error components = scale * direction.
 
     ``direction`` is normalized to sum to one so ``scale`` equals the total
@@ -82,13 +81,16 @@ class ChannelFamily:
 
     ``weights`` is the exact ray, the inputs as coprime integers: two-way
     thresholds use it, ``rates_at`` builds float channels from ``direction``.
+    Equality and the hash cover ``weights`` too; repr shows ``direction``.
     """
 
+    __slots__ = ("direction", "weights")
+    _fields = ("direction",)
     direction: tuple[float, float, float]
-    weights: tuple[int, int, int] = field(init=False, repr=False)
+    weights: tuple[int, int, int]
 
-    def __post_init__(self) -> None:
-        d = tuple(float(c) for c in self.direction)
+    def __init__(self, direction: tuple[float, float, float]) -> None:
+        d = tuple(float(c) for c in direction)
         if len(d) != 3 or any(not math.isfinite(c) or c < 0.0 for c in d):
             raise ValueError(f"direction must be three finite nonnegative components, got {d}")
         total = sum(d)
@@ -147,14 +149,12 @@ def is_distillable(rates: PauliRates, variant: ProtocolVariant) -> bool:
     return distillable_in_limit(_effective(rates, variant))
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     low: float
     high: float
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Threshold of a ray: feasible at ``bracket.low``, infeasible at ``bracket.high``.
 
     For a two-way variant ``threshold`` is the root r1 on the family's
@@ -267,15 +267,14 @@ def threshold_total_noise(family: ChannelFamily, variant: ProtocolVariant) -> Th
     return ThresholdResult(threshold=0.5 * (low + high), bracket=Bracket(low, high))
 
 
-@dataclass(frozen=True)
-class Fig1Row:
+class Fig1Row(NamedTuple):
     """One ratio point of the threshold-versus-asymmetry sweep."""
 
     y_ratio: float
     q_y0_at_threshold: float
     threshold_ybasis: float
     threshold_chau: float
-    error: Optional[str] = field(default=None)
+    error: Optional[str] = None
 
 
 def sweep_fig1(ratios) -> list[Fig1Row]:
@@ -305,8 +304,7 @@ def sweep_fig1(ratios) -> list[Fig1Row]:
     return rows
 
 
-@dataclass(frozen=True)
-class Fig2Curve:
+class Fig2Curve(NamedTuple):
     """Rate curves of one q_y0 case along q_x0 = q_z0 = (total - q_y0) / 2.
 
     ``one_way`` and ``two_way`` hold one rate per grid point (NaN where
@@ -323,7 +321,7 @@ class Fig2Curve:
 
 
 def _renormalized(comps: np.ndarray) -> np.ndarray:
-    """Array form of ``PauliRates.__post_init__`` on rows (q_i, q_x, q_y, q_z).
+    """Array form of ``PauliRates.__init__`` on rows (q_i, q_x, q_y, q_z).
 
     Validates, clips round-off below zero and divides by the sum of the
     clipped rows taken left to right, so each column equals the

@@ -5,7 +5,6 @@ PASS/FAIL line per criterion.  Each criterion is a separate test so a
 failure pinpoints the broken guarantee; tolerances are stated inline.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -171,11 +170,8 @@ def test_5_monte_carlo_convergence():
     report = run_protocol(channel, ProtocolParams(n=1_000_000), seed=20260814)
     verdict = compare_analytic(report)
     max_z = max(abs(r.z) for r in verdict.rows)
-    corrupted = dataclasses.replace(
-        report,
-        rows=tuple(
-            dataclasses.replace(r, analytic=r.analytic + 0.02) for r in report.rows
-        ),
+    corrupted = report._replace(
+        rows=tuple(r._replace(analytic=r.analytic + 0.02) for r in report.rows)
     )
     control_fails = not compare_analytic(corrupted).passed
     ok = (not report.aborted) and verdict.passed and control_fails

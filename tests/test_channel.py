@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -10,6 +12,8 @@ from asymqkd.channel import (
     conjugate,
     flip_rates,
 )
+from asymqkd.sim import EveModel, ProtocolParams
+from asymqkd.threshold import ChannelFamily
 
 
 def random_rates(rng):
@@ -127,3 +131,30 @@ class TestAveraging:
             assert avg.q_z == pytest.approx(
                 (rates.q_x + rates.q_y + rates.q_z) / 3, abs=1e-15
             )
+
+
+@pytest.mark.parametrize("make, field, text", [
+    (lambda: PauliRates(0.85, 0.10, 0.03, 0.02), "q_x",
+     "PauliRates(q_i=0.85, q_x=0.1, q_y=0.03, q_z=0.02)"),
+    (lambda: ChannelFamily((1.0, 0.5, 1.0)), "direction", "ChannelFamily(direction=(0.4, 0.2, 0.4))"),
+    (lambda: ChannelFamily((1.0, 0.5, 1.0)), "weights", "ChannelFamily(direction=(0.4, 0.2, 0.4))"),
+    (lambda: ProtocolParams(n=100), "n",
+     "ProtocolParams(n=100, delta=2.0, b_rounds=2, p_group=3, target=0.05, abort_sigma=3.0)"),
+    (lambda: EveModel(bases=(Basis.Z,)), "bases", "EveModel(bases=(<Basis.Z: 'Z'>,), match_prep=False)"),
+], ids=["PauliRates", "ChannelFamily-direction", "ChannelFamily-weights", "ProtocolParams", "EveModel"])
+def test_validated_values_are_immutable(make, field, text):
+    value = make()
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) == before
+    assert value == make() and hash(value) == hash(make())
+    assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    assert repr(value) == text
+
+
+def test_channel_family_takes_no_weights():
+    with pytest.raises(TypeError):
+        ChannelFamily((1.0, 0.5, 1.0), weights=(2, 1, 2))

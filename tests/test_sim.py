@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import math
 import tracemalloc
 from collections import Counter
@@ -211,13 +211,20 @@ class TestAgainstAnalytics:
 
     def test_negative_control_fails_the_comparison(self):
         report = run_protocol(DEPOLARIZING, ProtocolParams(n=50_000), seed=2)
-        corrupted = dataclasses.replace(
-            report,
-            rows=tuple(
-                dataclasses.replace(r, analytic=r.analytic + 0.02) for r in report.rows
-            ),
+        corrupted = report._replace(
+            rows=tuple(r._replace(analytic=r.analytic + 0.02) for r in report.rows)
         )
         assert not compare_analytic(corrupted).passed
+
+    @pytest.mark.parametrize("z_limit", [math.inf, math.nan, 0.0, -1.0])
+    def test_z_limit_must_be_positive_and_finite(self, z_limit):
+        # At inf a disagreeing zero-error row has z = inf and would pass;
+        # at nan every row would fail without saying why.
+        report = run_protocol(DEPOLARIZING, ProtocolParams(n=2000), seed=2)
+        rows = (*report.rows, report.rows[0]._replace(analytic=0.5, std_error=0.0))
+        assert not compare_analytic(report._replace(rows=rows)).passed
+        with pytest.raises(ValueError, match="z_limit must be positive and finite"):
+            compare_analytic(report, z_limit=z_limit)
 
 
 class TestConservation:
@@ -638,7 +645,7 @@ class TestEve:
         )
         assert not once.aborted
         assert twice.eve == "bases=Z,Z,X,X,Y,Y;weights=" + ",".join(["0.16666666666666666"] * 6)
-        assert dataclasses.replace(twice, eve=once.eve) == once
+        assert twice._replace(eve=once.eve) == once
 
     def test_attack_weights_validation(self):
         # The class holds the factory's rule too: no attacker that re-prepares
@@ -741,7 +748,7 @@ class TestParamsValidation:
 
     def test_only_the_run_settings_are_fields(self):
         # The basis weights, check split and ceiling are the protocol's constants.
-        assert [f.name for f in dataclasses.fields(ProtocolParams)] == [
+        assert list(inspect.signature(ProtocolParams).parameters) == [
             "n", "delta", "b_rounds", "p_group", "target", "abort_sigma"
         ]
 

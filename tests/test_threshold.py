@@ -438,7 +438,7 @@ class TestClosedForm:
             raise AssertionError("a two-way threshold built or judged a channel")
 
         monkeypatch.setattr(ChannelFamily, "rates_at", forbidden)
-        monkeypatch.setattr(PauliRates, "__post_init__", forbidden)
+        monkeypatch.setattr(PauliRates, "__init__", forbidden)
         monkeypatch.setattr(threshold, "is_distillable", forbidden)
         monkeypatch.setattr(threshold, "distillable_in_limit", forbidden)
         for variant in TWO_WAY:
