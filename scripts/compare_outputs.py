@@ -74,6 +74,12 @@ ARGVS = [
     ["sweep-fig1", "--grid", "0:3:0.5"],  # rows past ratio 2 carry error notes
     ["sweep-fig1", "--grid", "0:1:0.001", "--tol", "1e-10"],  # 2,002 thresholds
     ["sweep-fig2"],
+    # The rate_curves workload's argv at seed 0 and at seed 20040406.
+    ["sweep-fig2", "--cases", "0.0,0.005,0.01,0.02", "--grid", "0.0:0.5:2e-05"],
+    ["sweep-fig2", "--cases", "0.0,0.005,0.01,0.02",
+     "--grid", "1.1122310348791343e-06:0.5:1.9999955510758606e-05"],
+    # Past total = 1, and cases above the grid's start: NaN rows cross a block boundary.
+    ["sweep-fig2", "--cases", "0.0,0.005,0.01,0.02,0.3,0.7", "--grid", "0.0137:1.02:0.000131"],
     ["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.02"],
     ["rates", "--family-ratio", "0.3", "--scale", "0.2"],
     # Symmetric channels: rate pairs tied in exact arithmetic, apart by round-off in floats.

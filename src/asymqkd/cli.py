@@ -27,7 +27,7 @@ import argparse
 import functools
 import math
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .channel import Basis, PauliRates, flip_rates
@@ -232,15 +232,21 @@ def _parse_cases(parser: argparse.ArgumentParser, text: str) -> list[float]:
 
 
 def _fig2_blocks(grid: list[float], curves) -> Iterator[str]:
-    """Data rows of ``sweep-fig2``, ``_FIG2_BLOCK_ROWS`` rows to a string."""
-    totals = [repr(total) for total in grid]
+    """Data rows of ``sweep-fig2``, ``_FIG2_BLOCK_ROWS`` rows to a string.
+
+    Each column of a block is formatted once, with ``repr``, and the rows
+    joined from the columns; the block's last newline follows as an item
+    of its own, so that no block is copied to append it.
+    """
+    totals = list(map(repr, grid))
     for curve in curves:
         q_y0 = repr(curve.q_y0)
         for start in range(0, len(grid), _FIG2_BLOCK_ROWS):
             stop = start + _FIG2_BLOCK_ROWS
-            rows = zip(totals[start:stop], curve.one_way[start:stop].tolist(),
-                       curve.two_way[start:stop].tolist())
-            yield "".join(f"{q_y0},{total},{one!r},{two!r}\n" for total, one, two in rows)
+            ones = map(repr, curve.one_way[start:stop].tolist())
+            twos = map(repr, curve.two_way[start:stop].tolist())
+            yield "\n".join(map(",".join, zip(repeat(q_y0), totals[start:stop], ones, twos)))
+            yield "\n"
 
 
 def _cmd_sweep_fig2(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

@@ -44,7 +44,7 @@ from .channel import (
     average_over_mixture,
     conjugate,
 )
-from .distill import distillable_in_limit
+from .distill import distillable_in_limit, modified_rate_one_bstep
 from .keyrates import rate_single_basis, rate_sixstate_separate
 
 if TYPE_CHECKING:
@@ -100,11 +100,10 @@ class ChannelFamily(_Frozen):
         divisor = math.gcd(*numerators)
         object.__setattr__(self, "weights", tuple(n // divisor for n in numerators))
         direction = tuple(c / total for c in d)
-        numerators, denominator = _dyadic_numerators(direction)
-        while sum(numerators) < denominator:
+        # fsum is correctly rounded, so its sign is the sign of the exact sum.
+        while math.fsum((*direction, -1.0)) < 0.0:
             largest = max(direction)
             direction = tuple(math.nextafter(c, 2.0) if c == largest else c for c in direction)
-            numerators, denominator = _dyadic_numerators(direction)
         object.__setattr__(self, "direction", direction)
 
     @classmethod
@@ -343,14 +342,29 @@ def _renormalized(comps: np.ndarray) -> np.ndarray:
 def _shannon4(comps: np.ndarray) -> np.ndarray:
     """Array form of ``keyrates.shannon4``, summing the rows in the same order.
 
-    The logarithm is ``math.log2``: np.log2 rounds differently in the last bit.
+    Each row's terms -q·log2(q) are taken once: a row equal to an earlier
+    one (``np.array_equal``) reuses that row's terms, and a row with no
+    positive entry is all zeros.  Both are checked on the values, not
+    assumed from how the rows were built.  The logarithm is ``math.log2``,
+    taken of the positive entries only: np.log2 rounds differently in the
+    last bit.
     """
     import numpy as np
 
-    positive = comps > 0.0
-    safe = np.where(positive, comps, 1.0)
-    log2 = np.fromiter(map(math.log2, safe.ravel().tolist()), float, safe.size)
-    terms = np.where(positive, comps * log2.reshape(comps.shape), 0.0)
+    terms: list[np.ndarray] = []
+    for row in comps:
+        for earlier, done in zip(comps, terms):
+            if np.array_equal(row, earlier):
+                terms.append(done)
+                break
+        else:
+            positive = row > 0.0
+            row_terms = np.zeros(row.shape)
+            if positive.any():
+                kept = row[positive]
+                logs = np.fromiter(map(math.log2, kept.tolist()), float, kept.size)
+                row_terms[positive] = kept * logs
+            terms.append(row_terms)
     return 0.0 - terms[0] - terms[1] - terms[2] - terms[3]
 
 
@@ -369,6 +383,9 @@ def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ``rates = PauliRates.from_error_rates(q_x0, q_y0, q_x0)``: the same
     operations in the same order, on whole arrays, including every
     validation and renormalization of the ``PauliRates`` built on the way.
+    These channels have q_x = q_z, and after the B-step the rows x² + y²
+    and 2xy are equal unless their products are subnormal; ``_shannon4``
+    finds the repeated rows and takes their logarithms once.
     """
     import numpy as np
 
@@ -390,10 +407,13 @@ def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]:
     """One-way versus one-rejection two-way rate curves, one per q_y0 case.
 
-    For each case the rates are taken at every grid total inside
-    [q_y0, 1].  The crossing cell is the first pair of consecutive such
-    points where the gap two-way - one-way goes from <= 0 to > 0; it is
-    bisected until its ends are adjacent floats and its midpoint reported.
+    For each case one ``_fig2_rates`` call takes the rates at every grid
+    total inside [q_y0, 1].  The crossing cell is the first pair of
+    consecutive such points where the gap two-way - one-way goes from <= 0
+    to > 0; it is bisected until its ends are adjacent floats and its
+    midpoint reported.  Each bisection probe builds its one channel and
+    calls the per-channel functions that ``_fig2_rates`` equals bit for
+    bit, ``rate_sixstate_separate`` and ``modified_rate_one_bstep``.
     """
     import numpy as np
 
@@ -413,8 +433,10 @@ def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]
         if turns.size:
 
             def not_over(total: float) -> bool:
-                one_mid, two_mid = _fig2_rates(q_y0, np.array([total]))
-                return not two_mid[0] - one_mid[0] > 0.0
+                q_x0 = (total - q_y0) / 2.0
+                rates = PauliRates.from_error_rates(q_x0, q_y0, q_x0)
+                two = modified_rate_one_bstep(conjugate(rates, Basis.Y))
+                return not two - rate_sixstate_separate(rates) > 0.0
 
             lo, hi = _bisect(not_over, *evaluated[turns[0]:turns[0] + 2].tolist())
             crossing = 0.5 * (lo + hi)

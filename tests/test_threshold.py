@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymqkd import distill, threshold
@@ -26,6 +26,7 @@ from asymqkd.threshold import (
     _bisect,
     _effective,
     _fig2_rates,
+    _shannon4,
     is_distillable,
     sweep_fig1,
     sweep_fig2,
@@ -577,13 +578,78 @@ class TestSweepFig2:
             lo, hi = (lo, mid) if gap(mid) > 0.0 else (mid, hi)
         assert math.nextafter(lo, 1.0) == hi
 
-        probes = []
+        kernel_cases, probe_cases = [], []
 
-        def recorded(q_y0, totals):
-            probes.extend(totals.tolist())
+        def recorded_kernel(q_y0, totals):
+            kernel_cases.append(q_y0)
             return kernel(q_y0, totals)
 
-        monkeypatch.setattr(threshold, "_fig2_rates", recorded)
-        (curve,) = sweep_fig2([0.0], [0.05, 0.1, 0.15, 0.2])
+        def recorded_probe(rates):
+            # A probe belongs to the case of the kernel call before it.
+            probe_cases.append(kernel_cases[-1])
+            return rate_sixstate_separate(rates)
+
+        monkeypatch.setattr(threshold, "_fig2_rates", recorded_kernel)
+        monkeypatch.setattr(threshold, "rate_sixstate_separate", recorded_probe)
+        curve, other = sweep_fig2([0.0, 0.01], [0.05, 0.1, 0.15, 0.2])
         assert curve.crossing == 0.5 * (lo + hi)
-        assert len(probes) - 4 < 60  # the grid, then one point per round
+        assert other.crossing is not None
+        # One kernel call per case for the grid, then one scalar probe per round.
+        assert kernel_cases == [0.0, 0.01]
+        for case in kernel_cases:
+            assert 0 < probe_cases.count(case) < 60
+
+
+def _plain_shannon4(comps):
+    """The four-row formula, each term q·log2(q) taken for itself."""
+    terms = [[q * math.log2(q) if q > 0.0 else 0.0 for q in row] for row in comps.tolist()]
+    return [0.0 - a - b - c - d for a, b, c, d in zip(*terms)]
+
+
+# Subnormals, signed zeros and round-off below zero, besides the usual range.
+_ENTRIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 4.05e-322, 4.1e-322, 2.2250738585072014e-308, 1.0]),
+    st.floats(-1e-12, 0.0),
+)
+
+
+@st.composite
+def _four_rows(draw):
+    """(4, n) rows, each fresh, a copy of an earlier row (its zeros maybe
+    negated) or without a positive entry."""
+    n = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(4):
+        kind = draw(st.sampled_from(["fresh", "copy", "copy, zeros negated", "nonpositive"]))
+        if kind == "nonpositive":
+            rows.append(draw(st.lists(st.sampled_from([0.0, -0.0, -1e-13]), min_size=n, max_size=n)))
+        elif kind == "fresh" or not rows:
+            rows.append(draw(st.lists(_ENTRIES, min_size=n, max_size=n)))
+        else:
+            row = draw(st.sampled_from(rows))
+            rows.append(row if kind == "copy" else [-q if q == 0.0 else q for q in row])
+    return np.array(rows)
+
+
+class TestShannon4Rows:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(_four_rows())
+    # x² + y² = 4.05e-322 and 2xy = 4.1e-322 at x = y = 1.430206016712772e-161:
+    # rows that the B-step at q_x = q_y leaves apart in the subnormal range.
+    @example(np.array([[0.5, 1.0], [4.05e-322, 0.25], [4.1e-322, 0.25], [0.0, -0.0]]))
+    def test_equals_the_plain_formula_bit_for_bit(self, comps):
+        assert _bits(_shannon4(comps)) == _bits(_plain_shannon4(comps))
+
+    def test_repeated_and_empty_rows_take_no_logarithm(self, monkeypatch):
+        calls, real = [], math.log2
+
+        def log2(q):
+            calls.append(q)
+            return real(q)
+
+        comps = np.array([[0.5, 0.25], [0.25, 0.5], [0.0, -0.0], [0.25, 0.5]])
+        want = _plain_shannon4(comps)
+        monkeypatch.setattr(math, "log2", log2)
+        assert _bits(_shannon4(comps)) == _bits(want)
+        assert calls == [0.5, 0.25, 0.25, 0.5]
