@@ -73,6 +73,9 @@ ARGVS = [
     ["sweep-fig1"],
     ["sweep-fig1", "--grid", "0:3:0.5"],  # rows past ratio 2 carry error notes
     ["sweep-fig1", "--grid", "0:1:0.001", "--tol", "1e-10"],  # 2,002 thresholds
+    ["sweep-fig1", "--grid=-1:1:0.25"],  # rows below ratio 0 carry error notes
+    ["sweep-fig1", "--grid", "0:1e-320:1e-321"],  # subnormal ratios
+    ["sweep-fig1", "--grid", "1e300:1.7e308:1e307"],  # huge ratios, all on re-entrant rays
     ["sweep-fig2"],
     # The rate_curves workload's argv at seed 0 and at seed 20040406.
     ["sweep-fig2", "--cases", "0.0,0.005,0.01,0.02", "--grid", "0.0:0.5:2e-05"],
@@ -95,6 +98,9 @@ ARGVS = [
     ["threshold", "--variant", "ybasis", "--family-ratio", "1e308"],
     ["threshold", "--variant", "ybasis", "--family-ratio", "5e-324"],
     ["threshold", "--variant", "chau", "--family-ratio", "1e308"],
+    # Usage errors (exit 2), and a negative zero that is a valid ratio and is echoed.
+    *(["threshold", "--variant", "chau", "--family-ratio", ratio] for ratio in ("-1", "nan", "inf")),
+    ["threshold", "--variant", "chau", "--family-ratio", "-0.0"],
     # Re-entrant rays: the threshold command reports the error and exits 1.
     ["threshold", "--variant", "ybasis", "--family-ratio", "2.5"],
     ["threshold", "--variant", "ybasis", "--family-ratio", "3998"],

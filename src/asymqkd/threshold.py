@@ -90,16 +90,18 @@ class ChannelFamily(_Frozen):
     weights: tuple[int, int, int]
 
     def __init__(self, direction: tuple[float, float, float]) -> None:
-        d = tuple(float(c) for c in direction)
-        if len(d) != 3 or any(not math.isfinite(c) or c < 0.0 for c in d):
+        d = tuple(map(float, direction))
+        # One chained comparison rejects NaN, infinities and negatives, not -0.0.
+        if len(d) != 3 or not all([0.0 <= c < math.inf for c in d]):
             raise ValueError(f"direction must be three finite nonnegative components, got {d}")
+        x, y, z = d
         total = sum(d)
         if not 0.0 < total < math.inf:  # an infinite total would zero every component
             raise ValueError(f"direction must have a positive finite total weight, got {total}")
-        numerators, _ = _dyadic_numerators(d)
-        divisor = math.gcd(*numerators)
-        object.__setattr__(self, "weights", tuple(n // divisor for n in numerators))
-        direction = tuple(c / total for c in d)
+        (w_x, w_y, w_z), _ = _dyadic_numerators(d)
+        divisor = math.gcd(w_x, w_y, w_z)
+        object.__setattr__(self, "weights", (w_x // divisor, w_y // divisor, w_z // divisor))
+        direction = (x / total, y / total, z / total)
         # fsum is correctly rounded, so its sign is the sign of the exact sum.
         while math.fsum((*direction, -1.0)) < 0.0:
             largest = max(direction)
@@ -159,7 +161,9 @@ class ThresholdResult(NamedTuple):
     For a two-way variant ``threshold`` is the root r1 on the family's
     exact ray, correctly rounded, and the bracket its two neighbouring
     floats; for a one-way variant the bracket is two adjacent floats and
-    ``threshold`` their midpoint, which rounds to one of them.
+    ``threshold`` their midpoint, which rounds to one of them.  The ``chau``
+    result is one shared value on every ray, r1 = (15 - 3√5)/20 correctly
+    rounded to 0.41458980337503154, computed once at import.
 
     Two-way ends are decided on the exact ray, and round-off can make
     ``family.rates_at(bracket.low)`` infeasible: step down with
@@ -210,18 +214,23 @@ def _smaller_root(p: int, q: int) -> float:
         guard *= 2
 
 
-def _two_way_threshold(family: ChannelFamily, variant: ProtocolVariant) -> ThresholdResult:
-    """Closed-form threshold of a two-way variant; see ``threshold_total_noise``."""
-    # a = e_x + e_y = p / q of the effective direction: the Y-conjugate maps
-    # (d_x, d_y, d_z) to (d_z, d_x, d_y); the three-basis average has a = 2/3.
-    w_x, w_y, w_z = family.weights
-    p, q = (w_x + w_z, w_x + w_y + w_z) if variant is ProtocolVariant.Y_BASIS_TWO_WAY else (2, 3)
+def _two_way_threshold(p: int, q: int) -> ThresholdResult:
+    """Closed-form threshold of a two-way variant with a = p / q; see ``threshold_total_noise``.
+
+    ``chau`` has a = 2/3 on every ray, so its result, r1 = (15 - 3√5)/20
+    correctly rounded to 0.41458980337503154, is ``_CHAU_THRESHOLD``,
+    computed once at import.
+    """
     r1 = _smaller_root(p, q)
     if 2 * p < q:  # g(1) = (2a - 1)(a - 1) > 0: feasible at S = 1
         a = p / q
         b = 2.0 - a
         raise _reentrant(r1, 1.0 / (r1 * (a * a + b * b)))
     return ThresholdResult(r1, Bracket(math.nextafter(r1, 0.0), math.nextafter(r1, 1.0)))
+
+
+# Depends on no input: the three-basis average has a = e_x + e_y = 2/3 on every ray.
+_CHAU_THRESHOLD = _two_way_threshold(2, 3)
 
 
 def threshold_total_noise(family: ChannelFamily, variant: ProtocolVariant) -> ThresholdResult:
@@ -244,7 +253,9 @@ def threshold_total_noise(family: ChannelFamily, variant: ProtocolVariant) -> Th
 
     Two-way variants take a = p/q exactly from the family's integer
     ``weights``: p/q = (w_x + w_z)/(w_x + w_y + w_z) for ``ybasis`` and 2/3
-    for ``chau``.  With b = 2 - a the roots of g are
+    for ``chau``, whose threshold is thus the same on every ray:
+    (15 - 3√5)/20, correctly rounded to 0.41458980337503154 and computed
+    once at import.  With b = 2 - a the roots of g are
     r1 = 2q / ((4q - p) + √(p(8q - 7p))) and r2 = 1 / (r1(a² + b²)), and
     g(1) = (2a - 1)(a - 1) is positive exactly when 2p < q.  The threshold
     is r1 correctly rounded and the bracket its two neighbouring floats; no
@@ -252,8 +263,12 @@ def threshold_total_noise(family: ChannelFamily, variant: ProtocolVariant) -> Th
     [0, 1/2], and r2 on [1/2, 1] for a re-entrant ray, until the ends are
     adjacent floats; the threshold is the bracket midpoint.
     """
-    if variant in (ProtocolVariant.Y_BASIS_TWO_WAY, ProtocolVariant.CHAU_BASELINE):
-        return _two_way_threshold(family, variant)
+    if variant is ProtocolVariant.Y_BASIS_TWO_WAY:
+        # The Y-conjugate maps (d_x, d_y, d_z) to (d_z, d_x, d_y), so a = p/q.
+        w_x, w_y, w_z = family.weights
+        return _two_way_threshold(w_x + w_z, w_x + w_y + w_z)
+    if variant is ProtocolVariant.CHAU_BASELINE:
+        return _CHAU_THRESHOLD
 
     def feasible(scale: float) -> bool:
         return is_distillable(family.rates_at(scale), variant)

@@ -21,6 +21,11 @@ the closed-form ends that ``NonMonotoneFamilyError`` names.
 Gottesman-Lo criterion s < u and s·u < v² evaluated in ``Fraction``
 arithmetic on the exact values of the four float components.
 
+``exact_ray`` is the reference for ``ChannelFamily.weights``: the exact
+values of the three direction components as the smallest integers in
+the same proportion, from ``Fraction`` arithmetic with no power-of-two
+shortcut.
+
 ``per_qubit_report`` is the reference for the simulator as a whole:
 ``run_protocol`` as it ran before it drew counts.  Its transmit stage
 (``per_qubit_transmit``) draws every transmitted qubit from eight streams
@@ -249,6 +254,15 @@ def limit_criterion(rates):
     q_i, q_x, q_y, q_z = (Fraction(q) for q in rates)
     s, u, v = q_x + q_y, q_i + q_z, q_i - q_z
     return s < u and s * u < v * v
+
+
+def exact_ray(direction):
+    """The components of ``direction`` as exact Fractions, scaled to coprime integers."""
+    values = [Fraction(c) for c in direction]
+    scale = math.lcm(*(v.denominator for v in values))
+    integers = [int(v * scale) for v in values]
+    divisor = math.gcd(*integers)
+    return tuple(n // divisor for n in integers)
 
 
 _SIM_STREAMS = (

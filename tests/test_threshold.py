@@ -33,7 +33,7 @@ from asymqkd.threshold import (
     threshold_total_noise,
 )
 
-from oracles import AuditError, bisected_threshold, bisected_window, limit_criterion
+from oracles import AuditError, bisected_threshold, bisected_window, exact_ray, limit_criterion
 
 # Frozen from scripts/derive_golden.py.
 TWO_WAY_LIMIT_SYMMETRIC = 0.41458980337503155
@@ -68,6 +68,13 @@ YBASIS_R1 = {
 }
 CHAU_R1 = "0.41458980337503154553862394969030856468390724605827"
 TWO_WAY = (ProtocolVariant.Y_BASIS_TWO_WAY, ProtocolVariant.CHAU_BASELINE)
+
+
+# A direction component at the edges of the float range, or anywhere up to 1e308.
+_EDGE_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e308]),
+    st.floats(0.0, 1e308),
+)
 
 
 class TestAuditAndBisect:
@@ -105,15 +112,6 @@ class TestChannelFamily:
         assert rates.q_y == pytest.approx(rates.q_x * 0.5)
         assert rates.q_x == pytest.approx(rates.q_z)
 
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelFamily((0.0, 0.0, 0.0))
-
-    def test_overflowing_direction_rejected(self):
-        # Divided by an infinite total, every component would be 0.0.
-        with pytest.raises(ValueError, match="finite total weight"):
-            ChannelFamily((1e308, 1e308, 0.0))
-
     # Divided by their float total, each of these sums to just below one.
     @pytest.mark.parametrize(
         "raw", [(1e-12, 0.0, 3.758370933320902e-09), (1.0, 1.0, 1.0), (1.0, 0.999, 1.0)]
@@ -126,6 +124,63 @@ class TestChannelFamily:
         assert 0 <= excess < 3 * Fraction(math.ulp(max(direction)))
         # Equal components are raised together.
         assert [a == b for a in raw for b in raw] == [a == b for a in direction for b in direction]
+
+    # Zeros of both signs, subnormals, huge components and ties, in
+    # directions whose total is positive and finite.
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.tuples(*[_EDGE_COMPONENT] * 3),
+            st.tuples(_EDGE_COMPONENT, _EDGE_COMPONENT).flatmap(
+                lambda ab: st.permutations([ab[0], ab[0], ab[1]])).map(tuple),
+        ).filter(lambda d: 0.0 < sum(d) < math.inf)
+    )
+    @example((-0.0, 5e-324, 0.0))
+    @example((1e308, 5e-324, 1e308 / 3))
+    def test_weights_are_the_exact_ray_and_direction_the_raised_quotients(self, raw):
+        family = ChannelFamily(raw)
+        assert family.weights == exact_ray(raw)
+        quotients = [c / sum(raw) for c in raw]
+        largest = max(quotients)
+        # The largest quotients, all of them, are raised to one common float;
+        # the others are kept.
+        assert [d for d, q in zip(family.direction, quotients) if q != largest] == [
+            q for q in quotients if q != largest]
+        (top,) = {d for d, q in zip(family.direction, quotients) if q == largest}
+        assert top >= largest
+        assert sum(map(Fraction, family.direction)) >= 1
+        if top > largest:  # raised no further than to reach one
+            lower = [math.nextafter(top, 0.0) if q == largest else d
+                     for d, q in zip(family.direction, quotients)]
+            assert sum(map(Fraction, lower)) < 1
+
+    @pytest.mark.parametrize("raw, message", [
+        ((1.0, 1.0), "direction must be three finite nonnegative components, got (1.0, 1.0)"),
+        ((1.0, 1.0, 1.0, 1.0),
+         "direction must be three finite nonnegative components, got (1.0, 1.0, 1.0, 1.0)"),
+        ((1.0, math.nan, 1.0),
+         "direction must be three finite nonnegative components, got (1.0, nan, 1.0)"),
+        ((1.0, math.inf, 1.0),
+         "direction must be three finite nonnegative components, got (1.0, inf, 1.0)"),
+        ((-math.inf, 1.0, 1.0),
+         "direction must be three finite nonnegative components, got (-inf, 1.0, 1.0)"),
+        ((1.0, -1.0, 1.0),
+         "direction must be three finite nonnegative components, got (1.0, -1.0, 1.0)"),
+        ((1.0, -5e-324, 1.0),
+         "direction must be three finite nonnegative components, got (1.0, -5e-324, 1.0)"),
+        ((0.0, 0.0, 0.0), "direction must have a positive finite total weight, got 0.0"),
+        # sum() starts from the integer 0, so negative zeros total 0.0, not -0.0.
+        ((-0.0, -0.0, -0.0), "direction must have a positive finite total weight, got 0.0"),
+        # Divided by an infinite total, every component would be 0.0.
+        ((1e308, 1e308, 0.0), "direction must have a positive finite total weight, got inf"),
+        (("one", 1.0, 1.0), "could not convert string to float: 'one'"),
+    ], ids=["length-2", "length-4", "nan", "inf", "-inf", "negative", "negative-subnormal",
+            "zeros", "negative-zeros", "overflowing-total", "string"])
+    def test_invalid_direction_raises_its_message(self, raw, message):
+        with pytest.raises(ValueError) as exc:
+            ChannelFamily(raw)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
 
     def test_ybasis_ray_without_y_noise_is_tied_at_one_half(self):
         # d_y = 0 puts the boundary of this ray at exactly S = 1/2.
@@ -395,6 +450,35 @@ class TestClosedForm:
             return
         assert not _on_exact_ray(direction, 1.0, variant)
         _assert_neighbours_straddle_the_exact_root(direction, variant, got)
+
+    # Zero, subnormal and huge components, and re-entrant Y-basis rays.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.tuples(*[st.sampled_from([0.0, 5e-324, 1.0, 1e308])] * 3)
+        .filter(lambda d: 0.0 < sum(d) < math.inf),
+        st.one_of(st.just(5e-324), st.just(1e308), st.floats(0.0, 1e308))
+        .map(lambda ratio: (1.0, ratio, 1.0)),
+        st.tuples(st.floats(1e-3, 0.49), st.floats(1e-3, 0.49)).map(lambda xz: (xz[0], 1.0, xz[1])),
+    ))
+    def test_chau_threshold_is_the_same_on_every_ray(self, direction):
+        r1 = float(Decimal(CHAU_R1))
+        got = threshold_total_noise(ChannelFamily(direction), ProtocolVariant.CHAU_BASELINE)
+        assert got == (r1, Bracket(math.nextafter(r1, 0.0), math.nextafter(r1, 1.0)))
+
+    def test_sweep_takes_one_root_per_ybasis_threshold(self, monkeypatch):
+        # The chau root is the same on every ray, so no row computes it.
+        roots = []
+        smaller_root = threshold._smaller_root
+
+        def counted(p, q):
+            roots.append((p, q))
+            return smaller_root(p, q)
+
+        monkeypatch.setattr(threshold, "_smaller_root", counted)
+        ratios = [0.0 + i * 0.05 for i in range(21)] + [5e-324, 1.9999999999999998]
+        rows = sweep_fig1(ratios)
+        assert [row.error for row in rows] == [None] * len(ratios)
+        assert len(roots) == len(ratios)
 
     def test_float_channel_at_the_low_end_may_be_infeasible(self):
         # The exact ray decides: round-off in ``rates_at`` puts the float
