@@ -83,6 +83,10 @@ ARGVS = [
      "--grid", "1.1122310348791343e-06:0.5:1.9999955510758606e-05"],
     # Past total = 1, and cases above the grid's start: NaN rows cross a block boundary.
     ["sweep-fig2", "--cases", "0.0,0.005,0.01,0.02,0.3,0.7", "--grid", "0.0137:1.02:0.000131"],
+    # Totals below 0 and past 1; negative rates, and rates below 1e-4 in exponent form.
+    ["sweep-fig2", "--cases", "0.0,0.5,1.0", "--grid=-0.05:1.05:0.0007"],
+    ["sweep-fig2", "--cases", "0.0", "--grid", "0:1e-300:1e-301"],  # tiny totals
+    ["sweep-fig2", "--cases", "0.0", "--grid", "0:1e20:1e18"],  # huge totals, in exponent form
     ["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.02"],
     ["rates", "--family-ratio", "0.3", "--scale", "0.2"],
     # Symmetric channels: rate pairs tied in exact arithmetic, apart by round-off in floats.

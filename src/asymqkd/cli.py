@@ -17,8 +17,9 @@ the fully resolved configuration (and seed where one is used), so a stored
 file is self-describing and a rerun with the same flags is byte-identical.
 ``main`` builds its parser once per process, so repeated in-process calls
 pay only for parsing.
-Numbers are printed with ``repr`` to keep golden files exact; fractions,
-never percentages.
+Numbers are the bytes ``repr`` prints, which keeps golden files exact;
+fractions, never percentages.  ``sweep-fig2`` builds those bytes in numpy,
+a block of rows at a time (``asymqkd._floatfmt``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import argparse
 import functools
 import math
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .channel import Basis, PauliRates, flip_rates
@@ -234,19 +235,37 @@ def _parse_cases(parser: argparse.ArgumentParser, text: str) -> list[float]:
 def _fig2_blocks(grid: list[float], curves) -> Iterator[str]:
     """Data rows of ``sweep-fig2``, ``_FIG2_BLOCK_ROWS`` rows to a string.
 
-    Each column of a block is formatted once, with ``repr``, and the rows
-    joined from the columns; the block's last newline follows as an item
-    of its own, so that no block is copied to append it.
+    A block is one ``uint8`` matrix with a row per grid point: q_y0, then
+    a slot each for the total, the one-way and the two-way rate, each with
+    its separator.  A slot holds the ``repr`` bytes of its value among NUL
+    bytes, which are dropped.  The totals are formatted once for all cases.
     """
-    totals = list(map(repr, grid))
-    for curve in curves:
-        q_y0 = repr(curve.q_y0)
-        for start in range(0, len(grid), _FIG2_BLOCK_ROWS):
-            stop = start + _FIG2_BLOCK_ROWS
-            ones = map(repr, curve.one_way[start:stop].tolist())
-            twos = map(repr, curve.two_way[start:stop].tolist())
-            yield "\n".join(map(",".join, zip(repeat(q_y0), totals[start:stop], ones, twos)))
-            yield "\n"
+    import numpy as np
+
+    from . import _floatfmt
+
+    width = _floatfmt.WIDTH
+    size = min(len(grid), _FIG2_BLOCK_ROWS)
+    totals = np.asarray(grid, dtype=float)
+    total_bytes = np.empty((len(grid), width), np.uint8)
+    for start in range(0, len(grid), size):
+        _floatfmt.write_reprs(totals[start:start + size], total_bytes[start:start + size])
+    q_y0s = [repr(curve.q_y0).encode() for curve in curves]
+    lead = max(map(len, q_y0s))
+    rows = np.zeros((size, lead + 1 + 3 * (width + 1)), np.uint8)
+    rows[:, lead] = ord(",")
+    slots = rows[:, lead + 1:].reshape(size, 3, width + 1)
+    slots[:, :, width] = np.frombuffer(b",,\n", np.uint8)
+    for curve, q_y0 in zip(curves, q_y0s):
+        rows[:, :lead] = 0
+        rows[:, :len(q_y0)] = np.frombuffer(q_y0, np.uint8)
+        for start in range(0, len(grid), size):
+            stop = min(start + size, len(grid))
+            block = slots[:stop - start, :, :width]
+            block[:, 0] = total_bytes[start:stop]
+            _floatfmt.write_reprs(curve.one_way[start:stop], block[:, 1])
+            _floatfmt.write_reprs(curve.two_way[start:stop], block[:, 2])
+            yield rows[:stop - start].tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _cmd_sweep_fig2(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

@@ -156,14 +156,15 @@ def test_numpy_loads_only_for_the_array_commands(tmp_path):
 import contextlib, io, sys
 from asymqkd.cli import build_parser, main
 build_parser()
-print([name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules])
+print([name for name in ("numpy", "asymqkd._floatfmt", "dataclasses", "inspect")
+       if name in sys.modules])
 for argv, want in {SCALAR_ARGVS!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    print(argv[0], code == want, "numpy" in sys.modules)
+    print(argv[0], code == want, "numpy" in sys.modules, "asymqkd._floatfmt" in sys.modules)
 for name, argv in {array_cases!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv + ["--out", {str(tmp_path)!r} + "/" + name])
@@ -171,7 +172,7 @@ for name, argv in {array_cases!r}:
 """)
     assert out.splitlines() == [
         "[]",
-        *(f"{argv[0]} True False" for argv, _ in SCALAR_ARGVS),
+        *(f"{argv[0]} True False False" for argv, _ in SCALAR_ARGVS),
         "sweep_fig2_coarse.csv 0",
         "simulate_small.csv 0",
     ]
@@ -219,6 +220,21 @@ class TestSweepFig2Blocks:
         out = tmp_path / "fig2.csv"
         assert main(["sweep-fig2", "--cases", cases, "--grid", grid, "--out", str(out)]) == 0
         assert out.read_text() == fig2_csv(cases, grid)
+
+    def test_negative_totals_and_rates_to_stdout(self, monkeypatch, capsys):
+        # Totals from below 0 to past 1: rows formatted by repr (nan, 0.0,
+        # 1.0, |rate| < 1e-4 in exponent form) sit among negative rates and
+        # cross the boundaries of the small blocks.
+        monkeypatch.setattr(cli, "_FIG2_BLOCK_ROWS", 64)
+        cases, grid = "0.0,0.5,1.0", "-0.05:1.05:0.0007"
+        assert main(["sweep-fig2", "--cases", cases, f"--grid={grid}"]) == 0
+        out = capsys.readouterr().out
+        assert out == fig2_csv(cases, grid)
+        values = [value for line in out.splitlines() if not line.startswith(("#", "q_y0"))
+                  for value in line.split(",")[1:]]
+        assert {"nan", "0.0", "1.0"} <= set(values)
+        rates = values[1::3] + values[2::3]
+        assert any(v.startswith("-0.") for v in rates) and any("e-" in v for v in rates)
 
 
 class TestSimulateCli:
