@@ -46,8 +46,12 @@ ARGVS = [
     _simulate("--n", "70001", "--seed", "3", "--eve", "Z"),
     _simulate("--n", "70001", "--seed", "3", "--eve", "ZZ"),
     _simulate("--n", "70001", "--seed", "3", "--eve", "ZZX"),  # unequal weights, by repeats
-    _simulate("--n", "5000", "--seed", "21", "--eve", "match-prep"),
+    _simulate("--n", "70001", "--seed", "3", "--eve", "z, x"),  # prints what ZX does
+    _simulate("--n", "5000", "--seed", "21", "--eve", "none"),
     _simulate("--n", "300000", "--seed", "9", "--eve", "ZXY", "--abort-sigma", "1000"),
+    # Every protocol setting given, none at its default.
+    _simulate("--n", "20000", "--seed", "4", "--delta", "2.5", "--b-rounds", "1", "--p-group", "5",
+              "--target", "0.1", "--abort-sigma", "4"),
     _simulate("--n", "20000", "--seed", "4", "--b-rounds", "0"),
     _simulate("--n", "20000", "--seed", "4", "--b-rounds", "1"),
     _simulate("--n", "20000", "--seed", "4", "--b-rounds", "3"),

@@ -132,11 +132,11 @@ class FlipRates(NamedTuple):
     p_z: float
 
 
-def _dyadic_numerators(values: Sequence[float]) -> tuple[list[int], int]:
+def _dyadic_numerators(values: Sequence[float]) -> list[int]:
     """Floats as integer numerators over their common power-of-two denominator, exactly."""
     ratios = [v.as_integer_ratio() for v in values]
     denominator = max(d for _, d in ratios)
-    return [n * (denominator // d) for n, d in ratios], denominator
+    return [n * (denominator // d) for n, d in ratios]
 
 
 def flip_rates(rates: PauliRates) -> FlipRates:

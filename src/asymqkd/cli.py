@@ -39,7 +39,7 @@ from .keyrates import (
     rate_sixstate_mixed,
     rate_sixstate_separate,
 )
-from .sim import EveModel, ProtocolParams, eve_intercept_resend, eve_matched_basis_probe, run_protocol
+from .sim import EveModel, ProtocolParams, run_protocol
 from .threshold import (
     ChannelFamily,
     NonMonotoneFamilyError,
@@ -48,8 +48,6 @@ from .threshold import (
     sweep_fig2,
     threshold_total_noise,
 )
-
-_BASIS_BY_LETTER = {"Z": Basis.Z, "X": Basis.X, "Y": Basis.Y}
 
 # sweep-fig2 writes its rows in blocks of this many: formatting all of a
 # long grid into one string first would hold every row twice.
@@ -119,17 +117,13 @@ def _parse_tol(text: str) -> float:
 
 
 def _parse_eve(text: str) -> Optional[EveModel]:
-    cleaned = text.strip().lower()
-    if cleaned in ("none", ""):
+    if text.strip().lower() in ("none", ""):
         return None
-    if cleaned in ("match", "match-prep", "match-prep-probe"):
-        return eve_matched_basis_probe()
     letters = [c for c in text.upper() if c not in ", "]
-    if not letters or any(c not in _BASIS_BY_LETTER for c in letters):
-        raise argparse.ArgumentTypeError(
-            f"eve must be 'none', 'match-prep', or bases from Z/X/Y, got {text!r}"
-        )
-    return eve_intercept_resend(tuple(_BASIS_BY_LETTER[c] for c in letters))
+    try:
+        return EveModel(map(Basis, letters))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"eve must be 'none' or bases from Z/X/Y, got {text!r}")
 
 
 def _emit(blocks: Iterable[str], out_path: Optional[str]) -> None:
@@ -290,14 +284,8 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     if args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     try:
-        params = ProtocolParams(
-            n=args.n,
-            delta=args.delta,
-            b_rounds=args.b_rounds,
-            p_group=args.p_group,
-            target=args.target,
-            abort_sigma=args.abort_sigma,
-        )
+        params = ProtocolParams(**{
+            name: getattr(args, name) for name in ProtocolParams._fields if hasattr(args, name)})
     except ValueError as exc:
         parser.error(f"invalid protocol parameters: {exc}")
     report = run_protocol(rates, params, seed=args.seed, eve=args.eve)
@@ -350,13 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(p_sim)
     p_sim.add_argument("--n", type=int, default=10_000, help="number of key bits")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--delta", type=float, default=2.0)
-    p_sim.add_argument("--b-rounds", type=int, default=2)
-    p_sim.add_argument("--p-group", type=int, default=3)
-    p_sim.add_argument("--target", type=float, default=0.05)
-    p_sim.add_argument("--abort-sigma", type=float, default=3.0)
+    settings = p_sim.add_argument_group("protocol settings", "default: that of asymqkd.ProtocolParams",
+                                        argument_default=argparse.SUPPRESS)
+    settings.add_argument("--delta", type=float)
+    settings.add_argument("--b-rounds", type=int)
+    settings.add_argument("--p-group", type=int)
+    settings.add_argument("--target", type=float)
+    settings.add_argument("--abort-sigma", type=float)
     p_sim.add_argument("--eve", type=_parse_eve, default=None,
-                       help="'none', 'match-prep', or bases e.g. ZX or Z,X,Y")
+                       help="'none', or bases e.g. ZX or Z,X,Y")
     p_sim.add_argument("--out", help="also write the CSV form here")
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -255,7 +255,7 @@ def distillable_in_limit(rates: PauliRates) -> bool:
     it is distillable here.  ``distill_schedule`` iterates in floats, where
     s rounds to u, so its witness for that channel still fails.
     """
-    (q_i, q_x, q_y, q_z), _ = _dyadic_numerators(rates.as_tuple())
+    q_i, q_x, q_y, q_z = _dyadic_numerators(rates.as_tuple())
     s = q_x + q_y
     u = q_i + q_z
     v = q_i - q_z

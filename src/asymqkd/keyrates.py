@@ -10,8 +10,6 @@ import math
 
 from .channel import PauliRates, average_over_mixture, flip_rates
 
-KeyRate = float
-
 
 def binary_entropy(t: float) -> float:
     """Binary Shannon entropy H(t) in bits, with H(0) = H(1) = 0."""
@@ -32,7 +30,7 @@ def shannon4(rates: PauliRates) -> float:
     return acc
 
 
-def rate_bb84_symmetrized(rates: PauliRates) -> KeyRate:
+def rate_bb84_symmetrized(rates: PauliRates) -> float:
     """One-way rate when both error estimates are pooled symmetrically.
 
     Pooling replaces the individual bit- and phase-flip rates by their
@@ -42,7 +40,7 @@ def rate_bb84_symmetrized(rates: PauliRates) -> KeyRate:
     return 1.0 - 2.0 * binary_entropy(0.5 * (flips.p_x + flips.p_z))
 
 
-def rate_single_basis(rates: PauliRates) -> KeyRate:
+def rate_single_basis(rates: PauliRates) -> float:
     """One-way rate using the two flip rates separately: 1 - H(p_x0) - H(p_z0).
 
     By concavity of H it never falls below the symmetrized rate, with
@@ -53,7 +51,7 @@ def rate_single_basis(rates: PauliRates) -> KeyRate:
     return 1.0 - binary_entropy(flips.p_x) - binary_entropy(flips.p_z)
 
 
-def rate_sixstate_mixed(rates: PauliRates) -> KeyRate:
+def rate_sixstate_mixed(rates: PauliRates) -> float:
     """Six-state rate when key bits are an equal mixture of all three bases.
 
     The mixture averages the conjugated distributions before the entropy
@@ -64,7 +62,7 @@ def rate_sixstate_mixed(rates: PauliRates) -> KeyRate:
     return 1.0 - shannon4(averaged)
 
 
-def rate_sixstate_separate(rates: PauliRates) -> KeyRate:
+def rate_sixstate_separate(rates: PauliRates) -> float:
     """Six-state rate with per-basis accounting: 1 - shannon4(channel).
 
     Dominates the mixed variant (entropy is concave), with equality exactly

@@ -53,10 +53,9 @@ mixed with the attacker's.  With probability w_b, the total attack weight
 on b, she measures in Alice's basis and resends faithfully, which is the
 same as no attack; otherwise she re-prepares the qubit in a foreign
 basis, and Bob's bit and the phase flag are uniform and independent.  No
-attacker and the match-prep probe both mean w_b = 1.  The per-qubit
-simulator that draws every transmitted qubit is kept as
-``tests/oracles.py::per_qubit_report``; the two are compared in
-distribution over seeds.
+attacker means w_b = 1.  The per-qubit simulator that draws every
+transmitted qubit is kept as ``tests/oracles.py::per_qubit_report``; the
+two are compared in distribution over seeds.
 
 Randomness: three ``numpy`` PCG64 generators spawned from
 ``SeedSequence(seed)`` in the order of ``_STREAMS``: the sifted counts
@@ -76,7 +75,7 @@ from __future__ import annotations
 import math
 import numbers
 from itertools import chain, combinations, product
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .channel import Basis, PauliRates, _Frozen, conjugate, flip_rates
 from .distill import PStepParams, b_step, p_step
@@ -175,23 +174,16 @@ class EveModel(_Frozen):
     """Intercept-resend attacker: measure in a random basis, resend the outcome.
 
     Each entry of ``bases`` is equally likely, so a repeated basis adds up
-    its weight: ``(Z, Z, X)`` measures in Z two times in three.
-    ``match_prep`` is a diagnostic mode where she always measures in the
-    qubit's own preparation basis, so it takes no ``bases``; faithful
-    resending then induces no error at all, which pins down the
-    simulator's attack plumbing.
+    its weight: ``(Z, Z, X)`` measures in Z two times in three.  Any
+    iterable of ``Basis`` members is stored as a tuple.
     """
 
-    __slots__ = _fields = ("bases", "match_prep")
+    __slots__ = _fields = ("bases",)
     bases: tuple[Basis, ...]
-    match_prep: bool
 
-    def __init__(self, bases: tuple[Basis, ...] = (), match_prep: bool = False) -> None:
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "match_prep", match_prep)
-        if self.match_prep and self.bases:
-            raise ValueError(f"match_prep measures in the preparation basis, got bases {self.bases}")
-        if not self.bases and not self.match_prep:
+    def __init__(self, bases: Iterable[Basis]) -> None:
+        object.__setattr__(self, "bases", tuple(bases))
+        if not self.bases:
             raise ValueError("eavesdropper needs at least one basis")
         if not all(isinstance(b, Basis) for b in self.bases):
             raise ValueError(f"bases must be Basis members, got {self.bases}")
@@ -202,20 +194,9 @@ class EveModel(_Frozen):
         return tuple(1.0 / len(self.bases) for _ in self.bases)
 
     def describe(self) -> str:
-        if self.match_prep:
-            return "match-prep-probe"
         names = ",".join(b.value for b in self.bases)
         weights = ",".join(repr(w) for w in self.weights)
         return f"bases={names};weights={weights}"
-
-
-def eve_intercept_resend(bases: tuple[Basis, ...]) -> EveModel:
-    """Attacker measuring in one of ``bases``, uniformly; a repeated basis adds up its weight."""
-    return EveModel(bases=tuple(bases))
-
-
-def eve_matched_basis_probe() -> EveModel:
-    return EveModel(match_prep=True)
 
 
 class ComparisonRow(NamedTuple):
@@ -401,13 +382,12 @@ def _flag_laws(channel: PauliRates, eve: Optional[EveModel]) -> np.ndarray:
     The channel's law, permuted into each basis by the flag tables, with
     probability w_b, the total attack weight on basis b (repeated attack
     bases add up); otherwise the attacker re-prepared the qubit in a
-    foreign basis and both flags are uniform.  ``w_b = 1`` with no
-    attacker and for the ``match_prep`` probe.
+    foreign basis and both flags are uniform.  ``w_b = 1`` with no attacker.
     """
     import numpy as np
 
     faithful = np.ones(3)
-    if eve is not None and not eve.match_prep:
+    if eve is not None:
         faithful = np.zeros(3)
         for basis, weight in zip(eve.bases, eve.weights):
             faithful[_BASIS_CODE[basis]] += weight

@@ -98,7 +98,7 @@ class ChannelFamily(_Frozen):
         total = sum(d)
         if not 0.0 < total < math.inf:  # an infinite total would zero every component
             raise ValueError(f"direction must have a positive finite total weight, got {total}")
-        (w_x, w_y, w_z), _ = _dyadic_numerators(d)
+        w_x, w_y, w_z = _dyadic_numerators(d)
         divisor = math.gcd(w_x, w_y, w_z)
         object.__setattr__(self, "weights", (w_x // divisor, w_y // divisor, w_z // divisor))
         direction = (x / total, y / total, z / total)

@@ -291,7 +291,7 @@ def one_shot_sifted(channel, params, seed, eve):
     alice_basis = _categorical(rng["alice_bases"], _SOURCE_PROBS, n_total)
     state_basis = alice_basis.copy()
     state_bit = alice_bits.copy()
-    if eve is not None and not eve.match_prep:
+    if eve is not None:
         codes = np.array([_SIM_BASIS_CODE[b] for b in eve.bases], dtype=np.uint8)
         eve_basis = codes[_categorical(rng["eve_bases"], eve.weights, n_total)]
         eve_bits = rng["eve_bits"].integers(0, 2, n_total, dtype=np.uint8)
@@ -348,12 +348,11 @@ def per_qubit_transmit(channel, params, n_total, rng, eve):
     sifted qubit's flags are those of its channel Pauli in its basis, unless
     the attacker re-prepared it in a foreign basis: Bob then reads a uniform
     bit and the phase correlation is lost.  A faithfully resent qubit
-    (attacker in Alice's basis, and every ``match_prep`` qubit) is the same
-    as an untouched one, and the attacker's resent bit never reaches a
-    sifted qubit, since Bob measures it in another basis.
+    (attacker in Alice's basis) is the same as an untouched one, and the
+    attacker's resent bit never reaches a sifted qubit, since Bob measures
+    it in another basis.
     """
-    attack = eve is not None and not eve.match_prep
-    if attack:
+    if eve is not None:
         eve_codes = np.array([_SIM_BASIS_CODE[b] for b in eve.bases], dtype=np.uint8)
     for start in range(0, n_total, TRANSMIT_CHUNK):
         size = min(TRANSMIT_CHUNK, n_total - start)
@@ -366,7 +365,7 @@ def per_qubit_transmit(channel, params, n_total, rng, eve):
         code = basis * 4 + paulis.take(sifted)
         error = BIT_FLAG_ARRAY.take(code)
         phase = PHASE_FLAG_ARRAY.take(code)
-        if attack:
+        if eve is not None:
             eve_basis = eve_codes.take(sample_categorical(rng["eve_bases"], eve.weights, size))
             rebased = np.flatnonzero(eve_basis.take(sifted) != basis)
             at = sifted.take(rebased)

@@ -18,7 +18,7 @@ from asymqkd.keyrates import (
     rate_sixstate_mixed,
     rate_sixstate_separate,
 )
-from asymqkd.sim import ProtocolParams, compare_analytic, eve_intercept_resend, run_protocol
+from asymqkd.sim import EveModel, ProtocolParams, compare_analytic, run_protocol
 from asymqkd.threshold import ChannelFamily, ProtocolVariant, sweep_fig1, threshold_total_noise
 
 from oracles import (
@@ -239,7 +239,7 @@ def test_7_eavesdropper_visibility():
     clean = PauliRates(1.0, 0.0, 0.0, 0.0)
     params = ProtocolParams(n=100_000)
 
-    two = run_protocol(clean, params, seed=7, eve=eve_intercept_resend((Basis.Z, Basis.X)))
+    two = run_protocol(clean, params, seed=7, eve=EveModel((Basis.Z, Basis.X)))
     two_rows = {r.stage: r for r in two.rows if r.quantity == "bit_error"}
     dev_two = 0.0
     for basis in ("Z", "X"):
@@ -248,7 +248,7 @@ def test_7_eavesdropper_visibility():
         dev_two = max(dev_two, abs(r.empirical - 0.25) / sigma)
 
     three = run_protocol(
-        clean, params, seed=8, eve=eve_intercept_resend((Basis.Z, Basis.X, Basis.Y))
+        clean, params, seed=8, eve=EveModel((Basis.Z, Basis.X, Basis.Y))
     )
     three_rows = {r.stage: r for r in three.rows if r.quantity == "bit_error"}
     third = 1.0 / 3.0

@@ -140,7 +140,7 @@ class TestAveraging:
     (lambda: ChannelFamily((1.0, 0.5, 1.0)), "weights", "ChannelFamily(direction=(0.4, 0.2, 0.4))"),
     (lambda: ProtocolParams(n=100), "n",
      "ProtocolParams(n=100, delta=2.0, b_rounds=2, p_group=3, target=0.05, abort_sigma=3.0)"),
-    (lambda: EveModel(bases=(Basis.Z,)), "bases", "EveModel(bases=(<Basis.Z: 'Z'>,), match_prep=False)"),
+    (lambda: EveModel(bases=(Basis.Z,)), "bases", "EveModel(bases=(<Basis.Z: 'Z'>,))"),
 ], ids=["PauliRates", "ChannelFamily-direction", "ChannelFamily-weights", "ProtocolParams", "EveModel"])
 def test_validated_values_are_immutable(make, field, text):
     value = make()

@@ -11,7 +11,9 @@ import pytest
 
 import asymqkd
 from asymqkd import cli
+from asymqkd.channel import Basis, PauliRates
 from asymqkd.cli import main
+from asymqkd.sim import EveModel, ProtocolParams, run_protocol
 from asymqkd.threshold import ProtocolVariant
 from oracles import fig2_csv, fresh_interpreter
 
@@ -280,12 +282,40 @@ class TestSimulateCli:
         assert f"abort_reason = {reason}\n" in capsys.readouterr().out
         assert elapsed < 1.0
 
-    def test_eve_match_prep_runs_clean(self, capsys):
-        code = main(self.ARGS + ["--eve", "match-prep"])
-        text = capsys.readouterr().out
-        assert code == 0
-        assert "eve = match-prep-probe" in text
-        assert "aborted = false" in text
+    def test_eve_match_prep_is_a_usage_error(self, capsys):
+        # The attacker in the preparation basis was no attacker at all.
+        for text in ("match", "match-prep", "match-prep-probe"):
+            with pytest.raises(SystemExit) as exc:
+                main(self.ARGS + ["--eve", text])
+            assert exc.value.code == 2
+            assert "eve must be 'none' or bases from Z/X/Y" in capsys.readouterr().err
+
+    def test_eve_spellings(self):
+        zx = cli._parse_eve("ZX")
+        assert zx == EveModel((Basis.Z, Basis.X))
+        assert cli._parse_eve("z, x") == cli._parse_eve("Z,X") == zx
+        assert cli._parse_eve("none") is cli._parse_eve(" None ") is None
+
+    SETTINGS = {"delta": 3.5, "b_rounds": 1, "p_group": 5, "target": 0.1, "abort_sigma": 4.0}  # none a default
+
+    @staticmethod
+    def _params_lines(text):
+        return [line for line in text.splitlines() if line.startswith("params.")]
+
+    def test_settings_default_to_protocol_params(self, capsys):
+        assert main(self.ARGS) == 0
+        lines = self._params_lines(capsys.readouterr().out)
+        report = run_protocol(PauliRates(1.0, 0.0, 0.0, 0.0), ProtocolParams(5000), seed=0)
+        assert lines == self._params_lines(report.to_text())
+
+    @pytest.mark.parametrize("name", list(SETTINGS))
+    def test_each_setting_overrides_its_default(self, capsys, name):
+        value = self.SETTINGS[name]
+        assert main(self.ARGS + ["--" + name.replace("_", "-"), repr(value)]) == 0
+        lines = self._params_lines(capsys.readouterr().out)
+        assert f"params.{name} = {value!r}" in lines
+        report = run_protocol(PauliRates(1.0, 0.0, 0.0, 0.0), ProtocolParams(5000, **{name: value}), seed=0)
+        assert lines == self._params_lines(report.to_text())
 
     def test_channel_clipped_at_validation_runs(self, capsys):
         # q_i = 1 - 1.0000000000001 is clipped to 0; the rest must then be

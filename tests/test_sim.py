@@ -15,8 +15,6 @@ from asymqkd.sim import (
     EveModel,
     ProtocolParams,
     compare_analytic,
-    eve_intercept_resend,
-    eve_matched_basis_probe,
     run_protocol,
 )
 from oracles import (
@@ -39,7 +37,7 @@ DEPOLARIZING = PauliRates(0.85, 0.05, 0.05, 0.05)
 # Measures in Z, X and Y 3, 3 and 4 times in ten.  On the 0.85/0.10/0.03/0.02
 # channel of the tests below its checks expect 0.389, 0.365 and 0.348, under
 # the 0.45 abort ceiling, so attacked runs reach the parity step.
-WEIGHTED = eve_intercept_resend((Basis.Z,) * 3 + (Basis.X,) * 3 + (Basis.Y,) * 4)
+WEIGHTED = EveModel((Basis.Z,) * 3 + (Basis.X,) * 3 + (Basis.Y,) * 4)
 
 
 def row(report, stage, quantity):
@@ -75,10 +73,9 @@ class TestFrameTables:
         # flags; the re-prepared rest has uniform, independent flags.
         one_hot = [0.0] * 4
         one_hot[pauli] = 1.0
-        repeated = eve_intercept_resend((Basis.Z,) * 2 + (Basis.X,) * 3 + (Basis.Z,) * 5)
+        repeated = EveModel((Basis.Z,) * 2 + (Basis.X,) * 3 + (Basis.Z,) * 5)
         for eve, faithful in (
             (None, (1.0, 1.0, 1.0)),
-            (eve_matched_basis_probe(), (1.0, 1.0, 1.0)),
             (repeated, (0.7, 0.3, 0.0)),
         ):
             laws = sim._flag_laws(PauliRates(*one_hot), eve)
@@ -253,12 +250,11 @@ class TestStreamingTransmit:
 
     ATTACKS = {
         "none": None,
-        "match-prep": eve_matched_basis_probe(),
-        "ZX": eve_intercept_resend((Basis.Z, Basis.X)),
+        "ZX": EveModel((Basis.Z, Basis.X)),
         "ZXY-weighted": WEIGHTED,
         # An attacker in Z re-prepares every Y qubit, one in Y none of them.
-        "Z": eve_intercept_resend((Basis.Z,)),
-        "Y": eve_intercept_resend((Basis.Y,)),
+        "Z": EveModel((Basis.Z,)),
+        "Y": EveModel((Basis.Y,)),
     }
     CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
 
@@ -359,12 +355,12 @@ class TestAgainstTheInMemoryReport:
     ABORTS = {  # channel, params, seed, attacker, abort reason
         "sifted": (NOISELESS, dict(n=1000, delta=0.001), 1, None, "insufficient sifted bits"),
         "sifted-attacked": (NOISELESS, dict(n=1000, delta=0.001), 1,
-                            eve_intercept_resend((Basis.Z, Basis.X)), "insufficient sifted bits"),
+                            EveModel((Basis.Z, Basis.X)), "insufficient sifted bits"),
         "key-pool": (NOISELESS, dict(n=1000, delta=0.01), 2, None,
                      "insufficient Y-basis sifted bits"),
         "check-pool": (NOISELESS, dict(n=1000, delta=0.5), 0, None,
                        "insufficient Y-basis check bits"),
-        "check-error": (NOISELESS, dict(n=2000), 22, eve_intercept_resend((Basis.Z, Basis.X)),
+        "check-error": (NOISELESS, dict(n=2000), 22, EveModel((Basis.Z, Basis.X)),
                         "check error in basis Z"),
         "rounds-20": (CHANNEL, dict(n=20_000, b_rounds=20), 4, None,
                       "key exhausted before rejection round 14"),
@@ -578,12 +574,11 @@ class TestCountsInDistribution:
     CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
     CASES = {  # attacker, n, whether every run ends at the checks
         "none": (None, 1000, False),
-        "match-prep": (eve_matched_basis_probe(), 1000, False),
         "ZXY-weighted": (WEIGHTED, 4000, False),
         # ZX and Z re-prepare every Y qubit, Y every Z and X qubit.
-        "ZX": (eve_intercept_resend((Basis.Z, Basis.X)), 12_500, True),
-        "Z": (eve_intercept_resend((Basis.Z,)), 4000, True),
-        "Y": (eve_intercept_resend((Basis.Y,)), 4000, True),
+        "ZX": (EveModel((Basis.Z, Basis.X)), 12_500, True),
+        "Z": (EveModel((Basis.Z,)), 4000, True),
+        "Y": (EveModel((Basis.Y,)), 4000, True),
     }
 
     @staticmethod
@@ -603,17 +598,8 @@ class TestCountsInDistribution:
 
 
 class TestEve:
-    def test_matched_basis_probe_is_invisible(self):
-        report = run_protocol(
-            NOISELESS, ProtocolParams(n=5000), seed=21, eve=eve_matched_basis_probe()
-        )
-        assert not report.aborted
-        assert report.eve == "match-prep-probe"
-        assert report.final_bit_error == 0.0
-        assert report.final_phase_error == 0.0
-
     def test_two_basis_attack_is_caught(self):
-        eve = eve_intercept_resend((Basis.Z, Basis.X))
+        eve = EveModel((Basis.Z, Basis.X))
         report = run_protocol(NOISELESS, ProtocolParams(n=20_000), seed=22, eve=eve)
         assert report.aborted
         assert "check error" in report.abort_reason
@@ -623,7 +609,7 @@ class TestEve:
             assert abs(r.empirical - expected) <= 4.0 * sigma
 
     def test_three_basis_attack_is_caught(self):
-        eve = eve_intercept_resend((Basis.Z, Basis.X, Basis.Y))
+        eve = EveModel((Basis.Z, Basis.X, Basis.Y))
         report = run_protocol(NOISELESS, ProtocolParams(n=20_000), seed=23, eve=eve)
         assert report.aborted
         third = 1.0 / 3.0
@@ -637,23 +623,24 @@ class TestEve:
         # key and the parity step.
         params = ProtocolParams(n=20_000, abort_sigma=1e9)
         once = run_protocol(
-            DEPOLARIZING, params, seed=24, eve=eve_intercept_resend((Basis.Z, Basis.X, Basis.Y))
+            DEPOLARIZING, params, seed=24, eve=EveModel((Basis.Z, Basis.X, Basis.Y))
         )
         twice = run_protocol(
-            DEPOLARIZING, params, seed=24, eve=eve_intercept_resend((Basis.Z, Basis.Z, Basis.X,
-                                                                      Basis.X, Basis.Y, Basis.Y))
+            DEPOLARIZING, params, seed=24, eve=EveModel((Basis.Z, Basis.Z, Basis.X,
+                                                          Basis.X, Basis.Y, Basis.Y))
         )
         assert not once.aborted
         assert twice.eve == "bases=Z,Z,X,X,Y,Y;weights=" + ",".join(["0.16666666666666666"] * 6)
         assert twice._replace(eve=once.eve) == once
 
     def test_attack_weights_validation(self):
-        # The class holds the factory's rule too: no attacker that re-prepares
-        # every qubit and describes itself as "bases=;weights=".
-        for make in (lambda: eve_intercept_resend(()), EveModel, lambda: EveModel(bases=())):
+        # No attacker that re-prepares every qubit and describes itself as
+        # "bases=;weights=".
+        for bases in ((), [], iter(())):
             with pytest.raises(ValueError, match="at least one basis"):
-                make()
-        assert EveModel(match_prep=True).describe() == "match-prep-probe"
+                EveModel(bases)
+        with pytest.raises(TypeError):
+            EveModel()
 
     def test_bases_must_be_basis_members(self):
         # A letter would construct and then fail deep inside run_protocol.
@@ -661,13 +648,19 @@ class TestEve:
             with pytest.raises(ValueError, match="Basis members"):
                 EveModel(bases=bases)
 
-    def test_match_prep_takes_no_bases(self):
-        # match_prep ignores bases, so giving both would drop them silently.
-        with pytest.raises(ValueError, match="match_prep"):
-            EveModel(bases=(Basis.Z,), match_prep=True)
+    def test_bases_are_stored_as_a_tuple(self):
+        # A list would make the model unhashable, unequal to its tuple form,
+        # and open to change after validation.
+        bases = [Basis.Z, Basis.X]
+        listed = EveModel(bases=bases)
+        bases.append("not a basis")
+        assert isinstance(listed.bases, tuple)
+        assert listed.bases == (Basis.Z, Basis.X)
+        assert listed == EveModel(bases=(Basis.Z, Basis.X))
+        assert hash(listed) == hash(EveModel(bases=(Basis.Z, Basis.X)))
 
     def test_describe(self):
-        eve = eve_intercept_resend((Basis.Z, Basis.X))
+        eve = EveModel((Basis.Z, Basis.X))
         assert eve.describe() == "bases=Z,X;weights=0.5,0.5"
 
 
