@@ -38,6 +38,14 @@ ARGVS = [
     _simulate("--n", "1000000", "--seed", "0", "--abort-sigma", "5"),
     _simulate("--n", "1000000", "--seed", "20040406", "--abort-sigma", "5"),
     _simulate("--n", "1000000000000", "--abort-sigma", "5"),  # 8 * 10^12 transmitted qubits
+    # The largest parity group, drawn as counts over its 171,700 compositions.
+    _simulate("--n", "1000000000000", "--p-group", "99", "--abort-sigma", "5"),
+    # No Y error: a flag of probability 0 in every basis.
+    _simulate("--n", "1000000", "--seed", "5", "--abort-sigma", "5",
+              channel=["--qx", "0.1", "--qy", "0", "--qz", "0.02"]),
+    # Almost no noise: the no-flag probability is 1 - 2e-12.
+    _simulate("--n", "1000000000000", "--abort-sigma", "5",
+              channel=["--qx", "1e-12", "--qy", "0", "--qz", "1e-12"]),
     _simulate("--n", "100", "--seed", "1"),
     _simulate("--n", "70001", "--seed", "3", "--eve", "ZX"),
     _simulate("--n", "70001", "--seed", "3", "--eve", "XY"),
@@ -63,14 +71,17 @@ ARGVS = [
     _simulate("--n", "20000", "--seed", "4", "--p-group", "9", "--abort-sigma", "1000"),
     # One argv per abort reason, in the order run_protocol checks them.
     _simulate("--n", "1000", "--delta", "0.001", "--seed", "1", channel=_NOISELESS),
-    _simulate("--n", "1000", "--delta", "0.01", "--seed", "2", channel=_NOISELESS),
+    _simulate("--n", "1000", "--delta", "0.01", "--seed", "6", channel=_NOISELESS),
     _simulate("--n", "1000", "--delta", "0.5", "--seed", "0", channel=_NOISELESS),
     _simulate("--n", "20000", "--seed", "22", "--eve", "ZX"),
     _simulate("--n", "1000", "--b-rounds", "1000000000"),
-    _simulate("--n", "6", "--seed", "10", "--abort-sigma", "1000",
+    _simulate("--n", "6", "--seed", "36", "--abort-sigma", "1000",
               channel=["--qx", "0.2", "--qy", "0", "--qz", "0.2"]),
+    _simulate("--n", "300", "--p-group", "99"),  # two rounds leave at most 75 bits
+    # Parity groups above the bound of 99 (exit 2).
     _simulate("--n", "1000", "--p-group", "100000001"),
-    # (6 + delta) * n transmitted qubits past int64.
+    _simulate("--n", "1000", "--p-group", "101"),
+    # (6 + delta) * n transmitted qubits past 2^63.
     _simulate("--n", "10", "--delta", "1e18", channel=["--qx", "0.1", "--qy", "0", "--qz", "0.02"]),
     _simulate("--n", "4611686018427387904", channel=["--qx", "0.1", "--qy", "0", "--qz", "0.02"]),
     # The analytic subcommands.

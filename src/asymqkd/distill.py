@@ -43,26 +43,19 @@ def parity_bit_error(p_x: float, k: int) -> float:
 def majority_phase_error(p_z: float, k: int) -> float:
     """Phase-flip rate after majority decoding k bits: P[Bin(k, p) >= (k+1)/2].
 
-    Computed through logarithms of factorials so large k neither overflows
-    nor loses the tiny tails.  The table of log(i!) is built afresh on each
-    call, so the result depends on (p_z, k) alone.
+    Each term is exp of a sum of ``math.lgamma`` values and logarithms, so
+    large k neither overflows nor loses the tiny tails; the terms are added
+    by ``math.fsum``.  The result depends on (p_z, k) alone.
     """
-    import numpy as np
-
     if p_z <= 0.0:
         return 0.0
     if p_z >= 1.0:
         return 1.0
-    table = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k + 1, dtype=float)))))
-    j = np.arange((k + 1) // 2, k + 1)
-    log_terms = (
-        table[k]
-        - table[j]
-        - table[k - j]
-        + j * math.log(p_z)
-        + (k - j) * math.log1p(-p_z)
-    )
-    return float(min(np.exp(log_terms).sum(), 1.0))
+    log_p, log_q, log_k = math.log(p_z), math.log1p(-p_z), math.lgamma(k + 1)
+    return min(math.fsum(
+        math.exp(log_k - math.lgamma(j + 1) - math.lgamma(k - j + 1) + j * log_p + (k - j) * log_q)
+        for j in range((k + 1) // 2, k + 1)
+    ), 1.0)
 
 
 class BStepOutcome(NamedTuple):

@@ -57,13 +57,22 @@ attacker means w_b = 1.  The per-qubit simulator that draws every
 transmitted qubit is kept as ``tests/oracles.py::per_qubit_report``; the
 two are compared in distribution over seeds.
 
-Randomness: three ``numpy`` PCG64 generators spawned from
-``SeedSequence(seed)`` in the order of ``_STREAMS``: the sifted counts
-(one multinomial draw), the check errors (one binomial draw per basis,
-made only after the pool-size aborts pass) and the key stage, drawn as
-counts too (``_key_counts``, whose cost depends on n only while there
-are fewer parity groups than compositions of a group).  Identical
-(channel, params, seed, eve) inputs reproduce the report exactly.
+Randomness: three ``random.Random`` streams, one per name in
+``_STREAMS``, each seeded with the string ``f"{seed}/{name}"`` (which
+``random`` hashes with SHA-512, whatever PYTHONHASHSEED is): the sifted
+counts (one multinomial draw), the check errors (one binomial draw per
+basis, made only after the pool-size aborts pass) and the key stage,
+drawn as counts too (``_key_counts``).  Every draw is a binomial from
+``_binomial``, or a chain of them for a multinomial, so the draws are the
+package's own and no report depends on an array library's generator
+streams, which need not stay the same across its versions (NEP 19).
+Identical (channel, params, seed, eve) inputs reproduce the report
+exactly; what remains platform-dependent is libm's ``log`` and ``log1p``
+in the sampler, and ``pow`` in the pmf tables of the parity step.
+
+``p_group`` is at most ``_MAX_P_GROUP`` = 99, which bounds the parity
+step at about half a second and well under 1 MB, whatever n (see
+``_key_counts``).
 
 Aborts (too few sifted bits, short check pools, failed error test, key
 exhaustion) are outcomes, not errors: the report carries the abort reason
@@ -74,21 +83,23 @@ from __future__ import annotations
 
 import math
 import numbers
-from itertools import chain, combinations, product
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from itertools import accumulate, product
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .channel import Basis, PauliRates, _Frozen, conjugate, flip_rates
 from .distill import PStepParams, b_step, p_step
 from .keyrates import binary_entropy
 
 if TYPE_CHECKING:
-    import numpy as np
+    import random
 
 _BASIS_ORDER = (Basis.Z, Basis.X, Basis.Y)
 _BASIS_CODE = {basis: code for code, basis in enumerate(_BASIS_ORDER)}
 _STREAMS = ("counts", "checks", "key")
-# Parity groups drawn per block where each group is drawn on its own.
-_GROUP_ROWS = 1 << 14
+# The largest parity group, with C(102, 3) = 171,700 compositions.
+_MAX_P_GROUP = 99
+# A parity group drawn on its own costs about as much as tabulating this many pmf entries.
+_PMF_ENTRIES_PER_GROUP = 12
 
 # The protocol's constants, Z/X/Y.  Alice's source weights favour the key basis.
 _SOURCE_PROBS = (0.25, 0.25, 0.5)
@@ -128,7 +139,11 @@ class ProtocolParams(_Frozen):
     """Run size and post-processing knobs; defaults follow the protocol as stated.
 
     ``n`` key bits come out of ceil((6 + delta) * n) qubits, a count that must
-    fit in int64; the factor 6 is sized for the protocol's constants.
+    stay below 2^63; the factor 6 is sized for the protocol's constants.  The
+    samplers set up each draw in floats, and below 2^63 trials the rounding
+    of n * p stays under 2^-21 of the binomial's standard deviation.
+    ``p_group`` is at most ``_MAX_P_GROUP``, which bounds the parity step's
+    cost (see ``_key_counts``).
     """
 
     __slots__ = _fields = ("n", "delta", "b_rounds", "p_group", "target", "abort_sigma")
@@ -158,12 +173,14 @@ class ProtocolParams(_Frozen):
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.delta < math.inf:  # also rejects nan
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        # Below 2^63 as a float exactly when its ceiling fits int64; the n test keeps it finite.
+        # Below 2^63 as a float exactly when its ceiling is; the n test keeps it finite.
         if self.n >= 2**63 or (6.0 + self.delta) * self.n >= 2.0**63:
-            raise ValueError(f"(6 + delta) * n transmitted qubits overflow int64 (delta={self.delta!r})")
+            raise ValueError(f"(6 + delta) * n transmitted qubits must be below 2^63 (delta={self.delta!r})")
         if self.b_rounds < 0:
             raise ValueError(f"b_rounds must be >= 0, got {self.b_rounds}")
         PStepParams(self.p_group)
+        if self.p_group > _MAX_P_GROUP:
+            raise ValueError(f"p_group must be <= {_MAX_P_GROUP}, got {self.p_group}")
         if not 0.0 < self.target < 0.5:  # also rejects nan
             raise ValueError(f"target={self.target!r} outside (0, 0.5)")
         if not 0.0 < self.abort_sigma < math.inf:
@@ -369,14 +386,112 @@ def _split_counts(n: int, fractions) -> tuple[int, int, int]:
     return tuple(counts)
 
 
-def _open_streams(seed: int) -> dict[str, np.random.Generator]:
-    import numpy as np
+def _open_streams(seed: int) -> dict[str, random.Random]:
+    import random
 
-    children = np.random.SeedSequence(seed).spawn(len(_STREAMS))
-    return {name: np.random.default_rng(child) for name, child in zip(_STREAMS, children)}
+    return {name: random.Random(f"{seed}/{name}") for name in _STREAMS}
 
 
-def _flag_laws(channel: PauliRates, eve: Optional[EveModel]) -> np.ndarray:
+# Hörmann's fc(j) = log j! - (j + 1/2) log(j + 1) + (j + 1) - log(2 pi) / 2, the
+# correction to Stirling's formula, tabulated for j < 10.
+_STIRLING_TAIL = (
+    0.08106146679532726, 0.04134069595540929, 0.02767792568499834, 0.02079067210376509,
+    0.01664469118982119, 0.01387612882307075, 0.01189670994589177, 0.01041126526197209,
+    0.009255462182712733, 0.008330563433362871,
+)
+
+
+def _stirling_tail(j: int) -> float:
+    if j < 10:
+        return _STIRLING_TAIL[j]
+    x = 1.0 / (j + 1)
+    x2 = x * x
+    return (1.0 / 12.0 - (1.0 / 360.0 - x2 / 1260.0) * x2) * x
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) draw; exact at n = 0, p = 0 and p = 1, which draw nothing.
+
+    Above p = 1/2 it counts the failures.  Below n * p = 10, Devroye's
+    geometric method skips from one success to the next; otherwise BTRS,
+    the transformed rejection with squeeze of Hörmann (J. Stat. Comput.
+    Simul. 46, 1993), whose acceptance test compares log f(k) / f(m) with
+    f the pmf and m = floor((n + 1) p).  That ratio is taken in Hörmann's
+    Stirling-correction form, rearranged so that every term is of the size
+    of k - m: a difference of lgamma values near n = 10^12 would keep only
+    about three digits.  Uniforms enter logarithms as 1 - random(), in (0, 1].
+    """
+    if n == 0 or p <= 0.0:
+        return 0
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    uniform = rng.random
+    if n * p < 10.0:
+        log_q, drawn, left = math.log1p(-p), 0, n
+        while True:
+            gap = math.log(1.0 - uniform()) / log_q  # failures before the next success
+            if gap >= left:
+                return drawn
+            left -= math.floor(gap) + 1
+            drawn += 1
+    q = 1.0 - p
+    spq = math.sqrt(n * p * q)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    alpha = (2.83 + 5.1 / b) * spq
+    v_r = 0.92 - 4.2 / b
+    m = math.floor((n + 1) * p)
+    centre = n * p + 0.5 - m  # the hat's centre n p + 1/2, less m, so k - m stays exact
+    log_ratio = math.log(p * (n - m + 1) / (q * (m + 1)))
+    tail_m = _stirling_tail(m) + _stirling_tail(n - m)
+    while True:
+        u = uniform() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:  # the hat's edge, where k runs off to infinity: rejected
+            continue
+        d = math.floor((2.0 * a / us + b) * u + centre)
+        k = m + d
+        if k < 0 or k > n:
+            continue
+        v = 1.0 - uniform()
+        if us >= 0.07 and v <= v_r:
+            return k
+        log_f = (
+            d * log_ratio
+            - (k + 0.5) * math.log1p(d / (m + 1))
+            - (n - k + 0.5) * math.log1p(-d / (n - m + 1))
+            + tail_m - _stirling_tail(k) - _stirling_tail(n - k)
+        )
+        if math.log(v * alpha / (a / (us * us) + b)) <= log_f:
+            return k
+
+
+def _shares(probs: Sequence[float]) -> list[float]:
+    """probs[i] / sum(probs[i:]), the share of each category in the mass from it on; 0 where that is 0.
+
+    The sums are taken from the end, so the last category with mass gets
+    exactly 1 and the chain of ``_multinomial`` ends with nothing left.
+    """
+    tails = list(accumulate(reversed(probs)))[::-1]
+    return [p / tail if tail > 0.0 else 0.0 for p, tail in zip(probs, tails)]
+
+
+def _multinomial(rng: random.Random, n: int, shares: Sequence[float]) -> list[int]:
+    """One Multinomial(n, probs) draw, given ``_shares(probs)``: chained binomials."""
+    drawn = []
+    for share in shares:
+        count = _binomial(rng, n, share)
+        drawn.append(count)
+        n -= count
+    return drawn
+
+
+def _binomial_pmf(n: int, p: float) -> list[float]:
+    """P(Binomial(n, p) = j) for j = 0..n, with 0 ** 0 = 1; for n <= ``_MAX_P_GROUP``."""
+    return [math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
+
+
+def _flag_laws(channel: PauliRates, eve: Optional[EveModel]) -> list[list[float]]:
     """(bit flag, phase flag) law of a sifted qubit, one row per basis, column 2 * bit + phase.
 
     The channel's law, permuted into each basis by the flag tables, with
@@ -384,17 +499,19 @@ def _flag_laws(channel: PauliRates, eve: Optional[EveModel]) -> np.ndarray:
     bases add up); otherwise the attacker re-prepared the qubit in a
     foreign basis and both flags are uniform.  ``w_b = 1`` with no attacker.
     """
-    import numpy as np
-
-    faithful = np.ones(3)
+    faithful = [1.0] * 3
     if eve is not None:
-        faithful = np.zeros(3)
+        faithful = [0.0] * 3
         for basis, weight in zip(eve.bases, eve.weights):
             faithful[_BASIS_CODE[basis]] += weight
-    columns = 2 * np.array(_BIT_FLAG) + np.array(_PHASE_FLAG)
-    channel_law = np.empty((3, 4))
-    channel_law[np.arange(3)[:, None], columns] = channel.as_tuple()
-    return faithful[:, None] * channel_law + (1.0 - faithful[:, None]) * 0.25
+    laws = []
+    for code, share in enumerate(faithful):
+        law = [0.0] * 4
+        for pauli, mass in enumerate(channel.as_tuple()):
+            column = 2 * _BIT_FLAG[code][pauli] + _PHASE_FLAG[code][pauli]
+            law[column] = share * mass + (1.0 - share) * 0.25
+        laws.append(law)
+    return laws
 
 
 def _pair_laws(law: list[float]) -> tuple[float, list[float], list[float], list[float]]:
@@ -422,57 +539,69 @@ def _pair_laws(law: list[float]) -> tuple[float, list[float], list[float], list[
     )
 
 
-def _compositions(law: list[float], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every composition (n00, n01, n10, n11) of k flags, with its multinomial probability."""
-    import numpy as np
+def _composition_counts(rng: random.Random, law: list[float], groups: int, k: int):
+    """Yield (composition, groups drawn with it) for ``groups`` i.i.d. groups of k flags.
 
-    # Stars and bars: bars at places a < b < c of k + 3 cut k flags into four parts.
-    bars = chain.from_iterable(combinations(range(k + 3), 3))
-    a, b, c = np.fromiter(bars, dtype=np.int64).reshape(-1, 3).T
-    rows = np.stack([a, b - a - 1, c - b - 1, k + 2 - c], axis=1)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k + 1)))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        powers = np.where(rows > 0, rows * np.log(law), 0.0).sum(axis=1)
-    pmf = np.exp(log_fact[k] - log_fact[rows].sum(axis=1) + powers)
-    return rows, pmf / pmf.sum()
+    One multinomial over the C(k + 3, 3) compositions (n00, n01, n10, n11),
+    drawn as a tree of chained binomials: the groups' n00 first, then the
+    n01 of the groups of each n00, then the n10 of those of each (n00, n01).
+    A branch that no group takes is never drawn, so the draws number at most
+    the compositions and far fewer when the law is concentrated.  The tables
+    are the O(k^2) binomial pmfs of the three chained shares.
+    """
+    s00, s01, s10, _ = _shares(law)
+    by_n01 = [_shares(_binomial_pmf(r, s01)) for r in range(k + 1)]
+    by_n10 = [_shares(_binomial_pmf(r, s10)) for r in range(k + 1)]
+    for n00, g00 in enumerate(_multinomial(rng, groups, _shares(_binomial_pmf(k, s00)))):
+        if not g00:
+            continue
+        for n01, g01 in enumerate(_multinomial(rng, g00, by_n01[k - n00])):
+            if not g01:
+                continue
+            rest = k - n00 - n01
+            for n10, g in enumerate(_multinomial(rng, g01, by_n10[rest])):
+                if g:
+                    yield (n00, n01, n10, rest - n10), g
 
 
-def _parity_counts(rng: np.random.Generator, law: list[float], size: int, k: int):
+def _parity_counts(rng: random.Random, law: list[float], size: int, k: int):
     """The parity step on ``size`` i.i.d. flags: (groups, bit errors, phase errors), flag counts.
 
     A group's bit error is the parity of its bit flags, its phase error the
-    majority of its phase flags.  The G groups' compositions are i.i.d.:
-    one multinomial over the C(k + 3, 3) compositions where that table is
-    no larger than G, per-group rows in blocks of ``_GROUP_ROWS``
-    otherwise.  The remainder is one multinomial over the four flags.
+    majority of its phase flags.  The G groups' compositions are i.i.d., so
+    they are drawn either as counts (``_composition_counts``) or one group
+    at a time, whichever is estimated to cost less: the counts' set-up
+    tabulates about (k + 1)(k + 2) pmf entries, and a group drawn on its own
+    costs about ``_PMF_ENTRIES_PER_GROUP`` of them.  The remainder is one
+    multinomial over the four flags.
     """
-    import numpy as np
-
-    groups = size // k
-    if math.comb(k + 3, 3) <= groups:
-        rows, pmf = _compositions(law, k)
-        blocks = [(rows, rng.multinomial(groups, pmf))]
-    else:  # drawn as the loop reaches them, one block in memory at a time
-        blocks = (
-            (rng.multinomial(k, law, size=min(_GROUP_ROWS, groups - start)), 1)
-            for start in range(0, groups, _GROUP_ROWS)
-        )
-    counts, bit_errors, phase_errors = np.zeros(4, dtype=np.int64), 0, 0
-    for rows, times in blocks:
-        bit_errors += int(np.sum(times * ((rows[:, 2] + rows[:, 3]) % 2)))
-        phase_errors += int(np.sum(times * (rows[:, 1] + rows[:, 3] > k // 2)))
-        counts += (times * rows.T).sum(axis=1)
-    return (groups, bit_errors, phase_errors), counts + rng.multinomial(size - groups * k, law)
+    groups, shares = size // k, _shares(law)
+    if (k + 1) * (k + 2) <= _PMF_ENTRIES_PER_GROUP * groups:
+        drawn = _composition_counts(rng, law, groups, k)
+    else:
+        drawn = ((_multinomial(rng, k, shares), 1) for _ in range(groups))
+    counts, bit_errors, phase_errors = [0, 0, 0, 0], 0, 0
+    for row, times in drawn:
+        bit_errors += times * ((row[2] + row[3]) & 1)
+        phase_errors += times * (row[1] + row[3] > k // 2)
+        counts = [c + times * r for c, r in zip(counts, row)]
+    rest = _multinomial(rng, size - groups * k, shares)
+    return (groups, bit_errors, phase_errors), [c + r for c, r in zip(counts, rest)]
 
 
-def _key_counts(rng: np.random.Generator, law: np.ndarray, n: int, b_rounds: int, k: int):
+def _key_counts(rng: random.Random, law: list[float], n: int, b_rounds: int, k: int):
     """The key stage on n i.i.d. flags from ``law``, as counts.
 
     Beyond a few draws per round, its cost is the parity step's
-    (``_parity_counts``).  While the groups are fewer than the C(k + 3, 3)
-    compositions of a group, the per-group rows take time linear in the
-    number of groups.  From there on the composition table is drawn once,
-    whatever n, but its time and memory grow as k^3.
+    (``_parity_counts``): the G groups drawn one at a time, in time linear
+    in G, or as counts over the compositions, whose set-up grows as k^2 and
+    whose draws number at most the C(k + 3, 3) compositions, whatever G.
+    Neither keeps more than O(k^2) floats.  At k = ``_MAX_P_GROUP`` = 99,
+    with no rejection round, a near-uniform Y-basis law (channel
+    (0.34, 0.22, 0.22, 0.22)) at n = 2^60 - 128 is the worst case found:
+    0.45-0.56 s, with a traced peak of 0.37 MB.  The groups drawn one at a
+    time take at most 5-13 ms, at G = 841, below the switch (2-vCPU Xeon VM,
+    Python 3.11).
 
     Returns (levels, groups, abort reason): the flag counts, column 2 * bit +
     phase, of the key and of each round's survivors; and (groups, bit
@@ -484,7 +613,7 @@ def _key_counts(rng: np.random.Generator, law: np.ndarray, n: int, b_rounds: int
     one binomial tells which (b, 0) ones came from two phase-0 flags), its
     disagreeing pairs (one multinomial) and its odd last flag.
     """
-    sizes, laws, splits = [n], [law.tolist()], []
+    sizes, laws, splits = [n], [law], []
     abort = None
     for round_no in range(1, b_rounds + 1):
         if sizes[-1] < 2:
@@ -492,7 +621,7 @@ def _key_counts(rng: np.random.Generator, law: np.ndarray, n: int, b_rounds: int
             break
         agree, survivor, same, split = _pair_laws(laws[-1])
         splits.append((same, split))
-        sizes.append(int(rng.binomial(sizes[-1] // 2, agree)))
+        sizes.append(_binomial(rng, sizes[-1] // 2, agree))
         laws.append(survivor)
         if sizes[-1] == 0:
             abort = f"no key bits survived rejection round {round_no}"
@@ -503,14 +632,14 @@ def _key_counts(rng: np.random.Generator, law: np.ndarray, n: int, b_rounds: int
         if groups[0] == 0:
             abort = "key exhausted before parity step"
     else:
-        counts = rng.multinomial(sizes[-1], laws[-1])
-    levels = [tuple(int(c) for c in counts)]
+        counts = _multinomial(rng, sizes[-1], _shares(laws[-1]))
+    levels = [tuple(counts)]
     for level in range(len(sizes) - 1, 0, -1):
         same, split = splits[level - 1]
         c00, c01, c10, c11 = levels[0]
-        both0, both1 = int(rng.binomial(c00, same[0])), int(rng.binomial(c10, same[1]))
-        d = rng.multinomial(sizes[level - 1] // 2 - sizes[level], split).tolist()
-        odd = rng.multinomial(sizes[level - 1] % 2, laws[level - 1]).tolist()
+        both0, both1 = _binomial(rng, c00, same[0]), _binomial(rng, c10, same[1])
+        d = _multinomial(rng, sizes[level - 1] // 2 - sizes[level], _shares(split))
+        odd = _multinomial(rng, sizes[level - 1] % 2, _shares(laws[level - 1]))
         levels.insert(0, (
             2 * both0 + c01 + d[0] + d[1] + odd[0],
             2 * (c00 - both0) + c01 + d[2] + d[3] + odd[1],
@@ -545,8 +674,8 @@ def run_protocol(
     laws = _flag_laws(channel, eve)
     sift_probs = [s * b for s, b in zip(_SOURCE_PROBS, _BOB_PROBS)]
     p_sift = sum(sift_probs)
-    counts = rng["counts"].multinomial(n_total, [*sift_probs, 1.0 - p_sift])
-    sifted = tuple(int(count) for count in counts[:3])
+    counts = _multinomial(rng["counts"], n_total, _shares([*sift_probs, 1.0 - p_sift]))
+    sifted = tuple(counts[:3])
     n_sifted = sum(sifted)
 
     rows = [_rate_row("sift", "sifted_fraction", n_total, n_sifted / n_total, p_sift)]
@@ -579,14 +708,14 @@ def run_protocol(
             return finish(f"insufficient {basis_name}-basis check bits ({pool} < {want[code]})", {})
     stage_counts.append(StageCount("roles", n_sifted, 2 * n, n_sifted - 2 * n))
 
-    check_errors = rng["checks"].binomial(want, laws[:, 2] + laws[:, 3])
+    check_errors = [_binomial(rng["checks"], w, law[2] + law[3]) for w, law in zip(want, laws)]
     abort_reason = None
     for code in range(3):
         if want[code] == 0:
             continue
         basis = _BASIS_ORDER[code]
         expected = flip_rates(conjugate(channel, basis)).p_x
-        observed = int(check_errors[code]) / want[code]
+        observed = check_errors[code] / want[code]
         row = _rate_row(f"check:{basis.value}", "bit_error", want[code], observed, expected)
         rows.append(row)
         excess = observed - expected

@@ -136,13 +136,19 @@ def enumerate_parity_bit_error(p, k):
 
 
 def enumerate_majority_error(p, k):
-    """P(more than half flipped) over all 2^k patterns."""
-    total = 0.0
-    for pattern in product((0, 1), repeat=k):
-        weight = 1.0
-        for flip in pattern:
-            weight *= p if flip else (1.0 - p)
-        if sum(pattern) > k // 2:
+    """P(more than half flipped) over all 2^k patterns; exact for a ``Fraction`` p.
+
+    Patterns grow one flip at a time, so each prefix's weight is shared by
+    its extensions: every pattern's factors are still multiplied left to
+    right, and the patterns summed in ``product`` order.
+    """
+    patterns = [(0, 1)]  # (flips, weight)
+    for _ in range(k):
+        patterns = [(flips + flip, weight * (p if flip else 1 - p))
+                    for flips, weight in patterns for flip in (0, 1)]
+    total = 0
+    for flips, weight in patterns:
+        if flips > k // 2:
             total += weight
     return total
 

@@ -65,10 +65,10 @@ def test_stdout_matches_file_output(tmp_path, capsys):
     assert stdout.encode() == (GOLDEN / "rates_asym.csv").read_bytes()
 
 
-def _run_module(module, argv):
+def _run_module(module, argv, **env_vars):
     src = str(pathlib.Path(asymqkd.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_vars)
     run = subprocess.run(
         [sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=60,
         check=False,
@@ -89,6 +89,17 @@ def test_cli_module_entry_point_matches_the_package_one():
     package_out = _run_module("asymqkd", argv)
     assert package_out  # an entry point that prints nothing would match itself
     assert _run_module("asymqkd.cli", argv) == package_out
+
+
+@pytest.mark.parametrize("name", ["simulate_small.csv", "simulate_attacked.csv"])
+def test_simulate_bytes_do_not_depend_on_the_hash_seed(tmp_path, name):
+    # The streams are seeded with strings, which random hashes with SHA-512,
+    # not with the per-process hash().
+    argv = dict(GOLDEN_CASES)[name]
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"{hash_seed}.csv"
+        _run_module("asymqkd", [*argv, "--out", str(out)], PYTHONHASHSEED=hash_seed)
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), hash_seed
 
 
 def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
@@ -150,10 +161,13 @@ SCALAR_ARGVS = [
 
 
 def test_numpy_loads_only_for_the_array_commands(tmp_path):
-    # Start-up also loads neither dataclasses nor inspect, which it would pay
-    # for on every command; pytest loads both, hence the fresh interpreter.
-    array_cases = [case for case in GOLDEN_CASES
-                   if case[0] in ("sweep_fig2_coarse.csv", "simulate_small.csv")]
+    # Only sweep-fig2 computes with arrays: simulate, with or without an
+    # attacker, draws from the package's own sampler and loads neither numpy
+    # nor numpy.random.  Start-up also loads neither dataclasses nor inspect,
+    # which it would pay for on every command; pytest loads both, hence the
+    # fresh interpreter.
+    array_cases = [case for case in GOLDEN_CASES if case[0].startswith("simulate_")]
+    array_cases += [case for case in GOLDEN_CASES if case[0] == "sweep_fig2_coarse.csv"]
     out = fresh_interpreter(f"""
 import contextlib, io, sys
 from asymqkd.cli import build_parser, main
@@ -170,16 +184,31 @@ for argv, want in {SCALAR_ARGVS!r}:
 for name, argv in {array_cases!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv + ["--out", {str(tmp_path)!r} + "/" + name])
-    print(name, code)
+    print(name, code, "numpy" in sys.modules, "numpy.random" in sys.modules)
 """)
     assert out.splitlines() == [
         "[]",
         *(f"{argv[0]} True False False" for argv, _ in SCALAR_ARGVS),
-        "sweep_fig2_coarse.csv 0",
-        "simulate_small.csv 0",
+        "simulate_small.csv 0 False False",
+        "simulate_attacked.csv 0 False False",
+        "sweep_fig2_coarse.csv 0 True False",
     ]
     for name, _ in array_cases:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_simulate_runs_where_numpy_cannot_be_imported(tmp_path):
+    # A None entry in sys.modules makes every import of numpy raise ImportError.
+    name, argv = GOLDEN_CASES[4]
+    assert name == "simulate_small.csv"
+    out = tmp_path / name
+    fresh_interpreter(f"""
+import sys
+sys.modules["numpy"] = None
+from asymqkd.cli import main
+assert main({argv!r} + ["--out", {str(out)!r}]) == 0
+""")
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_rates_family_form_matches_triple_form(tmp_path):
@@ -269,14 +298,14 @@ class TestSimulateCli:
         assert "check error" in text
 
     @pytest.mark.parametrize("flags,reason", [
-        (["--b-rounds", "1000000000"], "key exhausted before rejection round 10"),
-        (["--p-group", "100000001"], "key exhausted before parity step"),
+        (["--n", "1000", "--b-rounds", "1000000000"], "key exhausted before rejection round 10"),
+        # Two rounds leave at most n / 4 = 75 bits, fewer than a group of 99.
+        (["--n", "300", "--p-group", "99"], "key exhausted before parity step"),
     ])
     def test_huge_distillation_settings_finish_at_once(self, capsys, flags, reason):
         # No work or memory per round or per group member that the key never fills.
         start = time.perf_counter()
-        code = main(["simulate", "--qx", "0.10", "--qy", "0.03", "--qz", "0.02",
-                     "--n", "1000", *flags])
+        code = main(["simulate", "--qx", "0.10", "--qy", "0.03", "--qz", "0.02", *flags])
         elapsed = time.perf_counter() - start
         assert code == 0
         assert f"abort_reason = {reason}\n" in capsys.readouterr().out
@@ -450,7 +479,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flags", [
         ["--abort-sigma", "nan"], ["--abort-sigma", "inf"], ["--delta", "nan"], ["--delta", "inf"],
-        # (6 + delta) * n transmitted qubits past int64, the last one past the float range.
+        # (6 + delta) * n transmitted qubits past 2^63, the last one past the float range.
         ["--n", "10", "--delta", "1e18"], ["--n", str(2**62)], ["--n", "1" + "0" * 400],
     ])
     def test_non_finite_protocol_params_exit_2(self, capsys, flags):
@@ -469,6 +498,12 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--qx", "0", "--qy", "0", "--qz", "0", "--p-group", "2"])
         assert exc.value.code == 2
+
+    def test_p_group_above_the_bound_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--qx", "0", "--qy", "0", "--qz", "0", "--p-group", "101"])
+        assert exc.value.code == 2
+        assert "invalid protocol parameters: p_group must be <= 99, got 101" in capsys.readouterr().err
 
 
 def test_default_sweep_fig1_has_one_chau_threshold(capsys):

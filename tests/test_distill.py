@@ -153,6 +153,19 @@ class TestPStep:
         assert majority_phase_error(1.0, 5) == 1.0
         assert majority_phase_error(0.5, 7) == pytest.approx(0.5, abs=1e-12)
 
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, 1.0), st.sampled_from(range(1, 16, 2)))
+    def test_majority_error_against_exact_enumeration(self, p_z, k):
+        # The exact tail of the float p_z, summed over all 2^k patterns in Fractions.
+        exact = float(enumerate_majority_error(Fraction(p_z), k))
+        assert majority_phase_error(p_z, k) == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+    def test_majority_error_keeps_a_tiny_tail_at_the_simulator_bound(self):
+        # k = 99 is the largest parity group of the simulator; this tail is about 4.8e-122.
+        p = Fraction(1e-3)
+        exact = sum(math.comb(99, j) * p**j * (1 - p) ** (99 - j) for j in range(50, 100))
+        assert majority_phase_error(1e-3, 99) == pytest.approx(float(exact), rel=1e-12)
+
     def test_majority_error_does_not_depend_on_earlier_calls(self):
         # A log-factorial table kept between calls and grown piece by piece
         # sums in another order, which shows in the last bits.

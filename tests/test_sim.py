@@ -1,5 +1,7 @@
+import bisect
 import inspect
 import math
+import random
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -246,7 +248,7 @@ class TestConservation:
 
 
 class TestStreamingTransmit:
-    """The per-qubit transmit stage against its one-shot form, and parity rows drawn in blocks."""
+    """The per-qubit transmit stage against its one-shot form, and roles by arrival order."""
 
     ATTACKS = {
         "none": None,
@@ -269,24 +271,6 @@ class TestStreamingTransmit:
         for got_part, want_part in zip(got, want):
             assert got_part.dtype == np.uint8
             assert np.array_equal(got_part, want_part)
-
-    @pytest.mark.parametrize("chunk", [1, 3, 4, 12, 4096, 4097])
-    @pytest.mark.parametrize("attack", ["none", "ZXY-weighted"])
-    def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk, attack):
-        # Groups of 29 have C(32, 3) = 4,960 compositions, more than the
-        # 4,200 groups of the 121,805 key bits, so the parity step draws
-        # per-group rows; they split into ragged blocks at every size but 1.
-        # The loose sigma rule lets the attacked run reach the parity step.
-        params = ProtocolParams(n=29 * 4200 + 5, b_rounds=0, p_group=29, abort_sigma=1e9)
-        assert 4097 < params.n // params.p_group < math.comb(params.p_group + 3, 3)
-        eve = self.ATTACKS[attack]
-        monkeypatch.setattr(sim, "_GROUP_ROWS", 1 << 20)
-        whole = run_protocol(self.CHANNEL, params, seed=12, eve=eve)
-        assert not whole.aborted
-        monkeypatch.setattr(sim, "_GROUP_ROWS", chunk)
-        split = run_protocol(self.CHANNEL, params, seed=12, eve=eve)
-        assert split.to_text() == whole.to_text()
-        assert split.to_csv() == whole.to_csv()
 
     @pytest.mark.parametrize("pauli", range(4))
     def test_errors_follow_the_flag_tables_without_an_attacker(self, pauli):
@@ -356,7 +340,7 @@ class TestAgainstTheInMemoryReport:
         "sifted": (NOISELESS, dict(n=1000, delta=0.001), 1, None, "insufficient sifted bits"),
         "sifted-attacked": (NOISELESS, dict(n=1000, delta=0.001), 1,
                             EveModel((Basis.Z, Basis.X)), "insufficient sifted bits"),
-        "key-pool": (NOISELESS, dict(n=1000, delta=0.01), 2, None,
+        "key-pool": (NOISELESS, dict(n=1000, delta=0.01), 6, None,
                      "insufficient Y-basis sifted bits"),
         "check-pool": (NOISELESS, dict(n=1000, delta=0.5), 0, None,
                        "insufficient Y-basis check bits"),
@@ -364,9 +348,10 @@ class TestAgainstTheInMemoryReport:
                         "check error in basis Z"),
         "rounds-20": (CHANNEL, dict(n=20_000, b_rounds=20), 4, None,
                       "key exhausted before rejection round 14"),
-        "no-survivors": (PauliRates(0.6, 0.2, 0.0, 0.2), dict(n=6, abort_sigma=1000.0), 10, None,
+        "no-survivors": (PauliRates(0.6, 0.2, 0.0, 0.2), dict(n=6, abort_sigma=1000.0), 36, None,
                          "no key bits survived rejection round 2"),
-        "parity": (CHANNEL, dict(n=1000, p_group=100_000_001), 0, None,
+        # Two rounds leave at most n / 4 = 75 bits, fewer than a group of 99.
+        "parity": (CHANNEL, dict(n=300, p_group=99), 0, None,
                    "key exhausted before parity step"),
     }
 
@@ -418,13 +403,201 @@ def test_runs_at_a_trillion_key_bits():
 @pytest.mark.parametrize("law", [(0.4, 0.1, 0.3, 0.2), (0.0, 0.3, 0.0, 0.7)])
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_composition_law_is_the_enumerated_one(law, k):
+    # The counts over the compositions draw n00, then n01 of the rest, then
+    # n10 of what is left, each from the binomial pmf of its chained share:
+    # the product of the three must be the law of a group's composition.
     want = {}
     for flags in product(range(4), repeat=k):
         composition = tuple(flags.count(flag) for flag in range(4))
         want[composition] = want.get(composition, 0.0) + math.prod(law[flag] for flag in flags)
-    rows, pmf = sim._compositions(list(law), k)
-    assert len(rows) == len(want) == math.comb(k + 3, 3)
-    assert dict(zip(map(tuple, rows.tolist()), pmf.tolist())) == pytest.approx(want, abs=1e-15)
+    s00, s01, s10, _ = sim._shares(list(law))
+    got = {}
+    for n00, p00 in enumerate(sim._binomial_pmf(k, s00)):
+        for n01, p01 in enumerate(sim._binomial_pmf(k - n00, s01)):
+            for n10, p10 in enumerate(sim._binomial_pmf(k - n00 - n01, s10)):
+                got[(n00, n01, n10, k - n00 - n01 - n10)] = p00 * p01 * p10
+    assert len(got) == len(want) == math.comb(k + 3, 3)
+    assert got == pytest.approx(want, abs=1e-15)
+
+
+class _Drawn(Exception):
+    pass
+
+
+class TestParityDraw:
+    """Which way the parity step draws its groups, at the extremes of G at the bound k = 99.
+
+    As counts over the compositions once (k + 1)(k + 2) <= 12 G, that is
+    from G = 842 on; one group at a time below.
+    """
+
+    CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
+
+    @staticmethod
+    def _refuse(*args):
+        raise _Drawn("drew the groups as counts")
+
+    @pytest.mark.parametrize("n,as_counts", [
+        (99, False), (99 * 841 + 98, False), (99 * 842, True), (10**12, True), (2**60 - 128, True),
+    ])
+    def test_counts_only_from_the_switch_on(self, monkeypatch, n, as_counts):
+        monkeypatch.setattr(sim, "_composition_counts", self._refuse)
+        params = ProtocolParams(n=n, b_rounds=0, p_group=99, abort_sigma=1e9)
+        if as_counts:
+            with pytest.raises(_Drawn):
+                run_protocol(self.CHANNEL, params, seed=0)
+        else:
+            report = run_protocol(self.CHANNEL, params, seed=0)
+            assert report.stage_counts[-1] == ("key:parity", n, n // 99, n - n // 99)
+
+    def test_a_group_of_one_is_always_drawn_as_counts(self, monkeypatch):
+        # 1,006 transmitted qubits fill the one key bit and its check on any seed.
+        monkeypatch.setattr(sim, "_composition_counts", self._refuse)
+        with pytest.raises(_Drawn):
+            run_protocol(NOISELESS, ProtocolParams(n=1, delta=1000.0, b_rounds=0, p_group=1), seed=0)
+
+
+def _binomial_cells(n, p):
+    """(lo, hi, probability) cells of Binomial(n, p) over the values within 12 SD of the mean.
+
+    One cell per value where those are at most 20,001, with the pmf from the
+    logarithm of the exact integer C(n, k) where min(k, n - k) <= 3000 and
+    from ``math.lgamma`` otherwise, which only n <= 10^6 reaches here (a
+    rounding below 1e-8 of a cell).  Otherwise 48 cells of the
+    continuity-corrected normal law, whose error at those n (standard
+    deviation >= 10^4, skewness <= 10^-4) is far below what the draws resolve.
+    """
+    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+    lo, hi = max(0, math.floor(mean - 12 * sd - 30)), min(n, math.ceil(mean + 12 * sd + 30))
+    if hi - lo <= 20_000:
+        log_p, log_q = math.log(p), math.log1p(-p)
+        cells = []
+        for k in range(lo, hi + 1):
+            if min(k, n - k) <= 3000:
+                log_c = math.log(math.comb(n, k))
+            else:
+                log_c = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            cells.append((k, k, math.exp(log_c + k * log_p + (n - k) * log_q)))
+        return cells
+    edges = [lo, *sorted({round(mean + sd * z / 8) for z in range(-24, 25)}), hi + 1]
+    cdf = [0.5 * math.erfc(-(edge - 0.5 - mean) / (sd * math.sqrt(2.0))) for edge in edges]
+    return [(a, b - 1, cb - ca) for a, b, ca, cb in zip(edges, edges[1:], cdf, cdf[1:]) if b > a]
+
+
+def _assert_binomial_fit(draws, n, p):
+    """Pearson's test of ``draws`` against Binomial(n, p) at the 10^-4 level.
+
+    Adjacent cells are pooled until each expects at least 5 draws.  The
+    level keeps the chance that any of the ~60 fits below fails on a
+    correct sampler under 1 %.
+    """
+    assert all(0 <= x <= n for x in draws)
+    pooled, open_cell = [], None
+    for lo, hi, mass in _binomial_cells(n, p):
+        open_cell = [lo, hi, mass] if open_cell is None else [open_cell[0], hi, open_cell[2] + mass]
+        if open_cell[2] * len(draws) >= 5.0:
+            pooled.append(open_cell)
+            open_cell = None
+    if open_cell is not None and pooled:
+        pooled[-1] = [pooled[-1][0], open_cell[1], pooled[-1][2] + open_cell[2]]
+    elif open_cell is not None:
+        pooled.append(open_cell)
+    pooled[0][0], pooled[-1][1] = 0, n
+    df = len(pooled) - 1
+    if df == 0:
+        return
+    total = sum(mass for _, _, mass in pooled)
+    ordered = sorted(draws)
+    chi2 = 0.0
+    for lo, hi, mass in pooled:
+        observed = bisect.bisect_right(ordered, hi) - bisect.bisect_left(ordered, lo)
+        expected = mass / total * len(draws)
+        chi2 += (observed - expected) ** 2 / expected
+    # The 1 - 10^-4 quantile of chi-square(df), by the Wilson-Hilferty approximation.
+    bound = df * (1.0 - 2.0 / (9 * df) + 3.719 * math.sqrt(2.0 / (9 * df))) ** 3
+    assert chi2 <= bound, (n, p, chi2, df, bound)
+
+
+class _Uniforms:
+    """Stands in for a stream whose ``random`` returns chosen draws."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+class TestSampler:
+    """``_binomial`` and ``_multinomial`` against exact laws, at fixed seeds."""
+
+    DRAWS = 10_000
+
+    @pytest.mark.parametrize("p", [1e-12, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-12])
+    @pytest.mark.parametrize("n", [1, 2, 9, 40, 1000, 10**6, 10**12])
+    def test_binomial_follows_the_exact_pmf(self, n, p):
+        rng = random.Random(f"binomial/{n}/{p!r}")
+        _assert_binomial_fit([sim._binomial(rng, n, p) for _ in range(self.DRAWS)], n, p)
+
+    @pytest.mark.parametrize("n", [0, 1, 40, 10**12, 2**62])
+    def test_exact_at_p_0_and_1_and_at_n_0(self, n):
+        rng = random.Random("edges")
+        state = rng.getstate()
+        assert sim._binomial(rng, n, 0.0) == 0
+        assert sim._binomial(rng, n, 1.0) == n
+        assert sim._binomial(rng, 0, 0.3) == 0
+        assert rng.getstate() == state  # none of them drew
+
+    def test_the_smallest_p_draws_nothing_without_overflow(self):
+        # The gap to the first success is infinite in floats.
+        assert sim._binomial(random.Random("tiny"), 2**62, 5e-324) == 0
+
+    def test_a_uniform_of_zero_is_a_valid_draw(self):
+        # Logarithms are taken of 1 - random(), never of random() itself.
+        # Geometric method at n p = 0.5: two gaps of 0, then one of 109 trials.
+        assert sim._binomial(_Uniforms([0.0, 0.0, 0.99999]), 5, 0.1) == 2
+        # BTRS at n p = 50: the first uniform lands on the hat's edge, where k
+        # runs off to infinity, and is rejected; u = 0 then gives the centre.
+        assert sim._binomial(_Uniforms([0.0, 0.5, 0.5]), 100, 0.5) == 50
+
+    @pytest.mark.parametrize("probs", [
+        (0.85, 0.05, 0.07, 0.03),
+        (0.0, 0.3, 0.0, 0.7),        # zero-mass categories, first and inner
+        (0.5, 0.5, 0.0, 0.0),        # the mass ends before the last category
+        (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
+    ])
+    @pytest.mark.parametrize("n", [40, 10**12])
+    def test_multinomial_marginals(self, n, probs):
+        rng = random.Random(f"multinomial/{n}/{probs!r}")
+        shares = sim._shares(probs)
+        draws = [sim._multinomial(rng, n, shares) for _ in range(self.DRAWS // 2)]
+        assert all(sum(drawn) == n for drawn in draws)
+        total = math.fsum(probs)
+        for column, mass in enumerate(probs):
+            counts = [drawn[column] for drawn in draws]
+            if mass == 0.0:
+                assert not any(counts)
+            else:
+                _assert_binomial_fit(counts, n, mass / total)
+
+    def test_stream_definition_is_pinned(self):
+        # Seeds are the strings f"{seed}/{name}"; any change to how the streams
+        # are opened or drawn from changes these numbers, and every report.
+        streams = sim._open_streams(2004)
+        assert list(streams) == ["counts", "checks", "key"]
+        assert [stream.random() for stream in streams.values()] == [
+            0.08898792258891308, 0.47673450086712243, 0.46457811697493767
+        ]
+        draws = [(1000, 0.3), (40, 0.01), (10**12, 0.5), (10**6, 0.99), (2**62, 0.1)]
+        assert [sim._binomial(streams["key"], n, p) for n, p in draws] == [
+            327, 0, 499998986135, 990068, 461168603168672301
+        ]
+
+    def test_stirling_tails_match_lgamma(self):
+        # fc(j) = log j! - (j + 1/2) log(j + 1) + (j + 1) - log(2 pi) / 2.
+        for j in (*range(30), 100, 1000):
+            stirling = (j + 0.5) * math.log(j + 1) - (j + 1) + 0.5 * math.log(2 * math.pi)
+            assert sim._stirling_tail(j) == pytest.approx(math.lgamma(j + 1) - stirling, abs=1e-10)
 
 
 class TestKeyStageJointLaw:
@@ -435,8 +608,9 @@ class TestKeyStageJointLaw:
     the parity counts and the abort reason.  Draws of ``sim._key_counts``
     at a fixed seed must stay in its support and pass Pearson's test at
     the 0.001 level, outcomes expected fewer than 5 times pooled into one
-    cell.  The settings reach every key abort reason; b_rounds = 0 groups
-    through the composition table, the others group by group.
+    cell.  The settings reach every key abort reason; at k = 1 the parity
+    groups are drawn as counts over the compositions, at k = 3 one at a
+    time, and both ways are also forced on the same settings.
     """
 
     LAW = (0.4, 0.1, 0.3, 0.2)
@@ -444,10 +618,20 @@ class TestKeyStageJointLaw:
 
     @pytest.mark.parametrize("n,b_rounds,k", [(8, 2, 1), (7, 1, 3), (7, 2, 3), (5, 0, 1)])
     def test_draws_follow_the_enumerated_law(self, n, b_rounds, k):
+        self._assert_follows_the_enumerated_law(n, b_rounds, k)
+
+    @pytest.mark.parametrize("entries_per_group", [0, 10**9], ids=["one-at-a-time", "counts"])
+    @pytest.mark.parametrize("n,b_rounds,k", [(7, 0, 3), (7, 1, 1)])
+    def test_both_parity_draws_follow_the_enumerated_law(self, monkeypatch, entries_per_group,
+                                                          n, b_rounds, k):
+        monkeypatch.setattr(sim, "_PMF_ENTRIES_PER_GROUP", entries_per_group)
+        self._assert_follows_the_enumerated_law(n, b_rounds, k)
+
+    def _assert_follows_the_enumerated_law(self, n, b_rounds, k):
         exact = exact_key_law(self.LAW, n, b_rounds, k)
-        rng = np.random.default_rng(2004)
+        rng = sim._open_streams(2004)["key"]
         drawn = Counter(
-            sim._key_counts(rng, np.array(self.LAW), n, b_rounds, k) for _ in range(self.DRAWS)
+            sim._key_counts(rng, list(self.LAW), n, b_rounds, k) for _ in range(self.DRAWS)
         )
         assert set(drawn) <= set(exact), set(drawn) - set(exact)
         expected = {outcome: p * self.DRAWS for outcome, p in exact.items()}
@@ -538,9 +722,8 @@ class TestKeyRowsInDistribution:
 
     ``drawn_key_fold`` draws the n key flags one at a time from the Y-basis
     law and folds them in arrival order; 250 runs a side.  At this n, p_group
-    1 and 3 and p_group 9 without rejection rounds draw the parity groups
-    from the composition table, p_group 9 after rejection rounds and
-    p_group 99 group by group.
+    1, 3 and 9 draw the parity groups as counts over the compositions, and
+    p_group 99 one group at a time.
     """
 
     CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
@@ -677,7 +860,7 @@ class TestAborts:
     def test_insufficient_key_pool(self):
         # Enough sifted overall (2,000 needed), but too few in Y for the key.
         params = ProtocolParams(n=1000, delta=0.01)
-        report = run_protocol(NOISELESS, params, seed=2)
+        report = run_protocol(NOISELESS, params, seed=6)
         assert report.aborted
         assert report.n_sifted >= 2000
         assert "Y-basis sifted bits" in report.abort_reason
@@ -708,6 +891,7 @@ class TestParamsValidation:
             dict(n=100, target=0.0),
             dict(n=100, b_rounds=-1),
             dict(n=100, p_group=2),
+            dict(n=100, p_group=101),  # odd, but above the bound
             dict(n=100, target=0.5),
             dict(n=100, abort_sigma=0.0),
             dict(n=100, target=math.nan),
@@ -716,7 +900,7 @@ class TestParamsValidation:
             dict(n=100, delta=math.nan),
             dict(n=100, abort_sigma=math.inf),
             dict(n=100, abort_sigma=math.nan),
-            dict(n=10, delta=1e18),  # (6 + delta) * n past int64
+            dict(n=10, delta=1e18),  # (6 + delta) * n past 2^63
             dict(n=2**62),
             dict(n=np.int64(2**62)),
             dict(n=10**400),  # past the float range
@@ -736,8 +920,15 @@ class TestParamsValidation:
     def test_transmitted_qubits_must_fit_int64(self):
         # 8 * (2^60 - 128) is 2^63 - 1024, the largest float below 2^63.
         assert ProtocolParams(n=2**60 - 128).n == 2**60 - 128
-        with pytest.raises(ValueError, match="overflow int64"):
+        with pytest.raises(ValueError, match=r"below 2\^63"):
             ProtocolParams(n=2**60)
+
+    def test_p_group_is_bounded(self):
+        # C(102, 3) = 171,700 composition rows at the bound.
+        assert sim._MAX_P_GROUP == 99
+        assert ProtocolParams(n=100, p_group=99).p_group == 99
+        with pytest.raises(ValueError, match="p_group must be <= 99, got 101"):
+            ProtocolParams(n=100, p_group=101)
 
     def test_only_the_run_settings_are_fields(self):
         # The basis weights, check split and ceiling are the protocol's constants.
