@@ -67,7 +67,8 @@ ARGVS = [
     _simulate("--n", "20000", "--seed", "4", "--b-rounds", "20"),
     _simulate("--n", "20000", "--seed", "4", "--p-group", "1"),
     _simulate("--n", "20000", "--seed", "4", "--p-group", "5"),
-    _simulate("--n", "20000", "--seed", "4", "--p-group", "99"),  # parity groups drawn one by one
+    _simulate("--n", "20000", "--seed", "4", "--p-group", "99"),
+    _simulate("--n", "99", "--b-rounds", "0", "--p-group", "99"),  # one group at the bound
     _simulate("--n", "20000", "--seed", "4", "--p-group", "9", "--abort-sigma", "1000"),
     # One argv per abort reason, in the order run_protocol checks them.
     _simulate("--n", "1000", "--delta", "0.001", "--seed", "1", channel=_NOISELESS),
@@ -81,6 +82,7 @@ ARGVS = [
     # Parity groups above the bound of 99 (exit 2).
     _simulate("--n", "1000", "--p-group", "100000001"),
     _simulate("--n", "1000", "--p-group", "101"),
+    _simulate("--n", "1000", "--seed", "-1"),  # a negative seed (exit 2)
     # (6 + delta) * n transmitted qubits past 2^63.
     _simulate("--n", "10", "--delta", "1e18", channel=["--qx", "0.1", "--qy", "0", "--qz", "0.02"]),
     _simulate("--n", "4611686018427387904", channel=["--qx", "0.1", "--qy", "0", "--qz", "0.02"]),
@@ -102,6 +104,9 @@ ARGVS = [
     ["sweep-fig2", "--cases", "0.0,0.5,1.0", "--grid=-0.05:1.05:0.0007"],
     ["sweep-fig2", "--cases", "0.0", "--grid", "0:1e-300:1e-301"],  # tiny totals
     ["sweep-fig2", "--cases", "0.0", "--grid", "0:1e20:1e18"],  # huge totals, in exponent form
+    # Cases outside [0, 1] (exit 2).
+    ["sweep-fig2", "--cases", "0.0,1.5"],
+    ["sweep-fig2", "--cases", "nan"],
     ["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.02"],
     ["rates", "--family-ratio", "0.3", "--scale", "0.2"],
     # Symmetric channels: rate pairs tied in exact arithmetic, apart by round-off in floats.

@@ -213,16 +213,13 @@ def _cmd_sweep_fig1(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
 
 def _parse_cases(parser: argparse.ArgumentParser, text: str) -> list[float]:
-    """``--cases``: comma-separated q_y0 values, each finite and in [0, 1]."""
+    """``--cases``: comma-separated q_y0 values; ``sweep_fig2`` checks their range."""
     cases = []
     for item in text.split(","):
         try:
-            value = float(item)
+            cases.append(float(item))
         except ValueError:
             parser.error(f"--cases: {item!r} is not a number")
-        if not 0.0 <= value <= 1.0:  # also rejects nan
-            parser.error(f"--cases: q_y0={value!r} outside [0, 1]")
-        cases.append(value)
     return cases
 
 
@@ -264,7 +261,10 @@ def _fig2_blocks(grid: list[float], curves) -> Iterator[str]:
 
 def _cmd_sweep_fig2(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     cases = _parse_cases(parser, args.cases)
-    curves = sweep_fig2(cases, args.grid)
+    try:
+        curves = sweep_fig2(cases, args.grid)
+    except ValueError as exc:  # a q_y0 outside [0, 1], checked before any work
+        parser.error(f"--cases: {exc}")
     header = (
         "# schema: asymqkd.sweep_fig2.v1\n"
         f"# config: cases={args.cases} grid={args.grid_text}\n"
@@ -281,14 +281,15 @@ def _cmd_sweep_fig2(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
 def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     rates = _resolve_channel(parser, args)
-    if args.seed < 0:
-        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         params = ProtocolParams(**{
             name: getattr(args, name) for name in ProtocolParams._fields if hasattr(args, name)})
     except ValueError as exc:
         parser.error(f"invalid protocol parameters: {exc}")
-    report = run_protocol(rates, params, seed=args.seed, eve=args.eve)
+    try:
+        report = run_protocol(rates, params, seed=args.seed, eve=args.eve)
+    except ValueError as exc:  # the seed is the one input run_protocol checks itself
+        parser.error(f"--{exc}")
     sys.stdout.write(report.to_text())
     if args.out is not None:
         _emit([report.to_csv()], args.out)

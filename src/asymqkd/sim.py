@@ -62,7 +62,8 @@ Randomness: three ``random.Random`` streams, one per name in
 ``random`` hashes with SHA-512, whatever PYTHONHASHSEED is): the sifted
 counts (one multinomial draw), the check errors (one binomial draw per
 basis, made only after the pool-size aborts pass) and the key stage,
-drawn as counts too (``_key_counts``).  Every draw is a binomial from
+drawn as counts too (``_key_counts``), its parity step as counts over a
+group's compositions (``_parity_counts``).  Every draw is a binomial from
 ``_binomial``, or a chain of them for a multinomial, so the draws are the
 package's own and no report depends on an array library's generator
 streams, which need not stay the same across its versions (NEP 19).
@@ -98,8 +99,6 @@ _BASIS_CODE = {basis: code for code, basis in enumerate(_BASIS_ORDER)}
 _STREAMS = ("counts", "checks", "key")
 # The largest parity group, with C(102, 3) = 171,700 compositions.
 _MAX_P_GROUP = 99
-# A parity group drawn on its own costs about as much as tabulating this many pmf entries.
-_PMF_ENTRIES_PER_GROUP = 12
 
 # The protocol's constants, Z/X/Y.  Alice's source weights favour the key basis.
 _SOURCE_PROBS = (0.25, 0.25, 0.5)
@@ -539,52 +538,39 @@ def _pair_laws(law: list[float]) -> tuple[float, list[float], list[float], list[
     )
 
 
-def _composition_counts(rng: random.Random, law: list[float], groups: int, k: int):
-    """Yield (composition, groups drawn with it) for ``groups`` i.i.d. groups of k flags.
-
-    One multinomial over the C(k + 3, 3) compositions (n00, n01, n10, n11),
-    drawn as a tree of chained binomials: the groups' n00 first, then the
-    n01 of the groups of each n00, then the n10 of those of each (n00, n01).
-    A branch that no group takes is never drawn, so the draws number at most
-    the compositions and far fewer when the law is concentrated.  The tables
-    are the O(k^2) binomial pmfs of the three chained shares.
-    """
-    s00, s01, s10, _ = _shares(law)
-    by_n01 = [_shares(_binomial_pmf(r, s01)) for r in range(k + 1)]
-    by_n10 = [_shares(_binomial_pmf(r, s10)) for r in range(k + 1)]
-    for n00, g00 in enumerate(_multinomial(rng, groups, _shares(_binomial_pmf(k, s00)))):
-        if not g00:
-            continue
-        for n01, g01 in enumerate(_multinomial(rng, g00, by_n01[k - n00])):
-            if not g01:
-                continue
-            rest = k - n00 - n01
-            for n10, g in enumerate(_multinomial(rng, g01, by_n10[rest])):
-                if g:
-                    yield (n00, n01, n10, rest - n10), g
-
-
 def _parity_counts(rng: random.Random, law: list[float], size: int, k: int):
     """The parity step on ``size`` i.i.d. flags: (groups, bit errors, phase errors), flag counts.
 
     A group's bit error is the parity of its bit flags, its phase error the
-    majority of its phase flags.  The G groups' compositions are i.i.d., so
-    they are drawn either as counts (``_composition_counts``) or one group
-    at a time, whichever is estimated to cost less: the counts' set-up
-    tabulates about (k + 1)(k + 2) pmf entries, and a group drawn on its own
-    costs about ``_PMF_ENTRIES_PER_GROUP`` of them.  The remainder is one
+    majority of its phase flags.  The G groups' compositions (n00, n01, n10,
+    n11) are i.i.d., so they are drawn as counts: one multinomial over the
+    C(k + 3, 3) compositions, as a tree of chained binomials, the groups'
+    n00 first, then the n01 of the groups of each n00, then the n10 of those
+    of each (n00, n01).  A branch that no group takes is never drawn, so the
+    draws number at most the compositions and far fewer when the law is
+    concentrated.  The tables are the O(k^2) binomial pmfs of the three
+    chained shares, built only when G > 0.  The remainder is one
     multinomial over the four flags.
     """
     groups, shares = size // k, _shares(law)
-    if (k + 1) * (k + 2) <= _PMF_ENTRIES_PER_GROUP * groups:
-        drawn = _composition_counts(rng, law, groups, k)
-    else:
-        drawn = ((_multinomial(rng, k, shares), 1) for _ in range(groups))
     counts, bit_errors, phase_errors = [0, 0, 0, 0], 0, 0
-    for row, times in drawn:
-        bit_errors += times * ((row[2] + row[3]) & 1)
-        phase_errors += times * (row[1] + row[3] > k // 2)
-        counts = [c + times * r for c, r in zip(counts, row)]
+    if groups:
+        s00, s01, s10, _ = shares
+        by_n01 = [_shares(_binomial_pmf(r, s01)) for r in range(k + 1)]
+        by_n10 = [_shares(_binomial_pmf(r, s10)) for r in range(k + 1)]
+        for n00, g00 in enumerate(_multinomial(rng, groups, _shares(_binomial_pmf(k, s00)))):
+            if not g00:
+                continue
+            for n01, g01 in enumerate(_multinomial(rng, g00, by_n01[k - n00])):
+                if not g01:
+                    continue
+                left = k - n00 - n01
+                for n10, g in enumerate(_multinomial(rng, g01, by_n10[left])):
+                    if g:
+                        n11 = left - n10
+                        bit_errors += g * ((n10 + n11) & 1)
+                        phase_errors += g * (n01 + n11 > k // 2)
+                        counts = [c + g * r for c, r in zip(counts, (n00, n01, n10, n11))]
     rest = _multinomial(rng, size - groups * k, shares)
     return (groups, bit_errors, phase_errors), [c + r for c, r in zip(counts, rest)]
 
@@ -593,15 +579,13 @@ def _key_counts(rng: random.Random, law: list[float], n: int, b_rounds: int, k: 
     """The key stage on n i.i.d. flags from ``law``, as counts.
 
     Beyond a few draws per round, its cost is the parity step's
-    (``_parity_counts``): the G groups drawn one at a time, in time linear
-    in G, or as counts over the compositions, whose set-up grows as k^2 and
-    whose draws number at most the C(k + 3, 3) compositions, whatever G.
-    Neither keeps more than O(k^2) floats.  At k = ``_MAX_P_GROUP`` = 99,
-    with no rejection round, a near-uniform Y-basis law (channel
+    (``_parity_counts``), counts over the compositions, whose set-up grows
+    as k^2 and whose draws number at most the C(k + 3, 3) compositions,
+    whatever G; it keeps O(k^2) floats.  At k = ``_MAX_P_GROUP`` = 99, with
+    no rejection round, a near-uniform Y-basis law (channel
     (0.34, 0.22, 0.22, 0.22)) at n = 2^60 - 128 is the worst case found:
-    0.45-0.56 s, with a traced peak of 0.37 MB.  The groups drawn one at a
-    time take at most 5-13 ms, at G = 841, below the switch (2-vCPU Xeon VM,
-    Python 3.11).
+    0.43-0.56 s, with a traced peak of 0.37 MB.  The set-up alone, for a
+    single group, takes about 5 ms (2-vCPU Xeon VM, Python 3.11).
 
     Returns (levels, groups, abort reason): the flag counts, column 2 * bit +
     phase, of the key and of each round's survivors; and (groups, bit
@@ -660,12 +644,18 @@ def run_protocol(
     Args:
         channel: Pauli error distribution of the quantum channel.
         params: run size and post-processing knobs.
-        seed: root seed of the three random streams: counts, checks and key.
+        seed: root seed of the three random streams: counts, checks and key,
+            a non-negative integer.
         eve: optional intercept-resend attacker applied before the channel.
 
     Returns:
         A ``SimReport``; aborts are reported, never raised.
+
+    Raises:
+        ValueError: for a bool, a non-integral or a negative seed.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     n = params.n
     n_total = int(math.ceil((6.0 + params.delta) * n))
     want = _split_counts(n, _CHECK_SPLIT)

@@ -429,7 +429,11 @@ def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]
     midpoint reported.  Each bisection probe builds its one channel and
     calls the per-channel functions that ``_fig2_rates`` equals bit for
     bit, ``rate_sixstate_separate`` and ``modified_rate_one_bstep``.
+    Raises ``ValueError`` for a case outside [0, 1], before any work.
     """
+    for q_y0 in cases:
+        if not 0.0 <= q_y0 <= 1.0:  # also rejects nan
+            raise ValueError(f"q_y0={q_y0!r} outside [0, 1]")
     import numpy as np
 
     totals = np.asarray(grid, dtype=float)
@@ -437,7 +441,7 @@ def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]
     for q_y0 in cases:
         one_way = np.full(totals.shape, np.nan)
         two_way = np.full(totals.shape, np.nan)
-        # Negated skip test: a NaN case is inside and fails validation.
+        # Negated skip test: a NaN total is inside and fails validation.
         inside = ~((totals < q_y0) | (totals > 1.0))
         evaluated = totals[inside]
         one_in, two_in = _fig2_rates(q_y0, evaluated)

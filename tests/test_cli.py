@@ -431,6 +431,16 @@ class TestBadInput:
             main(["sweep-fig2", "--cases", cases, "--grid", "0.0:0.3:0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("cases,message", [
+        ("0.0,1.5", "--cases: q_y0=1.5 outside [0, 1]"),
+        ("nan", "--cases: q_y0=nan outside [0, 1]"),
+        ("abc", "--cases: 'abc' is not a number"),
+    ])
+    def test_bad_fig2_cases_are_named(self, capsys, cases, message):
+        with pytest.raises(SystemExit):
+            main(["sweep-fig2", "--cases", cases, "--grid", "0.0:0.3:0.1"])
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
     def test_bad_eve_argument_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--qx", "0", "--qy", "0", "--qz", "0", "--eve", "Q"])

@@ -378,17 +378,24 @@ class TestAgainstTheInMemoryReport:
 
 
 def test_peak_allocation_does_not_grow_with_n():
-    # The key flags of these runs would take 2 MB and 20 MB as whole arrays.
-    for n in (1_000_000, 10_000_000):
-        params = ProtocolParams(n=n, abort_sigma=5.0)
+    # The key flags of the first two runs would take 2 MB and 20 MB as whole
+    # arrays; at k = 99 the parity step's tables hold O(k^2) floats, for one
+    # group or for billions.  The module docstring promises well under 1 MB.
+    for kwargs in (
+        dict(n=1_000_000),
+        dict(n=10_000_000),
+        dict(n=10**12, p_group=99),
+        dict(n=99, b_rounds=0, p_group=99),
+    ):
+        params = ProtocolParams(abort_sigma=5.0, **kwargs)
         tracemalloc.start()
         try:
             report = run_protocol(PauliRates(0.85, 0.10, 0.03, 0.02), params, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not report.aborted, (n, report.abort_reason)
-        assert peak < 3e6, (n, peak)
+        assert not report.aborted, (kwargs, report.abort_reason)
+        assert peak < 1e6, (kwargs, peak)
 
 
 def test_runs_at_a_trillion_key_bits():
@@ -420,41 +427,12 @@ def test_composition_law_is_the_enumerated_one(law, k):
     assert got == pytest.approx(want, abs=1e-15)
 
 
-class _Drawn(Exception):
-    pass
-
-
-class TestParityDraw:
-    """Which way the parity step draws its groups, at the extremes of G at the bound k = 99.
-
-    As counts over the compositions once (k + 1)(k + 2) <= 12 G, that is
-    from G = 842 on; one group at a time below.
-    """
-
-    CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
-
-    @staticmethod
-    def _refuse(*args):
-        raise _Drawn("drew the groups as counts")
-
-    @pytest.mark.parametrize("n,as_counts", [
-        (99, False), (99 * 841 + 98, False), (99 * 842, True), (10**12, True), (2**60 - 128, True),
-    ])
-    def test_counts_only_from_the_switch_on(self, monkeypatch, n, as_counts):
-        monkeypatch.setattr(sim, "_composition_counts", self._refuse)
-        params = ProtocolParams(n=n, b_rounds=0, p_group=99, abort_sigma=1e9)
-        if as_counts:
-            with pytest.raises(_Drawn):
-                run_protocol(self.CHANNEL, params, seed=0)
-        else:
-            report = run_protocol(self.CHANNEL, params, seed=0)
-            assert report.stage_counts[-1] == ("key:parity", n, n // 99, n - n // 99)
-
-    def test_a_group_of_one_is_always_drawn_as_counts(self, monkeypatch):
-        # 1,006 transmitted qubits fill the one key bit and its check on any seed.
-        monkeypatch.setattr(sim, "_composition_counts", self._refuse)
-        with pytest.raises(_Drawn):
-            run_protocol(NOISELESS, ProtocolParams(n=1, delta=1000.0, b_rounds=0, p_group=1), seed=0)
+@pytest.mark.parametrize("n", [99, 83_357, 83_358, 10**12, 2**60 - 128])
+def test_parity_step_forms_every_whole_group_at_the_bound(n):
+    # From one group of k = 99 to the largest key, n // 99 groups and no fewer.
+    params = ProtocolParams(n=n, b_rounds=0, p_group=99, abort_sigma=1e9)
+    report = run_protocol(PauliRates(0.85, 0.10, 0.03, 0.02), params, seed=0)
+    assert report.stage_counts[-1] == ("key:parity", n, n // 99, n - n // 99)
 
 
 def _binomial_cells(n, p):
@@ -608,26 +586,17 @@ class TestKeyStageJointLaw:
     the parity counts and the abort reason.  Draws of ``sim._key_counts``
     at a fixed seed must stay in its support and pass Pearson's test at
     the 0.001 level, outcomes expected fewer than 5 times pooled into one
-    cell.  The settings reach every key abort reason; at k = 1 the parity
-    groups are drawn as counts over the compositions, at k = 3 one at a
-    time, and both ways are also forced on the same settings.
+    cell.  The settings reach every key abort reason, and parity steps of
+    zero, one and several groups of 1 and of 3 flags.
     """
 
     LAW = (0.4, 0.1, 0.3, 0.2)
     DRAWS = 8000
 
-    @pytest.mark.parametrize("n,b_rounds,k", [(8, 2, 1), (7, 1, 3), (7, 2, 3), (5, 0, 1)])
+    @pytest.mark.parametrize("n,b_rounds,k", [
+        (8, 2, 1), (7, 1, 3), (7, 2, 3), (5, 0, 1), (7, 0, 3), (7, 1, 1),
+    ])
     def test_draws_follow_the_enumerated_law(self, n, b_rounds, k):
-        self._assert_follows_the_enumerated_law(n, b_rounds, k)
-
-    @pytest.mark.parametrize("entries_per_group", [0, 10**9], ids=["one-at-a-time", "counts"])
-    @pytest.mark.parametrize("n,b_rounds,k", [(7, 0, 3), (7, 1, 1)])
-    def test_both_parity_draws_follow_the_enumerated_law(self, monkeypatch, entries_per_group,
-                                                          n, b_rounds, k):
-        monkeypatch.setattr(sim, "_PMF_ENTRIES_PER_GROUP", entries_per_group)
-        self._assert_follows_the_enumerated_law(n, b_rounds, k)
-
-    def _assert_follows_the_enumerated_law(self, n, b_rounds, k):
         exact = exact_key_law(self.LAW, n, b_rounds, k)
         rng = sim._open_streams(2004)["key"]
         drawn = Counter(
@@ -720,10 +689,9 @@ def _key_row_counts(fold):
 class TestKeyRowsInDistribution:
     """Every key count row of the count-level run against the key folded in memory.
 
-    ``drawn_key_fold`` draws the n key flags one at a time from the Y-basis
-    law and folds them in arrival order; 250 runs a side.  At this n, p_group
-    1, 3 and 9 draw the parity groups as counts over the compositions, and
-    p_group 99 one group at a time.
+    ``drawn_key_fold`` draws the n key flags one by one from the Y-basis
+    law and folds them in arrival order; 250 runs a side.  At this n,
+    p_group 99 forms at most 20 groups.
     """
 
     CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
@@ -929,6 +897,12 @@ class TestParamsValidation:
         assert ProtocolParams(n=100, p_group=99).p_group == 99
         with pytest.raises(ValueError, match="p_group must be <= 99, got 101"):
             ProtocolParams(n=100, p_group=101)
+
+    @pytest.mark.parametrize("seed", [-3, -1, True, False, 1.0, 2.5, "1", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # 1.0 would seed the streams with "1.0/counts", not "1/counts".
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            run_protocol(NOISELESS, ProtocolParams(n=100), seed)
 
     def test_only_the_run_settings_are_fields(self):
         # The basis weights, check split and ceiling are the protocol's constants.

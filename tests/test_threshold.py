@@ -634,6 +634,15 @@ class TestSweepFig2:
         with pytest.raises(ValueError):
             _fig2_rates(math.nan, np.array([0.1]))
 
+    @pytest.mark.parametrize("q_y0", [1.5, -0.1, math.nan, math.inf])
+    def test_cases_outside_the_unit_interval_are_rejected_first(self, monkeypatch, q_y0):
+        def no_work(*args):
+            raise AssertionError("evaluated a curve before checking every case")
+
+        monkeypatch.setattr(threshold, "_fig2_rates", no_work)
+        with pytest.raises(ValueError, match=re.escape(f"q_y0={q_y0!r} outside [0, 1]")):
+            sweep_fig2([0.0, q_y0], [0.05, 0.1])
+
     def test_curves_are_nan_outside_the_simplex(self):
         grid = [0.0, 0.01, 0.02, 0.5, 1.0, 1.01]
         zero, high = sweep_fig2([0.0, 0.02], grid)
