@@ -587,16 +587,39 @@ class TestKeyStageJointLaw:
     at a fixed seed must stay in its support and pass Pearson's test at
     the 0.001 level, outcomes expected fewer than 5 times pooled into one
     cell.  The settings reach every key abort reason, and parity steps of
-    zero, one and several groups of 1 and of 3 flags.
+    zero, one and several groups of 1 and of 3 flags.  On two of them the
+    parity groups are also drawn one at a time, one ``sim._parity_counts``
+    call per group, which must give the same law as drawing them together.
     """
 
     LAW = (0.4, 0.1, 0.3, 0.2)
     DRAWS = 8000
 
-    @pytest.mark.parametrize("n,b_rounds,k", [
-        (8, 2, 1), (7, 1, 3), (7, 2, 3), (5, 0, 1), (7, 0, 3), (7, 1, 1),
-    ])
+    @pytest.mark.parametrize("n,b_rounds,k", [(8, 2, 1), (7, 1, 3), (7, 2, 3), (5, 0, 1)])
     def test_draws_follow_the_enumerated_law(self, n, b_rounds, k):
+        self._assert_follows_the_enumerated_law(n, b_rounds, k)
+
+    @pytest.mark.parametrize("one_at_a_time", [True, False], ids=["one-at-a-time", "counts"])
+    @pytest.mark.parametrize("n,b_rounds,k", [(7, 0, 3), (7, 1, 1)])
+    def test_both_parity_draws_follow_the_enumerated_law(self, monkeypatch, one_at_a_time,
+                                                          n, b_rounds, k):
+        if one_at_a_time:
+            together = sim._parity_counts
+
+            def by_group(rng, law, size, k):
+                totals, counts = [0, 0, 0], [0, 0, 0, 0]
+                for _ in range(size // k):
+                    drawn, flags = together(rng, law, k, k)
+                    totals = [t + d for t, d in zip(totals, drawn)]
+                    counts = [c + f for c, f in zip(counts, flags)]
+                drawn, rest = together(rng, law, size % k, k)
+                assert drawn == (0, 0, 0)
+                return tuple(totals), [c + r for c, r in zip(counts, rest)]
+
+            monkeypatch.setattr(sim, "_parity_counts", by_group)
+        self._assert_follows_the_enumerated_law(n, b_rounds, k)
+
+    def _assert_follows_the_enumerated_law(self, n, b_rounds, k):
         exact = exact_key_law(self.LAW, n, b_rounds, k)
         rng = sim._open_streams(2004)["key"]
         drawn = Counter(
