@@ -115,11 +115,6 @@ class PauliRates(_Frozen):
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.q_i, self.q_x, self.q_y, self.q_z)
 
-    @property
-    def total_noise(self) -> float:
-        """Total error probability q_x + q_y + q_z."""
-        return self.q_x + self.q_y + self.q_z
-
 
 class FlipRates(NamedTuple):
     """Marginal flip rates (p_x: bit, p_z: phase).

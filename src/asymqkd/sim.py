@@ -142,7 +142,9 @@ class ProtocolParams(_Frozen):
     samplers set up each draw in floats, and below 2^63 trials the rounding
     of n * p stays under 2^-21 of the binomial's standard deviation.
     ``p_group`` is at most ``_MAX_P_GROUP``, which bounds the parity step's
-    cost (see ``_key_counts``).
+    cost (see ``_key_counts``).  ``n``, ``b_rounds`` and ``p_group`` are
+    stored as ``int`` and the other three as ``float``, so a report prints
+    the same bytes for equal values of any numeric type; a bool is no number.
     """
 
     __slots__ = _fields = ("n", "delta", "b_rounds", "p_group", "target", "abort_sigma")
@@ -163,11 +165,16 @@ class ProtocolParams(_Frozen):
         abort_sigma: float = 3.0,
     ) -> None:
         for name, value in zip(self._fields, (n, delta, b_rounds, p_group, target, abort_sigma)):
-            object.__setattr__(self, name, value)
-        for name in ("n", "b_rounds", "p_group"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            integral = name in ("n", "b_rounds", "p_group")
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if integral else numbers.Real
+            ):
+                kind = "an integer" if integral else "a real number"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
+            try:
+                object.__setattr__(self, name, int(value) if integral else float(value))
+            except OverflowError:
+                raise ValueError(f"{name} must be finite, got {value!r}") from None
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.delta < math.inf:  # also rejects nan
@@ -355,9 +362,9 @@ def compare_analytic(report: SimReport, z_limit: float = 3.0) -> ComparisonVerdi
     standard error demands exact agreement.  The verdict is PASS only if
     every row passes, so a corrupted analytic table cannot slip through.
     ``z_limit`` must be positive and finite: an infinite one would pass a
-    zero-error row that disagrees.
+    zero-error row that disagrees.  A bool is no limit.
     """
-    if not 0.0 < z_limit < math.inf:  # also rejects nan
+    if isinstance(z_limit, bool) or not 0.0 < z_limit < math.inf:  # also rejects nan
         raise ValueError(f"z_limit must be positive and finite, got {z_limit!r}")
     rows = []
     for row in report.rows:
@@ -652,10 +659,14 @@ def run_protocol(
         A ``SimReport``; aborts are reported, never raised.
 
     Raises:
-        ValueError: for a bool, a non-integral or a negative seed.
+        ValueError: for a bool, a non-integral or a negative seed, or an
+            ``eve`` that is neither None nor an ``EveModel``.
     """
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if eve is not None and not isinstance(eve, EveModel):
+        raise ValueError(f"eve must be None or an EveModel, got {eve!r}")
+    seed = int(seed)
     n = params.n
     n_total = int(math.ceil((6.0 + params.delta) * n))
     want = _split_counts(n, _CHECK_SPLIT)

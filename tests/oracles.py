@@ -27,17 +27,17 @@ the same proportion, from ``Fraction`` arithmetic with no power-of-two
 shortcut.
 
 ``per_qubit_report`` is the reference for the simulator as a whole:
-``run_protocol`` as it ran before it drew counts.  Its transmit stage
-(``per_qubit_transmit``) draws every transmitted qubit from eight streams
-of its own, in chunks: source bits and bases, attacker bases and bits,
-channel Paulis, Bob's bases and two scrambles.  It sifts, flags each
-sifted qubit through the package's flag tables, and scrambles the bit and
-phase of each qubit the attacker re-prepared in a foreign basis.  The
-stages after transmission join the sifted qubits of all chunks into whole
-arrays (``whole_transmit``) and slice every role out of them in arrival
-order; ``fold_key`` folds the key.  The package draws counts instead, so
-the two give different bits for a seed and are compared in distribution;
-the per-qubit path, which looks up each qubit's Pauli in the flag tables
+``run_protocol`` as it ran before it drew counts.  Its one transmit stage,
+``transmit``, is the literal model: it draws every stream of every
+transmitted qubit at full length from eight streams of its own (source bits
+and bases, attacker bases and bits, channel Paulis, Bob's bases and two
+scrambles), lets the attacker re-prepare and Bob measure, and sifts.  The
+flag tables ``BIT_FLAG`` and ``PHASE_FLAG`` it reads are its own, worked by
+hand, and ``TestFrameTables`` asserts that the package's equal them.  The
+stages after transmission slice every role out of the sifted qubits in
+arrival order; ``fold_key`` folds the key.  The package draws counts
+instead, so the two give different bits for a seed and are compared in
+distribution; the per-qubit path, which flags each qubit by its own Pauli
 and applies each attack on its own, is what checks the package's
 per-basis law.
 
@@ -47,16 +47,11 @@ parity groups folded over the key's flags in arrival order.
 ``exact_key_law`` folds every sequence of n flags for the exact law of
 the outcome, both next to the count-level ``sim._key_counts``.
 
-``one_shot_sifted`` is the reference for the chunked per-qubit transmit
-stage: the stage with every per-qubit array at full length, sampled with
-``searchsorted``.  The per-basis flag tables come from the package, which
-``TestFrameTables`` pins by hand.
-
 ``permuted_role_counts`` is the reference for the roles after sifting:
 the rule the simulator followed before it took roles in arrival order,
 with the key, the checks, the rejection pairs and the parity groups all
-drawn by random permutations from three streams of their own.  It too is
-compared in distribution.
+drawn by random permutations from three more streams of their own.  It
+too is compared in distribution.
 
 ``fresh_interpreter`` is the reference for results that must not depend
 on what the process computed before: the stdout of a snippet run in a new
@@ -80,10 +75,8 @@ from asymqkd.keyrates import binary_entropy, rate_sixstate_separate
 from asymqkd.sim import (
     _ABORT_CEILING,
     _BASIS_ORDER,
-    _BIT_FLAG,
     _BOB_PROBS,
     _CHECK_SPLIT,
-    _PHASE_FLAG,
     _SOURCE_PROBS,
     ComparisonRow,
     SimReport,
@@ -276,59 +269,27 @@ _SIM_STREAMS = (
     "bob_scramble", "phase_scramble", "selection", "pairing", "grouping",
 )
 _SIM_BASIS_CODE = {Basis.Z: 0, Basis.X: 1, Basis.Y: 2}
-# The package's flag tables (tuples, one row per basis) as arrays to index by code.
-BIT_FLAG_ARRAY = np.array(_BIT_FLAG, dtype=np.uint8)
-PHASE_FLAG_ARRAY = np.array(_PHASE_FLAG, dtype=np.uint8)
+# Bit and phase flags of each Pauli I, X, Y, Z (columns) as seen from each
+# basis Z, X, Y (rows), worked by hand.  Each basis sees the three errors as
+# a bit flip, a phase flip and both: in Z these are X, Z and Y; in X they
+# are Z, X and Y; in Y they are Z, Y and X.
+BIT_FLAG = (
+    (0, 1, 1, 0),
+    (0, 0, 1, 1),
+    (0, 1, 0, 1),
+)
+PHASE_FLAG = (
+    (0, 0, 1, 1),
+    (0, 1, 1, 0),
+    (0, 1, 1, 0),
+)
+_BIT_FLAG_ARRAY = np.array(BIT_FLAG, dtype=np.uint8)
+_PHASE_FLAG_ARRAY = np.array(PHASE_FLAG, dtype=np.uint8)
 
 
-def _categorical(rng, probs, size):
-    cdf = np.cumsum(np.asarray(probs, dtype=float))
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.uint8)
-
-
-def one_shot_sifted(channel, params, seed, eve):
-    """(basis, error, phase) of the sifted qubits, every stream drawn in one pass."""
-    n_total = int(math.ceil((6.0 + params.delta) * params.n))
+def sim_streams(seed):
+    """The named streams of ``_SIM_STREAMS``, children of ``SeedSequence(seed)``."""
     children = np.random.SeedSequence(seed).spawn(len(_SIM_STREAMS))
-    rng = {name: np.random.default_rng(child) for name, child in zip(_SIM_STREAMS, children)}
-
-    alice_bits = rng["alice_bits"].integers(0, 2, n_total, dtype=np.uint8)
-    alice_basis = _categorical(rng["alice_bases"], _SOURCE_PROBS, n_total)
-    state_basis = alice_basis.copy()
-    state_bit = alice_bits.copy()
-    if eve is not None:
-        codes = np.array([_SIM_BASIS_CODE[b] for b in eve.bases], dtype=np.uint8)
-        eve_basis = codes[_categorical(rng["eve_bases"], eve.weights, n_total)]
-        eve_bits = rng["eve_bits"].integers(0, 2, n_total, dtype=np.uint8)
-        rebased = eve_basis != state_basis
-        state_basis[rebased] = eve_basis[rebased]
-        state_bit[rebased] = eve_bits[rebased]
-
-    paulis = _categorical(rng["channel_paulis"], channel.as_tuple(), n_total)
-    bob_basis = _categorical(rng["bob_bases"], _BOB_PROBS, n_total)
-    scramble = rng["bob_scramble"].integers(0, 2, n_total, dtype=np.uint8)
-    meas_bit = np.where(
-        bob_basis == state_basis, state_bit ^ BIT_FLAG_ARRAY[state_basis, paulis], scramble
-    )
-    phase_noise = rng["phase_scramble"].integers(0, 2, n_total, dtype=np.uint8)
-    phase_flag = np.where(
-        state_basis == alice_basis, PHASE_FLAG_ARRAY[state_basis, paulis], phase_noise
-    )
-    sifted = bob_basis == alice_basis
-    return alice_basis[sifted], (meas_bit ^ alice_bits)[sifted], phase_flag[sifted]
-
-
-# Qubits per per-qubit transmit chunk.  A multiple of 4: ``Generator.integers(0, 2,
-# dtype=np.uint8)`` takes 4 draws from each 32-bit word and drops the rest
-# of a word when a call ends, so only splits at multiples of 4 reproduce a
-# one-shot draw; ``random()`` draws split anywhere.
-TRANSMIT_CHUNK = 1 << 16
-
-
-def open_transmit_streams(seed):
-    """The eight per-qubit transmit streams, the first eight of ``_SIM_STREAMS``."""
-    children = np.random.SeedSequence(seed).spawn(8)
     return {name: np.random.default_rng(child) for name, child in zip(_SIM_STREAMS, children)}
 
 
@@ -346,57 +307,55 @@ def sample_categorical(rng, probs, size):
     return picks
 
 
-def per_qubit_transmit(channel, params, n_total, rng, eve):
-    """Send ``n_total`` qubits in chunks of ``TRANSMIT_CHUNK`` and yield the sifted ones.
+def transmit(channel, n_total, rng, eve):
+    """Send ``n_total`` qubits and return (basis, error, phase) of the sifted ones.
 
-    Yields, per chunk, the basis code, bit-error flag (Bob's bit XOR
-    Alice's) and phase flag of each sifted qubit, in transmission order.  A
-    sifted qubit's flags are those of its channel Pauli in its basis, unless
-    the attacker re-prepared it in a foreign basis: Bob then reads a uniform
-    bit and the phase correlation is lost.  A faithfully resent qubit
-    (attacker in Alice's basis) is the same as an untouched one, and the
-    attacker's resent bit never reaches a sifted qubit, since Bob measures
-    it in another basis.
+    Every stream of ``rng`` before ``selection`` is drawn at full length.
+    Alice sends a random bit in a random basis.  The attacker, if any,
+    measures in a random basis of her own: in Alice's she resends the qubit
+    as it was, in another she re-prepares it in hers with a uniform bit.
+    The channel applies a Pauli, and Bob measures in a random basis: he
+    reads the state's bit, flipped by the flag tables, where his basis is
+    the state's, and a uniform bit elsewhere.  A qubit is sifted where
+    Bob's basis is Alice's, and Bob's reading is formed for those only.
+
+    Per sifted qubit, in transmission order: its basis code, its bit-error
+    flag (Bob's bit XOR Alice's) and its phase flag, which is the Pauli's
+    unless the state's basis is not Alice's, when it is uniform.
     """
+    alice_bits = rng["alice_bits"].integers(0, 2, n_total, dtype=np.uint8)
+    alice_basis = sample_categorical(rng["alice_bases"], _SOURCE_PROBS, n_total)
+    state_basis, state_bit = alice_basis, alice_bits
     if eve is not None:
-        eve_codes = np.array([_SIM_BASIS_CODE[b] for b in eve.bases], dtype=np.uint8)
-    for start in range(0, n_total, TRANSMIT_CHUNK):
-        size = min(TRANSMIT_CHUNK, n_total - start)
-        alice = sample_categorical(rng["alice_bases"], _SOURCE_PROBS, size)
-        paulis = sample_categorical(rng["channel_paulis"], channel.as_tuple(), size)
-        bob = sample_categorical(rng["bob_bases"], _BOB_PROBS, size)
-        # flatnonzero + take: a boolean-mask copy is ~4x slower on scattered uint8 masks this size.
-        sifted = np.flatnonzero(bob == alice)
-        basis = alice.take(sifted)
-        code = basis * 4 + paulis.take(sifted)
-        error = BIT_FLAG_ARRAY.take(code)
-        phase = PHASE_FLAG_ARRAY.take(code)
-        if eve is not None:
-            eve_basis = eve_codes.take(sample_categorical(rng["eve_bases"], eve.weights, size))
-            rebased = np.flatnonzero(eve_basis.take(sifted) != basis)
-            at = sifted.take(rebased)
-            alice_bits = rng["alice_bits"].integers(0, 2, size, dtype=np.uint8)
-            scramble = rng["bob_scramble"].integers(0, 2, size, dtype=np.uint8)
-            phase_noise = rng["phase_scramble"].integers(0, 2, size, dtype=np.uint8)
-            error[rebased] = scramble.take(at) ^ alice_bits.take(at)
-            phase[rebased] = phase_noise.take(at)
-        yield basis, error, phase
+        codes = np.array([_SIM_BASIS_CODE[b] for b in eve.bases], dtype=np.uint8)
+        eve_basis = codes[sample_categorical(rng["eve_bases"], eve.weights, n_total)]
+        eve_bits = rng["eve_bits"].integers(0, 2, n_total, dtype=np.uint8)
+        rebased = eve_basis != alice_basis
+        state_basis = np.where(rebased, eve_basis, alice_basis)
+        state_bit = np.where(rebased, eve_bits, alice_bits)
+    paulis = sample_categorical(rng["channel_paulis"], channel.as_tuple(), n_total)
+    bob_basis = sample_categorical(rng["bob_bases"], _BOB_PROBS, n_total)
+    scramble = rng["bob_scramble"].integers(0, 2, n_total, dtype=np.uint8)
+    phase_noise = rng["phase_scramble"].integers(0, 2, n_total, dtype=np.uint8)
 
-
-def whole_transmit(channel, params, n_total, rng, eve):
-    """The per-qubit transmit stage with its chunks joined: (basis, error, phase) arrays."""
-    chunks = list(per_qubit_transmit(channel, params, n_total, rng, eve))
-    return tuple(np.concatenate(column) for column in zip(*chunks))
+    sifted = np.flatnonzero(bob_basis == alice_basis)
+    basis, state, pauli = alice_basis[sifted], state_basis[sifted], paulis[sifted]
+    faithful = state == basis  # so Bob, in Alice's basis, measures in the state's
+    meas_bit = np.where(
+        faithful, state_bit[sifted] ^ _BIT_FLAG_ARRAY[state, pauli], scramble[sifted]
+    )
+    phase = np.where(faithful, _PHASE_FLAG_ARRAY[state, pauli], phase_noise[sifted])
+    return basis, meas_bit ^ alice_bits[sifted], phase
 
 
 def permuted_role_counts(channel, params, seed):
     """Error counts of every stage after sifting, with every role drawn at random.
 
-    Sifts with the per-qubit transmit stage, without an attacker, fed by
-    the first eight of the eleven streams above, then picks the key and the checks with the
-    ``selection`` stream, pairs each rejection round with the ``pairing``
-    stream and groups the parity step with the ``grouping`` stream.  Abort
-    rules are not applied; the pools and the key must not run out.
+    Sifts with ``transmit``, without an attacker, then picks the key and
+    the checks with the ``selection`` stream, pairs each rejection round
+    with the ``pairing`` stream and groups the parity step with the
+    ``grouping`` stream.  Abort rules are not applied; the pools and the
+    key must not run out.
 
     Returns:
         {(stage, quantity): count} for the same rows as ``SimReport.rows``
@@ -405,10 +364,8 @@ def permuted_role_counts(channel, params, seed):
         step, and the number of survivors of every rejection round.
     """
     n = params.n
-    n_total = int(math.ceil((6.0 + params.delta) * n))
-    children = np.random.SeedSequence(seed).spawn(len(_SIM_STREAMS))
-    rng = {name: np.random.default_rng(child) for name, child in zip(_SIM_STREAMS, children)}
-    basis, errors, phase = whole_transmit(channel, params, n_total, rng, None)
+    rng = sim_streams(seed)
+    basis, errors, phase = transmit(channel, math.ceil((6.0 + params.delta) * n), rng, None)
 
     positions = np.arange(basis.size)
     y_pool = positions[basis == 2]
@@ -450,15 +407,13 @@ def permuted_role_counts(channel, params, seed):
 def per_qubit_report(channel, params, seed, eve=None):
     """``run_protocol`` drawing every transmitted qubit, with every sifted qubit in memory.
 
-    The per-qubit transmit stage, then the stages after transmission as
-    they ran before they streamed: the sifted qubits joined into whole
-    arrays, then masked per basis, with the key and the checks sliced out
-    of them in arrival order and the key's flags folded by ``fold_key``.
+    ``transmit``, then the sifted qubits masked per basis, with the key and
+    the checks sliced out of them in arrival order and the key's flags
+    folded by ``fold_key``.
     """
     n = params.n
     n_total = int(math.ceil((6.0 + params.delta) * n))
-    rng = open_transmit_streams(seed)
-    basis, errors, phase_flag = whole_transmit(channel, params, n_total, rng, eve)
+    basis, errors, phase_flag = transmit(channel, n_total, sim_streams(seed), eve)
     n_sifted = basis.size
     sifted_by_basis = tuple(int(np.count_nonzero(basis == c)) for c in range(3))
 

@@ -26,7 +26,7 @@ class TestPauliRates:
     def test_valid_construction(self):
         rates = PauliRates(0.85, 0.10, 0.03, 0.02)
         assert rates.as_tuple() == (0.85, 0.10, 0.03, 0.02)
-        assert rates.total_noise == pytest.approx(0.15)
+        assert rates.q_x + rates.q_y + rates.q_z == pytest.approx(0.15)
 
     def test_from_error_rates_infers_identity(self):
         rates = PauliRates.from_error_rates(0.10, 0.0, 0.02)
@@ -103,8 +103,9 @@ class TestConjugate:
         for basis in Basis:
             for _ in range(20):
                 rates = random_rates(rng)
-                assert conjugate(rates, basis).total_noise == pytest.approx(
-                    rates.total_noise, abs=1e-15
+                out = conjugate(rates, basis)
+                assert out.q_x + out.q_y + out.q_z == pytest.approx(
+                    rates.q_x + rates.q_y + rates.q_z, abs=1e-15
                 )
 
     def test_flip_rates_permute_with_the_frame(self):

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -11,27 +12,18 @@ import pytest
 
 from asymqkd import sim
 from asymqkd.channel import Basis, PauliRates
-from asymqkd.sim import (
-    _BIT_FLAG,
-    _PHASE_FLAG,
-    EveModel,
-    ProtocolParams,
-    compare_analytic,
-    run_protocol,
-)
+from asymqkd.sim import EveModel, ProtocolParams, compare_analytic, run_protocol
 from oracles import (
-    BIT_FLAG_ARRAY,
-    PHASE_FLAG_ARRAY,
-    TRANSMIT_CHUNK,
+    BIT_FLAG,
+    PHASE_FLAG,
     drawn_key_fold,
     exact_key_law,
     fresh_interpreter,
-    one_shot_sifted,
-    open_transmit_streams,
     per_qubit_report,
     permuted_role_counts,
     sample_categorical,
-    whole_transmit,
+    sim_streams,
+    transmit,
 )
 
 NOISELESS = PauliRates(1.0, 0.0, 0.0, 0.0)
@@ -50,24 +42,13 @@ def row(report, stage, quantity):
 
 
 class TestFrameTables:
-    """The per-basis flag tables against the hand-worked 4x3 case analysis."""
+    """The package's per-basis flag tables against the reference's hand-worked ones."""
 
     def test_bit_flags(self):
-        # Z basis: X and Y flip the bit.  X basis: Y and Z do.  Y basis: X and Z.
-        assert _BIT_FLAG == (
-            (0, 1, 1, 0),
-            (0, 0, 1, 1),
-            (0, 1, 0, 1),
-        )
+        assert sim._BIT_FLAG == BIT_FLAG
 
     def test_phase_flags(self):
-        # Complementary picture: whatever does not flip the bit (besides I)
-        # flips the phase, and Y flips both.
-        assert _PHASE_FLAG == (
-            (0, 0, 1, 1),
-            (0, 1, 1, 0),
-            (0, 1, 1, 0),
-        )
+        assert sim._PHASE_FLAG == PHASE_FLAG
 
     @pytest.mark.parametrize("pauli", range(4))
     def test_flag_laws_put_each_pauli_on_its_flags(self, pauli):
@@ -83,7 +64,7 @@ class TestFrameTables:
             laws = sim._flag_laws(PauliRates(*one_hot), eve)
             for code, share in enumerate(faithful):
                 want = np.full(4, (1.0 - share) / 4.0)
-                want[2 * _BIT_FLAG[code][pauli] + _PHASE_FLAG[code][pauli]] += share
+                want[2 * BIT_FLAG[code][pauli] + PHASE_FLAG[code][pauli]] += share
                 assert laws[code] == pytest.approx(want, abs=1e-15)
 
 
@@ -215,10 +196,10 @@ class TestAgainstAnalytics:
         )
         assert not compare_analytic(corrupted).passed
 
-    @pytest.mark.parametrize("z_limit", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("z_limit", [math.inf, math.nan, 0.0, -1.0, True])
     def test_z_limit_must_be_positive_and_finite(self, z_limit):
         # At inf a disagreeing zero-error row has z = inf and would pass;
-        # at nan every row would fail without saying why.
+        # at nan every row would fail without saying why; True is no number.
         report = run_protocol(DEPOLARIZING, ProtocolParams(n=2000), seed=2)
         rows = (*report.rows, report.rows[0]._replace(analytic=0.5, std_error=0.0))
         assert not compare_analytic(report._replace(rows=rows)).passed
@@ -248,40 +229,16 @@ class TestConservation:
 
 
 class TestStreamingTransmit:
-    """The per-qubit transmit stage against its one-shot form, and roles by arrival order."""
-
-    ATTACKS = {
-        "none": None,
-        "ZX": EveModel((Basis.Z, Basis.X)),
-        "ZXY-weighted": WEIGHTED,
-        # An attacker in Z re-prepares every Y qubit, one in Y none of them.
-        "Z": EveModel((Basis.Z,)),
-        "Y": EveModel((Basis.Y,)),
-    }
-    CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
-
-    @pytest.mark.parametrize("attack", list(ATTACKS))
-    def test_matches_the_one_shot_oracle(self, attack):
-        eve = self.ATTACKS[attack]
-        params = ProtocolParams(n=10_001)
-        n_total = 8 * 10_001  # one full chunk and a ragged one
-        assert TRANSMIT_CHUNK < n_total < 2 * TRANSMIT_CHUNK
-        got = whole_transmit(self.CHANNEL, params, n_total, open_transmit_streams(7), eve)
-        want = one_shot_sifted(self.CHANNEL, params, 7, eve)
-        for got_part, want_part in zip(got, want):
-            assert got_part.dtype == np.uint8
-            assert np.array_equal(got_part, want_part)
+    """The reference's transmit stage against its flag tables, and roles by arrival order."""
 
     @pytest.mark.parametrize("pauli", range(4))
     def test_errors_follow_the_flag_tables_without_an_attacker(self, pauli):
         one_hot = [0.0] * 4
         one_hot[pauli] = 1.0
-        basis, error, phase = whole_transmit(
-            PauliRates(*one_hot), ProtocolParams(n=200), 1600, open_transmit_streams(8), None
-        )
+        basis, error, phase = transmit(PauliRates(*one_hot), 1600, sim_streams(8), None)
         assert set(basis.tolist()) == {0, 1, 2}
-        assert np.array_equal(error, BIT_FLAG_ARRAY[basis, pauli])
-        assert np.array_equal(phase, PHASE_FLAG_ARRAY[basis, pauli])
+        assert np.array_equal(error, np.array(BIT_FLAG)[basis, pauli])
+        assert np.array_equal(phase, np.array(PHASE_FLAG)[basis, pauli])
 
     def test_roles_by_arrival_order(self):
         # Key: the first n Y sifted qubits.  Checks: the next Y qubits, and
@@ -290,9 +247,7 @@ class TestStreamingTransmit:
         params = ProtocolParams(n=200, abort_sigma=1e9)
         report = per_qubit_report(DEPOLARIZING, params, seed=8)
         assert not report.aborted
-        basis, error, phase = whole_transmit(
-            DEPOLARIZING, params, report.n_transmitted, open_transmit_streams(8), None
-        )
+        basis, error, phase = transmit(DEPOLARIZING, report.n_transmitted, sim_streams(8), None)
         n = params.n
         want = sim._split_counts(n, sim._CHECK_SPLIT)
         checks = {
@@ -739,10 +694,10 @@ class TestCountsInDistribution:
     Per seed the two draw different bits, so the sifted counts and every
     count row are compared in distribution, 250 runs a side.  This keeps
     the flag tables and the attack law of the count-level run under the
-    check of the per-qubit transmit stage.  An attacker that re-prepares
-    every qubit of some basis makes its checks pass the 0.45 ceiling; at
-    the n of these cases every such run ends there, and its sifted counts
-    and check rows are compared.
+    check of the reference's transmit stage and its own flag tables.  An
+    attacker that re-prepares every qubit of some basis makes its checks
+    pass the 0.45 ceiling; at the n of these cases every such run ends
+    there, and its sifted counts and check rows are compared.
     """
 
     CHANNEL = PauliRates(0.85, 0.10, 0.03, 0.02)
@@ -833,6 +788,13 @@ class TestEve:
         assert listed == EveModel(bases=(Basis.Z, Basis.X))
         assert hash(listed) == hash(EveModel(bases=(Basis.Z, Basis.X)))
 
+    @pytest.mark.parametrize("eve", [[Basis.Z], (Basis.Z,), "ZX", Basis.Z],
+                             ids=["list", "tuple", "letters", "basis"])
+    def test_eve_must_be_an_eve_model(self, eve):
+        # A list of bases used to fail deep inside the run, with an AttributeError.
+        with pytest.raises(ValueError, match="eve must be None or an EveModel"):
+            run_protocol(NOISELESS, ProtocolParams(n=100), 0, eve)
+
     def test_describe(self):
         eve = EveModel((Basis.Z, Basis.X))
         assert eve.describe() == "bases=Z,X;weights=0.5,0.5"
@@ -902,6 +864,11 @@ class TestParamsValidation:
             dict(n=100, b_rounds=False),
             dict(n=100, p_group=True),
             dict(n=100, p_group=3.0),
+            dict(n=100, delta=True),  # a bool is no number, though True == 1
+            dict(n=100, target=True),
+            dict(n=100, abort_sigma=True),
+            dict(n=100, delta="2.0"),
+            dict(n=100, delta=10**400),  # past the float range
         ],
     )
     def test_rejected(self, kwargs):
@@ -926,6 +893,22 @@ class TestParamsValidation:
         # 1.0 would seed the streams with "1.0/counts", not "1/counts".
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             run_protocol(NOISELESS, ProtocolParams(n=100), seed)
+
+    TYPED = {  # the plain run's settings and seed as values of other types
+        "numpy": (dict(n=np.int64(1000), delta=np.float64(2.0), b_rounds=np.int32(2),
+                       p_group=np.uint8(3), target=np.float64(0.05), abort_sigma=np.float32(3.0)),
+                  np.int64(3)),
+        "int-valued": (dict(n=1000, delta=2, target=Fraction(1, 20), abort_sigma=3), 3),
+    }
+
+    @pytest.mark.parametrize("case", list(TYPED))
+    def test_report_bytes_depend_on_values_not_types(self, case):
+        kwargs, seed = self.TYPED[case]
+        channel = PauliRates(0.85, 0.10, 0.03, 0.02)
+        plain = run_protocol(channel, ProtocolParams(n=1000), 3)
+        typed = run_protocol(channel, ProtocolParams(**kwargs), seed)
+        assert typed.to_text() == plain.to_text()
+        assert typed.to_csv() == plain.to_csv()
 
     def test_only_the_run_settings_are_fields(self):
         # The basis weights, check split and ceiling are the protocol's constants.

@@ -108,7 +108,7 @@ class TestChannelFamily:
     def test_rates_at_scales_linearly(self):
         family = ChannelFamily.from_y_ratio(0.5)
         rates = family.rates_at(0.25)
-        assert rates.total_noise == pytest.approx(0.25)
+        assert rates.q_x + rates.q_y + rates.q_z == pytest.approx(0.25)
         assert rates.q_y == pytest.approx(rates.q_x * 0.5)
         assert rates.q_x == pytest.approx(rates.q_z)
 
