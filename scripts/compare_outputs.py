@@ -54,6 +54,9 @@ ARGVS = [
     _simulate("--n", "70001", "--seed", "3", "--eve", "Z"),
     _simulate("--n", "70001", "--seed", "3", "--eve", "ZZ"),
     _simulate("--n", "70001", "--seed", "3", "--eve", "ZZX"),  # unequal weights, by repeats
+    # An attacker in X alone and in Y alone: each basis's relabelling of the channel on its own.
+    _simulate("--n", "70001", "--seed", "3", "--eve", "X"),
+    _simulate("--n", "70001", "--seed", "3", "--eve", "Y"),
     _simulate("--n", "70001", "--seed", "3", "--eve", "z, x"),  # prints what ZX does
     _simulate("--n", "5000", "--seed", "21", "--eve", "none"),
     _simulate("--n", "300000", "--seed", "9", "--eve", "ZXY", "--abort-sigma", "1000"),
@@ -108,6 +111,8 @@ ARGVS = [
     ["sweep-fig2", "--cases", "0.0,1.5"],
     ["sweep-fig2", "--cases", "nan"],
     ["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.02"],
+    # Four distinct nonzero components: the mixed six-state rate reads the X and Y relabellings.
+    ["rates", "--qx", "0.10", "--qy", "0.03", "--qz", "0.02"],
     ["rates", "--family-ratio", "0.3", "--scale", "0.2"],
     # Symmetric channels: rate pairs tied in exact arithmetic, apart by round-off in floats.
     ["rates", "--qx", "0.042", "--qy", "0.042", "--qz", "0.042"],

@@ -139,22 +139,25 @@ def flip_rates(rates: PauliRates) -> FlipRates:
     return FlipRates(p_x=rates.q_x + rates.q_y, p_z=rates.q_z + rates.q_y)
 
 
-def conjugate(rates: PauliRates, basis: Basis) -> PauliRates:
-    """Error distribution experienced by qubits prepared in ``basis``.
+# The component of (q_i, q_x, q_y, q_z) that a qubit prepared in each basis sees
+# as its I, X, Y and Z error.  X (Hadamard-rotated) exchanges sigma_x and sigma_z;
+# Y sees a channel sigma_z as a bit flip, sigma_x as both and sigma_y as a phase flip.
+_SEEN_AS = {Basis.Z: (0, 1, 2, 3), Basis.X: (0, 3, 2, 1), Basis.Y: (0, 3, 1, 2)}
 
-    Z-basis qubits see the channel as-is.  X-basis (Hadamard-rotated)
-    qubits see sigma_x and sigma_z exchanged.  Y-basis qubits see a cyclic
-    relabelling: a channel sigma_z acts as a bit flip (sigma_x), sigma_x as
-    a combined flip (sigma_y) and sigma_y as a phase flip (sigma_z), i.e.
-    the effective (q_x, q_y, q_z) is (q_z, q_x, q_y).
+
+def conjugate(rates: PauliRates, basis: Basis) -> PauliRates:
+    """Error distribution experienced by qubits prepared in ``basis``, relabelled by ``_SEEN_AS``.
+
+    Z returns ``rates`` itself; in Y the effective (q_x, q_y, q_z) is
+    (q_z, q_x, q_y).
     """
     if basis is Basis.Z:
         return rates
-    if basis is Basis.X:
-        return PauliRates(rates.q_i, rates.q_z, rates.q_y, rates.q_x)
-    if basis is Basis.Y:
-        return PauliRates(rates.q_i, rates.q_z, rates.q_x, rates.q_y)
-    raise ValueError(f"unknown basis {basis!r}")
+    if not isinstance(basis, Basis):
+        raise ValueError(f"unknown basis {basis!r}")
+    q = rates.as_tuple()
+    i, x, y, z = _SEEN_AS[basis]
+    return PauliRates(q[i], q[x], q[y], q[z])
 
 
 def average_over_mixture(rates: PauliRates) -> PauliRates:

@@ -288,7 +288,7 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         parser.error(f"invalid protocol parameters: {exc}")
     try:
         report = run_protocol(rates, params, seed=args.seed, eve=args.eve)
-    except ValueError as exc:  # the seed is the one input run_protocol checks itself
+    except ValueError as exc:  # only the seed check can fail: args.eve is None or an EveModel
         parser.error(f"--{exc}")
     sys.stdout.write(report.to_text())
     if args.out is not None:

@@ -30,6 +30,7 @@ returns an empty trace.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterator, NamedTuple, Optional
 
 from .channel import FlipRates, PauliRates, _dyadic_numerators, _Frozen
@@ -40,13 +41,24 @@ def parity_bit_error(p_x: float, k: int) -> float:
     return 0.5 * (1.0 - (1.0 - 2.0 * p_x) ** k)
 
 
+def _group_size(k: int) -> int:
+    """k as an ``int`` if it is an odd integer >= 1, else ``ValueError``; a bool is no integer."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1 or k % 2 == 0:
+        raise ValueError(f"parity group size must be odd and >= 1, got {k!r}")
+    return int(k)
+
+
 def majority_phase_error(p_z: float, k: int) -> float:
     """Phase-flip rate after majority decoding k bits: P[Bin(k, p) >= (k+1)/2].
 
     Each term is exp of a sum of ``math.lgamma`` values and logarithms, so
     large k neither overflows nor loses the tiny tails; the terms are added
-    by ``math.fsum``.  The result depends on (p_z, k) alone.
+    by ``math.fsum``.  The result depends on (p_z, k) alone.  Raises
+    ``ValueError`` for a NaN p_z and for a k that ``PStepParams`` rejects.
     """
+    k = _group_size(k)
+    if p_z != p_z:
+        raise ValueError("p_z is NaN")
     if p_z <= 0.0:
         return 0.0
     if p_z >= 1.0:
@@ -66,15 +78,13 @@ class BStepOutcome(NamedTuple):
 
 
 class PStepParams(_Frozen):
-    """Parity group size; must be odd so majority decoding is unambiguous."""
+    """Parity group size: an odd integer >= 1, stored as ``int``, so majority votes have no ties."""
 
     __slots__ = _fields = ("k",)
     k: int
 
     def __init__(self, k: int) -> None:
-        if k < 1 or k % 2 == 0:
-            raise ValueError(f"parity group size must be odd and >= 1, got {k}")
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", _group_size(k))
 
 
 class PStepResult(NamedTuple):

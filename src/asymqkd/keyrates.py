@@ -12,8 +12,8 @@ from .channel import PauliRates, average_over_mixture, flip_rates
 
 
 def binary_entropy(t: float) -> float:
-    """Binary Shannon entropy H(t) in bits, with H(0) = H(1) = 0."""
-    if t < -1e-12 or t > 1.0 + 1e-12:
+    """Binary Shannon entropy H(t) in bits, with H(0) = H(1) = 0; NaN or t outside [0, 1] raise."""
+    if not -1e-12 <= t <= 1.0 + 1e-12:  # also rejects nan
         raise ValueError(f"entropy argument {t!r} outside [0, 1]")
     t = min(max(t, 0.0), 1.0)
     if t == 0.0 or t == 1.0:

@@ -47,9 +47,9 @@ qubits, with or without the attacker.  Hence:
   grouping i.i.d. draws in arrival order is distributed like doing it
   after a random permutation.
 
-The (bit, phase) law of basis b is the channel's, permuted into the
-basis by ``_BIT_FLAG``/``_PHASE_FLAG`` (derived from ``conjugate``),
-mixed with the attacker's.  With probability w_b, the total attack weight
+The (bit, phase) law of basis b is the channel's, relabelled into the
+basis by ``channel._SEEN_AS`` (the table ``conjugate`` reads), mixed
+with the attacker's.  With probability w_b, the total attack weight
 on b, she measures in Alice's basis and resends faithfully, which is the
 same as no attack; otherwise she re-prepares the qubit in a foreign
 basis, and Bob's bit and the phase flag are uniform and independent.  No
@@ -87,7 +87,7 @@ import numbers
 from itertools import accumulate, product
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
-from .channel import Basis, PauliRates, _Frozen, conjugate, flip_rates
+from .channel import _SEEN_AS, Basis, PauliRates, _Frozen, conjugate, flip_rates
 from .distill import PStepParams, b_step, p_step
 from .keyrates import binary_entropy
 
@@ -109,29 +109,6 @@ _BOB_PROBS = (1 / 3, 1 / 3, 1 / 3)
 _CHECK_SPLIT = (0.4, 0.4, 0.2)
 # A check above this error rate aborts the run, whatever the channel predicts.
 _ABORT_CEILING = 0.45
-
-
-def _flag_tables() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """(bit, phase) flip flags of each Pauli as seen from each basis.
-
-    One row per basis in ``_BASIS_ORDER``, one column per Pauli I, X, Y, Z.
-    Derived from ``conjugate`` on one-hot distributions so the simulator
-    and the analytic layer cannot drift apart.
-    """
-    bit = [[0] * 4 for _ in _BASIS_ORDER]
-    phase = [[0] * 4 for _ in _BASIS_ORDER]
-    for b_code, basis in enumerate(_BASIS_ORDER):
-        for p_code in range(4):
-            one_hot = [0.0, 0.0, 0.0, 0.0]
-            one_hot[p_code] = 1.0
-            eff = conjugate(PauliRates(*one_hot), basis).as_tuple()
-            eff_code = max(range(4), key=eff.__getitem__)
-            bit[b_code][p_code] = 1 if eff_code in (1, 2) else 0
-            phase[b_code][p_code] = 1 if eff_code in (2, 3) else 0
-    return tuple(map(tuple, bit)), tuple(map(tuple, phase))
-
-
-_BIT_FLAG, _PHASE_FLAG = _flag_tables()
 
 
 class ProtocolParams(_Frozen):
@@ -500,7 +477,7 @@ def _binomial_pmf(n: int, p: float) -> list[float]:
 def _flag_laws(channel: PauliRates, eve: Optional[EveModel]) -> list[list[float]]:
     """(bit flag, phase flag) law of a sifted qubit, one row per basis, column 2 * bit + phase.
 
-    The channel's law, permuted into each basis by the flag tables, with
+    The channel's law, relabelled into each basis by ``_SEEN_AS``, with
     probability w_b, the total attack weight on basis b (repeated attack
     bases add up); otherwise the attacker re-prepared the qubit in a
     foreign basis and both flags are uniform.  ``w_b = 1`` with no attacker.
@@ -510,12 +487,13 @@ def _flag_laws(channel: PauliRates, eve: Optional[EveModel]) -> list[list[float]
         faithful = [0.0] * 3
         for basis, weight in zip(eve.bases, eve.weights):
             faithful[_BASIS_CODE[basis]] += weight
+    q = channel.as_tuple()
     laws = []
-    for code, share in enumerate(faithful):
+    for basis, share in zip(_BASIS_ORDER, faithful):
         law = [0.0] * 4
-        for pauli, mass in enumerate(channel.as_tuple()):
-            column = 2 * _BIT_FLAG[code][pauli] + _PHASE_FLAG[code][pauli]
-            law[column] = share * mass + (1.0 - share) * 0.25
+        # An I, X, Y or Z error in the qubit's own basis flags nothing, the bit, both or the phase.
+        for component, column in zip(_SEEN_AS[basis], (0, 2, 3, 1)):
+            law[column] = share * q[component] + (1.0 - share) * 0.25
         laws.append(law)
     return laws
 

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .channel import (
     _NEG_TOL,
+    _SEEN_AS,
     _SUM_TOL,
     Basis,
     PauliRates,
@@ -264,7 +265,7 @@ def threshold_total_noise(family: ChannelFamily, variant: ProtocolVariant) -> Th
     adjacent floats; the threshold is the bracket midpoint.
     """
     if variant is ProtocolVariant.Y_BASIS_TWO_WAY:
-        # The Y-conjugate maps (d_x, d_y, d_z) to (d_z, d_x, d_y), so a = p/q.
+        # ``_SEEN_AS[Basis.Y]`` maps (d_x, d_y, d_z) to (d_z, d_x, d_y), so a = p/q.
         w_x, w_y, w_z = family.weights
         return _two_way_threshold(w_x + w_z, w_x + w_y + w_z)
     if variant is ProtocolVariant.CHAU_BASELINE:
@@ -408,8 +409,7 @@ def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray
     q_y = np.full_like(q_x, q_y0)
     rates = _renormalized(np.array([1.0 - (q_x + q_y + q_x), q_x, q_y, q_x]))
     one_way = 1.0 - _shannon4(rates)
-    # conjugate(rates, Basis.Y) relabels (q_x, q_y, q_z) -> (q_z, q_x, q_y).
-    q_i, q_x, q_y, q_z = _renormalized(rates[[0, 3, 1, 2]])
+    q_i, q_x, q_y, q_z = _renormalized(rates[list(_SEEN_AS[Basis.Y])])
     # b_step, then modified_rate_one_bstep.
     d = _square(q_i + q_z) + _square(q_x + q_y)
     out = _renormalized(np.array([

@@ -33,9 +33,10 @@ transmitted qubit at full length from eight streams of its own (source bits
 and bases, attacker bases and bits, channel Paulis, Bob's bases and two
 scrambles), lets the attacker re-prepare and Bob measure, and sifts.  The
 flag tables ``BIT_FLAG`` and ``PHASE_FLAG`` it reads are its own, worked by
-hand, and ``TestFrameTables`` asserts that the package's equal them.  The
-stages after transmission slice every role out of the sifted qubits in
-arrival order; ``fold_key`` folds the key.  The package draws counts
+hand, and ``TestFrameTables`` asserts that ``sim._flag_laws``, which reads
+the relabelling table ``channel._SEEN_AS``, puts each Pauli of each basis
+on the flags these tables give.  The stages after transmission slice
+every role out of the sifted qubits in arrival order; ``fold_key`` folds the key.  The package draws counts
 instead, so the two give different bits for a seed and are compared in
 distribution; the per-qubit path, which flags each qubit by its own Pauli
 and applies each attack on its own, is what checks the package's
@@ -537,7 +538,7 @@ def fold_key(flags, b_rounds, k):
     its phase error.
 
     Returns:
-        (levels, groups, abort_reason) as ``sim._KeyCounts`` holds them:
+        (levels, groups, abort_reason), the tuple ``sim._key_counts`` returns:
         the counts of the four flags in the key and in the survivors of
         each round reached, (groups, bit errors, phase errors) of the
         parity step, (0, 0, 0) if it formed none, and the abort reason or

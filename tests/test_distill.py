@@ -1,7 +1,9 @@
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -138,6 +140,22 @@ class TestPStep:
     def test_nonpositive_k_rejected(self):
         with pytest.raises(ValueError):
             PStepParams(-3)
+
+    @pytest.mark.parametrize("k", [4, 0, -1, True, False, 2.5, 3.0, "3", None])
+    def test_group_size_is_an_odd_int_for_both(self, k):
+        # A bool is no group size; an even k would count ties as failures.
+        for use in (PStepParams, lambda k: majority_phase_error(0.3, k)):
+            with pytest.raises(ValueError, match=re.escape(f"got {k!r}")):
+                use(k)
+
+    def test_group_size_is_stored_as_int(self):
+        k = PStepParams(np.int64(3)).k
+        assert type(k) is int and k == 3
+
+    @pytest.mark.parametrize("k", [1, 3, 99])
+    def test_majority_error_rejects_nan(self, k):
+        with pytest.raises(ValueError, match="NaN"):
+            majority_phase_error(math.nan, k)
 
     def test_flip_rates_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -47,6 +48,11 @@ class TestBinaryEntropy:
             binary_entropy(-0.01)
         with pytest.raises(ValueError):
             binary_entropy(1.01)
+
+    @pytest.mark.parametrize("t", [math.nan, -math.nan])
+    def test_nan_rejected(self, t):
+        with pytest.raises(ValueError, match="nan"):
+            binary_entropy(t)
 
     def test_boundary_slack_is_clamped(self):
         assert binary_entropy(-1e-13) == 0.0

@@ -42,13 +42,7 @@ def row(report, stage, quantity):
 
 
 class TestFrameTables:
-    """The package's per-basis flag tables against the reference's hand-worked ones."""
-
-    def test_bit_flags(self):
-        assert sim._BIT_FLAG == BIT_FLAG
-
-    def test_phase_flags(self):
-        assert sim._PHASE_FLAG == PHASE_FLAG
+    """The package's per-basis flag laws against the reference's hand-worked flag tables."""
 
     @pytest.mark.parametrize("pauli", range(4))
     def test_flag_laws_put_each_pauli_on_its_flags(self, pauli):
@@ -693,7 +687,7 @@ class TestCountsInDistribution:
 
     Per seed the two draw different bits, so the sifted counts and every
     count row are compared in distribution, 250 runs a side.  This keeps
-    the flag tables and the attack law of the count-level run under the
+    the relabelling and the attack law of the count-level run under the
     check of the reference's transmit stage and its own flag tables.  An
     attacker that re-prepares every qubit of some basis makes its checks
     pass the 0.45 ceiling; at the n of these cases every such run ends
