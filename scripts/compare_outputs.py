@@ -97,10 +97,13 @@ ARGVS = [
     ["sweep-fig1", "--grid", "0:1e-320:1e-321"],  # subnormal ratios
     ["sweep-fig1", "--grid", "1e300:1.7e308:1e307"],  # huge ratios, all on re-entrant rays
     ["sweep-fig2"],
-    # The rate_curves workload's argv at seed 0 and at seed 20040406.
+    # The rate_curves workload's argv at seed 0 and at seed 20040406: 25,001
+    # points a case, in seven blocks of at most 4,096 rows.
     ["sweep-fig2", "--cases", "0.0,0.005,0.01,0.02", "--grid", "0.0:0.5:2e-05"],
     ["sweep-fig2", "--cases", "0.0,0.005,0.01,0.02",
      "--grid", "1.1122310348791343e-06:0.5:1.9999955510758606e-05"],
+    # At q_y0 = 0 the first crossing cell is points 4095 and 4096, across a block edge.
+    ["sweep-fig2", "--cases", "0.0,0.005", "--grid", "0.08577:0.1278:0.00001"],
     # Past total = 1, and cases above the grid's start: NaN rows cross a block boundary.
     ["sweep-fig2", "--cases", "0.0,0.005,0.01,0.02,0.3,0.7", "--grid", "0.0137:1.02:0.000131"],
     # Totals below 0 and past 1; negative rates, and rates below 1e-4 in exponent form.

@@ -10,16 +10,15 @@ Five subcommands expose the library as reproducible experiments:
 
 This module only parses arguments and formats output; the library
 computes everything, the sweeps included (``sweep_fig1`` and
-``sweep_fig2`` in ``asymqkd.threshold``).
+``fig2_blocks`` in ``asymqkd.threshold``).
 
 Every output starts with ``#`` header lines carrying a schema version and
 the fully resolved configuration (and seed where one is used), so a stored
 file is self-describing and a rerun with the same flags is byte-identical.
-``main`` builds its parser once per process, so repeated in-process calls
-pay only for parsing.
 Numbers are the bytes ``repr`` prints, which keeps golden files exact;
-fractions, never percentages.  ``sweep-fig2`` builds those bytes in numpy,
-a block of rows at a time (``asymqkd._floatfmt``).
+fractions, never percentages.  ``sweep-fig2`` writes each block of rates as
+it comes, in bytes built by numpy (``asymqkd._floatfmt``); it keeps 64 B a
+grid point: the grid, as a list and an array, and its formatted totals.
 """
 
 from __future__ import annotations
@@ -44,14 +43,11 @@ from .threshold import (
     ChannelFamily,
     NonMonotoneFamilyError,
     ProtocolVariant,
+    _FIG2_BLOCK_ROWS,
+    fig2_blocks,
     sweep_fig1,
-    sweep_fig2,
     threshold_total_noise,
 )
-
-# sweep-fig2 writes its rows in blocks of this many: formatting all of a
-# long grid into one string first would hold every row twice.
-_FIG2_BLOCK_ROWS = 4096
 
 # Largest grid a sweep accepts, checked before the grid is built.
 _MAX_GRID_POINTS = 10**7
@@ -142,12 +138,6 @@ def _search_params(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         parser.error(f"invalid search parameters: {exc}")
 
 
-def _channel_echo(rates: PauliRates) -> str:
-    return (
-        f"q_i={rates.q_i!r} q_x={rates.q_x!r} q_y={rates.q_y!r} q_z={rates.q_z!r}"
-    )
-
-
 def _cmd_rates(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     rates = _resolve_channel(parser, args)
     flips = flip_rates(rates)
@@ -162,7 +152,7 @@ def _cmd_rates(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     ]
     lines = [
         "# schema: asymqkd.rates.v2",
-        f"# config: {_channel_echo(rates)}",
+        f"# config: q_i={rates.q_i!r} q_x={rates.q_x!r} q_y={rates.q_y!r} q_z={rates.q_z!r}",
         "quantity,value",
     ]
     lines.extend(f"{name},{value!r}" for name, value in values)
@@ -213,7 +203,7 @@ def _cmd_sweep_fig1(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
 
 def _parse_cases(parser: argparse.ArgumentParser, text: str) -> list[float]:
-    """``--cases``: comma-separated q_y0 values; ``sweep_fig2`` checks their range."""
+    """``--cases``: comma-separated q_y0 values; ``fig2_blocks`` checks their range."""
     cases = []
     for item in text.split(","):
         try:
@@ -223,8 +213,8 @@ def _parse_cases(parser: argparse.ArgumentParser, text: str) -> list[float]:
     return cases
 
 
-def _fig2_blocks(grid: list[float], curves) -> Iterator[str]:
-    """Data rows of ``sweep-fig2``, ``_FIG2_BLOCK_ROWS`` rows to a string.
+def _fig2_text(grid: list[float], cases: list[float], case_blocks) -> Iterator[str]:
+    """Data rows of ``sweep-fig2``, a string per block of ``fig2_blocks``, then the crossings.
 
     A block is one ``uint8`` matrix with a row per grid point: q_y0, then
     a slot each for the total, the one-way and the two-way rate, each with
@@ -237,32 +227,36 @@ def _fig2_blocks(grid: list[float], curves) -> Iterator[str]:
 
     width = _floatfmt.WIDTH
     size = min(len(grid), _FIG2_BLOCK_ROWS)
-    totals = np.asarray(grid, dtype=float)
     total_bytes = np.empty((len(grid), width), np.uint8)
     for start in range(0, len(grid), size):
-        _floatfmt.write_reprs(totals[start:start + size], total_bytes[start:start + size])
-    q_y0s = [repr(curve.q_y0).encode() for curve in curves]
+        _floatfmt.write_reprs(np.array(grid[start:start + size]), total_bytes[start:start + size])
+    q_y0s = [repr(q_y0).encode() for q_y0 in cases]
     lead = max(map(len, q_y0s))
     rows = np.zeros((size, lead + 1 + 3 * (width + 1)), np.uint8)
     rows[:, lead] = ord(",")
     slots = rows[:, lead + 1:].reshape(size, 3, width + 1)
     slots[:, :, width] = np.frombuffer(b",,\n", np.uint8)
-    for curve, q_y0 in zip(curves, q_y0s):
+    crossings = []
+    for q_y0, blocks in zip(q_y0s, case_blocks):
         rows[:, :lead] = 0
         rows[:, :len(q_y0)] = np.frombuffer(q_y0, np.uint8)
-        for start in range(0, len(grid), size):
-            stop = min(start + size, len(grid))
-            block = slots[:stop - start, :, :width]
-            block[:, 0] = total_bytes[start:stop]
-            _floatfmt.write_reprs(curve.one_way[start:stop], block[:, 1])
-            _floatfmt.write_reprs(curve.two_way[start:stop], block[:, 2])
+        stop = 0
+        for block in blocks:  # at least one
+            start, stop = stop, stop + block.one_way.size
+            cells = slots[:stop - start, :, :width]
+            cells[:, 0] = total_bytes[start:stop]
+            _floatfmt.write_reprs(block.one_way, cells[:, 1])
+            _floatfmt.write_reprs(block.two_way, cells[:, 2])
             yield rows[:stop - start].tobytes().translate(None, b"\0").decode("ascii")
+        crossings.append(f"# crossing: q_y0={block.q_y0!r} total_noise="
+                         f"{'none-in-grid' if block.crossing is None else repr(block.crossing)}\n")
+    yield "".join(crossings)
 
 
 def _cmd_sweep_fig2(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     cases = _parse_cases(parser, args.cases)
     try:
-        curves = sweep_fig2(cases, args.grid)
+        blocks = fig2_blocks(cases, args.grid, _FIG2_BLOCK_ROWS)
     except ValueError as exc:  # a q_y0 outside [0, 1], checked before any work
         parser.error(f"--cases: {exc}")
     header = (
@@ -270,12 +264,7 @@ def _cmd_sweep_fig2(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         f"# config: cases={args.cases} grid={args.grid_text}\n"
         "q_y0,total_noise,rate_one_way,rate_two_way\n"
     )
-    footer = "".join(
-        f"# crossing: q_y0={curve.q_y0!r} total_noise="
-        f"{'none-in-grid' if curve.crossing is None else repr(curve.crossing)}\n"
-        for curve in curves
-    )
-    _emit(chain([header], _fig2_blocks(args.grid, curves), [footer]), args.out)
+    _emit(chain([header], _fig2_text(args.grid, cases, blocks)), args.out)
     return 0
 
 

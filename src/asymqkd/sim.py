@@ -514,7 +514,7 @@ def _pair_laws(law: list[float]) -> tuple[float, list[float], list[float], list[
                 same[first >> 1] += mass
         elif first < second:  # the bit-0 flag first; the other order has the same mass
             split[2 * (first & 1) + (second & 1)] += mass
-    agree, apart = sum(survivor), sum(split)
+    agree, apart = (a + b + c + d for a, b, c, d in (survivor, split))  # not sum(): see PauliRates
     return (
         min(agree, 1.0),
         [mass / agree for mass in survivor],
@@ -652,7 +652,7 @@ def run_protocol(
     rng = _open_streams(seed)
     laws = _flag_laws(channel, eve)
     sift_probs = [s * b for s, b in zip(_SOURCE_PROBS, _BOB_PROBS)]
-    p_sift = sum(sift_probs)
+    p_sift = sift_probs[0] + sift_probs[1] + sift_probs[2]
     counts = _multinomial(rng["counts"], n_total, _shares([*sift_probs, 1.0 - p_sift]))
     sifted = tuple(counts[:3])
     n_sifted = sum(sifted)

@@ -22,9 +22,9 @@ ray meets the boundary at S = 1/2 the channel built there is not on the
 feasible side by round-off.
 
 ``sweep_fig1`` tabulates both two-way thresholds across channel shapes;
-``sweep_fig2`` tabulates the one-way six-state and one-rejection two-way
-rates against total noise, with the noise at which two-way overtakes
-one-way.
+``fig2_blocks`` the one-way six-state and one-rejection two-way rates
+against total noise, block by block, with the noise at which two-way
+overtakes one-way, and ``sweep_fig2`` joins its blocks into curves.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .channel import (
     _NEG_TOL,
@@ -96,7 +96,7 @@ class ChannelFamily(_Frozen):
         if len(d) != 3 or not all([0.0 <= c < math.inf for c in d]):
             raise ValueError(f"direction must be three finite nonnegative components, got {d}")
         x, y, z = d
-        total = sum(d)
+        total = 0.0 + x + y + z  # what sum() gave before Python 3.12, which compensates
         if not 0.0 < total < math.inf:  # an infinite total would zero every component
             raise ValueError(f"direction must have a positive finite total weight, got {total}")
         w_x, w_y, w_z = _dyadic_numerators(d)
@@ -162,9 +162,7 @@ class ThresholdResult(NamedTuple):
     For a two-way variant ``threshold`` is the root r1 on the family's
     exact ray, correctly rounded, and the bracket its two neighbouring
     floats; for a one-way variant the bracket is two adjacent floats and
-    ``threshold`` their midpoint, which rounds to one of them.  The ``chau``
-    result is one shared value on every ray, r1 = (15 - 3√5)/20 correctly
-    rounded to 0.41458980337503154, computed once at import.
+    ``threshold`` their midpoint, which rounds to one of them.
 
     Two-way ends are decided on the exact ray, and round-off can make
     ``family.rates_at(bracket.low)`` infeasible: step down with
@@ -216,12 +214,7 @@ def _smaller_root(p: int, q: int) -> float:
 
 
 def _two_way_threshold(p: int, q: int) -> ThresholdResult:
-    """Closed-form threshold of a two-way variant with a = p / q; see ``threshold_total_noise``.
-
-    ``chau`` has a = 2/3 on every ray, so its result, r1 = (15 - 3√5)/20
-    correctly rounded to 0.41458980337503154, is ``_CHAU_THRESHOLD``,
-    computed once at import.
-    """
+    """Closed-form threshold of a two-way variant with a = p / q; see ``threshold_total_noise``."""
     r1 = _smaller_root(p, q)
     if 2 * p < q:  # g(1) = (2a - 1)(a - 1) > 0: feasible at S = 1
         a = p / q
@@ -277,7 +270,7 @@ def threshold_total_noise(family: ChannelFamily, variant: ProtocolVariant) -> Th
     if feasible(1.0):
         r1 = _bisect(feasible, 0.0, 0.5)
         r2 = _bisect(lambda scale: not feasible(scale), 0.5, 1.0)
-        raise _reentrant(0.5 * sum(r1), 0.5 * sum(r2))
+        raise _reentrant(0.5 * (r1[0] + r1[1]), 0.5 * (r2[0] + r2[1]))
     low, high = _bisect(feasible, 0.0, 0.5)
     return ThresholdResult(threshold=0.5 * (low + high), bracket=Bracket(low, high))
 
@@ -419,17 +412,16 @@ def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return one_way, two_way
 
 
-def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]:
-    """One-way versus one-rejection two-way rate curves, one per q_y0 case.
+def fig2_blocks(cases: Sequence[float], grid: Sequence[float],
+                block_rows: int) -> Iterator[Iterator[Fig2Curve]]:
+    """Per q_y0 case, an iterator of ``Fig2Curve`` blocks of ``block_rows`` grid points.
 
-    For each case one ``_fig2_rates`` call takes the rates at every grid
-    total inside [q_y0, 1].  The crossing cell is the first pair of
-    consecutive such points where the gap two-way - one-way goes from <= 0
-    to > 0; it is bisected until its ends are adjacent floats and its
-    midpoint reported.  Each bisection probe builds its one channel and
-    calls the per-channel functions that ``_fig2_rates`` equals bit for
-    bit, ``rate_sixstate_separate`` and ``modified_rate_one_bstep``.
-    Raises ``ValueError`` for a case outside [0, 1], before any work.
+    Each block is one ``_fig2_rates`` call on its totals inside [q_y0, 1]
+    and has the case's crossing if its cell ends at or before the block's
+    last point: the first pair of consecutive such points, across block
+    edges too, where two-way - one-way turns from <= 0 to > 0, bisected to
+    adjacent floats by scalar probes.  An empty grid gives one empty block
+    a case.  Raises ``ValueError`` for a case outside [0, 1] when called.
     """
     for q_y0 in cases:
         if not 0.0 <= q_y0 <= 1.0:  # also rejects nan
@@ -437,27 +429,46 @@ def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]
     import numpy as np
 
     totals = np.asarray(grid, dtype=float)
+
+    def blocks(q_y0: float) -> Iterator[Fig2Curve]:
+        def not_over(total: float) -> bool:
+            q_x0 = (total - q_y0) / 2.0
+            rates = PauliRates.from_error_rates(q_x0, q_y0, q_x0)
+            two = modified_rate_one_bstep(conjugate(rates, Basis.Y))
+            return not two - rate_sixstate_separate(rates) > 0.0
+
+        crossing, last_total, last_gap = None, math.nan, math.nan
+        for start in range(0, max(totals.size, 1), block_rows):
+            block = totals[start:start + block_rows]
+            one_way, two_way = np.full((2, block.size), np.nan)
+            inside = ~((block < q_y0) | (block > 1.0))  # negated: a NaN total is inside, and fails
+            evaluated = block[inside]
+            one_way[inside], two_way[inside] = _fig2_rates(q_y0, evaluated)
+            if crossing is None and evaluated.size:
+                # The last evaluated point before the block leads it; a NaN gap never turns.
+                edges = np.concatenate(([last_total], evaluated))
+                gap = np.concatenate(([last_gap], (two_way - one_way)[inside]))
+                turns = np.flatnonzero((gap[1:] > 0.0) & (gap[:-1] <= 0.0))
+                if turns.size:
+                    lo, hi = _bisect(not_over, *edges[turns[0]:turns[0] + 2].tolist())
+                    crossing = 0.5 * (lo + hi)
+                last_total, last_gap = edges[-1], gap[-1]
+            yield Fig2Curve(q_y0, one_way, two_way, crossing)
+
+    return map(blocks, cases)
+
+
+# Grid points per ``_fig2_rates`` call (about 1 MB of temporaries) and rows per ``sweep-fig2`` string.
+_FIG2_BLOCK_ROWS = 4096
+
+
+def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]:
+    """``fig2_blocks`` joined into one curve per case: one kernel call per block, not per case."""
+    import numpy as np
+
     curves = []
-    for q_y0 in cases:
-        one_way = np.full(totals.shape, np.nan)
-        two_way = np.full(totals.shape, np.nan)
-        # Negated skip test: a NaN total is inside and fails validation.
-        inside = ~((totals < q_y0) | (totals > 1.0))
-        evaluated = totals[inside]
-        one_in, two_in = _fig2_rates(q_y0, evaluated)
-        one_way[inside], two_way[inside] = one_in, two_in
-        gap = two_in - one_in
-        turns = np.flatnonzero((gap[1:] > 0.0) & (gap[:-1] <= 0.0))
-        crossing = None
-        if turns.size:
-
-            def not_over(total: float) -> bool:
-                q_x0 = (total - q_y0) / 2.0
-                rates = PauliRates.from_error_rates(q_x0, q_y0, q_x0)
-                two = modified_rate_one_bstep(conjugate(rates, Basis.Y))
-                return not two - rate_sixstate_separate(rates) > 0.0
-
-            lo, hi = _bisect(not_over, *evaluated[turns[0]:turns[0] + 2].tolist())
-            crossing = 0.5 * (lo + hi)
-        curves.append(Fig2Curve(q_y0, one_way, two_way, crossing))
+    for blocks in fig2_blocks(cases, grid, _FIG2_BLOCK_ROWS):
+        parts = list(blocks)
+        curves.append(parts[-1]._replace(one_way=np.concatenate([p.one_way for p in parts]),
+                                         two_way=np.concatenate([p.two_way for p in parts])))
     return curves

@@ -246,6 +246,19 @@ class TestSweepFig2Blocks:
         assert main(["sweep-fig2", "--cases", cases, "--grid", grid]) == 0
         assert capsys.readouterr().out == fig2_csv(cases, grid)
 
+    def test_crossing_between_two_blocks(self, monkeypatch, capsys):
+        # At q_y0 = 0 the gap first turns positive between points 4095 and
+        # 4096: the last point of one block and the first of the next, at 16
+        # rows a block as at the default 4096.  At 0.005 it turns inside a block.
+        monkeypatch.setattr(cli, "_FIG2_BLOCK_ROWS", 16)
+        cases, grid = "0.0,0.005", "0.08577:0.1278:0.00001"
+        assert main(["sweep-fig2", "--cases", cases, "--grid", grid]) == 0
+        out = capsys.readouterr().out
+        assert out == fig2_csv(cases, grid)
+        gaps = [float(two) - float(one) for _, _, one, two in
+                (line.split(",") for line in out.splitlines()[3:3 + 4204])]
+        assert min(i for i in range(1, len(gaps)) if gaps[i] > 0.0 >= gaps[i - 1]) == 4096
+
     def test_default_block_size_to_file(self, tmp_path):
         cases, grid = "0.25", "0.0:1.0125:0.0001"
         out = tmp_path / "fig2.csv"

@@ -347,6 +347,39 @@ def test_peak_allocation_does_not_grow_with_n():
         assert peak < 1e6, (kwargs, peak)
 
 
+def test_sweep_fig2_peak_allocation_grows_by_under_100_bytes_per_point(tmp_path):
+    # Rates and rows are computed and written a block at a time; what grows
+    # with the grid is its list, its array and the formatted totals, 64 B a
+    # point.  The first call builds the formatter's tables.
+    from asymqkd.cli import main
+
+    def peak(points):
+        tracemalloc.start()
+        try:
+            argv = ["--cases", "0.01", "--grid", f"0:0.5:{0.5 / points}"]
+            assert main(["sweep-fig2", *argv, "--out", str(tmp_path / "fig2.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)
+    small, large = peak(20_000), peak(160_000)
+    assert large - small < 100 * (160_000 - 20_000), (small, large)
+
+
+def test_pair_laws_are_those_of_adding_left_to_right(monkeypatch):
+    # From Python 3.12 on sum() of floats is compensated; math.fsum stands
+    # in for it, so the pair laws keep the bytes of Python 3.11.
+    rng = random.Random(11)
+    laws = []
+    for _ in range(2000):
+        weights = [rng.random() for _ in range(4)]
+        laws.append([w / math.fsum(weights) for w in weights])
+    want = [sim._pair_laws(law) for law in laws]
+    monkeypatch.setattr(sim, "sum", math.fsum, raising=False)
+    assert [sim._pair_laws(law) for law in laws] == want
+
+
 def test_runs_at_a_trillion_key_bits():
     # 8 * 10^12 transmitted qubits: the key stage draws counts, whatever n is.
     params = ProtocolParams(n=10**12, abort_sigma=5.0)
