@@ -16,9 +16,10 @@ Every output starts with ``#`` header lines carrying a schema version and
 the fully resolved configuration (and seed where one is used), so a stored
 file is self-describing and a rerun with the same flags is byte-identical.
 Numbers are the bytes ``repr`` prints, which keeps golden files exact;
-fractions, never percentages.  ``sweep-fig2`` writes each block of rates as
-it comes, in bytes built by numpy (``asymqkd._floatfmt``); it keeps 64 B a
-grid point: the grid, as a list and an array, and its formatted totals.
+fractions, never percentages.  A grid is the progression (lo, step, count)
+and no list of it is built: ``sweep-fig1`` writes each row as it comes, and
+``sweep-fig2`` each block of rates, in bytes built by numpy
+(``asymqkd._floatfmt``), keeping only its formatted totals, 24 B a grid point.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ from .threshold import (
     NonMonotoneFamilyError,
     ProtocolVariant,
     _FIG2_BLOCK_ROWS,
+    _grid_points,
     fig2_blocks,
     sweep_fig1,
     threshold_total_noise,
 )
 
-# Largest grid a sweep accepts, checked before the grid is built.
+# Largest grid a sweep accepts, checked before any point is computed.
 _MAX_GRID_POINTS = 10**7
 
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
@@ -80,7 +82,8 @@ def _resolve_channel(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     raise AssertionError  # parser.error exits
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> tuple[float, float, int]:
+    """``--grid LO:HI:STEP`` as the progression (lo, step, count) of points lo + i * step."""
     try:
         lo_s, hi_s, step_s = text.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
@@ -98,7 +101,9 @@ def _parse_grid(text: str) -> list[float]:
     if count > _MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"grid must have at most {_MAX_GRID_POINTS} points, got {text!r}")
-    return [lo + i * step for i in range(count)]
+    if not math.isfinite(lo + (count - 1) * step):  # a finite HI, rounded past the float range
+        raise argparse.ArgumentTypeError(f"grid must end at a finite point, got {text!r}")
+    return lo, step, count
 
 
 def _parse_tol(text: str) -> float:
@@ -186,19 +191,18 @@ def _cmd_threshold(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 def _cmd_sweep_fig1(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _search_params(parser, args)
-    rows = sweep_fig1(args.grid)
-    lines = [
-        "# schema: asymqkd.sweep_fig1.v1",
-        f"# config: grid={args.grid_text} tol={args.tol!r} target={args.target!r}",
-        "q_y0_over_q_x0,q_y0,Q_t0_ybasis,Q_t0_chau,note",
-    ]
-    for row in rows:
-        note = (row.error or "").replace(",", ";")
-        lines.append(
-            f"{row.y_ratio!r},{row.q_y0_at_threshold!r},"
-            f"{row.threshold_ybasis!r},{row.threshold_chau!r},{note}"
-        )
-    _emit(["\n".join(lines) + "\n"], args.out)
+    lo, step, count = args.grid
+    header = (
+        "# schema: asymqkd.sweep_fig1.v1\n"
+        f"# config: grid={args.grid_text} tol={args.tol!r} target={args.target!r}\n"
+        "q_y0_over_q_x0,q_y0,Q_t0_ybasis,Q_t0_chau,note\n"
+    )
+    rows = (
+        f"{row.y_ratio!r},{row.q_y0_at_threshold!r},{row.threshold_ybasis!r},"
+        f"{row.threshold_chau!r},{(row.error or '').replace(',', ';')}\n"
+        for row in sweep_fig1(lo + i * step for i in range(count))
+    )
+    _emit(chain([header], rows), args.out)
     return 0
 
 
@@ -213,7 +217,7 @@ def _parse_cases(parser: argparse.ArgumentParser, text: str) -> list[float]:
     return cases
 
 
-def _fig2_text(grid: list[float], cases: list[float], case_blocks) -> Iterator[str]:
+def _fig2_text(grid: tuple[float, float, int], cases: list[float], case_blocks) -> Iterator[str]:
     """Data rows of ``sweep-fig2``, a string per block of ``fig2_blocks``, then the crossings.
 
     A block is one ``uint8`` matrix with a row per grid point: q_y0, then
@@ -226,10 +230,11 @@ def _fig2_text(grid: list[float], cases: list[float], case_blocks) -> Iterator[s
     from . import _floatfmt
 
     width = _floatfmt.WIDTH
-    size = min(len(grid), _FIG2_BLOCK_ROWS)
-    total_bytes = np.empty((len(grid), width), np.uint8)
-    for start in range(0, len(grid), size):
-        _floatfmt.write_reprs(np.array(grid[start:start + size]), total_bytes[start:start + size])
+    count = grid[2]
+    size = min(count, _FIG2_BLOCK_ROWS)
+    total_bytes = np.empty((count, width), np.uint8)
+    for start in range(0, count, size):
+        _floatfmt.write_reprs(_grid_points(grid, start, size), total_bytes[start:start + size])
     q_y0s = [repr(q_y0).encode() for q_y0 in cases]
     lead = max(map(len, q_y0s))
     rows = np.zeros((size, lead + 1 + 3 * (width + 1)), np.uint8)

@@ -21,10 +21,12 @@ next to it.  ``is_distillable`` judges a channel as built in floats;
 ray meets the boundary at S = 1/2 the channel built there is not on the
 feasible side by round-off.
 
-``sweep_fig1`` tabulates both two-way thresholds across channel shapes;
-``fig2_blocks`` the one-way six-state and one-rejection two-way rates
-against total noise, block by block, with the noise at which two-way
-overtakes one-way, and ``sweep_fig2`` joins its blocks into curves.
+``sweep_fig1`` yields both two-way thresholds across channel shapes a
+row at a time; ``fig2_blocks`` the one-way six-state and one-rejection
+two-way rates against total noise, block by block, with the noise at
+which two-way overtakes one-way.  Their grids are progressions
+(lo, step, count) whose points are lo + i * step in floats, so neither
+holds a list of points or rows.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .channel import (
     _NEG_TOL,
@@ -285,8 +287,8 @@ class Fig1Row(NamedTuple):
     error: Optional[str] = None
 
 
-def sweep_fig1(ratios) -> list[Fig1Row]:
-    """Two-way thresholds along q_x = q_z rays for a grid of q_y/q_x ratios.
+def sweep_fig1(ratios: Iterable[float]) -> Iterator[Fig1Row]:
+    """Two-way thresholds along q_x = q_z rays for each q_y/q_x ratio, a row at a time.
 
     ``q_y0_at_threshold`` reports the absolute q_y component of the channel
     at the Y-basis protocol's threshold, which is the natural abscissa when
@@ -296,20 +298,18 @@ def sweep_fig1(ratios) -> list[Fig1Row]:
     ``threshold_total_noise``, so the sweep takes no tolerance; ``q_y0`` is
     the Y-basis threshold times d_y of the exact ray, correctly rounded.
     """
-    rows: list[Fig1Row] = []
     for ratio in ratios:
         try:
             family = ChannelFamily.from_y_ratio(ratio)
             thr_y = threshold_total_noise(family, ProtocolVariant.Y_BASIS_TWO_WAY)
             thr_c = threshold_total_noise(family, ProtocolVariant.CHAU_BASELINE)
         except (NonMonotoneFamilyError, ValueError) as exc:
-            rows.append(Fig1Row(ratio, math.nan, math.nan, math.nan, error=str(exc)))
+            yield Fig1Row(ratio, math.nan, math.nan, math.nan, error=str(exc))
             continue
         # int / int division is correctly rounded.
         numerator, denominator = thr_y.threshold.as_integer_ratio()
         q_y0 = numerator * family.weights[1] / (denominator * sum(family.weights))
-        rows.append(Fig1Row(ratio, q_y0, thr_y.threshold, thr_c.threshold))
-    return rows
+        yield Fig1Row(ratio, q_y0, thr_y.threshold, thr_c.threshold)
 
 
 class Fig2Curve(NamedTuple):
@@ -412,23 +412,34 @@ def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return one_way, two_way
 
 
-def fig2_blocks(cases: Sequence[float], grid: Sequence[float],
+def _grid_points(grid: tuple[float, float, int], start: int, rows: int) -> np.ndarray:
+    """Points i = ``start`` .. ``start + rows - 1``, below count, of the grid (lo, step, count).
+
+    Each is lo + i * step as Python floats give it: i is exact below 2^53, and each operation
+    rounds once.
+    """
+    import numpy as np
+
+    lo, step, count = grid
+    return lo + np.arange(start, min(start + rows, count)) * step
+
+
+def fig2_blocks(cases: Sequence[float], grid: tuple[float, float, int],
                 block_rows: int) -> Iterator[Iterator[Fig2Curve]]:
     """Per q_y0 case, an iterator of ``Fig2Curve`` blocks of ``block_rows`` grid points.
 
-    Each block is one ``_fig2_rates`` call on its totals inside [q_y0, 1]
-    and has the case's crossing if its cell ends at or before the block's
-    last point: the first pair of consecutive such points, across block
-    edges too, where two-way - one-way turns from <= 0 to > 0, bisected to
-    adjacent floats by scalar probes.  An empty grid gives one empty block
-    a case.  Raises ``ValueError`` for a case outside [0, 1] when called.
+    ``grid`` is the progression (lo, step, count) of totals.  Each block is
+    one ``_fig2_rates`` call on its totals inside [q_y0, 1] and has the
+    case's crossing if its cell ends at or before the block's last point:
+    the first pair of consecutive such points, across block edges too,
+    where two-way - one-way turns from <= 0 to > 0, bisected to adjacent
+    floats by scalar probes.  An empty grid gives one empty block a case.
+    Raises ``ValueError`` for a case outside [0, 1] when called.
     """
     for q_y0 in cases:
         if not 0.0 <= q_y0 <= 1.0:  # also rejects nan
             raise ValueError(f"q_y0={q_y0!r} outside [0, 1]")
     import numpy as np
-
-    totals = np.asarray(grid, dtype=float)
 
     def blocks(q_y0: float) -> Iterator[Fig2Curve]:
         def not_over(total: float) -> bool:
@@ -438,8 +449,8 @@ def fig2_blocks(cases: Sequence[float], grid: Sequence[float],
             return not two - rate_sixstate_separate(rates) > 0.0
 
         crossing, last_total, last_gap = None, math.nan, math.nan
-        for start in range(0, max(totals.size, 1), block_rows):
-            block = totals[start:start + block_rows]
+        for start in range(0, max(grid[2], 1), block_rows):
+            block = _grid_points(grid, start, block_rows)
             one_way, two_way = np.full((2, block.size), np.nan)
             inside = ~((block < q_y0) | (block > 1.0))  # negated: a NaN total is inside, and fails
             evaluated = block[inside]
@@ -460,15 +471,3 @@ def fig2_blocks(cases: Sequence[float], grid: Sequence[float],
 
 # Grid points per ``_fig2_rates`` call (about 1 MB of temporaries) and rows per ``sweep-fig2`` string.
 _FIG2_BLOCK_ROWS = 4096
-
-
-def sweep_fig2(cases: Sequence[float], grid: Sequence[float]) -> list[Fig2Curve]:
-    """``fig2_blocks`` joined into one curve per case: one kernel call per block, not per case."""
-    import numpy as np
-
-    curves = []
-    for blocks in fig2_blocks(cases, grid, _FIG2_BLOCK_ROWS):
-        parts = list(blocks)
-        curves.append(parts[-1]._replace(one_way=np.concatenate([p.one_way for p in parts]),
-                                         two_way=np.concatenate([p.two_way for p in parts])))
-    return curves

@@ -6,7 +6,7 @@ rational arithmetic, and the parity/majority step over all 2^k error
 patterns.  Agreement to 1e-12 is then meaningful evidence.
 
 The exception is ``fig2_csv``, the scalar reference for the array kernel
-behind ``sweep_fig2``: the per-point loop over the package's per-channel
+behind ``fig2_blocks``: the per-point loop over the package's per-channel
 functions that the ``sweep-fig2`` command ran before the kernel existed.
 Output of the two must agree byte for byte.
 

@@ -67,7 +67,7 @@ def test_1_threshold_endpoints():
 
 def test_2_threshold_sweep_shape():
     ratios = [i / 19 for i in range(20)]
-    rows = sweep_fig1(ratios)
+    rows = list(sweep_fig1(ratios))
     assert all(row.error is None for row in rows), [row.error for row in rows]
     dominated = all(
         row.threshold_ybasis > row.threshold_chau for row in rows if row.y_ratio < 1.0

@@ -7,14 +7,17 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import asymqkd
 from asymqkd import cli
 from asymqkd.channel import Basis, PauliRates
 from asymqkd.cli import main
 from asymqkd.sim import EveModel, ProtocolParams, run_protocol
-from asymqkd.threshold import ProtocolVariant
+from asymqkd.threshold import ProtocolVariant, _grid_points
 from oracles import fig2_csv, fresh_interpreter
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -419,24 +422,33 @@ class TestBadInput:
 
     def test_grid_size_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 5)
-        assert cli._parse_grid("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert cli._parse_grid("0:1:0.25") == (0.0, 0.25, 5)
         with pytest.raises(argparse.ArgumentTypeError):
             cli._parse_grid("0:1:0.2")
         with pytest.raises(argparse.ArgumentTypeError):
             cli._parse_grid("-1e308:1e308:1")  # hi - lo overflows to inf
 
     def test_grid_never_passes_hi(self):
-        assert cli._parse_grid("0:0.5:0.3") == [0.0, 0.3]
-        assert cli._parse_grid("0:1:0.6") == [0.0, 0.6]
+        assert cli._parse_grid("0:0.5:0.3") == (0.0, 0.3, 2)
+        assert cli._parse_grid("0:1:0.6") == (0.0, 0.6, 2)
 
     def test_grid_keeps_hi_despite_division_round_off(self):
         # 0.5 / 2e-5 is 24999.999999999996 in floats.
-        grid = cli._parse_grid("0:0.5:2e-5")
-        assert len(grid) == 25001
-        assert grid[-1] == pytest.approx(0.5)
+        lo, step, count = cli._parse_grid("0:0.5:2e-5")
+        assert count == 25001
+        assert lo + (count - 1) * step == pytest.approx(0.5)
         # The point kept for HI is lo + i * step in floats, which may round past HI.
-        assert cli._parse_grid("0.1:0.7:0.2") == [
+        grid = cli._parse_grid("0.1:0.7:0.2")
+        assert _grid_points(grid, 0, 10).tolist() == [
             0.1, 0.30000000000000004, 0.5, 0.7000000000000001]
+
+    @pytest.mark.parametrize("command", ["sweep-fig1", "sweep-fig2"])
+    def test_grid_ending_past_the_float_range_exits_2(self, capsys, command):
+        # A finite HI, but the third point, 2 * 8.98846567431158e307, rounds to inf.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--grid", "0:1.7976931348623157e308:8.98846567431158e307"])
+        assert exc.value.code == 2
+        assert "must end at a finite point" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cases", ["0.0,abc", "-0.1", "nan", "1.5"])
     def test_bad_fig2_cases_exit_nonzero(self, cases):
@@ -527,6 +539,24 @@ class TestBadInput:
             main(["simulate", "--qx", "0", "--qy", "0", "--qz", "0", "--p-group", "101"])
         assert exc.value.code == 2
         assert "invalid protocol parameters: p_group must be <= 99, got 101" in capsys.readouterr().err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lo=st.floats(-1e308, 1e308), step=st.floats(5e-324, 1e308),
+       intervals=st.integers(0, 300), rows=st.integers(1, 64))
+@example(lo=0.0, step=2e-5, intervals=25_000, rows=4096)
+@example(lo=0.1, step=0.2, intervals=3, rows=1)
+def test_grid_blocks_are_the_floats_lo_plus_i_step(lo, step, intervals, rows):
+    # However the progression is split into blocks, its points are those of
+    # lo + i * step in Python floats, bit for bit.
+    hi = min(lo + intervals * step, sys.float_info.max)
+    try:
+        grid = cli._parse_grid(f"{lo!r}:{hi!r}:{step!r}")
+    except argparse.ArgumentTypeError:
+        assume(False)
+    count = grid[2]
+    points = np.concatenate([_grid_points(grid, start, rows) for start in range(0, count, rows)])
+    assert [p.hex() for p in points.tolist()] == [(lo + i * step).hex() for i in range(count)]
 
 
 def test_default_sweep_fig1_has_one_chau_threshold(capsys):

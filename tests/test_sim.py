@@ -347,24 +347,39 @@ def test_peak_allocation_does_not_grow_with_n():
         assert peak < 1e6, (kwargs, peak)
 
 
-def test_sweep_fig2_peak_allocation_grows_by_under_100_bytes_per_point(tmp_path):
-    # Rates and rows are computed and written a block at a time; what grows
-    # with the grid is its list, its array and the formatted totals, 64 B a
-    # point.  The first call builds the formatter's tables.
+def _sweep_peak(command, grid, out, *args):
+    """tracemalloc peak of one ``command --grid grid`` run written to ``out``."""
     from asymqkd.cli import main
 
+    tracemalloc.start()
+    try:
+        assert main([command, *args, "--grid", grid, "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_fig2_peak_allocation_grows_by_under_32_bytes_per_point(tmp_path):
+    # The grid is a progression and rates and rows are computed and written
+    # a block at a time; what grows with the grid is its formatted totals,
+    # 24 B a point.  The first call builds the formatter's tables.
     def peak(points):
-        tracemalloc.start()
-        try:
-            argv = ["--cases", "0.01", "--grid", f"0:0.5:{0.5 / points}"]
-            assert main(["sweep-fig2", *argv, "--out", str(tmp_path / "fig2.csv")]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _sweep_peak("sweep-fig2", f"0:0.5:{0.5 / points}", tmp_path / "fig2.csv",
+                           "--cases", "0.01")
 
     peak(100)
     small, large = peak(20_000), peak(160_000)
-    assert large - small < 100 * (160_000 - 20_000), (small, large)
+    assert large - small < 32 * (160_000 - 20_000), (small, large)
+
+
+def test_sweep_fig1_peak_allocation_grows_by_under_8_bytes_per_point(tmp_path):
+    # Each row is computed and written as it comes; nothing grows with the grid.
+    def peak(points):
+        return _sweep_peak("sweep-fig1", f"0:1:{1 / points}", tmp_path / "fig1.csv")
+
+    peak(100)
+    small, large = peak(2_000), peak(16_000)
+    assert large - small < 8 * (16_000 - 2_000), (small, large)
 
 
 def test_pair_laws_are_those_of_adding_left_to_right(monkeypatch):

@@ -27,9 +27,9 @@ from asymqkd.threshold import (
     _effective,
     _fig2_rates,
     _shannon4,
+    fig2_blocks,
     is_distillable,
     sweep_fig1,
-    sweep_fig2,
     threshold_total_noise,
 )
 
@@ -279,7 +279,7 @@ class TestWitnessOnDemand:
         assert 0.4 < result.threshold <= 0.5
 
     def test_sweep(self, no_schedule_search):
-        rows = sweep_fig1([0.0, 0.5])
+        rows = list(sweep_fig1([0.0, 0.5]))
         assert [row.error for row in rows] == [None, None]
 
 
@@ -484,7 +484,7 @@ class TestClosedForm:
 
         monkeypatch.setattr(threshold, "_smaller_root", counted)
         ratios = [0.0 + i * 0.05 for i in range(21)] + [5e-324, 1.9999999999999998]
-        rows = sweep_fig1(ratios)
+        rows = list(sweep_fig1(ratios))
         assert [row.error for row in rows] == [None] * len(ratios)
         assert len(roots) == len(ratios)
 
@@ -586,7 +586,7 @@ class TestRayShape:
 
 class TestSweep:
     def test_rows_carry_both_thresholds(self):
-        rows = sweep_fig1([0.0, 0.5])
+        rows = list(sweep_fig1([0.0, 0.5]))
         assert len(rows) == 2
         for row in rows:
             assert row.error is None
@@ -602,7 +602,7 @@ class TestSweep:
             assert row.q_y0_at_threshold == float(exact)
 
     def test_failed_rows_carry_the_message_and_nans(self):
-        rows = sweep_fig1([0.0, float("nan")])
+        rows = list(sweep_fig1([0.0, float("nan")]))
         assert rows[0].error is None
         assert rows[1].error is not None
         assert math.isnan(rows[1].threshold_ybasis)
@@ -614,6 +614,16 @@ class TestSweep:
 
 def _bits(values):
     return [float(v).hex() for v in values]
+
+
+def _curves(cases, grid):
+    """One ``Fig2Curve`` per case: its ``fig2_blocks`` joined, arrays over the whole grid."""
+    curves = []
+    for blocks in fig2_blocks(cases, grid, threshold._FIG2_BLOCK_ROWS):
+        parts = list(blocks)
+        curves.append(parts[-1]._replace(one_way=np.concatenate([p.one_way for p in parts]),
+                                         two_way=np.concatenate([p.two_way for p in parts])))
+    return curves
 
 
 class TestSweepFig2:
@@ -649,21 +659,21 @@ class TestSweepFig2:
 
         monkeypatch.setattr(threshold, "_fig2_rates", no_work)
         with pytest.raises(ValueError, match=re.escape(f"q_y0={q_y0!r} outside [0, 1]")):
-            sweep_fig2([0.0, q_y0], [0.05, 0.1])
+            fig2_blocks([0.0, q_y0], (0.05, 0.05, 2), threshold._FIG2_BLOCK_ROWS)
 
     def test_curves_are_nan_outside_the_simplex(self):
-        grid = [0.0, 0.01, 0.02, 0.5, 1.0, 1.01]
-        zero, high = sweep_fig2([0.0, 0.02], grid)
+        # Totals 0, 0.01, ..., 1.01: points 2 and 100 are exactly 0.02 and 1.0.
+        zero, high = _curves([0.0, 0.02], (0.0, 0.01, 102))
         assert zero.q_y0 == 0.0 and high.q_y0 == 0.02
-        assert np.isnan(zero.one_way).tolist() == [False] * 5 + [True]
-        assert np.isnan(high.two_way).tolist() == [True, True, False, False, False, True]
+        assert np.isnan(zero.one_way).tolist() == [False] * 101 + [True]
+        assert np.isnan(high.two_way).tolist() == [True, True] + [False] * 99 + [True]
         assert zero.one_way[0] == 1.0 and zero.two_way[0] == 0.5
 
     def test_crossing_is_bisected_from_the_first_sign_change(self):
         # Frozen from scripts/derive_golden.py.
-        (curve,) = sweep_fig2([0.0], [0.05, 0.1, 0.15, 0.2])
+        (curve,) = _curves([0.0], (0.05, 0.05, 4))
         assert curve.crossing == pytest.approx(0.12672899360905127, abs=1e-9)
-        (curve,) = sweep_fig2([0.0], [0.05, 0.1])
+        (curve,) = _curves([0.0], (0.05, 0.05, 2))
         assert curve.crossing is None
 
     def test_bisection_stops_once_its_ends_are_adjacent_floats(self, monkeypatch):
@@ -692,7 +702,7 @@ class TestSweepFig2:
 
         monkeypatch.setattr(threshold, "_fig2_rates", recorded_kernel)
         monkeypatch.setattr(threshold, "rate_sixstate_separate", recorded_probe)
-        curve, other = sweep_fig2([0.0, 0.01], [0.05, 0.1, 0.15, 0.2])
+        curve, other = _curves([0.0, 0.01], (0.05, 0.05, 4))
         assert curve.crossing == 0.5 * (lo + hi)
         assert other.crossing is not None
         # One kernel call per case for the grid, then one scalar probe per round.
