@@ -1,22 +1,27 @@
 #!/usr/bin/env python3
 """Check that two source trees of asymqkd print the same bytes.
 
-    python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
+    python3 scripts/compare_outputs.py [--python PY] PARENT_SRC CHANGE_SRC
 
 Each argument is the ``src`` directory of a checkout (the directory that
-holds the ``asymqkd`` package).  Every argv of ``ARGVS`` goes through
+holds the ``asymqkd`` package); give the same one twice with ``--python``
+to compare one tree across interpreters.  Every argv of ``ARGVS`` goes through
 ``asymqkd.cli.main`` of each tree, once as given and once with ``--out``
 added; the exit code, stdout, stderr and the ``--out`` file must all match.
 An exception other than ``SystemExit`` counts as exit code 1, with its
 type and message as stderr.
 Each tree runs in its own subprocess, which imports the package from that
-tree alone.  Prints ``same`` or ``DIFF`` per argv and exits 1 on any
-difference.  The whole list takes a few seconds per tree.
+tree alone: the parent under this interpreter, the change under ``PY``
+(default: this one too).  An interpreter without numpy passes over the
+``sweep-fig2`` argvs, which need it.  Prints ``same``, ``DIFF`` or ``skip``
+per argv and exits 1 on any difference.  The whole list takes a few
+seconds per tree.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -24,6 +29,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from typing import Optional
 
 _CHANNEL = ["--qx", "0.10", "--qy", "0.03", "--qz", "0.02"]
 _NOISELESS = ["--qx", "0", "--qy", "0", "--qz", "0"]
@@ -163,10 +169,14 @@ def _worker(src: str) -> None:
     package = pathlib.Path(asymqkd.__file__).resolve()
     if pathlib.Path(src).resolve() not in package.parents:
         sys.exit(f"imported {package}, which is not under {src}")
+    has_numpy = importlib.util.find_spec("numpy") is not None
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         out_path = os.path.join(tmp, "out")
         for argv in ARGVS:
+            if argv[0] == "sweep-fig2" and not has_numpy:
+                results.append(None)
+                continue
             plain = _call(main, argv)
             with_out = _call(main, argv + ["--out", out_path])
             with_out["file"] = None  # no file when the argv fails before writing
@@ -178,10 +188,10 @@ def _worker(src: str) -> None:
     json.dump(results, sys.stdout)
 
 
-def _run_tree(src: str) -> list[dict]:
+def _run_tree(src: str, python: str) -> list[Optional[dict]]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     run = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--worker", src],
+        [python, os.path.abspath(__file__), "--worker", src],
         capture_output=True, text=True, env=env, check=False,
     )
     if run.returncode != 0:
@@ -193,17 +203,20 @@ def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--worker":
         _worker(argv[1])
         return 0
+    python = sys.executable
+    if len(argv) == 4 and argv[0] == "--python":
+        python, argv = argv[1], argv[2:]
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    parent, change = (_run_tree(src) for src in argv)
-    differ = 0
+    parent, change = _run_tree(argv[0], sys.executable), _run_tree(argv[1], python)
+    counts = {"same": 0, "DIFF": 0, "skip": 0}
     for args, old, new in zip(ARGVS, parent, change):
-        same = old == new
-        differ += not same
-        print(f"{'same' if same else 'DIFF'}  {' '.join(args)}")
-    print(f"{len(ARGVS) - differ} same, {differ} differ")
-    return 1 if differ else 0
+        verdict = "skip" if old is None or new is None else "same" if old == new else "DIFF"
+        counts[verdict] += 1
+        print(f"{verdict}  {' '.join(args)}")
+    print(f"{counts['same']} same, {counts['DIFF']} differ, {counts['skip']} skipped")
+    return 1 if counts["DIFF"] else 0
 
 
 if __name__ == "__main__":

@@ -96,7 +96,8 @@ class PStepResult(NamedTuple):
 def b_step(rates: PauliRates) -> BStepOutcome:
     """One round of pair-parity rejection on a Bell-diagonal distribution."""
     q_i, q_x, q_y, q_z = rates.as_tuple()
-    d = (q_i + q_z) ** 2 + (q_x + q_y) ** 2
+    u, s = q_i + q_z, q_x + q_y
+    d = u * u + s * s
     out = PauliRates(
         (q_i * q_i + q_z * q_z) / d,
         (q_x * q_x + q_y * q_y) / d,

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .channel import (
@@ -377,13 +376,6 @@ def _shannon4(comps: np.ndarray) -> np.ndarray:
     return 0.0 - terms[0] - terms[1] - terms[2] - terms[3]
 
 
-def _square(a: np.ndarray) -> np.ndarray:
-    """Python's ``a ** 2`` element-wise: libm pow, which differs from a * a."""
-    import numpy as np
-
-    return np.fromiter(map(pow, a.tolist(), repeat(2.0)), float, a.size)
-
-
 def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(one-way, two-way) rates at q_x0 = q_z0 = (total - q_y0) / 2 for each total.
 
@@ -404,7 +396,8 @@ def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray
     one_way = 1.0 - _shannon4(rates)
     q_i, q_x, q_y, q_z = _renormalized(rates[list(_SEEN_AS[Basis.Y])])
     # b_step, then modified_rate_one_bstep.
-    d = _square(q_i + q_z) + _square(q_x + q_y)
+    u, s = q_i + q_z, q_x + q_y
+    d = u * u + s * s
     out = _renormalized(np.array([
         q_i * q_i + q_z * q_z, q_x * q_x + q_y * q_y, 2.0 * q_x * q_y, 2.0 * q_i * q_z,
     ]) / d)
