@@ -23,10 +23,9 @@ feasible side by round-off.
 
 ``sweep_fig1`` yields both two-way thresholds across channel shapes a
 row at a time; ``fig2_blocks`` the one-way six-state and one-rejection
-two-way rates against total noise, block by block, with the noise at
-which two-way overtakes one-way.  Their grids are progressions
-(lo, step, count) whose points are lo + i * step in floats, so neither
-holds a list of points or rows.
+two-way rates against total noise, block by block from the progression
+(lo, step, count) of totals, with the noise at which two-way overtakes
+one-way.  Neither holds a list of points or rows.
 """
 
 from __future__ import annotations
