@@ -114,6 +114,9 @@ ARGVS = [
     ["sweep-fig2", "--cases", "0.0,0.005,0.01,0.02,0.3,0.7", "--grid", "0.0137:1.02:0.000131"],
     # Totals below 0 and past 1; negative rates, and rates below 1e-4 in exponent form.
     ["sweep-fig2", "--cases", "0.0,0.5,1.0", "--grid=-0.05:1.05:0.0007"],
+    # Totals 2^-7 .. 2^-1 among the multiples of 2^-7: significand 2^52, the
+    # irregular interval, in the band formatted without repr.
+    ["sweep-fig2", "--cases", "0.0,0.01", "--grid", "0:0.5:0.0078125"],
     ["sweep-fig2", "--cases", "0.0", "--grid", "0:1e-300:1e-301"],  # tiny totals
     ["sweep-fig2", "--cases", "0.0", "--grid", "0:1e20:1e18"],  # huge totals, in exponent form
     # Cases outside [0, 1] (exit 2).

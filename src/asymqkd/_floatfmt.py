@@ -3,13 +3,16 @@
 ``write_reprs(x, out)`` writes the ``repr`` of each element of ``x`` into a
 row of ``out``, padded with NUL bytes.  On the band 1e-4 <= |x| < 1, where
 key rates mostly fall, ``repr`` prints a sign, ``0.`` and the shortest
-round-trip digits f of x = f · 10^e, zero-filled to -e places, without
-trailing zeros.  Those digits are computed for the whole array at once by
-Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020),
-which needs only 64-bit integer arithmetic: here on ``uint64`` arrays, with
-64 × 64 → 128-bit products taken in 32-bit limbs.  Every element outside
-the band (NaN, ±inf, zeros, |x| >= 1, |x| < 1e-4) is written with ``repr``
-itself.
+round-trip digits f of x = f · 10^-m, zero-filled to m places, without
+trailing zeros.  Those digits are computed for the whole array at once, in
+exact ``uint64`` arithmetic.  On the band x = c · 2^q with c < 2^53 and
+16 <= m <= 20, so x · 10^m = c · 5^m / 2^t with 36 <= t <= 46: each end of
+the rounding interval, times 4 · 10^m, is an integer (4c ± 2) · 5^m of at
+most 102 bits over 2^t.  Its floor, and whether it is exact, come from one
+product split into 32-bit limbs.  The digits chosen between those ends are
+Schubfach's (R. Giulietti, "The Schubfach way to render doubles", 2020).
+Every element outside the band (NaN, ±inf, zeros, |x| >= 1, |x| < 1e-4) is
+written with ``repr`` itself.
 """
 
 from __future__ import annotations
@@ -21,35 +24,22 @@ import numpy as np
 # Longest repr of a float64: '-2.2250738585072014e-308'.
 WIDTH = 24
 
-# On the band x = c · 2^q with 2^52 <= c < 2^53 and -66 <= q <= -53, so
-# Schubfach's k runs from -20 to -16; -k indexes the tables from _K_LO.
-_K_LO, _K_HI = 16, 20
-# Where each kind of quad starts in the table of ``_tables``.
+# 5^m for m = 16 .. 20, the m of the band.
+_POW5 = np.array([5**m for m in range(16, 21)], np.uint64)
+# Where each kind of quad starts in the table of ``_quads``.
 _STRIPPED, _LEAD, _SIGN = 10**4, 2 * 10**4, 2 * 10**4 + 50
 _M32 = np.uint64(2**32 - 1)
-_M63 = np.uint64(2**63 - 1)
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schubfach's g of 10^-k for -k in the band, and the quads of digits.
-
-    With 10^-k = β · 2^r and 2^125 <= β < 2^126, g = floor(β) + 1 is split
-    as g = g1 · 2^63 + g0, and g1 and g0 each into two 32-bit limbs, one
-    column per k; ``flog2`` is floor(log2(10^-k)).  A quad is four ASCII
-    bytes viewed as one ``uint32``:
+def _quads() -> np.ndarray:
+    """The quads of digits: four ASCII bytes viewed as one ``uint32``.
 
     * ``n``: the four digits of n < 10^4;
     * ``_STRIPPED + n``: the same with trailing zeros as NUL (all NUL for 0);
     * ``_LEAD + 10 p + d``: '000' and digit d with the first p bytes NUL;
     * ``_SIGN``, ``_SIGN + 1``: '0.' and '-0.', then NUL.
     """
-    limbs, flog2 = [], []
-    for minus_k in range(_K_LO, _K_HI + 1):
-        power = 10**minus_k
-        flog2.append(power.bit_length() - 1)
-        g = (power << (125 - flog2[-1])) + 1
-        limbs.append([g >> 95, g >> 63 & 0xFFFFFFFF, g >> 32 & 0x7FFFFFFF, g & 0xFFFFFFFF])
     # Built in uint8 and uint16: wider temporaries would raise the peak RSS.
     n = np.arange(10**4, dtype=np.uint16)[:, None]
     digits = (n // np.array([1000, 100, 10, 1], np.uint16) % 10).astype(np.uint8) + ord("0")
@@ -59,53 +49,52 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lead *= np.arange(4) >= np.arange(5)[:, None, None]
     signs = np.array([[0, ord("0"), ord("."), 0], [ord("-"), ord("0"), ord("."), 0]], np.uint8)
     quads = np.concatenate([digits, digits * ~trailing, lead.reshape(50, 4), signs])
-    return (np.array(limbs, np.uint64).T.copy(), np.array(flog2, np.int64),
-            quads.view(np.uint32).ravel())
-
-
-def _mul(a1, a0, b1, b0):
-    """(high, low) 64-bit words of a · b, from the 32-bit limbs of a and b."""
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return high, (mid << 32) | (p00 & _M32)
-
-
-def _rop(g, cp):
-    """floor(g · cp / 2^127), rounded to odd: Giulietti's ``rop``."""
-    g1_hi, g1_lo, g0_hi, g0_lo = g
-    cp_hi, cp_lo = cp >> 32, cp & _M32
-    x1, _ = _mul(g0_hi, g0_lo, cp_hi, cp_lo)
-    y1, y0 = _mul(g1_hi, g1_lo, cp_hi, cp_lo)
-    z = (y0 >> 1) + x1
-    return (y1 + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+    return quads.view(np.uint32).ravel()
 
 
 def _shortest(x):
-    """Schubfach's (f, k), x ≈ f · 10^k, for each x with 1e-4 <= x < 1.
+    """Shortest digits (f, m), x ≈ f · 10^-m, for each x with 1e-4 <= x < 1.
 
-    f < 10^17 may end in zeros, and -20 <= k <= -16.
+    f < 10^17 may end in zeros, and 16 <= m <= 20.  Every operand is
+    ``uint64``: numpy takes ``uint64`` mixed with ``int64`` as ``float64``.
     """
-    limbs, flog2, _ = _tables()
     bits = x.view(np.uint64)
     frac = bits & np.uint64(2**52 - 1)
-    c = frac | np.uint64(2**52)
-    q = (bits >> 52).astype(np.int64) - 1075
-    # At c = 2^52 the lower neighbour is half as far: the interval is
-    # irregular and k = floor(log10(3/4 · 2^q)), not floor(log10(2^q)).
-    irregular = frac == 0
-    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    row = -k - _K_LO
-    g = limbs[:, row]
-    h = (q + flog2[row] + 2).astype(np.uint64)
-    cb = c << np.uint64(2)
-    vb = _rop(g, cb << h)
-    odd = c & np.uint64(1)  # an odd c excludes the interval's ends
-    lower = _rop(g, (cb - np.uint64(2) + irregular) << h) + odd
-    upper = _rop(g, (cb + np.uint64(2)) << h) - odd
+    e = bits >> 52  # x = c · 2^q with c = 2^52 + frac and q = e - 1075
+    # m = -floor(log10(2^q)), a ceiling in fixed point: log10(2) is about
+    # 661_971_961_083 / 2^41.  At c = 2^52 the lower neighbour is half as far:
+    # the interval is irregular and m = -floor(log10(3/4 · 2^q)), more by
+    # log10(4/3), about 274_743_187_321 / 2^41.  ``row`` is m - 16.
+    irregular = (frac - np.uint64(1)) >> 63  # 1 at frac = 0, else 0
+    log10_2, log10_4_3 = 661_971_961_083, 274_743_187_321
+    row = (np.uint64(1075 * log10_2 + 2**41 - 1 - 16 * 2**41) - e * np.uint64(log10_2)
+           + irregular * np.uint64(log10_4_3)) >> 41
+    p = _POW5[row.view(np.int64)]
+    t = np.uint64(1059) - e - row
+    # The lower end, x and the upper end of the rounding interval, times
+    # 4 · 10^m, are (a + j) · p / 2^t with a = 4c - 2 and j = 0 (1 at an
+    # irregular c), 2 and 4.  a · p / 2^t = whole + part / 2^t.
+    a = (frac << 2) + np.uint64(2**54 - 2)
+    a1, a0, p1, p0 = a >> 32, a & _M32, p >> 32, p & _M32
+    low = a0 * p0
+    cross = a1 * p0 + a0 * p1 + (low >> 32)
+    whole = ((a1 * p1) << (np.uint64(64) - t)) + (cross >> (t - np.uint64(32)))
+    mask = (np.uint64(1) << t) - np.uint64(1)
+    part = a * p & mask  # the product wraps modulo 2^64
+
+    def round_to_odd(d):
+        """floor((a · p + d) / 2^t), with its last bit set if the division is inexact."""
+        y = part + d
+        return (whole + (y >> t)) | (((y & mask) + mask) >> t)
+
+    # The ends are never candidates, which Schubfach excludes at an odd c:
+    # 2^t does not divide their numerators 2 (2c ± 1) · 5^m or (4c - 1) · 5^m.
+    vb = round_to_odd(p << 1)
+    lower = round_to_odd(irregular * p)
+    upper = round_to_odd(p << 2)
     s = vb >> 2
-    # At most one multiple of 10^(k+1) lies in the interval; if one does,
-    # it has fewer digits than any multiple of 10^k.
+    # At most one multiple of 10^(1-m) lies in the interval; if one does,
+    # it has fewer digits than any multiple of 10^-m.
     sp10 = s // np.uint64(10) * np.uint64(10)
     up_in = lower <= sp10 << 2
     wp_in = (sp10 + np.uint64(10)) << 2 <= upper
@@ -115,36 +104,41 @@ def _shortest(x):
     closer_up = (vb > mid) | ((vb == mid) & (s & np.uint64(1)).astype(bool))
     f = np.where(up_in != wp_in, sp10 + np.uint64(10) * wp_in,
                  s + np.where(u_in != w_in, w_in, closer_up))
-    return f, k
+    return f, row.view(np.int64) + 16
 
 
 def write_reprs(x: np.ndarray, out: np.ndarray) -> None:
     """Write ``repr`` of each float of ``x`` into the same row of ``out``.
 
     ``x`` is a float64 array and ``out`` a ``(len(x), WIDTH)`` ``uint8``
-    array or view.  Each row gets the ASCII bytes of the repr, in order,
-    with NUL bytes among them: dropping the NULs leaves the repr.
+    array or view whose rows are contiguous.  Each row gets the ASCII bytes
+    of the repr, in order, with NUL bytes among them: dropping the NULs
+    leaves the repr.
     """
     mag = np.abs(x)
     fast = (mag >= 1e-4) & (mag < 1.0)  # NaN is outside
-    f, k = _shortest(np.where(fast, mag, 0.5))
-    # The -k places after '0.' are the last -k of the 20 digits of f (the
+    f, m = _shortest(np.where(fast, mag, 0.5))
+    # The m places after '0.' are the last m of the 20 digits of f (the
     # first three are zeros, as f < 10^17), in quads: the lead quad has NUL
     # in its places before them, and each quad with only zeros after it is
     # stripped of its trailing zeros.
-    quads = np.empty((len(x), 6), np.intp)
-    quads[:, 0] = _SIGN + np.signbit(x)
-    high, low = np.divmod(f.view(np.int64), 10**8)
-    first, rest = np.divmod(high, 10**8)
-    quads[:, 1] = _LEAD + 10 * (20 + k) + first
-    quads[:, 2], quads[:, 3] = np.divmod(rest, 10**4)
-    quads[:, 4], quads[:, 5] = np.divmod(low, 10**4)
-    zeros_after = quads[:, 3:] == 0
-    zeros_after[:, 1] &= zeros_after[:, 2]
-    zeros_after[:, 0] &= zeros_after[:, 1]
-    quads[:, 2:5] += _STRIPPED * zeros_after
-    quads[:, 5] += _STRIPPED
-    out[...] = _tables()[2][quads].view(np.uint8)
+    quads = np.empty((6, len(x)), np.intp)
+    f = f.view(np.int64)
+    high = f // 10**8
+    low = f - high * 10**8
+    first = high // 10**8
+    rest = high - first * 10**8
+    quads[0] = _SIGN + np.signbit(x)
+    quads[1] = _LEAD + 10 * (20 - m) + first
+    for row, value in (2, rest), (4, low):
+        np.floor_divide(value, 10**4, out=quads[row])
+        np.subtract(value, quads[row] * 10**4, out=quads[row + 1])
+    zeros_after = quads[5] == 0
+    quads[5] += _STRIPPED
+    for row in 4, 3, 2:
+        quads[row] += _STRIPPED * zeros_after
+        zeros_after &= quads[row] == _STRIPPED
+    out.view(np.uint32).T[...] = _quads()[quads]
     slow = np.flatnonzero(~fast)
     out[slow] = np.array([repr(v) for v in x[slow].tolist()], f"S{WIDTH}").view(
         np.uint8).reshape(-1, WIDTH)

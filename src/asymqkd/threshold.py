@@ -426,11 +426,16 @@ def fig2_blocks(cases: Sequence[float], grid: tuple[float, float, int],
     the first pair of consecutive such points, across block edges too,
     where two-way - one-way turns from <= 0 to > 0, bisected to adjacent
     floats by scalar probes.  An empty grid gives one empty block a case.
-    Raises ``ValueError`` for a case outside [0, 1] when called.
+    Raises ``ValueError`` when called for a case outside [0, 1], a grid
+    count that is not an int >= 0 or ``block_rows`` that is not an int >= 1.
     """
     for q_y0 in cases:
         if not 0.0 <= q_y0 <= 1.0:  # also rejects nan
             raise ValueError(f"q_y0={q_y0!r} outside [0, 1]")
+    if not isinstance(grid[2], int) or grid[2] < 0:
+        raise ValueError(f"grid count {grid[2]!r} is not an int >= 0")
+    if not isinstance(block_rows, int) or block_rows < 1:
+        raise ValueError(f"block_rows={block_rows!r} is not an int >= 1")
     import numpy as np
 
     def blocks(q_y0: float) -> Iterator[Fig2Curve]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymqkd._floatfmt import WIDTH, write_reprs
+from asymqkd._floatfmt import WIDTH, _shortest, write_reprs
 
 ONE_E_MINUS_4 = 1e-4
 
@@ -66,3 +66,32 @@ def test_edge_values():
     assert got == list(map(repr, values))
     assert "0.0001" in got and "9.999999999999999e-05" in got and "-0.9999999999999999" in got
     assert "0.12500381469726562" in got
+
+
+def test_band_by_binade():
+    # Every binade 2^e <= x < 2^(e+1) of the band, the lowest clipped at
+    # 1e-4: its first two significands c (x = c · 2^(e-52)), the last, and
+    # random odd and even ones.  Together they reach every shift t and
+    # every m of x · 10^m = c · 5^m / 2^t.
+    rng = np.random.default_rng(20040406)
+    values, shifts, places = [], set(), set()
+    for e in range(-14, 0):
+        lo = max(2**52, math.ceil(ONE_E_MINUS_4 * 2.0 ** (52 - e)))
+        c = np.concatenate([[lo, lo + 1, 2**53 - 1], rng.integers(lo, 2**53, 200) | 1,
+                            rng.integers(lo + 1, 2**53, 200) & ~1])
+        x = np.ldexp(c.astype(float), e - 52)
+        assert ((x >= ONE_E_MINUS_4) & (x < 1.0)).all()
+        _, m = _shortest(x)
+        places.update(m.tolist())
+        shifts.update((52 - e - m).tolist())
+        values += x.tolist()
+    assert places == set(range(16, 21)) and shifts == set(range(36, 47))
+    values += [-v for v in values]
+    assert reprs(values) == list(map(repr, values))
+
+
+def test_empty_array_writes_no_byte():
+    wide = np.full((2, WIDTH + 9), ord("#"), np.uint8)
+    write_reprs(np.empty(0), wide[:0, 5:5 + WIDTH])
+    assert (wide == ord("#")).all()
+    assert reprs([]) == []

@@ -661,6 +661,22 @@ class TestSweepFig2:
         with pytest.raises(ValueError, match=re.escape(f"q_y0={q_y0!r} outside [0, 1]")):
             fig2_blocks([0.0, q_y0], (0.05, 0.05, 2), threshold._FIG2_BLOCK_ROWS)
 
+    @pytest.mark.parametrize("grid, block_rows, message", [
+        ((0.05, 0.05, 2), 0, "block_rows=0 is not an int >= 1"),
+        ((0.05, 0.05, 2), -1, "block_rows=-1 is not an int >= 1"),
+        ((0.05, 0.05, 2), 2.0, "block_rows=2.0 is not an int >= 1"),
+        ((0.05, 0.05, -2), 4096, "grid count -2 is not an int >= 0"),
+        ((0.05, 0.05, 3.5), 4096, "grid count 3.5 is not an int >= 0"),
+    ], ids=["rows-0", "rows-negative", "rows-float", "count-negative", "count-float"])
+    def test_bad_grid_count_or_block_rows_are_rejected_first(self, monkeypatch, grid, block_rows,
+                                                              message):
+        def no_work(*args):
+            raise AssertionError("evaluated a curve before checking the grid and block size")
+
+        monkeypatch.setattr(threshold, "_fig2_rates", no_work)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fig2_blocks([0.0, 0.01], grid, block_rows)
+
     def test_curves_are_nan_outside_the_simplex(self):
         # Totals 0, 0.01, ..., 1.01: points 2 and 100 are exactly 0.02 and 1.0.
         zero, high = _curves([0.0, 0.02], (0.0, 0.01, 102))
