@@ -70,7 +70,7 @@ def _shortest(x):
     row = (np.uint64(1075 * log10_2 + 2**41 - 1 - 16 * 2**41) - e * np.uint64(log10_2)
            + irregular * np.uint64(log10_4_3)) >> 41
     p = _POW5[row.view(np.int64)]
-    t = np.uint64(1059) - e - row
+    t = np.uint64(1059) - e - row  # -q - m
     # The lower end, x and the upper end of the rounding interval, times
     # 4 · 10^m, are (a + j) · p / 2^t with a = 4c - 2 and j = 0 (1 at an
     # irregular c), 2 and 4.  a · p / 2^t = whole + part / 2^t.
