@@ -126,6 +126,12 @@ ARGVS = [
     # Four distinct nonzero components: the mixed six-state rate reads the X and Y relabellings.
     ["rates", "--qx", "0.10", "--qy", "0.03", "--qz", "0.02"],
     ["rates", "--family-ratio", "0.3", "--scale", "0.2"],
+    # Family channels, each error component the exact ray's correctly rounded.
+    ["rates", "--family-ratio", "1.0", "--scale", "0.3"],
+    ["rates", "--family-ratio", "1.617041888556059", "--scale", "0.7851612110506287"],
+    ["simulate", "--family-ratio", "0.26557031278685206", "--scale", "0.031395679761311475",
+     "--n", "20000", "--seed", "1"],
+    ["threshold", "--variant", "single-basis", "--family-ratio", "0.05"],
     # Symmetric channels: rate pairs tied in exact arithmetic, apart by round-off in floats.
     ["rates", "--qx", "0.042", "--qy", "0.042", "--qz", "0.042"],
     ["rates", "--qx", "0.062", "--qy", "0.062", "--qz", "0.062"],

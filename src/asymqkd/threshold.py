@@ -16,10 +16,7 @@ limit m, k -> infinity), so a threshold does not depend on a
 residual-error target or on search caps.  Along a ray that criterion is a quadratic in S, so a two-way
 threshold is its smaller root r1, computed in integers on the exact ray
 of the family's inputs, correctly rounded and bracketed by the floats
-next to it.  ``is_distillable`` judges a channel as built in floats;
-``ChannelFamily`` keeps its direction from summing below one, so where a
-ray meets the boundary at S = 1/2 the channel built there is not on the
-feasible side by round-off.
+next to it.
 
 ``sweep_fig1`` yields both two-way thresholds across channel shapes a
 row at a time; ``fig2_blocks`` the one-way six-state and one-rejection
@@ -66,28 +63,24 @@ class NonMonotoneFamilyError(Exception):
 
 
 class ChannelFamily(_Frozen):
-    """Ray of channels: error components = scale * direction.
+    """Ray of channels: error components = scale * weights / sum(weights).
 
-    ``direction`` is normalized to sum to one so ``scale`` equals the total
-    noise q_x + q_y + q_z.  The identity component 1 - scale stays
-    nonnegative for scale <= 1, which is the full usable range.
+    ``weights`` is the exact ray, the inputs as coprime integers, so
+    ``scale`` is the total noise q_x + q_y + q_z, and the identity component
+    1 - scale stays nonnegative for scale <= 1, the full usable range.
+    Two-way thresholds read ``weights``.  ``rates_at`` rounds each error
+    component of the exact ray correctly, so its float channels lean
+    neither to more nor to less noise; ``PauliRates`` then divides them by
+    their float sum.  Round-off can still put the channel at either end of
+    a two-way bracket on the other side of the root: of 12,075 brackets on
+    7,022 rays, ``rates_at(bracket.low)`` was judged infeasible in 31 and
+    ``rates_at(bracket.high)`` feasible in 194.
 
-    Dividing by the total rounds each component, and the three floats can
-    sum to just below one.  The channel at ``scale`` would then carry less
-    than ``scale`` of noise, and the Y-basis ray with d_y = 0, whose
-    boundary lies at exactly S = 1/2, would be judged feasible there.  So
-    the largest components, all of them where several tie, are raised a
-    float at a time until the exact sum is at least one; a family from
-    ``from_y_ratio`` keeps q_x = q_z.
-
-    ``weights`` is the exact ray, the inputs as coprime integers: two-way
-    thresholds use it, ``rates_at`` builds float channels from ``direction``.
-    Equality and the hash cover ``weights`` too; repr shows ``direction``.
+    Equality and the hash cover ``weights``, and repr shows them;
+    ``ChannelFamily(f.weights) == f`` where each weight is a float.
     """
 
-    __slots__ = ("direction", "weights")
-    _fields = ("direction",)
-    direction: tuple[float, float, float]
+    __slots__ = _fields = ("weights",)
     weights: tuple[int, int, int]
 
     def __init__(self, direction: tuple[float, float, float]) -> None:
@@ -95,19 +88,11 @@ class ChannelFamily(_Frozen):
         # One chained comparison rejects NaN, infinities and negatives, not -0.0.
         if len(d) != 3 or not all([0.0 <= c < math.inf for c in d]):
             raise ValueError(f"direction must be three finite nonnegative components, got {d}")
-        x, y, z = d
-        total = 0.0 + x + y + z  # what sum() gave before Python 3.12, which compensates
-        if not 0.0 < total < math.inf:  # an infinite total would zero every component
-            raise ValueError(f"direction must have a positive finite total weight, got {total}")
         w_x, w_y, w_z = _dyadic_numerators(d)
         divisor = math.gcd(w_x, w_y, w_z)
+        if not divisor:
+            raise ValueError("direction must have a positive finite total weight, got 0.0")
         object.__setattr__(self, "weights", (w_x // divisor, w_y // divisor, w_z // divisor))
-        direction = (x / total, y / total, z / total)
-        # fsum is correctly rounded, so its sign is the sign of the exact sum.
-        while math.fsum((*direction, -1.0)) < 0.0:
-            largest = max(direction)
-            direction = tuple(math.nextafter(c, 2.0) if c == largest else c for c in direction)
-        object.__setattr__(self, "direction", direction)
 
     @classmethod
     def from_y_ratio(cls, ratio: float) -> "ChannelFamily":
@@ -116,11 +101,17 @@ class ChannelFamily(_Frozen):
             raise ValueError(f"ratio must be nonnegative, got {ratio}")
         return cls((1.0, ratio, 1.0))
 
+    def _errors_at(self, scale: float) -> tuple[float, float, float]:
+        """(q_x, q_y, q_z) = scale * weights / sum(weights), each correctly rounded."""
+        w_x, w_y, w_z = self.weights
+        n, d = scale.as_integer_ratio()
+        d *= w_x + w_y + w_z
+        return n * w_x / d, n * w_y / d, n * w_z / d  # int / int division is correctly rounded
+
     def rates_at(self, scale: float) -> PauliRates:
         if not 0.0 <= scale <= 1.0:
             raise ValueError(f"scale={scale!r} outside [0, 1.0]")
-        d_x, d_y, d_z = self.direction
-        return PauliRates(1.0 - scale, scale * d_x, scale * d_y, scale * d_z)
+        return PauliRates(1.0 - scale, *self._errors_at(scale))
 
 
 def _effective(rates: PauliRates, variant: ProtocolVariant) -> PauliRates:
@@ -164,9 +155,12 @@ class ThresholdResult(NamedTuple):
     floats; for a one-way variant the bracket is two adjacent floats and
     ``threshold`` their midpoint, which rounds to one of them.
 
-    Two-way ends are decided on the exact ray, and round-off can make
-    ``family.rates_at(bracket.low)`` infeasible: step down with
-    ``math.nextafter`` for a channel ``is_distillable`` accepts.
+    Two-way ends are decided on the exact ray.  ``family.rates_at`` rounds
+    each component of that ray correctly, and round-off can still put the
+    float channel at either end on the other side of the root (31 low and
+    194 high ends of 12,075 brackets; see ``ChannelFamily``): step
+    ``bracket.low`` down, or ``bracket.high`` up, with ``math.nextafter``
+    for a channel that ``is_distillable`` judges as the bracket says.
     """
 
     threshold: float
@@ -304,9 +298,7 @@ def sweep_fig1(ratios: Iterable[float]) -> Iterator[Fig1Row]:
         except (NonMonotoneFamilyError, ValueError) as exc:
             yield Fig1Row(ratio, math.nan, math.nan, math.nan, error=str(exc))
             continue
-        # int / int division is correctly rounded.
-        numerator, denominator = thr_y.threshold.as_integer_ratio()
-        q_y0 = numerator * family.weights[1] / (denominator * sum(family.weights))
+        q_y0 = family._errors_at(thr_y.threshold)[1]
         yield Fig1Row(ratio, q_y0, thr_y.threshold, thr_c.threshold)
 
 

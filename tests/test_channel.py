@@ -137,12 +137,11 @@ class TestAveraging:
 @pytest.mark.parametrize("make, field, text", [
     (lambda: PauliRates(0.85, 0.10, 0.03, 0.02), "q_x",
      "PauliRates(q_i=0.85, q_x=0.1, q_y=0.03, q_z=0.02)"),
-    (lambda: ChannelFamily((1.0, 0.5, 1.0)), "direction", "ChannelFamily(direction=(0.4, 0.2, 0.4))"),
-    (lambda: ChannelFamily((1.0, 0.5, 1.0)), "weights", "ChannelFamily(direction=(0.4, 0.2, 0.4))"),
+    (lambda: ChannelFamily((1.0, 0.5, 1.0)), "weights", "ChannelFamily(weights=(2, 1, 2))"),
     (lambda: ProtocolParams(n=100), "n",
      "ProtocolParams(n=100, delta=2.0, b_rounds=2, p_group=3, target=0.05, abort_sigma=3.0)"),
     (lambda: EveModel(bases=(Basis.Z,)), "bases", "EveModel(bases=(<Basis.Z: 'Z'>,))"),
-], ids=["PauliRates", "ChannelFamily-direction", "ChannelFamily-weights", "ProtocolParams", "EveModel"])
+], ids=["PauliRates", "ChannelFamily-weights", "ProtocolParams", "EveModel"])
 def test_validated_values_are_immutable(make, field, text):
     value = make()
     before = getattr(value, field)
@@ -159,3 +158,8 @@ def test_validated_values_are_immutable(make, field, text):
 def test_channel_family_takes_no_weights():
     with pytest.raises(TypeError):
         ChannelFamily((1.0, 0.5, 1.0), weights=(2, 1, 2))
+
+
+def test_channel_family_is_rebuilt_from_its_weights():
+    family = ChannelFamily((1.0, 0.5, 1.0))
+    assert ChannelFamily(family.weights) == family

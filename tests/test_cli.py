@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import itertools
 import math
 import os
@@ -161,6 +162,16 @@ SCALAR_ARGVS = [
     (["threshold", "--variant", "ybasis", "--family-ratio", "2.5"], 1),  # re-entrant
     (["sweep-fig1"], 0),
 ]
+
+
+def test_compare_outputs_argvs_parse():
+    # An argv that names a deleted flag fails here, not only when the script runs.
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    compare_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_outputs)
+    for argv in compare_outputs.ARGVS:
+        cli._parser().parse_args(argv)
 
 
 def test_numpy_loads_only_for_the_array_commands(tmp_path):
