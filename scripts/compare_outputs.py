@@ -91,6 +91,10 @@ ARGVS = [
     # Parity groups above the bound of 99 (exit 2).
     _simulate("--n", "1000", "--p-group", "100000001"),
     _simulate("--n", "1000", "--p-group", "101"),
+    # Parity groups that are even or below 1 (exit 2).
+    _simulate("--n", "1000", "--p-group", "4"),
+    _simulate("--n", "1000", "--p-group", "0"),
+    _simulate("--n", "1000", "--p-group", "-3"),
     _simulate("--n", "1000", "--seed", "-1"),  # a negative seed (exit 2)
     # (6 + delta) * n transmitted qubits past 2^63.
     _simulate("--n", "10", "--delta", "1e18", channel=["--qx", "0.1", "--qy", "0", "--qz", "0.02"]),
