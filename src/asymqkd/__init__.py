@@ -12,7 +12,6 @@ from .channel import (
 from .distill import (
     BStepOutcome,
     DistillationTrace,
-    PStepParams,
     PStepResult,
     SearchParams,
     b_step,
@@ -32,11 +31,9 @@ from .keyrates import (
     shannon4,
 )
 from .sim import (
-    ComparisonVerdict,
     EveModel,
     ProtocolParams,
     SimReport,
-    compare_analytic,
     run_protocol,
 )
 from .threshold import (
@@ -58,14 +55,12 @@ __all__ = [
     "Basis",
     "BStepOutcome",
     "ChannelFamily",
-    "ComparisonVerdict",
     "DistillationTrace",
     "EveModel",
     "Fig1Row",
     "Fig2Curve",
     "FlipRates",
     "NonMonotoneFamilyError",
-    "PStepParams",
     "PStepResult",
     "PauliRates",
     "ProtocolParams",
@@ -76,7 +71,6 @@ __all__ = [
     "average_over_mixture",
     "b_step",
     "binary_entropy",
-    "compare_analytic",
     "conjugate",
     "distill_schedule",
     "distillable_in_limit",

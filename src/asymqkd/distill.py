@@ -42,7 +42,10 @@ def parity_bit_error(p_x: float, k: int) -> float:
 
 
 def _group_size(k: int) -> int:
-    """k as an ``int`` if it is an odd integer >= 1, else ``ValueError``; a bool is no integer."""
+    """k as an ``int`` if it is an odd integer >= 1, else ``ValueError``; a bool is no integer.
+
+    Odd, so a majority vote over a parity group has no ties.
+    """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1 or k % 2 == 0:
         raise ValueError(f"parity group size must be odd and >= 1, got {k!r}")
     return int(k)
@@ -54,7 +57,7 @@ def majority_phase_error(p_z: float, k: int) -> float:
     Each term is exp of a sum of ``math.lgamma`` values and logarithms, so
     large k neither overflows nor loses the tiny tails; the terms are added
     by ``math.fsum``.  The result depends on (p_z, k) alone.  Raises
-    ``ValueError`` for a NaN p_z and for a k that ``PStepParams`` rejects.
+    ``ValueError`` for a NaN p_z and for a k that ``_group_size`` rejects.
     """
     k = _group_size(k)
     if p_z != p_z:
@@ -77,16 +80,6 @@ class BStepOutcome(NamedTuple):
     survival: float
 
 
-class PStepParams(_Frozen):
-    """Parity group size: an odd integer >= 1, stored as ``int``, so majority votes have no ties."""
-
-    __slots__ = _fields = ("k",)
-    k: int
-
-    def __init__(self, k: int) -> None:
-        object.__setattr__(self, "k", _group_size(k))
-
-
 class PStepResult(NamedTuple):
     k: int
     p_x: float
@@ -107,15 +100,13 @@ def b_step(rates: PauliRates) -> BStepOutcome:
     return BStepOutcome(rates_out=out, survival=0.5 * d)
 
 
-def p_step(flips: FlipRates, params: PStepParams) -> FlipRates:
-    """Marginal flip rates of group parities; k = 1 is the identity."""
+def p_step(flips: FlipRates, k: int) -> FlipRates:
+    """Marginal flip rates of parities of groups of k, an odd integer >= 1; k = 1 is the identity."""
+    k = _group_size(k)
     for name, p in (("p_x", flips.p_x), ("p_z", flips.p_z)):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name}={p!r} outside [0, 1]")
-    return FlipRates(
-        p_x=parity_bit_error(flips.p_x, params.k),
-        p_z=majority_phase_error(flips.p_z, params.k),
-    )
+    return FlipRates(p_x=parity_bit_error(flips.p_x, k), p_z=majority_phase_error(flips.p_z, k))
 
 
 def modified_rate_one_bstep(rates: PauliRates) -> float:

@@ -88,7 +88,7 @@ from itertools import accumulate, product
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .channel import _SEEN_AS, Basis, PauliRates, _Frozen, conjugate, flip_rates
-from .distill import PStepParams, b_step, p_step
+from .distill import _group_size, b_step, p_step
 from .keyrates import binary_entropy
 
 if TYPE_CHECKING:
@@ -161,7 +161,7 @@ class ProtocolParams(_Frozen):
             raise ValueError(f"(6 + delta) * n transmitted qubits must be below 2^63 (delta={self.delta!r})")
         if self.b_rounds < 0:
             raise ValueError(f"b_rounds must be >= 0, got {self.b_rounds}")
-        PStepParams(self.p_group)
+        _group_size(self.p_group)
         if self.p_group > _MAX_P_GROUP:
             raise ValueError(f"p_group must be <= {_MAX_P_GROUP}, got {self.p_group}")
         if not 0.0 < self.target < 0.5:  # also rejects nan
@@ -302,58 +302,6 @@ class SimReport(NamedTuple):
                 f"{row.empirical!r},{row.analytic!r},{row.std_error!r}"
             )
         return "\n".join(lines) + "\n"
-
-
-class VerdictRow(NamedTuple):
-    stage: str
-    quantity: str
-    empirical: float
-    analytic: float
-    z: float
-    ok: bool
-
-
-class ComparisonVerdict(NamedTuple):
-    rows: tuple[VerdictRow, ...]
-    z_limit: float
-
-    @property
-    def passed(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-    def to_text(self) -> str:
-        lines = [f"{'stage':<16} {'quantity':<16} {'empirical':>12} {'analytic':>12} {'z':>8}  verdict"]
-        for r in self.rows:
-            lines.append(
-                f"{r.stage:<16} {r.quantity:<16} {r.empirical:>12.6g} "
-                f"{r.analytic:>12.6g} {r.z:>8.2f}  {'ok' if r.ok else 'FAIL'}"
-            )
-        lines.append(f"overall: {'PASS' if self.passed else 'FAIL'} (|z| <= {self.z_limit:g})")
-        return "\n".join(lines) + "\n"
-
-
-def compare_analytic(report: SimReport, z_limit: float = 3.0) -> ComparisonVerdict:
-    """Score every comparison row of a report by its z-value.
-
-    A row passes when |empirical - analytic| <= z_limit * std_error; a zero
-    standard error demands exact agreement.  The verdict is PASS only if
-    every row passes, so a corrupted analytic table cannot slip through.
-    ``z_limit`` must be positive and finite: an infinite one would pass a
-    zero-error row that disagrees.  A bool is no limit.
-    """
-    if isinstance(z_limit, bool) or not 0.0 < z_limit < math.inf:  # also rejects nan
-        raise ValueError(f"z_limit must be positive and finite, got {z_limit!r}")
-    rows = []
-    for row in report.rows:
-        diff = row.empirical - row.analytic
-        if row.std_error > 0.0:
-            z = diff / row.std_error
-        else:
-            z = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-        rows.append(
-            VerdictRow(row.stage, row.quantity, row.empirical, row.analytic, z, abs(z) <= z_limit)
-        )
-    return ComparisonVerdict(rows=tuple(rows), z_limit=z_limit)
 
 
 def _rate_row(stage: str, quantity: str, count: int, empirical: float, analytic: float) -> ComparisonRow:
@@ -733,7 +681,7 @@ def run_protocol(
     length = sum(levels[-1])
     bit_err = bit_errors / groups
     phase_err = phase_errors / groups
-    predicted = p_step(f_now, PStepParams(params.p_group))
+    predicted = p_step(f_now, params.p_group)
     rows.append(_rate_row("key:parity", "bit_error", groups, bit_err, predicted.p_x))
     rows.append(_rate_row("key:parity", "phase_error", groups, phase_err, predicted.p_z))
     stage_counts.append(StageCount("key:parity", length, groups, length - groups))

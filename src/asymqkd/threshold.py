@@ -1,12 +1,13 @@
 """Total-noise thresholds for the protocol variants along channel rays.
 
 A channel family is a ray through the simplex of error distributions:
-a fixed direction (d_x, d_y, d_z), scaled by the total noise S.  For each
-protocol variant, ``is_distillable`` decides whether a secret key is
-obtainable at one point of the ray.  Every ray is feasible on [0, r1) and
-maybe again on (r2, 1], with r1 <= 1/2 <= r2, so ``threshold_total_noise``
-decides S = 1 to tell a ray with one threshold from a re-entrant one,
-which it reports as ``NonMonotoneFamilyError``.
+its exact integer weights (w_x, w_y, w_z), scaled so that the error
+components add up to the total noise S.  For each protocol variant,
+``is_distillable`` decides whether a secret key is obtainable at one
+point of the ray.  Every ray is feasible on [0, r1) and maybe again on
+(r2, 1], with r1 <= 1/2 <= r2, so ``threshold_total_noise`` decides
+S = 1 to tell a ray with one threshold from a re-entrant one, which it
+reports as ``NonMonotoneFamilyError``.
 
 One-way variants are feasible where their key rate is positive; their
 threshold is bisected on [0, 1/2] to adjacent floats.  Two-way variants
@@ -76,15 +77,16 @@ class ChannelFamily(_Frozen):
     7,022 rays, ``rates_at(bracket.low)`` was judged infeasible in 31 and
     ``rates_at(bracket.high)`` feasible in 194.
 
-    Equality and the hash cover ``weights``, and repr shows them;
-    ``ChannelFamily(f.weights) == f`` where each weight is a float.
+    Equality and the hash cover ``weights``, and repr shows them:
+    ``eval(repr(f)) == f`` and ``ChannelFamily(f.weights) == f`` where each
+    weight fits in a float.
     """
 
     __slots__ = _fields = ("weights",)
     weights: tuple[int, int, int]
 
-    def __init__(self, direction: tuple[float, float, float]) -> None:
-        d = tuple(map(float, direction))
+    def __init__(self, weights: tuple[float, float, float]) -> None:
+        d = tuple(map(float, weights))
         # One chained comparison rejects NaN, infinities and negatives, not -0.0.
         if len(d) != 3 or not all([0.0 <= c < math.inf for c in d]):
             raise ValueError(f"direction must be three finite nonnegative components, got {d}")

@@ -42,6 +42,9 @@ distribution; the per-qubit path, which flags each qubit by its own Pauli
 and applies each attack on its own, is what checks the package's
 per-basis law.
 
+``z_scores`` scores a report against its own analytic predictions: a
+z-value per comparison row, for the acceptance checks on ``|z|``.
+
 ``fold_key`` is the reference for the key stage: rejection rounds and
 parity groups folded over the key's flags in arrival order.
 ``drawn_key_fold`` folds n flags drawn one by one from a law, and
@@ -71,7 +74,7 @@ import numpy as np
 
 import asymqkd
 from asymqkd.channel import Basis, PauliRates, conjugate, flip_rates
-from asymqkd.distill import PStepParams, b_step, modified_rate_one_bstep, p_step
+from asymqkd.distill import b_step, modified_rate_one_bstep, p_step
 from asymqkd.keyrates import binary_entropy, rate_sixstate_separate
 from asymqkd.sim import (
     _ABORT_CEILING,
@@ -509,7 +512,7 @@ def per_qubit_report(channel, params, seed, eve=None):
     length = sum(levels[-1])
     bit_err = bit_errors / groups
     phase_err = phase_errors / groups
-    predicted = p_step(f_now, PStepParams(params.p_group))
+    predicted = p_step(f_now, params.p_group)
     rows.append(_rate_row("key:parity", "bit_error", groups, bit_err, predicted.p_x))
     rows.append(_rate_row("key:parity", "phase_error", groups, phase_err, predicted.p_z))
     stage_counts.append(StageCount("key:parity", length, groups, length - groups))
@@ -522,6 +525,23 @@ def per_qubit_report(channel, params, seed, eve=None):
         "goal_met": bit_err < params.target and phase_err < params.target,
     }
     return finish(None, extra)
+
+
+def z_scores(report):
+    """(stage, quantity) -> (empirical - analytic) / std_error of each row of ``report``.
+
+    A zero standard error demands exact agreement: z is 0 where the two are
+    equal and an infinity of the difference's sign where they are not.
+    """
+    scores = {}
+    for row in report.rows:
+        diff = row.empirical - row.analytic
+        if row.std_error > 0.0:
+            z = diff / row.std_error
+        else:
+            z = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+        scores[row.stage, row.quantity] = z
+    return scores
 
 
 def _tally(flags):

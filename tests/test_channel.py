@@ -134,15 +134,16 @@ class TestAveraging:
             )
 
 
-@pytest.mark.parametrize("make, field, text", [
+@pytest.mark.parametrize("make, field, text, evaluates", [
     (lambda: PauliRates(0.85, 0.10, 0.03, 0.02), "q_x",
-     "PauliRates(q_i=0.85, q_x=0.1, q_y=0.03, q_z=0.02)"),
-    (lambda: ChannelFamily((1.0, 0.5, 1.0)), "weights", "ChannelFamily(weights=(2, 1, 2))"),
+     "PauliRates(q_i=0.85, q_x=0.1, q_y=0.03, q_z=0.02)", True),
+    (lambda: ChannelFamily((1.0, 0.5, 1.0)), "weights", "ChannelFamily(weights=(2, 1, 2))", True),
     (lambda: ProtocolParams(n=100), "n",
-     "ProtocolParams(n=100, delta=2.0, b_rounds=2, p_group=3, target=0.05, abort_sigma=3.0)"),
-    (lambda: EveModel(bases=(Basis.Z,)), "bases", "EveModel(bases=(<Basis.Z: 'Z'>,))"),
+     "ProtocolParams(n=100, delta=2.0, b_rounds=2, p_group=3, target=0.05, abort_sigma=3.0)", True),
+    # An enum member's repr is not an expression.
+    (lambda: EveModel(bases=(Basis.Z,)), "bases", "EveModel(bases=(<Basis.Z: 'Z'>,))", False),
 ], ids=["PauliRates", "ChannelFamily-weights", "ProtocolParams", "EveModel"])
-def test_validated_values_are_immutable(make, field, text):
+def test_validated_values_are_immutable(make, field, text, evaluates):
     value = make()
     before = getattr(value, field)
     with pytest.raises(AttributeError):
@@ -153,6 +154,8 @@ def test_validated_values_are_immutable(make, field, text):
     assert value == make() and hash(value) == hash(make())
     assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
     assert repr(value) == text
+    if evaluates:
+        assert eval(text, {type(value).__name__: type(value)}) == value
 
 
 def test_channel_family_takes_no_weights():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from asymqkd.channel import FlipRates, PauliRates, flip_rates
 from asymqkd.distill import (
-    PStepParams,
     SearchParams,
+    _group_size,
     _rejection_rounds,
     _smallest_majority_k,
     b_step,
@@ -23,6 +23,7 @@ from asymqkd.distill import (
     parity_bit_error,
 )
 from asymqkd.keyrates import shannon4
+from asymqkd.sim import ProtocolParams
 
 from oracles import (
     enumerate_majority_error,
@@ -121,7 +122,7 @@ class TestPStep:
         draws = [(p, q) for p in fixed for q in fixed]
         draws += [(rng.random(), rng.random()) for _ in range(25)]
         for p_x, p_z in draws:
-            result = p_step(FlipRates(p_x, p_z), PStepParams(k))
+            result = p_step(FlipRates(p_x, p_z), k)
             assert result.p_x == pytest.approx(
                 enumerate_parity_bit_error(p_x, k), abs=1e-12
             )
@@ -130,27 +131,40 @@ class TestPStep:
             )
 
     def test_k_one_is_identity(self):
-        result = p_step(FlipRates(0.12, 0.34), PStepParams(1))
+        result = p_step(FlipRates(0.12, 0.34), 1)
         assert (result.p_x, result.p_z) == pytest.approx((0.12, 0.34))
 
     def test_even_k_rejected(self):
         with pytest.raises(ValueError):
-            PStepParams(4)
+            p_step(FlipRates(0.12, 0.34), 4)
 
     def test_nonpositive_k_rejected(self):
         with pytest.raises(ValueError):
-            PStepParams(-3)
+            p_step(FlipRates(0.12, 0.34), -3)
 
     @pytest.mark.parametrize("k", [4, 0, -1, True, False, 2.5, 3.0, "3", None])
     def test_group_size_is_an_odd_int_for_both(self, k):
         # A bool is no group size; an even k would count ties as failures.
-        for use in (PStepParams, lambda k: majority_phase_error(0.3, k)):
+        for use in (lambda k: p_step(FlipRates(0.12, 0.34), k),
+                    lambda k: majority_phase_error(0.3, k)):
             with pytest.raises(ValueError, match=re.escape(f"got {k!r}")):
                 use(k)
 
     def test_group_size_is_stored_as_int(self):
-        k = PStepParams(np.int64(3)).k
+        k = _group_size(np.int64(3))
         assert type(k) is int and k == 3
+
+    @pytest.mark.parametrize("use", [
+        lambda k: p_step(FlipRates(0.12, 0.34), k),
+        lambda k: ProtocolParams(n=100, p_group=k).p_group,
+    ], ids=["p_step", "ProtocolParams"])
+    def test_p_step_and_the_simulator_take_the_same_group_sizes(self, use):
+        for k in (4, 0, -3, True, 3.0):
+            with pytest.raises(ValueError, match=re.escape(f"got {k!r}")):
+                use(k)
+        # An integer of another type counts as the int: same value, same repr.
+        got, want = use(np.int64(3)), use(3)
+        assert got == want and repr(got) == repr(want)
 
     @pytest.mark.parametrize("k", [1, 3, 99])
     def test_majority_error_rejects_nan(self, k):
@@ -159,7 +173,7 @@ class TestPStep:
 
     def test_flip_rates_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            p_step(FlipRates(1.2, 0.1), PStepParams(3))
+            p_step(FlipRates(1.2, 0.1), 3)
 
     def test_majority_error_decreases_with_k_below_half(self):
         for p_z in (0.05, 0.2, 0.4):

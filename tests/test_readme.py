@@ -11,4 +11,4 @@ def test_python_quick_start_runs():
     section = README.read_text(encoding="utf-8").split("## Python quick start\n", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     out = fresh_interpreter(block)
-    assert "overall: PASS" in out
+    assert "\naborted = false\n" in out

@@ -12,7 +12,7 @@ import pytest
 
 from asymqkd import sim
 from asymqkd.channel import Basis, PauliRates
-from asymqkd.sim import EveModel, ProtocolParams, compare_analytic, run_protocol
+from asymqkd.sim import EveModel, ProtocolParams, run_protocol
 from oracles import (
     BIT_FLAG,
     PHASE_FLAG,
@@ -24,6 +24,7 @@ from oracles import (
     sample_categorical,
     sim_streams,
     transmit,
+    z_scores,
 )
 
 NOISELESS = PauliRates(1.0, 0.0, 0.0, 0.0)
@@ -139,9 +140,9 @@ class TestNoiselessRun:
             if r.quantity in ("bit_error", "phase_error"):
                 assert r.empirical == 0.0
                 assert r.analytic == 0.0
-        verdict = compare_analytic(report)
-        assert verdict.passed
-        assert all(r.z == 0.0 for r in verdict.rows if "error" in r.quantity)
+        z = z_scores(report)
+        assert all(abs(v) <= 3.0 for v in z.values()), z
+        assert all(v == 0.0 for (_, quantity), v in z.items() if "error" in quantity), z
         assert report.final_bit_error == 0.0
         assert report.final_phase_error == 0.0
         assert report.goal_met
@@ -169,8 +170,8 @@ class TestAgainstAnalytics:
             PauliRates(0.85, 0.10, 0.03, 0.02), ProtocolParams(n=200_000), seed=0
         )
         assert not report.aborted
-        verdict = compare_analytic(report)
-        assert verdict.passed, verdict.to_text()
+        z = z_scores(report)
+        assert all(abs(v) <= 3.0 for v in z.values()), z
 
     def test_one_rejection_round_statistics(self):
         rates = PauliRates.from_error_rates(0.05, 0.0, 0.05)
@@ -188,17 +189,7 @@ class TestAgainstAnalytics:
         corrupted = report._replace(
             rows=tuple(r._replace(analytic=r.analytic + 0.02) for r in report.rows)
         )
-        assert not compare_analytic(corrupted).passed
-
-    @pytest.mark.parametrize("z_limit", [math.inf, math.nan, 0.0, -1.0, True])
-    def test_z_limit_must_be_positive_and_finite(self, z_limit):
-        # At inf a disagreeing zero-error row has z = inf and would pass;
-        # at nan every row would fail without saying why; True is no number.
-        report = run_protocol(DEPOLARIZING, ProtocolParams(n=2000), seed=2)
-        rows = (*report.rows, report.rows[0]._replace(analytic=0.5, std_error=0.0))
-        assert not compare_analytic(report._replace(rows=rows)).passed
-        with pytest.raises(ValueError, match="z_limit must be positive and finite"):
-            compare_analytic(report, z_limit=z_limit)
+        assert any(abs(v) > 3.0 for v in z_scores(corrupted).values())
 
 
 class TestConservation:
@@ -323,7 +314,8 @@ class TestAgainstTheInMemoryReport:
             r.count for r in want.rows if r.stage in fixed
         ]
         assert [sc.stage for sc in got.stage_counts] == [sc.stage for sc in want.stage_counts]
-        assert compare_analytic(got).passed, compare_analytic(got).to_text()
+        z = z_scores(got)
+        assert all(abs(v) <= 3.0 for v in z.values()), z
 
 
 def test_peak_allocation_does_not_grow_with_n():
@@ -401,7 +393,8 @@ def test_runs_at_a_trillion_key_bits():
     report = run_protocol(PauliRates(0.85, 0.10, 0.03, 0.02), params, seed=0)
     assert report.n_transmitted == 8 * 10**12
     assert not report.aborted, report.abort_reason
-    assert compare_analytic(report, 5.0).passed, compare_analytic(report, 5.0).to_text()
+    z = z_scores(report)
+    assert all(abs(v) <= 5.0 for v in z.values()), z
 
 
 @pytest.mark.parametrize("law", [(0.4, 0.1, 0.3, 0.2), (0.0, 0.3, 0.0, 0.7)])
