@@ -159,6 +159,7 @@ def test_validated_values_are_immutable(make, field, text, evaluates):
 
 
 def test_channel_family_takes_no_weights():
+    # Besides the ray: that is the one argument, by position or as weights=.
     with pytest.raises(TypeError):
         ChannelFamily((1.0, 0.5, 1.0), weights=(2, 1, 2))
 

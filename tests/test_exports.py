@@ -14,13 +14,9 @@ DELETED = [
 ]
 
 
-def test_every_exported_name_resolves():
-    assert len(set(asymqkd.__all__)) == len(asymqkd.__all__)
-    for name in asymqkd.__all__:
-        assert getattr(asymqkd, name) is not None, name
-
-
 def test_star_import_binds_exactly_the_exported_names():
+    # The import raises on a name of __all__ that does not resolve, and the
+    # sorted lists differ on a name listed twice.
     namespace = {}
     exec("from asymqkd import *", namespace)
     del namespace["__builtins__"]
