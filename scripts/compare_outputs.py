@@ -123,6 +123,10 @@ ARGVS = [
     ["sweep-fig2", "--cases", "0.0,0.01", "--grid", "0:0.5:0.0078125"],
     ["sweep-fig2", "--cases", "0.0", "--grid", "0:1e-300:1e-301"],  # tiny totals
     ["sweep-fig2", "--cases", "0.0", "--grid", "0:1e20:1e18"],  # huge totals, in exponent form
+    # q_y rows of 3 or 4 adjacent floats a block (0.05, 0.2, 0.3, 0.07), a q_y0 on the
+    # grid (a zero in the q_x row), and a subnormal q_y0.
+    ["sweep-fig2", "--cases", "0.05,0.2,0.3,1e-310", "--grid", "0:1:0.001"],
+    ["sweep-fig2", "--cases", "0.07,0.2,0.45,1e-310", "--grid", "0:1:0.0001"],
     # Cases outside [0, 1] (exit 2).
     ["sweep-fig2", "--cases", "0.0,1.5"],
     ["sweep-fig2", "--cases", "nan"],
