@@ -175,7 +175,9 @@ class EveModel(_Frozen):
 
     Each entry of ``bases`` is equally likely, so a repeated basis adds up
     its weight: ``(Z, Z, X)`` measures in Z two times in three.  Any
-    iterable of ``Basis`` members is stored as a tuple.
+    iterable of ``Basis`` members is stored as a tuple.  The repr,
+    ``EveModel(bases=(Basis.Z, Basis.X))``, evaluates where ``EveModel`` and
+    ``Basis`` are in scope.
     """
 
     __slots__ = _fields = ("bases",)
@@ -187,6 +189,11 @@ class EveModel(_Frozen):
             raise ValueError("eavesdropper needs at least one basis")
         if not all(isinstance(b, Basis) for b in self.bases):
             raise ValueError(f"bases must be Basis members, got {self.bases}")
+
+    def __repr__(self) -> str:
+        # A member's own repr, <Basis.Z: 'Z'>, is no expression; its attribute is.
+        names = ", ".join(f"Basis.{b.name}" for b in self.bases)
+        return f"EveModel(bases=({names}{',' * (len(self.bases) == 1)}))"
 
     @property
     def weights(self) -> tuple[float, ...]:

@@ -78,15 +78,15 @@ class ChannelFamily(_Frozen):
     ``rates_at(bracket.high)`` feasible in 194.
 
     Equality and the hash cover ``weights``, and repr shows them:
-    ``eval(repr(f)) == f`` and ``ChannelFamily(f.weights) == f`` where each
-    weight fits in a float.
+    ``eval(repr(f)) == f`` and ``ChannelFamily(f.weights) == f``, as an
+    ``int`` component is taken exactly and any other through ``float``.
     """
 
     __slots__ = _fields = ("weights",)
     weights: tuple[int, int, int]
 
     def __init__(self, weights: tuple[float, float, float]) -> None:
-        d = tuple(map(float, weights))
+        d = tuple(c if isinstance(c, int) else float(c) for c in weights)
         # One chained comparison rejects NaN, infinities and negatives, not -0.0.
         if len(d) != 3 or not all([0.0 <= c < math.inf for c in d]):
             raise ValueError(f"direction must be three finite nonnegative components, got {d}")
@@ -325,19 +325,61 @@ def _renormalized(comps: np.ndarray) -> np.ndarray:
 
     Validates, clips round-off below zero and divides by the sum of the
     clipped rows taken left to right, so each column equals the
-    ``PauliRates`` built from it.
+    ``PauliRates`` built from it.  The checks read min and max reductions,
+    which NaN carries through; an empty block passes them.
     """
     import numpy as np
 
-    if np.isnan(comps).any():
+    low, high = comps.min(initial=math.inf), comps.max(initial=-math.inf)
+    if math.isnan(low):
         raise ValueError("Pauli rates contain NaN")
-    if ((comps < -_NEG_TOL) | (comps > 1.0 + _SUM_TOL)).any():
+    if low < -_NEG_TOL or high > 1.0 + _SUM_TOL:
         raise ValueError("Pauli rates outside [0, 1]")
     total = comps[0] + comps[1] + comps[2] + comps[3]
-    if (np.abs(total - 1.0) > _SUM_TOL).any():
+    if np.abs(total - 1.0).max(initial=0.0) > _SUM_TOL:
         raise ValueError("Pauli rates do not sum to 1")
     kept = np.maximum(comps, 0.0)
     return kept / (kept[0] + kept[1] + kept[2] + kept[3])
+
+
+def _log2s(values: np.ndarray, low: int, high: int) -> np.ndarray:
+    """``math.log2`` of each of ``values``, positive floats with bit patterns in [low, high].
+
+    Positive floats order as their bit patterns, so ``values`` spans
+    high - low + 1 floats; when that is fewer than its entries, they repeat,
+    and their offsets from ``low`` index a table of one logarithm per value
+    present.
+    """
+    import numpy as np
+
+    span = high - low + 1
+    if span >= values.size:
+        return np.fromiter(map(math.log2, memoryview(values)), float, values.size)
+    offsets = values.view(np.int64) - low
+    present = np.zeros(span, bool)
+    present[offsets] = True
+    at = np.flatnonzero(present)
+    table = np.empty(span)
+    table[at] = np.fromiter(map(math.log2, memoryview((at + low).view(float))), float, at.size)
+    return table[offsets]
+
+
+def _entropy_terms(row: np.ndarray) -> np.ndarray:
+    """q·log2(q) for each positive entry q of ``row``, which holds no NaN, and 0.0 for the others."""
+    import numpy as np
+
+    bits = row.view(np.int64)  # the positive floats are the positive patterns
+    high = int(bits.max(initial=0))
+    if high <= 0:
+        return np.zeros(row.shape)
+    low = int(bits.min())
+    if low > 0:  # every entry positive: no mask
+        return row * _log2s(row, low, high)
+    positive = row > 0.0
+    kept = row[positive]
+    terms = np.zeros(row.shape)
+    terms[positive] = kept * _log2s(kept, int(kept.view(np.int64).min()), high)
+    return terms
 
 
 def _shannon4(comps: np.ndarray) -> np.ndarray:
@@ -345,10 +387,13 @@ def _shannon4(comps: np.ndarray) -> np.ndarray:
 
     Each row's terms -q·log2(q) are taken once: a row equal to an earlier
     one (``np.array_equal``) reuses that row's terms, and a row with no
-    positive entry is all zeros.  Both are checked on the values, not
-    assumed from how the rows were built.  The logarithm is ``math.log2``,
-    taken of the positive entries only: np.log2 rounds differently in the
-    last bit.
+    positive entry is all zeros.  Within a row each distinct value takes
+    one logarithm (``_log2s``): the fig2 kernel's q_y row, q_y0 divided by
+    sums next to 1, takes 1 to 4 values a block.  A row with every entry
+    positive is used as it is, without a mask.  All of this is checked on
+    the values, not assumed from how the rows were built.  Rows hold no
+    NaN, which ``_renormalized`` rejects.  The logarithm is ``math.log2``:
+    np.log2 rounds differently in the last bit.
     """
     import numpy as np
 
@@ -359,13 +404,7 @@ def _shannon4(comps: np.ndarray) -> np.ndarray:
                 terms.append(done)
                 break
         else:
-            positive = row > 0.0
-            row_terms = np.zeros(row.shape)
-            if positive.any():
-                kept = row[positive]
-                logs = np.fromiter(map(math.log2, kept.tolist()), float, kept.size)
-                row_terms[positive] = kept * logs
-            terms.append(row_terms)
+            terms.append(_entropy_terms(row))
     return 0.0 - terms[0] - terms[1] - terms[2] - terms[3]
 
 
@@ -378,8 +417,9 @@ def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray
     operations in the same order, on whole arrays, including every
     validation and renormalization of the ``PauliRates`` built on the way.
     These channels have q_x = q_z, and after the B-step the rows x² + y²
-    and 2xy are equal unless their products are subnormal; ``_shannon4``
-    finds the repeated rows and takes their logarithms once.
+    and 2xy are equal unless their products are subnormal, and q_y takes a
+    few values; ``_shannon4`` finds repeated rows and values and takes their
+    logarithms once.
     """
     import numpy as np
 

@@ -129,8 +129,7 @@ class TestChannelFamily:
     def test_weights_are_the_exact_ray(self, raw):
         family = ChannelFamily(raw)
         assert family.weights == exact_ray(raw)
-        if max(family.weights) <= 2**53:  # each weight is a float, exactly
-            assert ChannelFamily(family.weights) == family
+        assert ChannelFamily(family.weights) == family
 
     # Rays with subnormal and huge weights, and scales at zero, subnormal and anywhere in [0, 1].
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -157,6 +156,14 @@ class TestChannelFamily:
     def test_y_ratio_family_keeps_q_x_equal_to_q_z(self, ratio, scale):
         rates = ChannelFamily.from_y_ratio(ratio).rates_at(scale)
         assert rates.q_x == rates.q_z
+
+    @pytest.mark.parametrize("ratio", [1e-300, 5e-324])
+    def test_weights_past_the_float_range_round_trip(self, ratio):
+        # Weights up to (2^1074, 1, 2^1074): each int is taken exactly, not through float().
+        family = ChannelFamily.from_y_ratio(ratio)
+        assert max(family.weights) > 2**1023
+        assert ChannelFamily(family.weights) == family
+        assert eval(repr(family), {"ChannelFamily": ChannelFamily}) == family
 
     def test_components_up_to_the_float_maximum_are_one_ray(self):
         # Their float total would overflow; the exact ray does not.
@@ -768,15 +775,30 @@ _ENTRIES = st.one_of(
 
 
 @st.composite
+def _adjacent_floats(draw):
+    """Up to four adjacent floats, from the subnormals, the normal edge or anywhere in (0, 1]."""
+    low = draw(st.one_of(st.sampled_from([5e-324, 1e-320, 2.2250738585072004e-308]),
+                         st.floats(5e-324, 1.0)))
+    values = [low]
+    for _ in range(draw(st.integers(0, 3))):
+        values.append(math.nextafter(values[-1], 2.0))
+    return values
+
+
+@st.composite
 def _four_rows(draw):
     """(4, n) rows, each fresh, a copy of an earlier row (its zeros maybe
-    negated) or without a positive entry."""
+    negated), without a positive entry, or a few adjacent floats mixed with zeros."""
     n = draw(st.integers(1, 12))
     rows = []
     for _ in range(4):
-        kind = draw(st.sampled_from(["fresh", "copy", "copy, zeros negated", "nonpositive"]))
+        kind = draw(st.sampled_from(["fresh", "copy", "copy, zeros negated", "nonpositive",
+                                     "adjacent"]))
         if kind == "nonpositive":
             rows.append(draw(st.lists(st.sampled_from([0.0, -0.0, -1e-13]), min_size=n, max_size=n)))
+        elif kind == "adjacent":
+            values = draw(_adjacent_floats()) + draw(st.sampled_from([[], [0.0], [0.0, -0.0]]))
+            rows.append(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
         elif kind == "fresh" or not rows:
             rows.append(draw(st.lists(_ENTRIES, min_size=n, max_size=n)))
         else:
@@ -806,3 +828,40 @@ class TestShannon4Rows:
         monkeypatch.setattr(math, "log2", log2)
         assert _bits(_shannon4(comps)) == _bits(want)
         assert calls == [0.5, 0.25, 0.25, 0.5]
+
+    def test_a_row_of_three_adjacent_floats_takes_three_logarithms(self, monkeypatch):
+        calls, real = [], math.log2
+
+        def log2(q):
+            calls.append(q)
+            return real(q)
+
+        values = [0.1, math.nextafter(0.1, 1.0), math.nextafter(math.nextafter(0.1, 1.0), 1.0)]
+        row = np.array(values * 1365 + values[:1])
+        comps = np.array([row, np.zeros(4096), -np.zeros(4096), np.zeros(4096)])
+        want = _plain_shannon4(comps)
+        monkeypatch.setattr(math, "log2", log2)
+        assert _bits(_shannon4(comps)) == _bits(want)
+        assert sorted(calls) == values
+
+
+class TestRenormalized:
+    # Each input also fails every check after its own, so the message shows their order.
+    @pytest.mark.parametrize("comps, message", [
+        ([[math.nan, 2.0], [0.0, -1.0], [0.0, 0.0], [0.0, 0.0]], "Pauli rates contain NaN"),
+        ([[1.0, 2.0], [0.0, -1.0], [0.0, 0.5], [0.0, 0.0]], "Pauli rates outside [0, 1]"),
+        ([[1.0, -2e-12], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "Pauli rates outside [0, 1]"),
+        ([[1.0, 1.0 + 2e-9], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "Pauli rates outside [0, 1]"),
+        ([[1.0, 0.5], [0.0, 0.25], [0.0, 0.25], [0.0, 1e-8]], "Pauli rates do not sum to 1"),
+    ], ids=["nan", "out-of-range", "below-the-clip", "above-one", "bad-sum"])
+    def test_checks_raise_their_messages_in_order(self, comps, message):
+        with pytest.raises(ValueError) as exc:
+            threshold._renormalized(np.array(comps))
+        assert str(exc.value) == message
+
+    def test_round_off_and_an_empty_block_pass(self):
+        # Round-off down to -1e-12 is clipped, as in ``PauliRates``.
+        comps = np.array([[1.0, 0.5], [0.0, 0.25], [0.0, 0.25], [0.0, -1e-12]])
+        assert threshold._renormalized(comps).tolist() == [[1.0, 0.5], [0.0, 0.25], [0.0, 0.25],
+                                                           [0.0, 0.0]]
+        assert threshold._renormalized(np.zeros((4, 0))).shape == (4, 0)
