@@ -127,6 +127,9 @@ ARGVS = [
     # grid (a zero in the q_x row), and a subnormal q_y0.
     ["sweep-fig2", "--cases", "0.05,0.2,0.3,1e-310", "--grid", "0:1:0.001"],
     ["sweep-fig2", "--cases", "0.07,0.2,0.45,1e-310", "--grid", "0:1:0.0001"],
+    # A q_y0 of -0.0 (after "=", or argparse takes it for an option), echoed as given;
+    # its channels store +0.0 and print the rates of 0.0.
+    ["sweep-fig2", "--cases=-0.0,0.0", "--grid", "0:1:0.01"],
     # Cases outside [0, 1] (exit 2).
     ["sweep-fig2", "--cases", "0.0,1.5"],
     ["sweep-fig2", "--cases", "nan"],

@@ -101,8 +101,8 @@ class PauliRates(_Frozen):
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"Pauli rates sum to {total!r}, not 1")
         # Divided by the sum of what is kept, so a clipped component does
-        # not leave the rest summing to more than 1.
-        clipped = [max(float(c), 0.0) for c in comps]
+        # not leave the rest summing to more than 1; max keeps 0.0 over -0.0.
+        clipped = [max(0.0, float(c)) for c in comps]
         kept = clipped[0] + clipped[1] + clipped[2] + clipped[3]
         for name, value in zip(self._fields, clipped):
             object.__setattr__(self, name, value / kept)

@@ -18,8 +18,8 @@ file is self-describing and a rerun with the same flags is byte-identical.
 Numbers are the bytes ``repr`` prints, which keeps golden files exact;
 fractions, never percentages.  A grid is the progression (lo, step, count)
 and no list of it is built: ``sweep-fig1`` writes each row as it comes, and
-``sweep-fig2`` each block of rates, in bytes built by numpy
-(``asymqkd._floatfmt``), keeping only its formatted totals, 24 B a grid point.
+``sweep-fig2`` each block of ``fig2_blocks``, in bytes built by numpy
+(``asymqkd._floatfmt``), keeping only the blocks' formatted totals, 24 B a grid point.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from .threshold import (
     ChannelFamily,
     NonMonotoneFamilyError,
     ProtocolVariant,
-    _FIG2_BLOCK_ROWS,
-    _grid_points,
     fig2_blocks,
     sweep_fig1,
     threshold_total_noise,
@@ -66,9 +64,9 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_channel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> PauliRates:
     triple = (args.qx, args.qy, args.qz)
+    if any(v is not None for v in triple) and (args.family_ratio, args.scale) != (None, None):
+        parser.error("give either --qx/--qy/--qz or --family-ratio/--scale, not both")
     if all(v is not None for v in triple):
-        if args.family_ratio is not None or args.scale is not None:
-            parser.error("give either --qx/--qy/--qz or --family-ratio/--scale, not both")
         try:
             return PauliRates.from_error_rates(args.qx, args.qy, args.qz)
         except ValueError as exc:
@@ -217,37 +215,39 @@ def _parse_cases(parser: argparse.ArgumentParser, text: str) -> list[float]:
     return cases
 
 
-def _fig2_text(grid: tuple[float, float, int], cases: list[float], case_blocks) -> Iterator[str]:
+def _fig2_text(count: int, cases: list[float], case_blocks) -> Iterator[str]:
     """Data rows of ``sweep-fig2``, a string per block of ``fig2_blocks``, then the crossings.
 
     A block is one ``uint8`` matrix with a row per grid point: q_y0, then
     a slot each for the total, the one-way and the two-way rate, each with
     its separator.  A slot holds the ``repr`` bytes of its value among NUL
-    bytes, which are dropped.  The totals are formatted once for all cases.
+    bytes, which are dropped.  Every case has the same blocks of the ``count``
+    totals, the first the largest, which sizes the matrix; the totals are
+    formatted with the first case and kept for the others.
     """
     import numpy as np
 
     from . import _floatfmt
 
     width = _floatfmt.WIDTH
-    count = grid[2]
-    size = min(count, _FIG2_BLOCK_ROWS)
-    total_bytes = np.empty((count, width), np.uint8)
-    for start in range(0, count, size):
-        _floatfmt.write_reprs(_grid_points(grid, start, size), total_bytes[start:start + size])
     q_y0s = [repr(q_y0).encode() for q_y0 in cases]
     lead = max(map(len, q_y0s))
-    rows = np.zeros((size, lead + 1 + 3 * (width + 1)), np.uint8)
-    rows[:, lead] = ord(",")
-    slots = rows[:, lead + 1:].reshape(size, 3, width + 1)
-    slots[:, :, width] = np.frombuffer(b",,\n", np.uint8)
+    total_bytes = np.empty((count, width), np.uint8)
+    rows = None
     crossings = []
-    for q_y0, blocks in zip(q_y0s, case_blocks):
-        rows[:, :lead] = 0
-        rows[:, :len(q_y0)] = np.frombuffer(q_y0, np.uint8)
+    for case, (q_y0, blocks) in enumerate(zip(q_y0s, case_blocks)):
         stop = 0
         for block in blocks:  # at least one
-            start, stop = stop, stop + block.one_way.size
+            start, stop = stop, stop + block.totals.size
+            if rows is None:
+                rows = np.zeros((stop, lead + 1 + 3 * (width + 1)), np.uint8)
+                rows[:, lead] = ord(",")
+                slots = rows[:, lead + 1:].reshape(stop, 3, width + 1)
+                slots[:, :, width] = np.frombuffer(b",,\n", np.uint8)
+            if not start:
+                rows[:, :lead] = np.frombuffer(q_y0.ljust(lead, b"\0"), np.uint8)
+            if not case:
+                _floatfmt.write_reprs(block.totals, total_bytes[start:stop])
             cells = slots[:stop - start, :, :width]
             cells[:, 0] = total_bytes[start:stop]
             _floatfmt.write_reprs(block.one_way, cells[:, 1])
@@ -261,7 +261,7 @@ def _fig2_text(grid: tuple[float, float, int], cases: list[float], case_blocks) 
 def _cmd_sweep_fig2(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     cases = _parse_cases(parser, args.cases)
     try:
-        blocks = fig2_blocks(cases, args.grid, _FIG2_BLOCK_ROWS)
+        blocks = fig2_blocks(cases, args.grid)
     except ValueError as exc:  # a q_y0 outside [0, 1], checked before any work
         parser.error(f"--cases: {exc}")
     header = (
@@ -269,7 +269,7 @@ def _cmd_sweep_fig2(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         f"# config: cases={args.cases} grid={args.grid_text}\n"
         "q_y0,total_noise,rate_one_way,rate_two_way\n"
     )
-    _emit(chain([header], _fig2_text(args.grid, cases, blocks)), args.out)
+    _emit(chain([header], _fig2_text(args.grid[2], cases, blocks)), args.out)
     return 0
 
 

@@ -86,18 +86,18 @@ class PStepResult(NamedTuple):
     p_z: float
 
 
-def b_step(rates: PauliRates) -> BStepOutcome:
-    """One round of pair-parity rejection on a Bell-diagonal distribution."""
-    q_i, q_x, q_y, q_z = rates.as_tuple()
+def _b_step_map(q_i, q_x, q_y, q_z):
+    """(D, the B-step's four components over D) by ``+``, ``*`` and ``/``: of floats or arrays."""
     u, s = q_i + q_z, q_x + q_y
     d = u * u + s * s
-    out = PauliRates(
-        (q_i * q_i + q_z * q_z) / d,
-        (q_x * q_x + q_y * q_y) / d,
-        2.0 * q_x * q_y / d,
-        2.0 * q_i * q_z / d,
-    )
-    return BStepOutcome(rates_out=out, survival=0.5 * d)
+    return d, ((q_i * q_i + q_z * q_z) / d, (q_x * q_x + q_y * q_y) / d,
+               2.0 * q_x * q_y / d, 2.0 * q_i * q_z / d)
+
+
+def b_step(rates: PauliRates) -> BStepOutcome:
+    """One round of pair-parity rejection on a Bell-diagonal distribution."""
+    d, comps = _b_step_map(*rates.as_tuple())
+    return BStepOutcome(rates_out=PauliRates(*comps), survival=0.5 * d)
 
 
 def p_step(flips: FlipRates, k: int) -> FlipRates:

@@ -43,7 +43,7 @@ from .channel import (
     average_over_mixture,
     conjugate,
 )
-from .distill import distillable_in_limit, modified_rate_one_bstep
+from .distill import _b_step_map, distillable_in_limit, modified_rate_one_bstep
 from .keyrates import rate_single_basis, rate_sixstate_separate
 
 if TYPE_CHECKING:
@@ -307,14 +307,15 @@ def sweep_fig1(ratios: Iterable[float]) -> Iterator[Fig1Row]:
 class Fig2Curve(NamedTuple):
     """Rate curves of one q_y0 case along q_x0 = q_z0 = (total - q_y0) / 2.
 
-    ``one_way`` and ``two_way`` hold one rate per grid point (NaN where
-    total < q_y0 or total > 1): the six-state rate with per-basis
-    accounting, and the rate after one rejection round in the Y frame.
-    ``crossing`` is the total noise where two-way first overtakes one-way,
-    or None when the gap never turns from <= 0 to > 0 inside the grid.
+    ``totals`` holds the grid points, ``one_way`` and ``two_way`` a rate per
+    point (NaN where total < q_y0 or total > 1): the six-state rate with
+    per-basis accounting, and the rate after one rejection round in the Y
+    frame.  ``crossing`` is the total noise where two-way first overtakes
+    one-way, or None when the gap never turns from <= 0 to > 0 in the grid.
     """
 
     q_y0: float
+    totals: np.ndarray
     one_way: np.ndarray
     two_way: np.ndarray
     crossing: Optional[float]
@@ -427,14 +428,10 @@ def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray
     q_y = np.full_like(q_x, q_y0)
     rates = _renormalized(np.array([1.0 - (q_x + q_y + q_x), q_x, q_y, q_x]))
     one_way = 1.0 - _shannon4(rates)
-    q_i, q_x, q_y, q_z = _renormalized(rates[list(_SEEN_AS[Basis.Y])])
-    # b_step, then modified_rate_one_bstep.
-    u, s = q_i + q_z, q_x + q_y
-    d = u * u + s * s
-    out = _renormalized(np.array([
-        q_i * q_i + q_z * q_z, q_x * q_x + q_y * q_y, 2.0 * q_x * q_y, 2.0 * q_i * q_z,
-    ]) / d)
-    two_way = 0.5 * d * (1.0 - _shannon4(out))
+    # b_step's own map, then modified_rate_one_bstep.
+    d, out = _b_step_map(*_renormalized(rates[list(_SEEN_AS[Basis.Y])]))
+    out = np.array(out)  # frees the four rows before _renormalized copies them
+    two_way = 0.5 * d * (1.0 - _shannon4(_renormalized(out)))
     return one_way, two_way
 
 
@@ -450,27 +447,28 @@ def _grid_points(grid: tuple[float, float, int], start: int, rows: int) -> np.nd
     return lo + np.arange(start, min(start + rows, count)) * step
 
 
-def fig2_blocks(cases: Sequence[float], grid: tuple[float, float, int],
-                block_rows: int) -> Iterator[Iterator[Fig2Curve]]:
-    """Per q_y0 case, an iterator of ``Fig2Curve`` blocks of ``block_rows`` grid points.
+def fig2_blocks(cases: Sequence[float],
+                grid: tuple[float, float, int]) -> Iterator[Iterator[Fig2Curve]]:
+    """Per q_y0 case, an iterator of ``Fig2Curve`` blocks of ``_FIG2_BLOCK_ROWS`` grid points.
 
     ``grid`` is the progression (lo, step, count) of totals.  Each block is
     one ``_fig2_rates`` call on its totals inside [q_y0, 1] and has the
     case's crossing if its cell ends at or before the block's last point:
     the first pair of consecutive such points, across block edges too,
     where two-way - one-way turns from <= 0 to > 0, bisected to adjacent
-    floats by scalar probes.  An empty grid gives one empty block a case.
-    Raises ``ValueError`` when called for a case outside [0, 1], a grid
-    count that is not an int >= 0 or ``block_rows`` that is not an int >= 1.
+    floats by scalar probes.  Every case has the same blocks of totals, the
+    first the largest.  An empty grid gives one empty block a case.  Raises
+    ``ValueError`` when called for a case outside [0, 1] or a grid count
+    that is not an int >= 0.
     """
     for q_y0 in cases:
         if not 0.0 <= q_y0 <= 1.0:  # also rejects nan
             raise ValueError(f"q_y0={q_y0!r} outside [0, 1]")
     if not isinstance(grid[2], int) or grid[2] < 0:
         raise ValueError(f"grid count {grid[2]!r} is not an int >= 0")
-    if not isinstance(block_rows, int) or block_rows < 1:
-        raise ValueError(f"block_rows={block_rows!r} is not an int >= 1")
     import numpy as np
+
+    rows = _FIG2_BLOCK_ROWS
 
     def blocks(q_y0: float) -> Iterator[Fig2Curve]:
         def not_over(total: float) -> bool:
@@ -480,8 +478,8 @@ def fig2_blocks(cases: Sequence[float], grid: tuple[float, float, int],
             return not two - rate_sixstate_separate(rates) > 0.0
 
         crossing, last_total, last_gap = None, math.nan, math.nan
-        for start in range(0, max(grid[2], 1), block_rows):
-            block = _grid_points(grid, start, block_rows)
+        for start in range(0, max(grid[2], 1), rows):
+            block = _grid_points(grid, start, rows)
             one_way, two_way = np.full((2, block.size), np.nan)
             inside = ~((block < q_y0) | (block > 1.0))  # negated: a NaN total is inside, and fails
             evaluated = block[inside]
@@ -495,10 +493,10 @@ def fig2_blocks(cases: Sequence[float], grid: tuple[float, float, int],
                     lo, hi = _bisect(not_over, *edges[turns[0]:turns[0] + 2].tolist())
                     crossing = 0.5 * (lo + hi)
                 last_total, last_gap = edges[-1], gap[-1]
-            yield Fig2Curve(q_y0, one_way, two_way, crossing)
+            yield Fig2Curve(q_y0, block, one_way, two_way, crossing)
 
     return map(blocks, cases)
 
 
-# Grid points per ``_fig2_rates`` call (about 1 MB of temporaries) and rows per ``sweep-fig2`` string.
+# Grid points per ``fig2_blocks`` block: one ``_fig2_rates`` call, about 1 MB of temporaries.
 _FIG2_BLOCK_ROWS = 4096

@@ -45,9 +45,11 @@ class TestPauliRates:
             PauliRates(math.nan, 0.0, 0.0, 0.0)
 
     def test_tiny_negative_is_clipped(self):
-        rates = PauliRates(1.0 + 1e-14, -1e-14, 0.0, 0.0)
+        rates = PauliRates(1.0 + 1e-14, -1e-14, -0.0, 0.0)
         assert rates.q_x == 0.0
         assert rates.q_i == pytest.approx(1.0)
+        # -1e-14 and -0.0 are stored as +0.0, as the fig2 array kernel's np.maximum stores them.
+        assert math.copysign(1.0, rates.q_x) == math.copysign(1.0, rates.q_y) == 1.0
 
     def test_clipped_component_leaves_the_rest_summing_to_one(self):
         rates = PauliRates.from_error_rates(0.5, 0.5000000000001, 0.0)

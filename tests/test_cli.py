@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import asymqkd
-from asymqkd import cli
+from asymqkd import cli, threshold
 from asymqkd.channel import Basis, PauliRates
 from asymqkd.cli import main
 from asymqkd.sim import EveModel, ProtocolParams, run_protocol
@@ -255,7 +255,7 @@ class TestSweepFig2Blocks:
     """
 
     def test_many_small_blocks_to_stdout(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_FIG2_BLOCK_ROWS", 16)
+        monkeypatch.setattr(threshold, "_FIG2_BLOCK_ROWS", 16)
         cases, grid = "0.0,0.02,0.3,1.0", "0.0:1.05:0.005"
         assert main(["sweep-fig2", "--cases", cases, "--grid", grid]) == 0
         assert capsys.readouterr().out == fig2_csv(cases, grid)
@@ -264,7 +264,7 @@ class TestSweepFig2Blocks:
         # At q_y0 = 0 the gap first turns positive between points 4095 and
         # 4096: the last point of one block and the first of the next, at 16
         # rows a block as at the default 4096.  At 0.005 it turns inside a block.
-        monkeypatch.setattr(cli, "_FIG2_BLOCK_ROWS", 16)
+        monkeypatch.setattr(threshold, "_FIG2_BLOCK_ROWS", 16)
         cases, grid = "0.0,0.005", "0.08577:0.1278:0.00001"
         assert main(["sweep-fig2", "--cases", cases, "--grid", grid]) == 0
         out = capsys.readouterr().out
@@ -283,7 +283,7 @@ class TestSweepFig2Blocks:
         # Totals from below 0 to past 1: rows formatted by repr (nan, 0.0,
         # 1.0, |rate| < 1e-4 in exponent form) sit among negative rates and
         # cross the boundaries of the small blocks.
-        monkeypatch.setattr(cli, "_FIG2_BLOCK_ROWS", 64)
+        monkeypatch.setattr(threshold, "_FIG2_BLOCK_ROWS", 64)
         cases, grid = "0.0,0.5,1.0", "-0.05:1.05:0.0007"
         assert main(["sweep-fig2", "--cases", cases, f"--grid={grid}"]) == 0
         out = capsys.readouterr().out
@@ -404,11 +404,17 @@ class TestBadInput:
             main(["rates"])
         assert exc.value.code == 2
 
-    def test_both_channel_forms_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.0",
-                  "--family-ratio", "1.0", "--scale", "0.1"])
-        assert exc.value.code == 2
+    def test_both_channel_forms_rejected(self, capsys):
+        # Any of --qx/--qy/--qz with --family-ratio or --scale, complete or not.
+        for argv in (["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.0",
+                      "--family-ratio", "1.0", "--scale", "0.1"],
+                     ["rates", "--qx", "0.1", "--family-ratio", "1", "--scale", "0.2"],
+                     ["rates", "--qy", "0.1", "--scale", "0.2"],
+                     ["simulate", "--qz", "0.1", "--family-ratio", "1", "--scale", "0.2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "not both" in capsys.readouterr().err
 
     def test_bad_grid_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:

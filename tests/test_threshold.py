@@ -652,7 +652,7 @@ def _bits(values):
 def _curves(cases, grid):
     """One ``Fig2Curve`` per case: its ``fig2_blocks`` joined, arrays over the whole grid."""
     curves = []
-    for blocks in fig2_blocks(cases, grid, threshold._FIG2_BLOCK_ROWS):
+    for blocks in fig2_blocks(cases, grid):
         parts = list(blocks)
         curves.append(parts[-1]._replace(one_way=np.concatenate([p.one_way for p in parts]),
                                          two_way=np.concatenate([p.two_way for p in parts])))
@@ -665,6 +665,7 @@ class TestSweepFig2:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.floats(0.0, 1.0).flatmap(lambda q_y0: st.tuples(
         st.just(q_y0), st.lists(st.floats(q_y0, 1.0), min_size=1, max_size=20))))
+    @example((-0.0, [-0.0, 0.0, 0.02, 0.5, 1.0]))  # a q_y0 of -0.0, stored as +0.0 by both
     def test_kernel_equals_scalar_path_bit_for_bit(self, case):
         q_y0, totals = case
         want_one, want_two = [], []
@@ -692,23 +693,19 @@ class TestSweepFig2:
 
         monkeypatch.setattr(threshold, "_fig2_rates", no_work)
         with pytest.raises(ValueError, match=re.escape(f"q_y0={q_y0!r} outside [0, 1]")):
-            fig2_blocks([0.0, q_y0], (0.05, 0.05, 2), threshold._FIG2_BLOCK_ROWS)
+            fig2_blocks([0.0, q_y0], (0.05, 0.05, 2))
 
-    @pytest.mark.parametrize("grid, block_rows, message", [
-        ((0.05, 0.05, 2), 0, "block_rows=0 is not an int >= 1"),
-        ((0.05, 0.05, 2), -1, "block_rows=-1 is not an int >= 1"),
-        ((0.05, 0.05, 2), 2.0, "block_rows=2.0 is not an int >= 1"),
-        ((0.05, 0.05, -2), 4096, "grid count -2 is not an int >= 0"),
-        ((0.05, 0.05, 3.5), 4096, "grid count 3.5 is not an int >= 0"),
-    ], ids=["rows-0", "rows-negative", "rows-float", "count-negative", "count-float"])
-    def test_bad_grid_count_or_block_rows_are_rejected_first(self, monkeypatch, grid, block_rows,
-                                                              message):
+    @pytest.mark.parametrize("grid, message", [
+        ((0.05, 0.05, -2), "grid count -2 is not an int >= 0"),
+        ((0.05, 0.05, 3.5), "grid count 3.5 is not an int >= 0"),
+    ], ids=["count-negative", "count-float"])
+    def test_bad_grid_count_or_block_rows_are_rejected_first(self, monkeypatch, grid, message):
         def no_work(*args):
-            raise AssertionError("evaluated a curve before checking the grid and block size")
+            raise AssertionError("evaluated a curve before checking the grid")
 
         monkeypatch.setattr(threshold, "_fig2_rates", no_work)
         with pytest.raises(ValueError, match=re.escape(message)):
-            fig2_blocks([0.0, 0.01], grid, block_rows)
+            fig2_blocks([0.0, 0.01], grid)
 
     def test_curves_are_nan_outside_the_simplex(self):
         # Totals 0, 0.01, ..., 1.01: points 2 and 100 are exactly 0.02 and 1.0.
@@ -724,6 +721,11 @@ class TestSweepFig2:
         assert curve.crossing == pytest.approx(0.12672899360905127, abs=1e-9)
         (curve,) = _curves([0.0], (0.05, 0.05, 2))
         assert curve.crossing is None
+        # An empty grid: one empty block a case, without a crossing.
+        for blocks in fig2_blocks([0.0, 0.02], (0.05, 0.05, 0)):
+            (block,) = blocks
+            assert block.totals.size == block.one_way.size == block.two_way.size == 0
+            assert block.crossing is None
 
     def test_bisection_stops_once_its_ends_are_adjacent_floats(self, monkeypatch):
         kernel = threshold._fig2_rates
