@@ -106,6 +106,8 @@ ARGVS = [
     ["sweep-fig1", "--grid=-1:1:0.25"],  # rows below ratio 0 carry error notes
     ["sweep-fig1", "--grid", "0:1e-320:1e-321"],  # subnormal ratios
     ["sweep-fig1", "--grid", "1e300:1.7e308:1e307"],  # huge ratios, all on re-entrant rays
+    # About 20,000 rays from a shifted start, crossing ratio 2 into error rows.
+    ["sweep-fig1", "--grid", "0.0123456789:2.5:0.000123"],
     ["sweep-fig2"],
     # The rate_curves workload's argv at seed 0 and at seed 20040406: 25,001
     # points a case, in seven blocks of at most 4,096 rows.
@@ -140,6 +142,7 @@ ARGVS = [
     # Family channels, each error component the exact ray's correctly rounded.
     ["rates", "--family-ratio", "1.0", "--scale", "0.3"],
     ["rates", "--family-ratio", "1.617041888556059", "--scale", "0.7851612110506287"],
+    ["rates", "--family-ratio", "3", "--scale", "0.2"],  # a whole-number ratio
     ["simulate", "--family-ratio", "0.26557031278685206", "--scale", "0.031395679761311475",
      "--n", "20000", "--seed", "1"],
     ["threshold", "--variant", "single-basis", "--family-ratio", "0.05"],
@@ -161,6 +164,7 @@ ARGVS = [
     ["threshold", "--variant", "chau", "--family-ratio", "-0.0"],
     # Re-entrant rays: the threshold command reports the error and exits 1.
     ["threshold", "--variant", "ybasis", "--family-ratio", "2.5"],
+    ["threshold", "--variant", "ybasis", "--family-ratio", "2.0000000000000004"],  # the first float past 2
     ["threshold", "--variant", "ybasis", "--family-ratio", "3998"],
     ["threshold", "--variant", "single-basis", "--family-ratio", "60"],
     ["threshold", "--variant", "sixstate-separate", "--family-ratio", "18"],
