@@ -14,7 +14,8 @@ Each tree runs in its own subprocess, which imports the package from that
 tree alone: the parent under this interpreter, the change under ``PY``
 (default: this one too).  An interpreter without numpy passes over the
 ``sweep-fig2`` argvs, which need it.  Prints ``same``, ``DIFF`` or ``skip``
-per argv and exits 1 on any difference.  The whole list takes a few
+per argv, a ``DIFF`` with the parts that differ (``plain.stderr``,
+``with_out.file``, ...), and exits 1 on any difference.  The whole list takes a few
 seconds per tree.
 """
 
@@ -104,6 +105,7 @@ ARGVS = [
     ["sweep-fig1", "--grid", "0:3:0.5"],  # rows past ratio 2 carry error notes
     ["sweep-fig1", "--grid", "0:1:0.001", "--tol", "1e-10"],  # 2,002 thresholds
     ["sweep-fig1", "--grid=-1:1:0.25"],  # rows below ratio 0 carry error notes
+    ["sweep-fig1", "--grid", "-1:1:0.25"],  # the same bytes: a value may begin with "-"
     ["sweep-fig1", "--grid", "0:1e-320:1e-321"],  # subnormal ratios
     ["sweep-fig1", "--grid", "1e300:1.7e308:1e307"],  # huge ratios, all on re-entrant rays
     # About 20,000 rays from a shifted start, crossing ratio 2 into error rows.
@@ -129,9 +131,10 @@ ARGVS = [
     # grid (a zero in the q_x row), and a subnormal q_y0.
     ["sweep-fig2", "--cases", "0.05,0.2,0.3,1e-310", "--grid", "0:1:0.001"],
     ["sweep-fig2", "--cases", "0.07,0.2,0.45,1e-310", "--grid", "0:1:0.0001"],
-    # A q_y0 of -0.0 (after "=", or argparse takes it for an option), echoed as given;
+    # A q_y0 of -0.0, after "=" or as the next argument, echoed as given;
     # its channels store +0.0 and print the rates of 0.0.
     ["sweep-fig2", "--cases=-0.0,0.0", "--grid", "0:1:0.01"],
+    ["sweep-fig2", "--cases", "-0.0,0.0", "--grid", "0:1:0.01"],
     # Cases outside [0, 1] (exit 2).
     ["sweep-fig2", "--cases", "0.0,1.5"],
     ["sweep-fig2", "--cases", "nan"],
@@ -238,7 +241,11 @@ def main(argv: list[str]) -> int:
     for args, old, new in zip(ARGVS, parent, change):
         verdict = "skip" if old is None or new is None else "same" if old == new else "DIFF"
         counts[verdict] += 1
-        print(f"{verdict}  {' '.join(args)}")
+        where = ""
+        if verdict == "DIFF":  # which of the two runs' code, stdout, stderr and file differ
+            where = "  (" + ", ".join(f"{run}.{part}" for run in old for part in old[run]
+                                      if old[run][part] != new[run][part]) + ")"
+        print(f"{verdict}  {' '.join(args)}{where}")
     print(f"{counts['same']} same, {counts['DIFF']} differ, {counts['skip']} skipped")
     return 1 if counts["DIFF"] else 0
 

@@ -52,6 +52,31 @@ from .threshold import (
 # Largest grid a sweep accepts, checked before any point is computed.
 _MAX_GRID_POINTS = 10**7
 
+# Options whose value may begin with "-" without being a negative number.
+_DASH_VALUE_OPTIONS = ("--cases", "--grid")
+
+
+class _Parser(argparse.ArgumentParser):
+    """``ArgumentParser`` that reads ``--grid -1:1:0.25`` as ``--grid=-1:1:0.25``.
+
+    argparse takes a token that begins with "-" for an option unless it is a
+    lone negative number, so ``--cases -0.0,0.0`` would leave ``--cases``
+    without its value.  A token after ``--cases`` or ``--grid`` that begins
+    with one "-" is joined to it with "="; one that begins with "--" stays
+    an option.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for token in sys.argv[1:] if args is None else args:
+            dash_value = token.startswith("-") and not token.startswith("--")
+            if dash_value and joined and joined[-1] in _DASH_VALUE_OPTIONS:
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("channel (q-triple or family form)")
     group.add_argument("--qx", type=float, help="sigma_x rate q_x0")
@@ -77,6 +102,15 @@ def _resolve_channel(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         except ValueError as exc:
             parser.error(f"invalid channel family: {exc}")
     parser.error("channel required: --qx/--qy/--qz or --family-ratio with --scale")
+    raise AssertionError  # parser.error exits
+
+
+def _grid(parser: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[float, float, int]:
+    """``args.grid`` parsed; a bad grid is a usage error of ``parser``."""
+    try:
+        return _parse_grid(args.grid)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     raise AssertionError  # parser.error exits
 
 
@@ -188,11 +222,11 @@ def _cmd_threshold(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def _cmd_sweep_fig1(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    lo, step, count = _grid(parser, args)
     _search_params(parser, args)
-    lo, step, count = args.grid
     header = (
         "# schema: asymqkd.sweep_fig1.v1\n"
-        f"# config: grid={args.grid_text} tol={args.tol!r} target={args.target!r}\n"
+        f"# config: grid={args.grid} tol={args.tol!r} target={args.target!r}\n"
         "q_y0_over_q_x0,q_y0,Q_t0_ybasis,Q_t0_chau,note\n"
     )
     rows = (
@@ -259,17 +293,18 @@ def _fig2_text(count: int, cases: list[float], case_blocks) -> Iterator[str]:
 
 
 def _cmd_sweep_fig2(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    grid = _grid(parser, args)
     cases = _parse_cases(parser, args.cases)
     try:
-        blocks = fig2_blocks(cases, args.grid)
+        blocks = fig2_blocks(cases, grid)
     except ValueError as exc:  # a q_y0 outside [0, 1], checked before any work
         parser.error(f"--cases: {exc}")
     header = (
         "# schema: asymqkd.sweep_fig2.v1\n"
-        f"# config: cases={args.cases} grid={args.grid_text}\n"
+        f"# config: cases={args.cases} grid={args.grid}\n"
         "q_y0,total_noise,rate_one_way,rate_two_way\n"
     )
-    _emit(chain([header], _fig2_text(args.grid[2], cases, blocks)), args.out)
+    _emit(chain([header], _fig2_text(grid[2], cases, blocks)), args.out)
     return 0
 
 
@@ -291,7 +326,7 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asymqkd",
         description="Key rates, distillation thresholds and Monte Carlo runs "
         "for QKD over asymmetric Pauli channels.",
@@ -301,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates = sub.add_parser("rates", help="one-way and two-way key rates of a channel")
     _add_channel_flags(p_rates)
     p_rates.add_argument("--out", help="write CSV here instead of stdout")
-    p_rates.set_defaults(func=_cmd_rates)
+    p_rates.set_defaults(func=functools.partial(_cmd_rates, p_rates))
 
     p_thr = sub.add_parser("threshold", help="total-noise threshold of a protocol variant")
     p_thr.add_argument("--variant", required=True,
@@ -309,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--family-ratio", type=float, required=True, metavar="R",
                        help="channel shape q_y0/q_x0 with q_x0 = q_z0")
     p_thr.add_argument("--out")
-    p_thr.set_defaults(func=_cmd_threshold)
+    p_thr.set_defaults(func=functools.partial(_cmd_threshold, p_thr))
 
     p_f1 = sub.add_parser("sweep-fig1", help="thresholds across q_y0/q_x0 shapes")
     p_f1.add_argument("--grid", type=str, default="0.0:1.0:0.05", metavar="LO:HI:STEP")
@@ -320,14 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="residual-error target of the (m, k) schedule witness; "
                       "echoed in the header, it does not change the thresholds")
     p_f1.add_argument("--out")
-    p_f1.set_defaults(func=_cmd_sweep_fig1)
+    p_f1.set_defaults(func=functools.partial(_cmd_sweep_fig1, p_f1))
 
     p_f2 = sub.add_parser("sweep-fig2", help="rate-vs-noise curves and crossings")
     p_f2.add_argument("--cases", type=str, default="0.0,0.005,0.01,0.02",
                       help="comma-separated q_y0 values")
     p_f2.add_argument("--grid", type=str, default="0.0:0.5:0.0025", metavar="LO:HI:STEP")
     p_f2.add_argument("--out")
-    p_f2.set_defaults(func=_cmd_sweep_fig2)
+    p_f2.set_defaults(func=functools.partial(_cmd_sweep_fig2, p_f2))
 
     p_sim = sub.add_parser("simulate", help="one seeded Monte Carlo protocol run")
     _add_channel_flags(p_sim)
@@ -343,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--eve", type=_parse_eve, default=None,
                        help="'none', or bases e.g. ZX or Z,X,Y")
     p_sim.add_argument("--out", help="also write the CSV form here")
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=functools.partial(_cmd_simulate, p_sim))
 
     return parser
 
@@ -359,15 +394,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "grid"):
-        args.grid_text = args.grid
-        try:
-            args.grid = _parse_grid(args.grid)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(str(exc))
-    return args.func(parser, args)
+    args = _parser().parse_args(argv)
+    return args.func(args)  # the command's handler, bound to its subcommand parser
 
 
 def entry_point() -> None:

@@ -98,10 +98,22 @@ class ChannelFamily(_Frozen):
 
     @classmethod
     def from_y_ratio(cls, ratio: float) -> "ChannelFamily":
-        """Family with q_x = q_z and q_y / q_x = ratio."""
+        """Family with q_x = q_z and q_y / q_x = ratio: weights (d, n, d) for ratio = n/d.
+
+        n/d is the ratio in lowest terms, taken exactly from an ``int`` and
+        through ``float`` otherwise, so the weights are coprime and equal
+        those of ``ChannelFamily((1.0, ratio, 1.0))``.  A ratio that is not
+        finite goes to that constructor, which rejects it with its message.
+        """
         if ratio < 0.0:
             raise ValueError(f"ratio must be nonnegative, got {ratio}")
-        return cls((1.0, ratio, 1.0))
+        exact = ratio if isinstance(ratio, int) else float(ratio)
+        if not exact < math.inf:  # NaN and inf
+            return cls((1.0, exact, 1.0))
+        n, d = exact.as_integer_ratio()
+        family = object.__new__(cls)
+        object.__setattr__(family, "weights", (d, n, d))
+        return family
 
     def _errors_at(self, scale: float) -> tuple[float, float, float]:
         """(q_x, q_y, q_z) = scale * weights / sum(weights), each correctly rounded."""
@@ -289,19 +301,22 @@ def sweep_fig1(ratios: Iterable[float]) -> Iterator[Fig1Row]:
     plotting threshold against channel asymmetry.  Per-point failures are
     recorded in the row (NaN values plus the error message) and do not stop
     the sweep.  Both thresholds are the closed-form roots r1 of
-    ``threshold_total_noise``, so the sweep takes no tolerance; ``q_y0`` is
-    the Y-basis threshold times d_y of the exact ray, correctly rounded.
+    ``threshold_total_noise``, so the sweep takes no tolerance.  The chau
+    root is the same on every ray and is read once, before the first row;
+    ``q_y0`` is the Y-basis threshold times d_y of the exact ray, one
+    correctly rounded int / int quotient.
     """
+    chau = _CHAU_THRESHOLD.threshold
     for ratio in ratios:
         try:
             family = ChannelFamily.from_y_ratio(ratio)
-            thr_y = threshold_total_noise(family, ProtocolVariant.Y_BASIS_TWO_WAY)
-            thr_c = threshold_total_noise(family, ProtocolVariant.CHAU_BASELINE)
+            thr_y = threshold_total_noise(family, ProtocolVariant.Y_BASIS_TWO_WAY).threshold
         except (NonMonotoneFamilyError, ValueError) as exc:
             yield Fig1Row(ratio, math.nan, math.nan, math.nan, error=str(exc))
             continue
-        q_y0 = family._errors_at(thr_y.threshold)[1]
-        yield Fig1Row(ratio, q_y0, thr_y.threshold, thr_c.threshold)
+        w_x, w_y, w_z = family.weights
+        n, d = thr_y.as_integer_ratio()
+        yield Fig1Row(ratio, n * w_y / (d * (w_x + w_y + w_z)), thr_y, chau)
 
 
 class Fig2Curve(NamedTuple):

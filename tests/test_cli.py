@@ -557,6 +557,58 @@ class TestBadInput:
         assert exc.value.code == 2
         assert "invalid protocol parameters: p_group must be <= 99, got 101" in capsys.readouterr().err
 
+    # One usage error of each kind that a command's handler, not argparse, finds.
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--qx", "0.1", "--family-ratio", "1", "--scale", "0.2"],
+        ["rates", "--qx", "0.9", "--qy", "0.4", "--qz", "0.2"],
+        ["rates"],
+        ["threshold", "--variant", "chau", "--family-ratio=-1"],
+        ["sweep-fig1", "--grid", "0:1:0"],
+        ["sweep-fig1", "--target", "0.7"],
+        ["sweep-fig2", "--grid", "0:1:0"],
+        ["sweep-fig2", "--cases", "abc"],
+        ["sweep-fig2", "--cases", "1.5"],
+        ["simulate", "--qx", "0", "--qy", "0", "--qz", "0", "--p-group", "2"],
+        ["simulate", "--qx", "0", "--qy", "0", "--qz", "0", "--seed", "-1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_handler_errors_print_the_subcommand_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: asymqkd {argv[0]} [-h]")
+        assert f"\nasymqkd {argv[0]}: error: " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-fig1", "--grid"],
+        ["sweep-fig1", "--grid", "--tol", "1e-3"],
+        ["sweep-fig2", "--cases"],
+        ["sweep-fig2", "--cases", "--grid", "0:1:0.5"],
+        ["sweep-fig2", "--grid", "--out", "x"],
+    ])
+    def test_grid_or_cases_without_a_value_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: expected one argument" in capsys.readouterr().err
+
+
+# Values that argparse alone would take for options: the spaced form prints what "=" does.
+@pytest.mark.parametrize("spaced, joined", [
+    (["sweep-fig1", "--grid", "-1:1:0.25"], ["sweep-fig1", "--grid=-1:1:0.25"]),
+    (["sweep-fig2", "--cases", "-0.0,0.0", "--grid", "0:1:0.25"],
+     ["sweep-fig2", "--cases=-0.0,0.0", "--grid", "0:1:0.25"]),
+    (["sweep-fig2", "--grid", "-0.05:1:0.05", "--cases", "0.0"],
+     ["sweep-fig2", "--grid=-0.05:1:0.05", "--cases", "0.0"]),
+    (["sweep-fig1", "--grid", "-1:0:0.5", "--tol", "1e-3"], ["sweep-fig1", "--grid=-1:0:0.5", "--tol", "1e-3"]),
+])
+def test_value_beginning_with_a_dash_is_read_as_after_equals(capsys, spaced, joined):
+    assert main(spaced) == 0
+    got = capsys.readouterr()
+    assert main(joined) == 0
+    assert got == capsys.readouterr()
+    assert got.out.count("\n") > 3
+
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(lo=st.floats(-1e308, 1e308), step=st.floats(5e-324, 1e308),

@@ -157,6 +157,39 @@ class TestChannelFamily:
         rates = ChannelFamily.from_y_ratio(ratio).rates_at(scale)
         assert rates.q_x == rates.q_z
 
+    # Every float, ints up to 10**400, numpy scalars and non-numbers: the
+    # ratio family is the generic constructor's ray, or fails as it does.
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1.0, 2.0000000000000004,
+                         math.nan, math.inf, -math.inf]),
+        st.floats(),
+        st.sampled_from([0, 3, -3, 10**400, True]),
+        st.integers(),
+        st.floats().map(np.float64),
+        st.floats(width=32).map(np.float32),
+        st.sampled_from(["one", None]),
+    ))
+    def test_y_ratio_family_is_the_generic_ray(self, ratio):
+        def generic(ratio):
+            if ratio < 0.0:
+                raise ValueError(f"ratio must be nonnegative, got {ratio}")
+            return ChannelFamily((1.0, ratio, 1.0))
+
+        def outcome(make):
+            try:
+                family = make(ratio)
+            except Exception as exc:
+                return type(exc), str(exc)
+            assert type(family) is ChannelFamily
+            return family.weights, [type(weight) for weight in family.weights]
+
+        want = outcome(generic)
+        assert outcome(ChannelFamily.from_y_ratio) == want
+        if want[1] == [int, int, int]:
+            d, n, _ = want[0]
+            assert want[0] == (d, n, d) and math.gcd(n, d) == 1
+
     @pytest.mark.parametrize("ratio", [1e-300, 5e-324])
     def test_weights_past_the_float_range_round_trip(self, ratio):
         # Weights up to (2^1074, 1, 2^1074): each int is taken exactly, not through float().
@@ -493,6 +526,21 @@ class TestClosedForm:
         rows = list(sweep_fig1(ratios))
         assert [row.error for row in rows] == [None] * len(ratios)
         assert len(roots) == len(ratios)
+
+    def test_sweep_builds_no_family_through_the_generic_constructor(self, monkeypatch):
+        # from_y_ratio sets (d, n, d) itself; only a ratio it rejects reaches __init__.
+        calls = []
+        generic = ChannelFamily.__init__
+
+        def counted(self, weights):
+            calls.append(weights)
+            generic(self, weights)
+
+        monkeypatch.setattr(ChannelFamily, "__init__", counted)
+        ratios = [0.0 + i * 0.05 for i in range(21)] + [5e-324, 1e308, 2.5, 3, 10**400]
+        rows = list(sweep_fig1(ratios))
+        assert [row.y_ratio for row in rows] == ratios
+        assert calls == []
 
     def test_float_channel_at_the_low_end_may_be_infeasible(self):
         # The exact ray decides: round-off in ``rates_at`` puts the float
