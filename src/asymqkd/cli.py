@@ -66,7 +66,8 @@ class _Parser(argparse.ArgumentParser):
     an option.
     """
 
-    def parse_known_args(self, args=None, namespace=None):
+    def parse_known_args(self, args: Optional[Sequence[str]] = None,
+                         namespace: Optional[argparse.Namespace] = None):
         joined: list[str] = []
         for token in sys.argv[1:] if args is None else args:
             dash_value = token.startswith("-") and not token.startswith("--")

@@ -102,8 +102,8 @@ class ChannelFamily(_Frozen):
 
         n/d is the ratio in lowest terms, taken exactly from an ``int`` and
         through ``float`` otherwise, so the weights are coprime and equal
-        those of ``ChannelFamily((1.0, ratio, 1.0))``.  A ratio that is not
-        finite goes to that constructor, which rejects it with its message.
+        those of ``ChannelFamily((1.0, ratio, 1.0))``.  NaN and inf go to
+        that constructor, which rejects them with its message.
         """
         if ratio < 0.0:
             raise ValueError(f"ratio must be nonnegative, got {ratio}")
