@@ -135,6 +135,8 @@ ARGVS = [
     # its channels store +0.0 and print the rates of 0.0.
     ["sweep-fig2", "--cases=-0.0,0.0", "--grid", "0:1:0.01"],
     ["sweep-fig2", "--cases", "-0.0,0.0", "--grid", "0:1:0.01"],
+    # Rows with q_x = 0 (total = q_y0), q_i next to 0 (q_y0 next to 1), and totals past 1.
+    ["sweep-fig2", "--cases", "1.0,0.9999999999999999,5e-324", "--grid", "0.99:1.01:0.0001"],
     # Cases outside [0, 1] (exit 2).
     ["sweep-fig2", "--cases", "0.0,1.5"],
     ["sweep-fig2", "--cases", "nan"],
