@@ -106,6 +106,7 @@ ARGVS = [
     ["sweep-fig1", "--grid", "0:1:0.001", "--tol", "1e-10"],  # 2,002 thresholds
     ["sweep-fig1", "--grid=-1:1:0.25"],  # rows below ratio 0 carry error notes
     ["sweep-fig1", "--grid", "-1:1:0.25"],  # the same bytes: a value may begin with "-"
+    ["sweep-fig1", "--gri=-1:1:0.25"],  # an abbreviated option name
     ["sweep-fig1", "--grid", "0:1e-320:1e-321"],  # subnormal ratios
     ["sweep-fig1", "--grid", "1e300:1.7e308:1e307"],  # huge ratios, all on re-entrant rays
     # About 20,000 rays from a shifted start, crossing ratio 2 into error rows.
@@ -140,6 +141,14 @@ ARGVS = [
     # Cases outside [0, 1] (exit 2).
     ["sweep-fig2", "--cases", "0.0,1.5"],
     ["sweep-fig2", "--cases", "nan"],
+    # Values that begin with "-" after an abbreviated option name or in exponent form, each
+    # read as after "=" (exit 2: the library's or the grid's own message).
+    ["sweep-fig1", "--gri", "-1:-2:0.25"],
+    ["sweep-fig2", "--cas", "-0.5,0.0"],
+    ["threshold", "--variant", "chau", "--family-ratio", "-1e-5"],
+    ["simulate", "--qx", "-1e-11", "--qy", "0", "--qz", "0.1"],
+    # Round-off below 0 in a channel component, clipped to 0.
+    ["simulate", "--qx=-1e-13", "--qy", "0", "--qz", "0.1", "--n", "1000", "--seed", "2"],
     ["rates", "--qx", "0.1", "--qy", "0.0", "--qz", "0.02"],
     # Four distinct nonzero components: the mixed six-state rate reads the X and Y relabellings.
     ["rates", "--qx", "0.10", "--qy", "0.03", "--qz", "0.02"],

@@ -72,6 +72,12 @@ class _Frozen:
             object.__setattr__(self, name, value)
 
 
+def _normalized(q_i, q_x, q_y, q_z):
+    """The clipped components over their left-to-right sum, by ``+`` and ``/``: floats or arrays."""
+    kept = q_i + q_x + q_y + q_z
+    return q_i / kept, q_x / kept, q_y / kept, q_z / kept
+
+
 class PauliRates(_Frozen):
     """Probabilities of I, X, Y, Z channel errors.
 
@@ -96,16 +102,14 @@ class PauliRates(_Frozen):
             if value < -_NEG_TOL or value > 1.0 + _SUM_TOL:
                 raise ValueError(f"{name}={value!r} outside [0, 1]")
         # Left to right, not sum(): from Python 3.12 on sum() of floats is
-        # compensated, and the array twin in threshold.py adds left to right.
+        # compensated, and ``_normalized`` adds left to right.
         total = q_i + q_x + q_y + q_z
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"Pauli rates sum to {total!r}, not 1")
         # Divided by the sum of what is kept, so a clipped component does
         # not leave the rest summing to more than 1; max keeps 0.0 over -0.0.
-        clipped = [max(0.0, float(c)) for c in comps]
-        kept = clipped[0] + clipped[1] + clipped[2] + clipped[3]
-        for name, value in zip(self._fields, clipped):
-            object.__setattr__(self, name, value / kept)
+        for name, value in zip(self._fields, _normalized(*[max(0.0, float(c)) for c in comps])):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_error_rates(cls, q_x: float, q_y: float, q_z: float) -> "PauliRates":

@@ -27,6 +27,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import re
 import sys
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
@@ -52,26 +54,26 @@ from .threshold import (
 # Largest grid a sweep accepts, checked before any point is computed.
 _MAX_GRID_POINTS = 10**7
 
-# Options whose value may begin with "-" without being a negative number.
-_DASH_VALUE_OPTIONS = ("--cases", "--grid")
+# A token that begins with "-" and then a digit, ".", inf or nan; an option name without "=".
+_NEGATIVE_VALUE = re.compile(r"-(?:[0-9.]|inf|nan)", re.IGNORECASE)
+_BARE_OPTION = re.compile(r"--[^=]+")
 
 
 class _Parser(argparse.ArgumentParser):
     """``ArgumentParser`` that reads ``--grid -1:1:0.25`` as ``--grid=-1:1:0.25``.
 
     argparse takes a token that begins with "-" for an option unless it is a
-    lone negative number, so ``--cases -0.0,0.0`` would leave ``--cases``
-    without its value.  A token after ``--cases`` or ``--grid`` that begins
-    with one "-" is joined to it with "="; one that begins with "--" stays
-    an option.
+    negative number without an exponent, so ``--family-ratio -1e-5`` would
+    leave its option without a value.  A token that begins with "-" and then
+    a digit, ".", inf or nan is joined with "=" to an option name before it
+    that has no "=", abbreviated or not; one that begins with "--" stays one.
     """
 
     def parse_known_args(self, args: Optional[Sequence[str]] = None,
                          namespace: Optional[argparse.Namespace] = None):
         joined: list[str] = []
         for token in sys.argv[1:] if args is None else args:
-            dash_value = token.startswith("-") and not token.startswith("--")
-            if dash_value and joined and joined[-1] in _DASH_VALUE_OPTIONS:
+            if joined and _NEGATIVE_VALUE.match(token) and _BARE_OPTION.fullmatch(joined[-1]):
                 joined[-1] += "=" + token
             else:
                 joined.append(token)
@@ -400,7 +402,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early: exit 1, and flush to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -21,13 +21,14 @@ def binary_entropy(t: float) -> float:
     return -t * math.log2(t) - (1.0 - t) * math.log2(1.0 - t)
 
 
+def _entropy(t_i, t_x, t_y, t_z):
+    """Entropy from its terms q·log2(q), taken from 0.0 left to right by ``-``: floats or arrays."""
+    return 0.0 - t_i - t_x - t_y - t_z
+
+
 def shannon4(rates: PauliRates) -> float:
     """Shannon entropy of the four-outcome error distribution, in bits."""
-    acc = 0.0
-    for q in rates.as_tuple():
-        if q > 0.0:
-            acc -= q * math.log2(q)
-    return acc
+    return _entropy(*[q * math.log2(q) if q > 0.0 else 0.0 for q in rates.as_tuple()])
 
 
 def rate_bb84_symmetrized(rates: PauliRates) -> float:

@@ -33,18 +33,17 @@ import math
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .channel import (
-    _NEG_TOL,
     _SEEN_AS,
-    _SUM_TOL,
     Basis,
     PauliRates,
     _dyadic_numerators,
     _Frozen,
+    _normalized,
     average_over_mixture,
     conjugate,
 )
 from .distill import _b_step_map, distillable_in_limit, modified_rate_one_bstep
-from .keyrates import rate_single_basis, rate_sixstate_separate
+from .keyrates import _entropy, rate_single_basis, rate_sixstate_separate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -336,28 +335,6 @@ class Fig2Curve(NamedTuple):
     crossing: Optional[float]
 
 
-def _renormalized(comps: np.ndarray) -> np.ndarray:
-    """Array form of ``PauliRates.__init__`` on rows (q_i, q_x, q_y, q_z).
-
-    Validates, clips round-off below zero and divides by the sum of the
-    clipped rows taken left to right, so each column equals the
-    ``PauliRates`` built from it.  The checks read min and max reductions,
-    which NaN carries through; an empty block passes them.
-    """
-    import numpy as np
-
-    low, high = comps.min(initial=math.inf), comps.max(initial=-math.inf)
-    if math.isnan(low):
-        raise ValueError("Pauli rates contain NaN")
-    if low < -_NEG_TOL or high > 1.0 + _SUM_TOL:
-        raise ValueError("Pauli rates outside [0, 1]")
-    total = comps[0] + comps[1] + comps[2] + comps[3]
-    if np.abs(total - 1.0).max(initial=0.0) > _SUM_TOL:
-        raise ValueError("Pauli rates do not sum to 1")
-    kept = np.maximum(comps, 0.0)
-    return kept / (kept[0] + kept[1] + kept[2] + kept[3])
-
-
 def _log2s(values: np.ndarray, low: int, high: int) -> np.ndarray:
     """``math.log2`` of each of ``values``, positive floats with bit patterns in [low, high].
 
@@ -398,18 +375,18 @@ def _entropy_terms(row: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _shannon4(comps: np.ndarray) -> np.ndarray:
-    """Array form of ``keyrates.shannon4``, summing the rows in the same order.
+def _shannon4(comps: Sequence[np.ndarray]) -> np.ndarray:
+    """Array form of ``keyrates.shannon4``: its terms, summed by the same ``_entropy``.
 
-    Each row's terms -q·log2(q) are taken once: a row equal to an earlier
+    Each row's terms q·log2(q) are taken once: a row equal to an earlier
     one (``np.array_equal``) reuses that row's terms, and a row with no
     positive entry is all zeros.  Within a row each distinct value takes
     one logarithm (``_log2s``): the fig2 kernel's q_y row, q_y0 divided by
     sums next to 1, takes 1 to 4 values a block.  A row with every entry
     positive is used as it is, without a mask.  All of this is checked on
     the values, not assumed from how the rows were built.  Rows hold no
-    NaN, which ``_renormalized`` rejects.  The logarithm is ``math.log2``:
-    np.log2 rounds differently in the last bit.
+    NaN (see ``_fig2_rates``).  The logarithm is ``math.log2``: np.log2
+    rounds differently in the last bit.
     """
     import numpy as np
 
@@ -421,7 +398,7 @@ def _shannon4(comps: np.ndarray) -> np.ndarray:
                 break
         else:
             terms.append(_entropy_terms(row))
-    return 0.0 - terms[0] - terms[1] - terms[2] - terms[3]
+    return _entropy(*terms)
 
 
 def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -430,8 +407,11 @@ def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Bit for bit ``rate_sixstate_separate(rates)`` and
     ``modified_rate_one_bstep(conjugate(rates, Basis.Y))`` with
     ``rates = PauliRates.from_error_rates(q_x0, q_y0, q_x0)``: the same
-    operations in the same order, on whole arrays, including every
-    validation and renormalization of the ``PauliRates`` built on the way.
+    operations in the same order, on whole arrays, and ``_normalized`` for
+    each ``PauliRates`` built on the way.  With q_y0 in [0, 1] and totals in
+    [q_y0, 1] (``fig2_blocks`` checks), no row holds NaN, q_i >= -3 ulps and
+    the sums are within a few ulps of 1, so the kernel checks nothing; rows
+    after the first are quotients of nonnegative floats, which need no clip.
     These channels have q_x = q_z, and after the B-step the rows x² + y²
     and 2xy are equal unless their products are subnormal, and q_y takes a
     few values; ``_shannon4`` finds repeated rows and values and takes their
@@ -441,12 +421,11 @@ def _fig2_rates(q_y0: float, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     q_x = (totals - q_y0) / 2.0
     q_y = np.full_like(q_x, q_y0)
-    rates = _renormalized(np.array([1.0 - (q_x + q_y + q_x), q_x, q_y, q_x]))
+    rates = _normalized(*np.maximum([1.0 - (q_x + q_y + q_x), q_x, q_y, q_x], 0.0))
     one_way = 1.0 - _shannon4(rates)
-    # b_step's own map, then modified_rate_one_bstep.
-    d, out = _b_step_map(*_renormalized(rates[list(_SEEN_AS[Basis.Y])]))
-    out = np.array(out)  # frees the four rows before _renormalized copies them
-    two_way = 0.5 * d * (1.0 - _shannon4(_renormalized(out)))
+    # conjugate's relabelling, b_step's own map, then modified_rate_one_bstep.
+    d, out = _b_step_map(*_normalized(*[rates[i] for i in _SEEN_AS[Basis.Y]]))
+    two_way = 0.5 * d * (1.0 - _shannon4(_normalized(*out)))
     return one_way, two_way
 
 
@@ -473,14 +452,18 @@ def fig2_blocks(cases: Sequence[float],
     where two-way - one-way turns from <= 0 to > 0, bisected to adjacent
     floats by scalar probes.  Every case has the same blocks of totals, the
     first the largest.  An empty grid gives one empty block a case.  Raises
-    ``ValueError`` when called for a case outside [0, 1] or a grid count
-    that is not an int >= 0.
+    ``ValueError`` when called for a case outside [0, 1], a grid ``lo`` or
+    ``step`` that is not finite, or a grid count that is not an int >= 0:
+    then no total is NaN, and the kernel needs no check of its own.
     """
     for q_y0 in cases:
         if not 0.0 <= q_y0 <= 1.0:  # also rejects nan
             raise ValueError(f"q_y0={q_y0!r} outside [0, 1]")
-    if not isinstance(grid[2], int) or grid[2] < 0:
-        raise ValueError(f"grid count {grid[2]!r} is not an int >= 0")
+    lo, step, count = grid
+    if not (math.isfinite(lo) and math.isfinite(step)):
+        raise ValueError(f"grid lo={lo!r} and step={step!r} must be finite")
+    if not isinstance(count, int) or count < 0:
+        raise ValueError(f"grid count {count!r} is not an int >= 0")
     import numpy as np
 
     rows = _FIG2_BLOCK_ROWS
@@ -493,10 +476,10 @@ def fig2_blocks(cases: Sequence[float],
             return not two - rate_sixstate_separate(rates) > 0.0
 
         crossing, last_total, last_gap = None, math.nan, math.nan
-        for start in range(0, max(grid[2], 1), rows):
+        for start in range(0, max(count, 1), rows):
             block = _grid_points(grid, start, rows)
             one_way, two_way = np.full((2, block.size), np.nan)
-            inside = ~((block < q_y0) | (block > 1.0))  # negated: a NaN total is inside, and fails
+            inside = (q_y0 <= block) & (block <= 1.0)
             evaluated = block[inside]
             one_way[inside], two_way[inside] = _fig2_rates(q_y0, evaluated)
             if crossing is None and evaluated.size:
@@ -505,13 +488,13 @@ def fig2_blocks(cases: Sequence[float],
                 gap = np.concatenate(([last_gap], (two_way - one_way)[inside]))
                 turns = np.flatnonzero((gap[1:] > 0.0) & (gap[:-1] <= 0.0))
                 if turns.size:
-                    lo, hi = _bisect(not_over, *edges[turns[0]:turns[0] + 2].tolist())
-                    crossing = 0.5 * (lo + hi)
+                    low, high = _bisect(not_over, *edges[turns[0]:turns[0] + 2].tolist())
+                    crossing = 0.5 * (low + high)
                 last_total, last_gap = edges[-1], gap[-1]
             yield Fig2Curve(q_y0, block, one_way, two_way, crossing)
 
     return map(blocks, cases)
 
 
-# Grid points per ``fig2_blocks`` block: one ``_fig2_rates`` call, about 1 MB of temporaries.
+# Grid points per ``fig2_blocks`` block: one ``_fig2_rates`` call, about 0.7 MB of temporaries.
 _FIG2_BLOCK_ROWS = 4096

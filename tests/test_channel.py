@@ -4,6 +4,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from asymqkd.channel import (
     Basis,
@@ -20,6 +22,14 @@ def random_rates(rng):
     raw = [rng.random() for _ in range(4)]
     total = sum(raw)
     return PauliRates(*(v / total for v in raw))
+
+
+# An error component: anywhere in [0, 1/3], a signed zero or a subnormal, or round-off below 0.
+_COMPONENT = st.one_of(
+    st.floats(0.0, 1.0 / 3.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-12]),
+    st.floats(-1e-12, 0.0),
+)
 
 
 class TestPauliRates:
@@ -60,6 +70,24 @@ class TestPauliRates:
         third = 1.0 / 3.0
         rates = PauliRates(third, third, third, 1.0 - 3 * third)
         assert math.isclose(sum(rates.as_tuple()), 1.0, rel_tol=0, abs_tol=1e-15)
+
+    # Three components, and a fourth that makes their sum 1 up to ``drift``, at ``position``.
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_COMPONENT, min_size=3, max_size=3), st.floats(-1e-9, 1e-9),
+           st.integers(0, 3))
+    @example([-1e-12, -0.0, 0.25], 1e-9 - 1e-12, 0)
+    @example([0.5, 0.5, 0.0], -1e-12, 0)  # q_i is the round-off below 0
+    def test_stores_each_clipped_component_over_their_sum(self, errors, drift, position):
+        comps = errors[:position] + [1.0 - (errors[0] + errors[1] + errors[2]) + drift]
+        comps += errors[position:]
+        assume(abs(comps[0] + comps[1] + comps[2] + comps[3] - 1.0) <= 1e-9)
+        assume(all(-1e-12 <= c <= 1.0 + 1e-9 for c in comps))
+        # The rule, restated: each component clipped to +0.0, over the clipped sum
+        # added left to right, bit for bit.
+        clipped = [c if c > 0.0 else 0.0 for c in comps]
+        kept = ((clipped[0] + clipped[1]) + clipped[2]) + clipped[3]
+        got = PauliRates(*comps).as_tuple()
+        assert [q.hex() for q in got] == [(c / kept).hex() for c in clipped]
 
 
 def test_flip_rates_pairs_the_right_components():

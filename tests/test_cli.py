@@ -69,13 +69,17 @@ def test_stdout_matches_file_output(tmp_path, capsys):
     assert stdout.encode() == (GOLDEN / "rates_asym.csv").read_bytes()
 
 
-def _run_module(module, argv, **env_vars):
+def _module_env(**env_vars):
+    """The environment of a fresh interpreter that imports this ``asymqkd``."""
     src = str(pathlib.Path(asymqkd.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_vars)
+
+
+def _run_module(module, argv, **env_vars):
     run = subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=60,
-        check=False,
+        [sys.executable, "-m", module, *argv], capture_output=True, env=_module_env(**env_vars),
+        timeout=60, check=False,
     )
     assert run.returncode == 0, run.stderr.decode()
     return run.stdout
@@ -86,6 +90,17 @@ def test_module_entry_point_matches_in_process_main(capsys):
     assert main(argv) == 0
     expected = capsys.readouterr().out.encode()
     assert _run_module("asymqkd", argv) == expected
+
+
+def test_a_closed_stdout_ends_without_a_traceback():
+    # About 7 MB of rows: far more than a pipe holds, so writing meets the closed end.
+    proc = subprocess.Popen([sys.executable, "-m", "asymqkd", "sweep-fig1", "--grid", "0:1:0.00001"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env())
+    assert proc.stdout.readline().startswith(b"# schema: ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
 
 
 def test_cli_module_entry_point_matches_the_package_one():
@@ -593,6 +608,15 @@ class TestBadInput:
         assert f"argument {argv[1]}: expected one argument" in capsys.readouterr().err
 
 
+def _outcome(capsys, argv):
+    """Exit code and captured output of ``main(argv)``, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr()
+
+
 # Values that argparse alone would take for options: the spaced form prints what "=" does.
 @pytest.mark.parametrize("spaced, joined", [
     (["sweep-fig1", "--grid", "-1:1:0.25"], ["sweep-fig1", "--grid=-1:1:0.25"]),
@@ -601,13 +625,24 @@ class TestBadInput:
     (["sweep-fig2", "--grid", "-0.05:1:0.05", "--cases", "0.0"],
      ["sweep-fig2", "--grid=-0.05:1:0.05", "--cases", "0.0"]),
     (["sweep-fig1", "--grid", "-1:0:0.5", "--tol", "1e-3"], ["sweep-fig1", "--grid=-1:0:0.5", "--tol", "1e-3"]),
+    # Abbreviated option names, and negative numbers in exponent form.
+    (["sweep-fig1", "--gri", "-1:1:0.25"], ["sweep-fig1", "--gri=-1:1:0.25"]),
+    (["sweep-fig2", "--cas", "-0.0,0.0", "--grid", "0:1:0.25"],
+     ["sweep-fig2", "--cas=-0.0,0.0", "--grid", "0:1:0.25"]),
+    (["threshold", "--variant", "chau", "--family-ratio", "-1e-5"],
+     ["threshold", "--variant", "chau", "--family-ratio=-1e-5"]),
+    (["simulate", "--qx", "-1e-13", "--qy", "0", "--qz", "0.1", "--n", "100"],
+     ["simulate", "--qx=-1e-13", "--qy", "0", "--qz", "0.1", "--n", "100"]),
 ])
 def test_value_beginning_with_a_dash_is_read_as_after_equals(capsys, spaced, joined):
-    assert main(spaced) == 0
-    got = capsys.readouterr()
-    assert main(joined) == 0
-    assert got == capsys.readouterr()
-    assert got.out.count("\n") > 3
+    code, got = _outcome(capsys, spaced)
+    assert (code, got) == _outcome(capsys, joined)
+    assert "expected one argument" not in got.err
+    # Each runs but the negative ratio, which reaches the library's own check.
+    if spaced[0] == "threshold":
+        assert code == 2 and "ratio must be nonnegative" in got.err
+    else:
+        assert code == 0 and got.out.count("\n") > 3
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymqkd import distill, threshold
-from asymqkd.channel import Basis, PauliRates, conjugate
+from asymqkd.channel import Basis, PauliRates, _normalized, conjugate
 from asymqkd.distill import (
     SearchParams,
     distill_schedule,
@@ -714,6 +714,8 @@ class TestSweepFig2:
     @given(st.floats(0.0, 1.0).flatmap(lambda q_y0: st.tuples(
         st.just(q_y0), st.lists(st.floats(q_y0, 1.0), min_size=1, max_size=20))))
     @example((-0.0, [-0.0, 0.0, 0.02, 0.5, 1.0]))  # a q_y0 of -0.0, stored as +0.0 by both
+    @example((1.0, [1.0]))  # q_i = q_x = q_z = 0
+    @example((5e-324, [5e-324, 1.0]))  # a subnormal q_y0; q_x = 0, then q_i = 0
     def test_kernel_equals_scalar_path_bit_for_bit(self, case):
         q_y0, totals = case
         want_one, want_two = [], []
@@ -726,14 +728,6 @@ class TestSweepFig2:
         assert _bits(one_way) == _bits(want_one)
         assert _bits(two_way) == _bits(want_two)
 
-    def test_kernel_validates_like_pauli_rates(self):
-        with pytest.raises(ValueError):
-            PauliRates.from_error_rates(0.35, -0.2, 0.35)
-        with pytest.raises(ValueError):
-            _fig2_rates(-0.2, np.array([0.1, 0.5]))
-        with pytest.raises(ValueError):
-            _fig2_rates(math.nan, np.array([0.1]))
-
     @pytest.mark.parametrize("q_y0", [1.5, -0.1, math.nan, math.inf])
     def test_cases_outside_the_unit_interval_are_rejected_first(self, monkeypatch, q_y0):
         def no_work(*args):
@@ -742,6 +736,19 @@ class TestSweepFig2:
         monkeypatch.setattr(threshold, "_fig2_rates", no_work)
         with pytest.raises(ValueError, match=re.escape(f"q_y0={q_y0!r} outside [0, 1]")):
             fig2_blocks([0.0, q_y0], (0.05, 0.05, 2))
+
+    @pytest.mark.parametrize("grid", [
+        (math.nan, 0.05, 3), (math.inf, 0.05, 3), (-math.inf, 0.05, 3),
+        (0.05, math.nan, 3), (0.05, math.inf, 3), (0.05, -math.inf, 3),
+    ], ids=["lo-nan", "lo-inf", "lo--inf", "step-nan", "step-inf", "step--inf"])
+    def test_grid_lo_and_step_that_are_not_finite_are_rejected_first(self, monkeypatch, grid):
+        # Once iterated, such a grid would hand the kernel NaN totals: 0 * inf, or NaN itself.
+        def no_work(*args):
+            raise AssertionError("evaluated a curve before checking the grid")
+
+        monkeypatch.setattr(threshold, "_fig2_rates", no_work)
+        with pytest.raises(ValueError, match=re.escape(f"grid lo={grid[0]!r} and step={grid[1]!r}")):
+            fig2_blocks([0.0], grid)
 
     @pytest.mark.parametrize("grid, message", [
         ((0.05, 0.05, -2), "grid count -2 is not an int >= 0"),
@@ -896,22 +903,11 @@ class TestShannon4Rows:
 
 
 class TestRenormalized:
-    # Each input also fails every check after its own, so the message shows their order.
-    @pytest.mark.parametrize("comps, message", [
-        ([[math.nan, 2.0], [0.0, -1.0], [0.0, 0.0], [0.0, 0.0]], "Pauli rates contain NaN"),
-        ([[1.0, 2.0], [0.0, -1.0], [0.0, 0.5], [0.0, 0.0]], "Pauli rates outside [0, 1]"),
-        ([[1.0, -2e-12], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "Pauli rates outside [0, 1]"),
-        ([[1.0, 1.0 + 2e-9], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "Pauli rates outside [0, 1]"),
-        ([[1.0, 0.5], [0.0, 0.25], [0.0, 0.25], [0.0, 1e-8]], "Pauli rates do not sum to 1"),
-    ], ids=["nan", "out-of-range", "below-the-clip", "above-one", "bad-sum"])
-    def test_checks_raise_their_messages_in_order(self, comps, message):
-        with pytest.raises(ValueError) as exc:
-            threshold._renormalized(np.array(comps))
-        assert str(exc.value) == message
-
+    # The kernel's renormalization: the clip, then ``_normalized`` on the rows.
     def test_round_off_and_an_empty_block_pass(self):
-        # Round-off down to -1e-12 is clipped, as in ``PauliRates``.
+        # Round-off down to -1e-12 is clipped to +0.0, as in ``PauliRates``.
         comps = np.array([[1.0, 0.5], [0.0, 0.25], [0.0, 0.25], [0.0, -1e-12]])
-        assert threshold._renormalized(comps).tolist() == [[1.0, 0.5], [0.0, 0.25], [0.0, 0.25],
-                                                           [0.0, 0.0]]
-        assert threshold._renormalized(np.zeros((4, 0))).shape == (4, 0)
+        got = np.array(_normalized(*np.maximum(comps, 0.0)))
+        assert got.tolist() == [[1.0, 0.5], [0.0, 0.25], [0.0, 0.25], [0.0, 0.0]]
+        assert math.copysign(1.0, got[3, 1]) == 1.0
+        assert np.array(_normalized(*np.maximum(np.zeros((4, 0)), 0.0))).shape == (4, 0)
